@@ -2,9 +2,9 @@
 
 Subcommands: ``gen gnp``, ``gen class``, ``partition``, ``clean``,
 ``count``, ``m2``, ``schedule``, and ``experiment <name>``.  Identical
-argument vectors and seeds produce byte-identical outputs; ``--threads``
-never changes results.  Exit codes: 0 success, 2 parse or precondition
-error, 3 budget error, 4 theorem-check failure in an experiment report.
+argument vectors and seeds produce byte-identical outputs.  Exit codes:
+0 success, 2 parse or precondition error, 3 budget error, 4 theorem-check
+failure in an experiment report.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: REGLAB_SEED)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate random graphs")
@@ -120,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_cmd.add_argument("--eps", type=parse_probability, default=0.25)
     exp_cmd.add_argument("--delta", type=parse_probability, default=0.15)
     exp_cmd.add_argument("--d", type=parse_probability, default=0.25)
-    exp_cmd.add_argument("--eta", type=parse_probability, default=1 / 3)
+    exp_cmd.add_argument("--eta", type=parse_probability, default=0.3)
     exp_cmd.add_argument("--gamma", type=parse_probability, default=0.25)
     exp_cmd.add_argument("--rho", default="0.9")
     exp_cmd.add_argument("--k", type=int, default=3)
@@ -134,34 +133,27 @@ def _run_experiment(args, rng: RngStream):
     name = args.name
     if name == "counting":
         return experiments.run_counting(
-            pattern, args.N, args.p, args.eta, args.d, args.delta, args.trials, rng,
-            epsilon=args.eps, threads=args.threads,
+            pattern, args.N, args.p, args.eta, args.d, args.delta, args.trials, rng, epsilon=args.eps
         )
     if name == "removal":
         return experiments.run_removal(
-            pattern, args.N, args.p, args.delta, args.eps, rng,
-            trials=args.trials, threads=args.threads,
+            pattern, args.N, args.p, args.delta, args.eps, rng, trials=args.trials
         )
     if name == "cliquedensity":
         return experiments.run_clique_density(
-            args.k, args.N, args.p, Fraction(args.rho), args.eps, rng,
-            trials=args.trials, threads=args.threads,
+            args.k, args.N, args.p, Fraction(args.rho), args.eps, rng, trials=args.trials
         )
     if name == "packing":
-        return experiments.run_packing(
-            args.k, args.N, args.p, args.gamma, rng, trials=args.trials, threads=args.threads,
-        )
+        return experiments.run_packing(args.k, args.N, args.p, args.gamma, rng, trials=args.trials)
     if name == "aes":
         return experiments.run_partite_stability(
-            pattern, args.N, args.p, args.gamma, rng, trials=args.trials, threads=args.threads,
+            pattern, args.N, args.p, args.gamma, rng, trials=args.trials
         )
     if name == "turan":
-        return experiments.run_turan(
-            pattern, args.N, args.p, args.eps, rng, trials=args.trials, threads=args.threads,
-        )
+        return experiments.run_turan(pattern, args.N, args.p, args.eps, rng, trials=args.trials)
     if name == "classprobe":
         return experiments.probe_copy_free_class(
-            pattern, args.n, args.m, args.eps, args.trials, rng, threads=args.threads,
+            pattern, args.n, args.m, args.eps, args.trials, rng
         )
     raise PreconditionError(f"unknown experiment {name!r}")
 
@@ -189,16 +181,14 @@ def main(argv: list[str] | None = None) -> int:
                 graph = SimpleGraph.from_edge_list(handle.read())
             part = sparse_regular_partition(
                 graph, args.eps, args.p, args.t0, args.max_t, RngStream(seed),
-                refuter_trials=args.refuter_trials, threads=args.threads,
+                refuter_trials=args.refuter_trials,
             )
             _write_out(args, part.to_json() + "\n")
         elif args.command == "clean":
             seed = _seed_from(args)
             with open(args.graph, encoding="utf-8") as handle:
                 graph = SimpleGraph.from_edge_list(handle.read())
-            part = sparse_regular_partition(
-                graph, args.eps, args.p, args.t0, args.max_t, RngStream(seed), threads=args.threads
-            )
+            part = sparse_regular_partition(graph, args.eps, args.p, args.t0, args.max_t, RngStream(seed))
             result = clean_partition(graph, part, args.eps, args.p, args.d, args.uniformity)
             payload = {
                 "deleted_within": result.deleted_within,

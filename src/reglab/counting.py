@@ -6,10 +6,24 @@ the prescribed parts.  Copies are labelled tuples: no automorphism factor
 is divided out (an optional helper exposes that normalization for
 experiments that want unlabelled counts).
 
-The kernel is plain backtracking over a greedy maximum-back-degree order
-of the template vertices with bitset candidate intersection; the last
-level is a popcount rather than a loop.  Counts are Python ints, so n^k
-overflow is a non-issue.
+Every subgraph search in the package, here and in :mod:`reglab.embedding`,
+runs on one kernel.  A :class:`SearchPlan` orders the template vertices by
+greedy maximum back-degree (pinned vertices first) and lists, per position,
+the earlier positions it must be adjacent to; it is built once per
+(template, pinned vertices) and cached.  The candidates at a position are
+the intersection of the placed neighbours' bitset rows.  Two traversals run
+over the plan: :func:`count_extensions` takes a popcount at the last level,
+and :func:`iter_extensions` yields every full assignment in search order.
+The kernel has two modes:
+
+* partite (canonical copies): each template edge ``(a, b)`` has its own row
+  table ``rows[(a, b)]`` over local part indices, and there is no used-vertex
+  mask because the parts have separate index spaces;
+* injective (embeddings into a :class:`~reglab.graphs.SimpleGraph`): every
+  template edge uses the host's ``adj`` rows, and host vertices already used
+  are masked out.
+
+Counts are Python ints, so n^k overflow is a non-issue.
 """
 
 from __future__ import annotations
@@ -18,7 +32,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from typing import Iterator, Sequence
 
 from .errors import BudgetError, PreconditionError
 from .graphs import MultipartiteGraph, PatternGraph, iter_bits
@@ -66,52 +82,144 @@ def greedy_order(pattern: PatternGraph, fixed: tuple[int, ...] = ()) -> list[int
     return placed
 
 
-def _count_with_rows(
+@dataclass(frozen=True)
+class SearchPlan:
+    """Placement order of the template vertices and, per position, the
+    earlier positions whose images the vertex placed there must be adjacent to."""
+
+    order: tuple[int, ...]
+    back: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def search_plan(pattern: PatternGraph, pinned: tuple[int, ...] = ()) -> SearchPlan:
+    """The cached plan for ``pattern`` with the ``pinned`` vertices placed first, in order."""
+    order = tuple(greedy_order(pattern, pinned))
+    back = tuple(
+        tuple(s for s in range(t) if (min(order[s], v), max(order[s], v)) in pattern.edges)
+        for t, v in enumerate(order)
+    )
+    return SearchPlan(order, back)
+
+
+def _place_pins(
     pattern: PatternGraph,
+    rows: dict[tuple[int, int], list[int]] | list[int],
     n: int,
-    rows: dict[tuple[int, int], list[int]],
-    fixed: dict[int, int] | None = None,
-) -> int:
-    """Count completions of ``fixed`` (template vertex -> local index) to canonical copies."""
-    fixed = fixed or {}
-    # template edges inside the fixed prefix must already be realized
-    for a, b in pattern.edges:
-        if a in fixed and b in fixed:
-            if not rows[(a, b)][fixed[a]] >> fixed[b] & 1:
-                return 0
-    order = greedy_order(pattern, tuple(fixed))
-    start = len(fixed)
-    constraints: list[list[tuple[int, tuple[int, int]]]] = []
-    for t, v in enumerate(order):
-        cons = []
-        for s in range(t):
-            u = order[s]
-            if (min(u, v), max(u, v)) in pattern.edges:
-                cons.append((s, (u, v)))
-        constraints.append(cons)
+    pinned: dict[int, int] | None,
+    masks: Sequence[int] | None,
+    injective: bool,
+):
+    """Plan, per-position levels and the state after the pins; ``None`` if a pin fails.
 
+    A level is (candidate mask, [(earlier position, row table), ...]).  Each
+    pin is checked exactly like a search step: it must lie in the candidate
+    set its position would have.
+    """
+    pinned = pinned or {}
+    plan = search_plan(pattern, tuple(pinned))
     full = (1 << n) - 1
+    levels = [
+        (
+            masks[v] if masks else full,
+            [(s, rows if injective else rows[(plan.order[s], v)]) for s in plan.back[t]],
+        )
+        for t, v in enumerate(plan.order)
+    ]
     assignment = [0] * pattern.k
-    for t in range(start):
-        assignment[t] = fixed[order[t]]
+    free = -1
+    for t in range(len(pinned)):
+        host = pinned[plan.order[t]]
+        cand, constraints = levels[t]
+        cand &= free
+        for s, table in constraints:
+            cand &= table[assignment[s]]
+        if not cand >> host & 1:
+            return None
+        assignment[t] = host
+        if injective:
+            free ^= 1 << host
+    return plan, levels, assignment, free
 
-    def rec(t: int) -> int:
-        cand = full
-        for s, key in constraints[t]:
-            cand &= rows[key][assignment[s]]
+
+def count_extensions(
+    pattern: PatternGraph,
+    rows: dict[tuple[int, int], list[int]] | list[int],
+    n: int,
+    pinned: dict[int, int] | None = None,
+    masks: Sequence[int] | None = None,
+    injective: bool = False,
+) -> int:
+    """Number of ways to extend ``pinned`` (template vertex -> host index) to a full copy.
+
+    ``rows`` is the dict of per-edge row tables in partite mode, or the one
+    host adjacency list shared by every edge in injective mode; host indices
+    run over ``range(n)``.  ``masks[v]`` restricts template vertex v.
+    """
+    state = _place_pins(pattern, rows, n, pinned, masks, injective)
+    if state is None:
+        return 0
+    _, levels, assignment, free = state
+    start = len(pinned or ())
+    last = pattern.k - 1
+
+    def rec(t: int, free: int) -> int:
+        cand, constraints = levels[t]
+        cand &= free
+        for s, table in constraints:
+            cand &= table[assignment[s]]
             if not cand:
                 return 0
-        if t == pattern.k - 1:
+        if t == last:
             return cand.bit_count()
         total = 0
         for v in iter_bits(cand):
             assignment[t] = v
-            total += rec(t + 1)
+            total += rec(t + 1, free ^ (1 << v) if injective else free)
         return total
 
     if start == pattern.k:
         return 1
-    return rec(start)
+    return rec(start, free)
+
+
+def iter_extensions(
+    pattern: PatternGraph,
+    rows: dict[tuple[int, int], list[int]] | list[int],
+    n: int,
+    pinned: dict[int, int] | None = None,
+    masks: Sequence[int] | None = None,
+    injective: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Yield every extension of ``pinned`` as host indices indexed by template vertex.
+
+    Same arguments as :func:`count_extensions`; the first item yielded is
+    the first copy the search finds.
+    """
+    state = _place_pins(pattern, rows, n, pinned, masks, injective)
+    if state is None:
+        return
+    plan, levels, assignment, free = state
+    k = pattern.k
+
+    def rec(t: int, free: int) -> Iterator[tuple[int, ...]]:
+        if t == k:
+            result = [0] * k
+            for pos, v in enumerate(plan.order):
+                result[v] = assignment[pos]
+            yield tuple(result)
+            return
+        cand, constraints = levels[t]
+        cand &= free
+        for s, table in constraints:
+            cand &= table[assignment[s]]
+            if not cand:
+                return
+        for v in iter_bits(cand):
+            assignment[t] = v
+            yield from rec(t + 1, free ^ (1 << v) if injective else free)
+
+    yield from rec(len(pinned or ()), free)
 
 
 def _result(pattern: PatternGraph, n: int, count: int, pair_counts: dict[tuple[int, int], int]) -> CountResult:
@@ -125,7 +233,7 @@ def _result(pattern: PatternGraph, n: int, count: int, pair_counts: dict[tuple[i
 
 def canonical_count(graph: MultipartiteGraph) -> CountResult:
     """Exact number of canonical copies of the template in ``graph``."""
-    count = _count_with_rows(graph.pattern, graph.part_size, graph.rows)
+    count = count_extensions(graph.pattern, graph.rows, graph.part_size)
     return _result(graph.pattern, graph.part_size, count, graph.pair_edge_counts)
 
 
@@ -155,7 +263,7 @@ def constrained_count(
 ) -> CountResult:
     """Canonical copies whose sub-pattern edges additionally lie in ``overlay``."""
     rows, counts = _effective_rows(graph, sub_pattern, overlay)
-    count = _count_with_rows(graph.pattern, graph.part_size, rows)
+    count = count_extensions(graph.pattern, rows, graph.part_size)
     return _result(graph.pattern, graph.part_size, count, counts)
 
 
@@ -175,7 +283,7 @@ def extension_degree(
     if not graph.has_pair_edge(i, j, u, v):
         raise PreconditionError(f"edge ({u}, {v}) not present in pair {(i + 1, j + 1)}")
     rows, _ = _effective_rows(graph, sub_pattern, overlay)
-    return _count_with_rows(graph.pattern, graph.part_size, rows, fixed={i: u, j: v})
+    return count_extensions(graph.pattern, rows, graph.part_size, pinned={i: u, j: v})
 
 
 def mu_star(graph: MultipartiteGraph, normalizer: int) -> Fraction:
@@ -187,7 +295,7 @@ def mu_star(graph: MultipartiteGraph, normalizer: int) -> Fraction:
     """
     if normalizer < 1:
         raise PreconditionError("normalizer must be >= 1")
-    count = _count_with_rows(graph.pattern, graph.part_size, graph.rows)
+    count = count_extensions(graph.pattern, graph.rows, graph.part_size)
     return Fraction(count, normalizer**graph.k)
 
 

@@ -1,24 +1,16 @@
 """Exact subgraph search on host graphs (not restricted to canonical copies).
 
-Backtracking over a greedy template order with bitset candidate pruning.
-Embeddings are injective vertex maps realizing every template edge; host
-edges not demanded by the template are allowed (subgraph containment, not
-induced).
+Entry points to the injective mode of the search kernel in
+:mod:`reglab.counting`: a cached greedy template order with bitset candidate
+pruning, where host vertices already used are masked out.  Embeddings are
+injective vertex maps realizing every template edge; host edges not demanded
+by the template are allowed (subgraph containment, not induced).
 """
 
 from __future__ import annotations
 
-from .counting import automorphism_count, greedy_order
+from .counting import count_extensions, iter_extensions
 from .graphs import PatternGraph, SimpleGraph, iter_bits
-
-
-def _prepare(pattern: PatternGraph, fixed: dict[int, int]):
-    order = greedy_order(pattern, tuple(fixed))
-    constraints: list[list[int]] = []
-    for t, v in enumerate(order):
-        cons = [s for s in range(t) if (min(order[s], v), max(order[s], v)) in pattern.edges]
-        constraints.append(cons)
-    return order, constraints
 
 
 def find_embedding(
@@ -32,44 +24,8 @@ def find_embedding(
     ``candidate_masks[i]`` restricts template vertex i to a host subset;
     ``fixed`` pins template vertices to specific hosts.
     """
-    fixed = fixed or {}
-    full = (1 << graph.n) - 1
-    masks = candidate_masks or [full] * pattern.k
-    for a, b in pattern.edges:
-        if a in fixed and b in fixed and not graph.has_edge(fixed[a], fixed[b]):
-            return None
-    for v, host in fixed.items():
-        if not masks[v] >> host & 1:
-            return None
-    order, constraints = _prepare(pattern, fixed)
-    start = len(fixed)
-    assignment = [-1] * pattern.k
-    for t in range(start):
-        assignment[t] = fixed[order[t]]
-    used = 0
-    for host in fixed.values():
-        used |= 1 << host
-
-    def rec(t: int, used: int) -> bool:
-        if t == pattern.k:
-            return True
-        cand = masks[order[t]] & ~used
-        for s in constraints[t]:
-            cand &= graph.adj[assignment[s]]
-            if not cand:
-                return False
-        for v in iter_bits(cand):
-            assignment[t] = v
-            if rec(t + 1, used | (1 << v)):
-                return True
-        return False
-
-    if not rec(start, used):
-        return None
-    result = [0] * pattern.k
-    for t, v in enumerate(order):
-        result[v] = assignment[t]
-    return tuple(result)
+    found = iter_extensions(pattern, graph.adj, graph.n, fixed, candidate_masks, injective=True)
+    return next(found, None)
 
 
 def count_embeddings(
@@ -79,41 +35,7 @@ def count_embeddings(
     fixed: dict[int, int] | None = None,
 ) -> int:
     """Number of labelled embeddings (injective maps realizing all template edges)."""
-    fixed = fixed or {}
-    full = (1 << graph.n) - 1
-    masks = candidate_masks or [full] * pattern.k
-    for a, b in pattern.edges:
-        if a in fixed and b in fixed and not graph.has_edge(fixed[a], fixed[b]):
-            return 0
-    for v, host in fixed.items():
-        if not masks[v] >> host & 1:
-            return 0
-    order, constraints = _prepare(pattern, fixed)
-    start = len(fixed)
-    assignment = [-1] * pattern.k
-    for t in range(start):
-        assignment[t] = fixed[order[t]]
-    used0 = 0
-    for host in fixed.values():
-        used0 |= 1 << host
-
-    def rec(t: int, used: int) -> int:
-        if t == pattern.k:
-            return 1
-        cand = masks[order[t]] & ~used
-        for s in constraints[t]:
-            cand &= graph.adj[assignment[s]]
-            if not cand:
-                return 0
-        if t == pattern.k - 1:
-            return cand.bit_count()
-        total = 0
-        for v in iter_bits(cand):
-            assignment[t] = v
-            total += rec(t + 1, used | (1 << v))
-        return total
-
-    return rec(start, used0)
+    return count_extensions(pattern, graph.adj, graph.n, fixed, candidate_masks, injective=True)
 
 
 def iter_embeddings(
@@ -122,36 +44,7 @@ def iter_embeddings(
     candidate_masks: list[int] | None = None,
 ):
     """Yield every labelled embedding (host tuple indexed by template vertex)."""
-    full = (1 << graph.n) - 1
-    masks = candidate_masks or [full] * pattern.k
-    order, constraints = _prepare(pattern, {})
-    assignment = [-1] * pattern.k
-
-    def rec(t: int, used: int):
-        if t == pattern.k:
-            result = [0] * pattern.k
-            for pos, v in enumerate(order):
-                result[v] = assignment[pos]
-            yield tuple(result)
-            return
-        cand = masks[order[t]] & ~used
-        for s in constraints[t]:
-            cand &= graph.adj[assignment[s]]
-            if not cand:
-                return
-        for v in iter_bits(cand):
-            assignment[t] = v
-            yield from rec(t + 1, used | (1 << v))
-
-    yield from rec(0, 0)
-
-
-def count_copies(graph: SimpleGraph, pattern: PatternGraph) -> int:
-    """Unlabelled copies: embeddings divided by the automorphism count."""
-    emb = count_embeddings(graph, pattern)
-    aut = automorphism_count(pattern)
-    assert emb % aut == 0
-    return emb // aut
+    yield from iter_extensions(pattern, graph.adj, graph.n, None, candidate_masks, injective=True)
 
 
 def count_embeddings_through_edge(
@@ -170,7 +63,12 @@ def count_embeddings_through_edge(
 
 
 def count_kcliques(graph: SimpleGraph, k: int) -> int:
-    """Exact number of k-vertex cliques."""
+    """Exact number of k-vertex cliques.
+
+    Kept apart from the search kernel: it counts each clique once, in
+    increasing vertex order, where the kernel would count all k! labelled
+    copies.
+    """
     if k < 1:
         return 0
     if k == 1:

@@ -35,7 +35,6 @@ from .graphs import (
     bitmask_of,
     induced_multipartite,
 )
-from .parallel import map_ordered
 from .partition import (
     ClusterGraph,
     Partition,
@@ -143,7 +142,6 @@ def run_counting(
     epsilon: float = 0.25,
     refuter_trials: int = 32,
     pass_fraction: float = 0.9,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Canonical-count concentration in random multipartite slices of a random host.
 
@@ -194,7 +192,7 @@ def run_counting(
         )
         return record
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     effective = [r for r in records if not r["skipped"]]
     band = sum(1 for r in effective if r["in_band"])
     fraction = band / len(effective) if effective else 0.0
@@ -282,7 +280,6 @@ def run_removal(
     uniformity: float = 2.0,
     refuter_trials: int = 24,
     pass_fraction: float = 0.9,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Few-copies subgraphs become template-free after bounded deletions.
 
@@ -335,7 +332,11 @@ def run_removal(
         )
         record["deleted_per_copy"] = per_copy
         total_deleted = sub.edge_count - working.edge_count
-        assert total_deleted == cleaned.deleted_total + per_copy
+        if total_deleted != cleaned.deleted_total + per_copy:
+            raise SoundnessError(
+                f"deletion accounting mismatch: {total_deleted} deleted, "
+                f"{cleaned.deleted_total} by cleaning plus {per_copy} per copy"
+            )
         template_free = find_embedding(working, pattern) is None
         record["deleted_total"] = total_deleted
         record["deletion_budget"] = str(deletion_budget)
@@ -344,7 +345,7 @@ def run_removal(
         record["success"] = bool(template_free and Fraction(total_deleted) <= deletion_budget)
         return record
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     successes = sum(1 for r in records if r["success"])
     fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
@@ -384,46 +385,26 @@ def _cluster_supported_count(
 ) -> int:
     """Canonical copies summed over injective class assignments supported by the cluster.
 
-    Counts copies whose template vertices land in pairwise distinct classes
-    with every template edge on a cluster edge; copies collapsing two
-    non-adjacent template vertices into one class are not visited (for
+    The assignments are the embeddings of the template into the cluster
+    graph.  Counts copies whose template vertices land in pairwise distinct
+    classes with every template edge on a cluster edge; copies collapsing
+    two non-adjacent template vertices into one class are not visited (for
     complete templates none exist, since within-class edges are gone).
     """
-    classes = part.classes
-    t = len(classes)
-    masks = [bitmask_of(c) for c in classes]
-    total = 0
-
-    def assignments(prefix: list[int]):
-        if len(prefix) == pattern.k:
-            yield list(prefix)
-            return
-        v = len(prefix)
-        for c in range(t):
-            if c in prefix:
-                continue
-            ok = True
-            for u in range(v):
-                if (min(u, v), max(u, v)) in pattern.edges and not cluster.has_edge(prefix[u], c):
-                    ok = False
-                    break
-            if ok:
-                prefix.append(c)
-                yield from assignments(prefix)
-                prefix.pop()
-
-    for assign in assignments([]):
-        total += count_embeddings(
-            graph, pattern, candidate_masks=[masks[c] for c in assign]
-        )
-    return total
+    masks = [bitmask_of(c) for c in part.classes]
+    return sum(
+        count_embeddings(graph, pattern, candidate_masks=[masks[c] for c in assign])
+        for assign in iter_embeddings(cluster.to_simple_graph(), pattern)
+    )
 
 
 def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None:
     """Partition of all cluster vertices into disjoint k-cliques, or None.
 
     Exact backtracking with memoized dead states; ``None`` is an
-    exhaustively verified absence.  k must divide the vertex count.
+    exhaustively verified absence.  k must divide the vertex count.  Kept
+    apart from the search kernel: it is an exact cover of all vertices,
+    not a search for one copy.
     """
     t = cluster.t
     if k < 2:
@@ -593,11 +574,13 @@ def packing_pipeline(
     # verification: disjointness and cliquehood in the input graph
     seen: set[int] = set()
     for tup in covered:
-        assert len(set(tup)) == k and not (set(tup) & seen)
+        if len(set(tup)) != k or set(tup) & seen:
+            raise SoundnessError(f"packed clique {tup} repeats or reuses a vertex")
         seen |= set(tup)
         for a in range(k):
             for b in range(a + 1, k):
-                assert graph.has_edge(tup[a], tup[b])
+                if not graph.has_edge(tup[a], tup[b]):
+                    raise SoundnessError(f"packed clique {tup} misses the edge {tup[a]}-{tup[b]}")
     coverage = len(seen) / ambient
     record.update(
         factor_cliques=len(factor),
@@ -618,7 +601,6 @@ def run_packing(
     rng: RngStream,
     trials: int = 10,
     pass_fraction: float = 0.8,
-    threads: int = 1,
     **pipeline_kwargs,
 ) -> ExperimentReport:
     """Near-spanning clique packings of high-min-degree subgraphs of a random host.
@@ -647,7 +629,7 @@ def run_packing(
         record.update(inner)
         return record
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     successes = sum(1 for r in records if r["success"])
     fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
@@ -690,7 +672,6 @@ def run_clique_density(
     d: float = 0.05,
     uniformity: float = 2.0,
     refuter_trials: int = 24,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Clique counts of relative-density-rho subgraphs versus the dense minimum.
 
@@ -762,7 +743,7 @@ def run_clique_density(
             "estimate_meets_bound": bool(estimate >= bound),
         }
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     meets = sum(1 for r in records if r["count_meets_bound"])
     return ExperimentReport(
         name="cliquedensity",
@@ -853,7 +834,6 @@ def run_partite_stability(
     uniformity: float = 2.0,
     refuter_trials: int = 24,
     pass_fraction: float = 0.8,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Template-free min-degree subgraphs become (chi-1)-partite after small deletions.
 
@@ -939,10 +919,7 @@ def run_partite_stability(
         sub_cluster = cluster.induced(kept)
 
         # cluster-level template search, cross-checked by exact counting
-        cluster_graph = SimpleGraph.from_edges(
-            max(sub_cluster.t, 1), list(sub_cluster.edges)
-        )
-        cluster_copy = find_embedding(cluster_graph, pattern)
+        cluster_copy = find_embedding(sub_cluster.to_simple_graph(), pattern)
         record["cluster_template_free"] = cluster_copy is None
         if cluster_copy is not None:
             classes = [part.classes[kept[c]] for c in cluster_copy]
@@ -979,7 +956,7 @@ def run_partite_stability(
         record["success"] = bool(Fraction(total) <= budget)
         return record
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     successes = sum(1 for r in records if r["success"])
     fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
@@ -1014,7 +991,6 @@ def run_turan(
     eps: float,
     rng: RngStream,
     trials: int = 10,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Subgraphs above the Turan fraction contain the template.
 
@@ -1058,7 +1034,7 @@ def run_turan(
             "strategy": "partite-plus-interior-topup",
         }
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     found = sum(1 for r in records if r["found"])
     return ExperimentReport(
         name="turan",
@@ -1086,7 +1062,6 @@ def probe_copy_free_class(
     eps: float,
     trials: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Estimate how often regular m-edge members of the product class miss the template.
 
@@ -1117,7 +1092,7 @@ def probe_copy_free_class(
         count = canonical_count(sample).count
         return {"regular": True, "copy_free": count == 0, "count": str(count)}
 
-    records = map_ordered(one_trial, list(range(trials)), threads)
+    records = [one_trial(index) for index in range(trials)]
     regular_records = [r for r in records if r["regular"]]
     if not regular_records:
         raise RejectionBudgetError(

@@ -47,10 +47,6 @@ def leq_with_tolerance(value: Fraction, threshold: float) -> bool:
     return value <= Fraction(threshold) + COMPARISON_TOLERANCE
 
 
-def geq_with_tolerance(value: Fraction, threshold: float) -> bool:
-    return value >= Fraction(threshold) - COMPARISON_TOLERANCE
-
-
 @dataclass(frozen=True)
 class PatternGraph:
     """A small template graph on vertices ``0..k-1``.
@@ -207,16 +203,6 @@ class SimpleGraph:
         for v in iter_bits(mask_a):
             total += (self.adj[v] & mask_b).bit_count()
         return total
-
-    def drop_edges(self, pairs: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        adj = list(self.adj)
-        removed = 0
-        for u, v in pairs:
-            if adj[u] >> v & 1:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                removed += 1
-        return SimpleGraph(self.n, adj, self.edge_count - removed)
 
     def keep_edges_between(self, groups: Sequence[int]) -> "SimpleGraph":
         """Keep only edges whose endpoints lie in different ``groups`` labels.
@@ -406,8 +392,8 @@ class MultipartiteGraph:
         """The bipartite pair {i, j} as a standalone graph plus its sides."""
         n = self.part_size
         a, b = min(i, j), max(i, j)
-        edges = [(u, n + v) for u, v in self.pair_edges(a, b)]
-        g = SimpleGraph.from_edges(2 * n, edges)
+        adj = [r << n for r in self.rows[(a, b)]] + list(self.rows[(b, a)])
+        g = SimpleGraph(2 * n, adj, self.pair_edge_counts[(a, b)])
         return g, VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
 
     def to_json(self) -> str:

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SoundnessError
 from .graphs import SimpleGraph, VertexSetPair, bitmask_of
-from .parallel import map_ordered
 from .randgraph import RngStream
 from .regularity import (
     CERTIFIED,
@@ -128,6 +127,10 @@ class ClusterGraph:
                 out.append(i)
         return sorted(out)
 
+    def to_simple_graph(self) -> SimpleGraph:
+        """The unweighted cluster graph (one isolated vertex when t = 0)."""
+        return SimpleGraph.from_edges(max(self.t, 1), self.edges)
+
     def induced(self, keep: list[int]) -> "ClusterGraph":
         """Relabelled induced subgraph on the kept class indices (sorted order)."""
         keep_sorted = sorted(keep)
@@ -204,7 +207,6 @@ def evaluate_partition(
     rng: RngStream,
     refuter_trials: int = 32,
     refuter_guided: bool = False,
-    threads: int = 1,
     converged: bool = True,
     rounds: int = 0,
 ) -> Partition:
@@ -229,7 +231,7 @@ def evaluate_partition(
         )
         return key, PairInfo(density=density, edges=e, verdict=verdict)
 
-    pair_info = dict(map_ordered(work, keys, threads))
+    pair_info = dict([work(key) for key in keys])
     energy = partition_energy(graph, classes, p)
     return Partition(
         classes=[sorted(c) for c in classes],
@@ -414,7 +416,8 @@ def _equalize_affinity(graph: SimpleGraph, atoms: list[list[int]], n: int) -> li
                 if best_key is None or key < best_key:
                     best_key = key
                     best_pick = (donor, v)
-        assert best_pick is not None
+        if best_pick is None:
+            raise SoundnessError(f"no class above its target can donate to class {idx}")
         donor, v = best_pick
         classes[donor].remove(v)
         masks[donor] &= ~(1 << v)
@@ -435,7 +438,6 @@ def sparse_regular_partition(
     refuter_trials: int = 32,
     refuter_guided: bool = False,
     max_rounds: int = 12,
-    threads: int = 1,
 ) -> Partition:
     """Equipartition with at most eps * t^2 refuted pairs, by iterated refinement.
 
@@ -472,7 +474,6 @@ def sparse_regular_partition(
             rng,
             refuter_trials=refuter_trials,
             refuter_guided=refuter_guided,
-            threads=threads,
             converged=True,
             rounds=round_index,
         )
@@ -494,7 +495,8 @@ def sparse_regular_partition(
             break
         classes = new_classes
 
-    assert best is not None
+    if best is None:
+        raise SoundnessError("refinement evaluated no partition")
     best.converged = False
     return best
 
@@ -610,7 +612,11 @@ def clean_partition(
             f"deletion bound violated with all ingredient inequalities holding: "
             f"{deleted} > {float(bound):.3f}"
         )
-    assert graph.edge_count - cleaned.edge_count == deleted
+    if graph.edge_count - cleaned.edge_count != deleted:
+        raise SoundnessError(
+            f"cleaning removed {graph.edge_count - cleaned.edge_count} edges "
+            f"but accounted for {deleted}"
+        )
 
     cluster = ClusterGraph(t, frozenset(surviving), weights)
     return CleanResult(

@@ -97,6 +97,8 @@ def _strictly_balanced_given(pattern: PatternGraph, m2: Fraction) -> bool:
     full = Fraction(pattern.edge_count - 1, pattern.k - 2)
     if full != m2:
         return False  # some proper subset already attains the maximum
+    if full == Fraction(1, 2):
+        return False  # a single edge is a proper subgraph with m2 = 1/2
     for size in range(3, pattern.k):
         for subset in combinations(range(pattern.k), size):
             if Fraction(_subset_edges(pattern, subset) - 1, size - 2) >= full:

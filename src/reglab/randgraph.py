@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -249,10 +248,3 @@ def sample_class(
         rows[(j, i)] = rev
         counts[(i, j)] = m
     return MultipartiteGraph(pattern, n, rows, counts)
-
-
-def relative_density(subgraph_edges: int, p: float, n: int) -> Fraction:
-    """e(G') / (p * C(n, 2)), exact in the edge count."""
-    if p <= 0:
-        raise PreconditionError("p must be positive")
-    return Fraction(subgraph_edges) / (Fraction(p) * Fraction(n * (n - 1), 2))

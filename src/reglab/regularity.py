@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, SoundnessError
 from .graphs import (
     SimpleGraph,
     VertexSetPair,
@@ -240,7 +240,8 @@ def refute_regular_sampled(
             best_dev = dev
             best_witness = candidate
     if best_witness is not None and not leq_with_tolerance(best_dev, epsilon * p):
-        assert abs(pair_density(graph, best_witness) - d_pair) == best_dev
+        if abs(pair_density(graph, best_witness) - d_pair) != best_dev:
+            raise SoundnessError("refutation witness does not reproduce its deviation")
         return RegularityVerdict(REFUTED, best_witness, best_dev, p, params)
     return RegularityVerdict(UNDECIDED, None, best_dev, p, params)
 

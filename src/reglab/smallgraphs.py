@@ -5,14 +5,16 @@ Graphs on n <= 9 vertices are represented as tuples of adjacency bitmasks.
 greatest upper-triangle bit string over all vertex orderings, found by a
 prefix-pruned search that branches only across non-twin ties), and
 ``nonisomorphic_graphs`` grows representatives one edge at a time, deduping
-each level by certificate.
+each level by certificate.  These searches stay apart from the subgraph
+search kernel in :mod:`reglab.counting`: they are literal brute-force
+references that the tests and the dense-minimum oracle compare against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import BudgetError
+from .errors import BudgetError, SoundnessError
 
 ENUMERATION_BUDGET = 9
 
@@ -61,7 +63,8 @@ def canonical_cert(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
             placed.pop()
 
     rec([], 0, [])
-    assert best is not None
+    if best is None:
+        raise SoundnessError("certificate search completed no vertex ordering")
     return tuple(best)
 
 

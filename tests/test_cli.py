@@ -1,0 +1,49 @@
+"""Golden reports and exit codes of ``reglab experiment`` at tiny sizes.
+
+Every case passes all experiment parameters explicitly, so a change of a CLI
+default does not change what it runs.  Each case runs twice: both reports
+must be byte-identical and match the recorded digest.
+"""
+
+import hashlib
+
+import pytest
+
+from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+
+TRIANGLE = '{"k": 3, "edges": [[1, 2], [1, 3], [2, 3]]}\n'
+
+PARAMS = [
+    "--N", "60", "--n", "6", "--m", "12", "--p", "0.3", "--eps", "0.25", "--delta", "0.15",
+    "--d", "0.25", "--eta", "0.3", "--gamma", "0.25", "--rho", "0.9", "--k", "3", "--trials", "2",
+]
+
+#: experiment -> (exit code, sha256 of the JSON report)
+GOLDEN = {
+    "turan": (EXIT_OK, "d2b66056c443a336770b372f069b294562d3090e58d82dee1928e095d3143351"),
+    "aes": (EXIT_CHECK_FAILED, "8455bfe5ea3ed13aa146b44315e9e847187e4d902210009eb671387ce1a44dfa"),
+    "removal": (EXIT_CHECK_FAILED, "6c2cde2cfd0f58450d61a2c3d070d64fc7dc67f569154a0ee3782af2779ac1a5"),
+    "packing": (EXIT_CHECK_FAILED, "44a49d8935885aa2c02ecd806f5b7361fc057813b52f9dccd7b81809002f781b"),
+    "cliquedensity": (EXIT_OK, "6a3046845a81c46f257ac8754315569619485e103983129e7f6a22ad4dfb9501"),
+    "counting": (EXIT_OK, "88c10b33b40047a0e3b462b47648ca8b1e42ce17b4326a2256c2eb2d972ad8d9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
+    pattern = tmp_path / "triangle.json"
+    pattern.write_text(TRIANGLE, encoding="utf-8")
+    expected_code, expected_digest = GOLDEN[name]
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"{name}-{run}.json"
+        argv = ["--seed", "1", "--format", "json", "--out", str(out), "experiment", name,
+                "--pattern", str(pattern), *PARAMS]
+        assert main(argv) == expected_code
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [expected_digest, expected_digest]
+
+
+def test_counting_runs_on_its_defaults(tmp_path):
+    out = tmp_path / "counting.json"
+    assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK

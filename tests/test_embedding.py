@@ -1,0 +1,126 @@
+"""Subgraph search (the injective mode of the search kernel) against networkx."""
+
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
+
+from reglab import counting
+from reglab.embedding import (
+    count_embeddings,
+    count_embeddings_through_edge,
+    count_kcliques,
+    find_embedding,
+    iter_embeddings,
+)
+from reglab.graphs import PatternGraph, SimpleGraph
+
+from helpers import patterns, simple_graphs
+
+
+def oracle_embeddings(graph, pattern, masks=None, fixed=None) -> set[tuple[int, ...]]:
+    """Embeddings from VF2 subgraph monomorphisms, filtered by masks and pins."""
+    host = nx.Graph()
+    host.add_nodes_from(range(graph.n))
+    host.add_edges_from(graph.edges())
+    template = nx.Graph()
+    template.add_nodes_from(range(pattern.k))
+    template.add_edges_from(pattern.edges)
+    found = set()
+    for mapping in GraphMatcher(host, template).subgraph_monomorphisms_iter():
+        emb = [0] * pattern.k
+        for h, v in mapping.items():
+            emb[v] = h
+        if masks and any(not masks[v] >> emb[v] & 1 for v in range(pattern.k)):
+            continue
+        if fixed and any(emb[v] != h for v, h in fixed.items()):
+            continue
+        found.add(tuple(emb))
+    return found
+
+
+@st.composite
+def instances(draw):
+    graph = draw(simple_graphs(min_n=2, max_n=7))
+    pattern = draw(patterns(max_k=4))
+    masks = draw(
+        st.none()
+        | st.lists(st.integers(0, (1 << graph.n) - 1), min_size=pattern.k, max_size=pattern.k)
+    )
+    fixed = draw(
+        st.dictionaries(st.integers(0, pattern.k - 1), st.integers(0, graph.n - 1), max_size=2)
+    )
+    return graph, pattern, masks, fixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_count_matches_networkx(instance):
+    graph, pattern, masks, fixed = instance
+    assert count_embeddings(graph, pattern, masks) == len(oracle_embeddings(graph, pattern, masks))
+    expected = oracle_embeddings(graph, pattern, masks, fixed)
+    assert count_embeddings(graph, pattern, masks, fixed) == len(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_iter_yields_each_embedding_once(instance):
+    graph, pattern, masks, _ = instance
+    yielded = list(iter_embeddings(graph, pattern, masks))
+    assert len(yielded) == len(set(yielded))
+    assert set(yielded) == oracle_embeddings(graph, pattern, masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_find_returns_a_valid_embedding_or_none(instance):
+    graph, pattern, masks, fixed = instance
+    expected = oracle_embeddings(graph, pattern, masks, fixed)
+    found = find_embedding(graph, pattern, masks, fixed)
+    if expected:
+        assert found in expected
+    else:
+        assert found is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(simple_graphs(min_n=2, max_n=7), patterns(max_k=4), st.data())
+def test_through_edge_is_count_difference(graph, pattern, data):
+    edges = list(graph.edges())
+    if not edges:
+        return
+    u, v = data.draw(st.sampled_from(edges))
+    without = SimpleGraph.from_edges(graph.n, [e for e in edges if e != (u, v)])
+    through = count_embeddings(graph, pattern) - count_embeddings(without, pattern)
+    assert count_embeddings_through_edge(graph, pattern, u, v) == through
+    assert count_embeddings_through_edge(graph, pattern, v, u) == through
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphs(min_n=1, max_n=10))
+def test_kcliques_match_networkx(graph):
+    host = nx.Graph()
+    host.add_nodes_from(range(graph.n))
+    host.add_edges_from(graph.edges())
+    sizes = [len(c) for c in nx.enumerate_all_cliques(host)]
+    for k in range(1, 6):
+        assert count_kcliques(graph, k) == sizes.count(k)
+
+
+def test_plan_built_once_per_template_and_pins(monkeypatch):
+    calls = []
+    real = counting.greedy_order
+
+    def counted(pattern, fixed=()):
+        calls.append((pattern, fixed))
+        return real(pattern, fixed)
+
+    monkeypatch.setattr(counting, "greedy_order", counted)
+    counting.search_plan.cache_clear()
+    graph = SimpleGraph.complete(6)
+    pattern = PatternGraph.cycle(4)
+    for _ in range(3):
+        assert count_embeddings(graph, pattern) == 6 * 5 * 4 * 3
+        count_embeddings_through_edge(graph, pattern, 0, 1)
+    assert len(calls) == len(set(calls)) == 1 + pattern.edge_count
+    counting.search_plan.cache_clear()

@@ -170,3 +170,17 @@ def test_pattern_json_uses_one_based_labels():
     k3 = PatternGraph.complete(3)
     assert '"edges": [[1, 2], [1, 3], [2, 3]]' in k3.to_json()
     assert PatternGraph.from_json(k3.to_json()).edges == k3.edges
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_subgraph_matches_edge_list_construction(seed):
+    n = 2 + seed
+    pattern = PatternGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    g = gnp(4 * n, 0.2 + 0.1 * seed, RngStream(seed))
+    mg = induced_multipartite(g, [list(range(c * n, (c + 1) * n)) for c in range(4)], pattern)
+    for i, j in pattern.sorted_edges():
+        expected = SimpleGraph.from_edges(2 * n, [(u, n + v) for u, v in mg.pair_edges(i, j)])
+        for a, b in ((i, j), (j, i)):
+            pair_graph, sides = mg.pair_subgraph(a, b)
+            assert pair_graph == expected and pair_graph.edge_count == expected.edge_count
+            assert sides == VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
