@@ -3,8 +3,11 @@
 Subcommands: ``gen gnp``, ``gen class``, ``partition``, ``clean``,
 ``count``, ``m2``, ``schedule``, and ``experiment <name>``.  Identical
 argument vectors and seeds produce byte-identical outputs.  Exit codes:
-0 success, 2 parse or precondition error, 3 budget error, 4 theorem-check
-failure in an experiment report.
+0 success; 2 parse or precondition error, including an out-of-range
+``--eps`` (must lie in (0, 1]), ``--trials`` or ``--refuter-trials`` (must
+be >= 1), an unreadable input path and malformed input JSON; 3 budget
+error; 4 theorem-check failure in an experiment report; 5 soundness error,
+an internal cross-check that failed (a bug, never a property of the input).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .counting import canonical_count
 from .patterns import two_density
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, PreconditionError, SoundnessError
 from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph
 from .partition import clean_partition, sparse_regular_partition
 from .randgraph import RngStream, exposure_schedule, gnp, sample_class
@@ -27,13 +30,32 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_CHECK_FAILED = 4
+EXIT_SOUNDNESS = 5
 
 
 def parse_probability(text: str) -> float:
     """Accept decimals or exact fractions like ``3/40``."""
     if "/" in text:
-        return float(Fraction(text))
+        try:
+            return float(Fraction(text))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in {text!r}") from exc
     return float(text)
+
+
+def parse_epsilon(text: str) -> float:
+    """A probability in (0, 1]: the regularity parameter eps."""
+    value = parse_probability(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"eps must lie in (0, 1], got {text}")
+    return value
+
+
+def parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def _seed_from(args) -> int:
@@ -75,20 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     class_cmd.add_argument("--n", type=int, required=True, help="part size")
     class_cmd.add_argument("--m", type=int, required=True, help="edges per pair")
     class_cmd.add_argument("--p", type=parse_probability, required=True)
-    class_cmd.add_argument("--eps", type=parse_probability, required=True)
+    class_cmd.add_argument("--eps", type=parse_epsilon, required=True)
     class_cmd.add_argument("--mode", choices=("raw", "rejection"), default="raw")
 
     part_cmd = sub.add_parser("partition", help="sparse regular partition of an edge-list graph")
     part_cmd.add_argument("--graph", required=True, help="edge-list path")
-    part_cmd.add_argument("--eps", type=parse_probability, required=True)
+    part_cmd.add_argument("--eps", type=parse_epsilon, required=True)
     part_cmd.add_argument("--p", type=parse_probability, required=True)
     part_cmd.add_argument("--t0", type=int, default=4)
     part_cmd.add_argument("--max-t", type=int, default=64)
-    part_cmd.add_argument("--refuter-trials", type=int, default=32)
+    part_cmd.add_argument("--refuter-trials", type=parse_positive_int, default=32)
 
     clean_cmd = sub.add_parser("clean", help="partition then clean; prints cleaned stats and cluster")
     clean_cmd.add_argument("--graph", required=True)
-    clean_cmd.add_argument("--eps", type=parse_probability, required=True)
+    clean_cmd.add_argument("--eps", type=parse_epsilon, required=True)
     clean_cmd.add_argument("--p", type=parse_probability, required=True)
     clean_cmd.add_argument("--d", type=parse_probability, required=True)
     clean_cmd.add_argument("--uniformity", type=parse_probability, default=2.0)
@@ -116,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     exp_cmd.add_argument("--n", type=int, default=6, help="part size (classprobe)")
     exp_cmd.add_argument("--m", type=int, default=12, help="edges per pair (classprobe)")
     exp_cmd.add_argument("--p", type=parse_probability, default=0.1)
-    exp_cmd.add_argument("--eps", type=parse_probability, default=0.25)
+    exp_cmd.add_argument("--eps", type=parse_epsilon, default=0.25)
     exp_cmd.add_argument("--delta", type=parse_probability, default=0.15)
     exp_cmd.add_argument("--d", type=parse_probability, default=0.25)
     exp_cmd.add_argument("--eta", type=parse_probability, default=0.3)
     exp_cmd.add_argument("--gamma", type=parse_probability, default=0.25)
     exp_cmd.add_argument("--rho", default="0.9")
     exp_cmd.add_argument("--k", type=int, default=3)
-    exp_cmd.add_argument("--trials", type=int, default=10)
+    exp_cmd.add_argument("--trials", type=parse_positive_int, default=10)
 
     return parser
 
@@ -226,12 +248,15 @@ def main(argv: list[str] | None = None) -> int:
             _write_out(args, text)
             if not report.aggregate.get("passed", True):
                 return EXIT_CHECK_FAILED
-    except (PreconditionError, FileNotFoundError, ValueError) as exc:
+    except (PreconditionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SoundnessError as exc:
+        print(f"soundness error: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -113,9 +114,17 @@ class PatternGraph:
 
     @staticmethod
     def from_json(text: str) -> "PatternGraph":
-        obj = json.loads(text)
-        edges = [(a - 1, b - 1) for a, b in obj["edges"]]
-        return PatternGraph.from_edges(int(obj["k"]), edges)
+        """Parse ``{"k": int, "edges": [[a, b], ...]}`` with 1-indexed vertices."""
+        try:
+            k, edges = _pattern_fields(json.loads(text))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed pattern JSON: {exc!r}") from exc
+        return PatternGraph.from_edges(k, edges)
+
+
+def _pattern_fields(obj) -> tuple[int, list[tuple[int, int]]]:
+    """``k`` and the 0-indexed edges of a parsed pattern object; raises on a missing key or wrong type."""
+    return int(obj["k"]), [(index(a) - 1, index(b) - 1) for a, b in obj["edges"]]
 
 
 class SimpleGraph:
@@ -410,13 +419,21 @@ class MultipartiteGraph:
 
     @staticmethod
     def from_json(text: str) -> "MultipartiteGraph":
-        obj = json.loads(text)
-        pattern = PatternGraph.from_edges(obj["pattern"]["k"], [(a - 1, b - 1) for a, b in obj["pattern"]["edges"]])
-        pair_edges = {}
-        for key, arr in obj["pairs"].items():
-            i_s, j_s = key.split("-")
-            pair_edges[(int(i_s) - 1, int(j_s) - 1)] = [tuple(e) for e in arr]
-        return MultipartiteGraph.from_pair_edges(pattern, int(obj["part_size"]), pair_edges)
+        """Parse the ``to_json`` layout: pattern, part size, and local edges per "i-j" pair."""
+        try:
+            obj = json.loads(text)
+            pattern = PatternGraph.from_edges(*_pattern_fields(obj["pattern"]))
+            pair_edges = {}
+            for key, arr in obj["pairs"].items():
+                i_s, j_s = key.split("-")
+                pair_edges[(int(i_s) - 1, int(j_s) - 1)] = arr
+            # from_pair_edges unpacks and range-checks every [u, v]; a wrong
+            # shape or type surfaces there as a TypeError or ValueError
+            return MultipartiteGraph.from_pair_edges(pattern, int(obj["part_size"]), pair_edges)
+        except PreconditionError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed multipartite JSON: {exc!r}") from exc
 
 
 def induced_multipartite(

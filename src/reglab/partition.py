@@ -244,6 +244,30 @@ def evaluate_partition(
     )
 
 
+def _otsu_cut(counts: list[int]) -> int:
+    """The cut 0 < i < len(counts) maximising the between-class variance of ``counts``.
+
+    Splitting after position i gives variance i(n - i) (mean_left -
+    mean_right)^2 = num^2 / (i(n - i)) with num = prefix_i n - total i, so
+    cuts are compared by integer cross-multiplication.  Ties go to the cut
+    nearest the middle, then to the lower i.  Needs at least two counts.
+    """
+    size = len(counts)
+    if size < 2:
+        raise PreconditionError("an Otsu cut needs at least two counts")
+    total = sum(counts)
+    best_cut, best_num2, best_den = 0, -1, 1
+    prefix = 0
+    for i in range(1, size):
+        prefix += counts[i - 1]
+        num = prefix * size - total * i
+        num2, den = num * num, i * (size - i)
+        lhs, rhs = num2 * best_den, best_num2 * den
+        if lhs > rhs or (lhs == rhs and abs(2 * i - size) < abs(2 * best_cut - size)):
+            best_cut, best_num2, best_den = i, num2, den
+    return best_cut
+
+
 def _split_by_best_probe(
     graph: SimpleGraph,
     classes: list[list[int]],
@@ -267,22 +291,9 @@ def _split_by_best_probe(
         ranked = sorted(members, key=lambda v: (-(graph.adj[v] & probe_mask).bit_count(), v))
         return ranked, [(graph.adj[v] & probe_mask).bit_count() for v in ranked]
 
-    def otsu_cut(counts: list[int]) -> int:
-        size = len(counts)
-        prefix = [0]
-        for c in counts:
-            prefix.append(prefix[-1] + c)
-        total = prefix[-1]
-
-        def between_variance(i: int) -> Fraction:
-            diff = Fraction(prefix[i], i) - Fraction(total - prefix[i], size - i)
-            return Fraction(i * (size - i)) * diff * diff
-
-        return max(range(1, size), key=lambda i: (between_variance(i), -abs(i - size / 2), -i))
-
     def otsu_group(members: list[int], probe_mask: int) -> list[int]:
         ranked, counts = ranked_counts(members, probe_mask)
-        cut = otsu_cut(counts)
+        cut = _otsu_cut(counts)
         top, bottom = ranked[:cut], ranked[cut:]
         return top if len(top) <= len(bottom) else bottom
 
@@ -321,7 +332,7 @@ def _split_by_best_probe(
             atoms.append(list(cls))
             continue
         score, probe_size, ranked, counts = best
-        cut = otsu_cut(counts)
+        cut = _otsu_cut(counts)
         # two ways a split can clear the noise gate: the half-gap exceeds
         # what ranking an iid binomial sample produces by selection alone
         # (about 1.6 sqrt(d(1-d)/P)), or the cut explains nearly all count

@@ -8,7 +8,12 @@ larger deviating pair is an average over its exact-size sub-pairs, so a
 deviation survives the reduction in one direction.  For one fixed side the
 extremal exact-size completion on the other side is reached by taking the
 vertices with the largest (or smallest) number of neighbours in the fixed
-side, which turns the inner quantifier into a sort.
+side.  The exhaustive scan computes those neighbour counts for all exact-size
+subsets of U at once, as the product of a cached 0/1 subset matrix with the
+pair's biadjacency matrix, and takes the extremal completion sums with a
+partial selection per row instead of a sort.  Deviations are compared as
+integers scaled by s_u s_v |U| |V|; only the final deviation is a
+``Fraction``, and only the winning witness is rebuilt vertex by vertex.
 
 Certification is only ever claimed by the exhaustive checker.  Above its
 budget the sampled refuter either produces a re-checkable witness or
@@ -22,14 +27,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .errors import BudgetError, PreconditionError, SoundnessError
 from .graphs import (
     SimpleGraph,
     VertexSetPair,
     bitmask_of,
-    iter_bits,
     leq_with_tolerance,
     pair_density,
 )
@@ -77,20 +84,21 @@ def subset_floor(epsilon: float, size: int) -> int:
     return max(1, math.ceil(epsilon * size))
 
 
-def _locals_setup(graph: SimpleGraph, pair: VertexSetPair):
-    """Per-side vertex lists plus each V-vertex's neighbourhood as a bitmask over U positions."""
-    u_list = list(pair.U)
-    v_list = list(pair.V)
-    u_pos = {u: i for i, u in enumerate(u_list)}
-    v_masks_over_u = []
-    for v in v_list:
-        mask = 0
-        row = graph.adj[v]
-        for i, u in enumerate(u_list):
-            if row >> u & 1:
-                mask |= 1 << i
-        v_masks_over_u.append(mask)
-    return u_list, v_list, v_masks_over_u
+@lru_cache(maxsize=None)
+def _subset_rows(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C(n, s) subsets of ``range(n)`` in ``combinations`` order.
+
+    Returns their members (one row of ``s`` positions per subset) and their
+    0/1 indicator matrix (one row of ``n`` entries per subset), both
+    read-only.  Callers keep n within ``EXHAUSTIVE_PAIR_BUDGET``, so the cache
+    holds at most 136 keys.
+    """
+    members = np.array(list(combinations(range(n), s)), dtype=np.intp).reshape(-1, s)
+    indicator = np.zeros((len(members), n), dtype=np.int64)
+    np.put_along_axis(indicator, members, 1, axis=1)
+    members.setflags(write=False)
+    indicator.setflags(write=False)
+    return members, indicator
 
 
 def _extremal_completion(
@@ -102,6 +110,49 @@ def _extremal_completion(
     return chosen, sum(weights[i] for i in chosen)
 
 
+@dataclass(frozen=True)
+class _SubsetScan:
+    """Every exact-size U-subset of a pair with its extremal V-completions.
+
+    Row r of ``weights`` holds, for each V position, its number of
+    neighbours in the r-th ``s_u``-subset of U (``combinations`` order);
+    ``largest[r]`` and ``smallest[r]`` are the sums of its ``s_v`` largest
+    and smallest weights.  ``edges`` is e(U, V).
+    """
+
+    pair: VertexSetPair
+    members: np.ndarray
+    weights: np.ndarray
+    largest: np.ndarray
+    smallest: np.ndarray
+    edges: int
+    s_v: int
+
+    def witness(self, row: int, largest: bool) -> VertexSetPair:
+        """The witness of one subset row, its V side completed as by ``_extremal_completion``."""
+        chosen_v, _ = _extremal_completion(self.weights[row].tolist(), self.s_v, largest)
+        return VertexSetPair(
+            tuple(self.pair.U[i] for i in self.members[row]), tuple(self.pair.V[i] for i in chosen_v)
+        )
+
+
+def _scan_subsets(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_v: int) -> _SubsetScan:
+    """Completion weights of all ``s_u``-subsets of U at once, as one matrix product.
+
+    Needs 1 <= s_u <= |U| and 1 <= s_v <= |V|.  The extremal sums come from
+    a partial selection per row, not a sort; ties do not change a sum.
+    """
+    nv = len(pair.V)
+    biadjacency = np.array(
+        [[row >> v & 1 for v in pair.V] for row in (graph.adj[u] for u in pair.U)], dtype=np.int64
+    )
+    members, indicator = _subset_rows(len(pair.U), s_u)
+    weights = indicator @ biadjacency
+    largest = np.partition(weights, nv - s_v, axis=1)[:, nv - s_v:].sum(axis=1)
+    smallest = np.partition(weights, s_v - 1, axis=1)[:, :s_v].sum(axis=1)
+    return _SubsetScan(pair, members, weights, largest, smallest, int(biadjacency.sum()), s_v)
+
+
 def check_regular_exhaustive(
     graph: SimpleGraph, pair: VertexSetPair, epsilon: float, p: float
 ) -> RegularityVerdict:
@@ -109,7 +160,9 @@ def check_regular_exhaustive(
 
     Scans every subset of U of size exactly ceil(eps|U|); for each, the
     extremal exact-size completions in V bound the deviation over all V'.
-    Returns the maximal-deviation witness when refuting.
+    Returns the maximal-deviation witness when refuting: the first subset
+    (``combinations`` order) reaching it, with the largest completion
+    tried before the smallest.
     """
     params = {"check": "regular", "epsilon": epsilon, "p": p}
     if not pair.U or not pair.V:
@@ -122,26 +175,24 @@ def check_regular_exhaustive(
         )
     s_u = subset_floor(epsilon, nu)
     s_v = subset_floor(epsilon, nv)
-    d_pair = pair_density(graph, pair)
-    u_list, v_list, v_masks = _locals_setup(graph, pair)
+    if s_u > nu or s_v > nv:
+        # eps > 1: no subset is large enough, so nothing can deviate
+        return RegularityVerdict(CERTIFIED, None, Fraction(0), p, params)
+    scan = _scan_subsets(graph, pair, s_u, s_v)
 
-    best_dev = Fraction(0)
-    best_witness: VertexSetPair | None = None
-    denom = s_u * s_v
-    for chosen_u in combinations(range(nu), s_u):
-        mask = bitmask_of(chosen_u)
-        weights = [(vm & mask).bit_count() for vm in v_masks]
-        for largest in (True, False):
-            chosen_v, edge_sum = _extremal_completion(weights, s_v, largest)
-            dev = abs(Fraction(edge_sum, denom) - d_pair)
-            if dev > best_dev:
-                best_dev = dev
-                best_witness = VertexSetPair(
-                    tuple(u_list[i] for i in chosen_u), tuple(v_list[i] for i in chosen_v)
-                )
+    # |edge_sum / (s_u s_v) - e / (nu nv)| scaled by s_u s_v nu nv: exact in int64
+    # (at most 16^4); column 0 is the largest completion, column 1 the smallest
+    sums = np.stack([scan.largest, scan.smallest], axis=1)
+    scaled = np.abs(sums * (nu * nv) - scan.edges * (s_u * s_v))
+    flat = int(np.argmax(scaled))
+    best = int(scaled.flat[flat])
+    best_dev = Fraction(best, s_u * s_v * nu * nv)
     if leq_with_tolerance(best_dev, epsilon * p):
         return RegularityVerdict(CERTIFIED, None, best_dev, p, params)
-    return RegularityVerdict(REFUTED, best_witness, best_dev, p, params)
+    witness = scan.witness(flat // 2, largest=flat % 2 == 0) if best else None
+    if witness is not None and abs(pair_density(graph, witness) - pair_density(graph, pair)) != best_dev:
+        raise SoundnessError("exhaustive refutation witness does not reproduce its deviation")
+    return RegularityVerdict(REFUTED, witness, best_dev, p, params)
 
 
 def _candidate_pairs(
@@ -265,29 +316,19 @@ def check_lower_regular(
     nu, nv = len(pair.U), len(pair.V)
     s_u = subset_floor(epsilon, nu)
     s_v = subset_floor(epsilon, nv)
-    u_list, v_list = list(pair.U), list(pair.V)
-    denom = s_u * s_v
 
     if mode == "exhaustive":
         if nu > EXHAUSTIVE_PAIR_BUDGET or nv > EXHAUSTIVE_PAIR_BUDGET:
             raise BudgetError(
                 f"exhaustive lower-regularity check limited to {EXHAUSTIVE_PAIR_BUDGET} per side"
             )
-        _, _, v_masks = _locals_setup(graph, pair)
-        worst: Fraction | None = None
-        worst_witness = None
-        for chosen_u in combinations(range(nu), s_u):
-            mask = bitmask_of(chosen_u)
-            weights = [(vm & mask).bit_count() for vm in v_masks]
-            chosen_v, edge_sum = _extremal_completion(weights, s_v, largest=False)
-            dens = Fraction(edge_sum, denom)
-            if worst is None or dens < worst:
-                worst = dens
-                worst_witness = VertexSetPair(
-                    tuple(u_list[i] for i in chosen_u), tuple(v_list[i] for i in chosen_v)
-                )
-        if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
-            return RegularityVerdict(REFUTED, worst_witness, Fraction(d) - worst, d, params)
+        if s_u > nu or s_v > nv:
+            return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
+        scan = _scan_subsets(graph, pair, s_u, s_v)
+        row = int(np.argmin(scan.smallest))
+        worst = Fraction(int(scan.smallest[row]), s_u * s_v)
+        if not leq_with_tolerance(Fraction(d) - worst, 0.0):
+            return RegularityVerdict(REFUTED, scan.witness(row, largest=False), Fraction(d) - worst, d, params)
         return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
 
     if mode != "sampled":

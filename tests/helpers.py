@@ -114,3 +114,92 @@ def full_quantifier_regular(graph, pair, epsilon: float, p: float) -> bool:
                     if abs(pair_density(graph, cand) - d_pair) > bound:
                         return False
     return True
+
+
+def _reference_locals(graph, pair):
+    """Per-side vertex lists plus each V-vertex's neighbourhood as a bitmask over U positions."""
+    u_list = list(pair.U)
+    v_list = list(pair.V)
+    v_masks_over_u = []
+    for v in v_list:
+        mask = 0
+        row = graph.adj[v]
+        for i, u in enumerate(u_list):
+            if row >> u & 1:
+                mask |= 1 << i
+        v_masks_over_u.append(mask)
+    return u_list, v_list, v_masks_over_u
+
+
+def _reference_completion(weights, take, largest):
+    """Positions of the ``take`` largest/smallest weights (ties by index) and their sum."""
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i) if largest else (weights[i], i))
+    chosen = order[:take]
+    return chosen, sum(weights[i] for i in chosen)
+
+
+def loop_check_regular_exhaustive(graph, pair, epsilon: float, p: float):
+    """One ``Fraction`` per subset and completion: the scan before it was vectorised.
+
+    Returns ``(status, deviation, witness)``.
+    """
+    from reglab.graphs import VertexSetPair, bitmask_of, leq_with_tolerance, pair_density
+    from reglab.regularity import CERTIFIED, REFUTED, subset_floor
+
+    if not pair.U or not pair.V:
+        return CERTIFIED, Fraction(0), None
+    nu, nv = len(pair.U), len(pair.V)
+    s_u = subset_floor(epsilon, nu)
+    s_v = subset_floor(epsilon, nv)
+    d_pair = pair_density(graph, pair)
+    u_list, v_list, v_masks = _reference_locals(graph, pair)
+
+    best_dev = Fraction(0)
+    best_witness = None
+    denom = s_u * s_v
+    for chosen_u in combinations(range(nu), s_u):
+        mask = bitmask_of(chosen_u)
+        weights = [(vm & mask).bit_count() for vm in v_masks]
+        for largest in (True, False):
+            chosen_v, edge_sum = _reference_completion(weights, s_v, largest)
+            dev = abs(Fraction(edge_sum, denom) - d_pair)
+            if dev > best_dev:
+                best_dev = dev
+                best_witness = VertexSetPair(
+                    tuple(u_list[i] for i in chosen_u), tuple(v_list[i] for i in chosen_v)
+                )
+    if leq_with_tolerance(best_dev, epsilon * p):
+        return CERTIFIED, best_dev, None
+    return REFUTED, best_dev, best_witness
+
+
+def loop_check_lower_regular_exhaustive(graph, pair, epsilon: float, d: float):
+    """The exhaustive branch of ``check_lower_regular`` before it was vectorised.
+
+    Returns ``(status, deviation, witness)``.
+    """
+    from reglab.graphs import VertexSetPair, bitmask_of, leq_with_tolerance
+    from reglab.regularity import CERTIFIED, REFUTED, subset_floor
+
+    if not pair.U or not pair.V:
+        return CERTIFIED, Fraction(0), None
+    nu, nv = len(pair.U), len(pair.V)
+    s_u = subset_floor(epsilon, nu)
+    s_v = subset_floor(epsilon, nv)
+    u_list, v_list, v_masks = _reference_locals(graph, pair)
+    denom = s_u * s_v
+    worst = None
+    worst_witness = None
+    for chosen_u in combinations(range(nu), s_u):
+        mask = bitmask_of(chosen_u)
+        weights = [(vm & mask).bit_count() for vm in v_masks]
+        chosen_v, edge_sum = _reference_completion(weights, s_v, largest=False)
+        dens = Fraction(edge_sum, denom)
+        if worst is None or dens < worst:
+            worst = dens
+            worst_witness = VertexSetPair(
+                tuple(u_list[i] for i in chosen_u), tuple(v_list[i] for i in chosen_v)
+            )
+    if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
+        return REFUTED, Fraction(d) - worst, worst_witness
+    return CERTIFIED, Fraction(0), None

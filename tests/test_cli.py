@@ -1,15 +1,18 @@
-"""Golden reports and exit codes of ``reglab experiment`` at tiny sizes.
+"""Golden reports of ``reglab experiment`` at tiny sizes, and the exit-code table.
 
-Every case passes all experiment parameters explicitly, so a change of a CLI
-default does not change what it runs.  Each case runs twice: both reports
-must be byte-identical and match the recorded digest.
+Every golden case passes all experiment parameters explicitly, so a change
+of a CLI default does not change what it runs.  Each case runs twice: both
+reports must be byte-identical and match the recorded digest.
 """
 
 import hashlib
 
 import pytest
 
-from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from reglab import cli
+from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
+from reglab.errors import SoundnessError
+from reglab.graphs import SimpleGraph
 
 TRIANGLE = '{"k": 3, "edges": [[1, 2], [1, 3], [2, 3]]}\n'
 
@@ -47,3 +50,56 @@ def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
 def test_counting_runs_on_its_defaults(tmp_path):
     out = tmp_path / "counting.json"
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
+
+
+#: case -> (argv with {dir}, {graph}, {bad_pattern} and {bad_multipartite} placeholders, exit code)
+EXIT_CODES = {
+    "graph_is_directory": (["partition", "--graph", "{dir}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
+    "graph_missing": (["partition", "--graph", "{dir}/absent.edges", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
+    "pattern_without_edges": (["m2", "--pattern", "{bad_pattern}"], EXIT_USAGE),
+    "experiment_pattern_without_edges": (
+        ["experiment", "turan", "--pattern", "{bad_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
+    ),
+    "multipartite_wrong_type": (["count", "--graph", "{bad_multipartite}"], EXIT_USAGE),
+    "eps_above_one": (["partition", "--graph", "{graph}", "--eps", "2", "--p", "0.5"], EXIT_USAGE),
+    "eps_zero": (["partition", "--graph", "{graph}", "--eps", "0", "--p", "0.5"], EXIT_USAGE),
+    "eps_one_accepted": (["partition", "--graph", "{graph}", "--eps", "1", "--p", "0.5"], EXIT_OK),
+    "clean_eps_above_one": (
+        ["clean", "--graph", "{graph}", "--eps", "1.5", "--p", "0.5", "--d", "0.25"], EXIT_USAGE,
+    ),
+    "experiment_eps_negative": (["experiment", "turan", "--N", "30", "--eps", "-0.25"], EXIT_USAGE),
+    "trials_zero": (["experiment", "turan", "--N", "30", "--trials", "0"], EXIT_USAGE),
+    "refuter_trials_zero": (
+        ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--refuter-trials", "0"], EXIT_USAGE,
+    ),
+    "zero_denominator": (["schedule", "--p", "1/0", "--rounds", "2", "--ratio", "0.5"], EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code_table(case, tmp_path):
+    graph = tmp_path / "path.edges"
+    graph.write_text(SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list())
+    bad_pattern = tmp_path / "no_edges.json"
+    bad_pattern.write_text('{"k": 3}\n', encoding="utf-8")
+    bad_multipartite = tmp_path / "bad_multipartite.json"
+    bad_multipartite.write_text(
+        '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": 2, "pairs": {"1-2": [["a", 1]]}}\n',
+        encoding="utf-8",
+    )
+    template, expected = EXIT_CODES[case]
+    paths = {"dir": tmp_path, "graph": graph, "bad_pattern": bad_pattern, "bad_multipartite": bad_multipartite}
+    argv = ["--seed", "1", "--out", str(tmp_path / "out.txt")] + [arg.format(**paths) for arg in template]
+    assert main(argv) == expected
+
+
+def test_soundness_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise SoundnessError("witness does not reproduce its deviation")
+
+    monkeypatch.setattr(cli, "sparse_regular_partition", broken)
+    graph = tmp_path / "path.edges"
+    graph.write_text(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]).to_edge_list())
+    argv = ["--seed", "1", "partition", "--graph", str(graph), "--eps", "0.3", "--p", "0.5"]
+    assert main(argv) == EXIT_SOUNDNESS
+    assert "soundness error" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from reglab.partition import (
     clean_partition,
     equipartition_classes,
     evaluate_partition,
+    _otsu_cut,
     partition_energy,
     reduced_weighted_graph,
     sparse_regular_partition,
@@ -196,3 +197,34 @@ def test_cluster_graph_validation():
         ClusterGraph(3, frozenset({(0, 1)}), {})
     with pytest.raises(PreconditionError):
         ClusterGraph(3, frozenset({(0, 1)}), {(0, 1): Fraction(3, 2)})
+
+
+def fraction_otsu_cut(counts: list[int]) -> int:
+    """The ``Fraction``/``max`` cut choice that ``_otsu_cut`` replaced."""
+    size = len(counts)
+    prefix = [0]
+    for c in counts:
+        prefix.append(prefix[-1] + c)
+    total = prefix[-1]
+
+    def between_variance(i: int) -> Fraction:
+        diff = Fraction(prefix[i], i) - Fraction(total - prefix[i], size - i)
+        return Fraction(i * (size - i)) * diff * diff
+
+    return max(range(1, size), key=lambda i: (between_variance(i), -abs(i - size / 2), -i))
+
+
+def test_integer_otsu_cut_matches_fraction_version():
+    gen = np.random.default_rng(4)
+    vectors = [[0, 0], [3, 1], [1, 3], [5, 5], [7] * 9, [0] * 10, [2] * 17]
+    for _ in range(3000):
+        size = int(gen.integers(2, 24))
+        top = int(gen.choice([1, 2, 5, 40]))
+        vectors.append(sorted((int(c) for c in gen.integers(0, top + 1, size)), reverse=True))
+    for counts in vectors:
+        assert _otsu_cut(counts) == fraction_otsu_cut(counts), counts
+
+
+def test_otsu_cut_needs_two_counts():
+    with pytest.raises(PreconditionError):
+        _otsu_cut([4])

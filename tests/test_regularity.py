@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reglab.errors import BudgetError
+from reglab import regularity
+from reglab.errors import BudgetError, SoundnessError
 from reglab.graphs import SimpleGraph, VertexSetPair, pair_density
 from reglab.randgraph import RngStream, gnp, random_bipartite_rows
 from reglab.regularity import (
@@ -20,7 +21,11 @@ from reglab.regularity import (
     subset_floor,
 )
 
-from helpers import full_quantifier_regular
+from helpers import (
+    full_quantifier_regular,
+    loop_check_lower_regular_exhaustive,
+    loop_check_regular_exhaustive,
+)
 
 
 def bipartite(n_u: int, n_v: int, edges) -> tuple[SimpleGraph, VertexSetPair]:
@@ -196,3 +201,75 @@ def test_verdict_json_round_trippable_fields():
     text = verdict.to_json()
     assert '"status": "refuted"' in text
     assert '"deviation": "3/4"' in text
+
+
+def scattered_pair(n_u: int, n_v: int, density: float, stream: RngStream):
+    """Random graph on n_u + n_v + 3 vertices with U and V interleaved at random positions."""
+    gen = stream.np_rng()
+    n = n_u + n_v + 3
+    order = [int(x) for x in gen.permutation(n)]
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if gen.random() < density]
+    return SimpleGraph.from_edges(n, edges), VertexSetPair(tuple(order[:n_u]), tuple(order[n_u : n_u + n_v]))
+
+
+def as_triple(verdict):
+    return verdict.status, verdict.deviation, verdict.witness
+
+
+SHAPES = [(1, 1), (1, 7), (7, 1), (5, 9), (9, 5), (12, 12), (3, 16), (13, 2)]
+EPSILONS = [0.1, 0.3, 0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("n_u,n_v", SHAPES)
+def test_vectorised_scan_matches_loop_reference(n_u, n_v):
+    checked = 0
+    for seed in range(4):
+        g, pair = scattered_pair(n_u, n_v, 0.15 + 0.2 * seed, RngStream(7000 + 31 * n_u + n_v + seed))
+        for epsilon in EPSILONS:
+            # p spans clear refutation, clear certification, and eps * p at the
+            # reference's own maximum deviation (just above, on, just below)
+            _, top, _ = loop_check_regular_exhaustive(g, pair, epsilon, 1.0)
+            ps = [0.05, 0.5, 1.0]
+            if top:
+                at = float(top) / epsilon
+                ps += [at * (1 - 1e-9), at, at * (1 + 1e-9)]
+            for p in ps:
+                got = as_triple(check_regular_exhaustive(g, pair, epsilon, p))
+                assert got == loop_check_regular_exhaustive(g, pair, epsilon, p)
+                checked += 1
+            for d in (0.0, 0.1, 0.3, 0.6, 0.9):
+                got = as_triple(check_lower_regular(g, pair, epsilon, d))
+                assert got == loop_check_lower_regular_exhaustive(g, pair, epsilon, d)
+    assert checked >= len(EPSILONS) * 4 * 3
+
+
+def test_vectorised_scan_full_completion_side():
+    # eps = 1 makes s_v = |V|: both completions are all of V
+    g, pair = scattered_pair(6, 4, 0.5, RngStream(77))
+    for p in (0.01, 0.2, 1.0):
+        assert as_triple(check_regular_exhaustive(g, pair, 1.0, p)) == loop_check_regular_exhaustive(g, pair, 1.0, p)
+    # eps < 1 with s_v = |V| = 1
+    g, pair = scattered_pair(8, 1, 0.5, RngStream(78))
+    assert as_triple(check_regular_exhaustive(g, pair, 0.3, 0.1)) == loop_check_regular_exhaustive(g, pair, 0.3, 0.1)
+
+
+def test_eps_above_one_certifies_with_zero_deviation():
+    g, pair = bipartite(4, 4, [(u, u) for u in range(4)])
+    assert as_triple(check_regular_exhaustive(g, pair, 2.0, 1.0)) == (CERTIFIED, Fraction(0), None)
+    assert as_triple(check_lower_regular(g, pair, 2.0, 0.9)) == (CERTIFIED, Fraction(0), None)
+
+
+def test_regular_pair_with_zero_deviation_certified():
+    # complete pair: every completion has density exactly d
+    g, pair = bipartite(5, 3, [(u, v) for u in range(5) for v in range(3)])
+    assert as_triple(check_regular_exhaustive(g, pair, 0.3, 0.0)) == (CERTIFIED, Fraction(0), None)
+
+
+def test_exhaustive_refutation_rechecks_its_witness(monkeypatch):
+    # a witness rebuilt with the wrong completion no longer reproduces the
+    # scanned deviation, and the check must notice instead of reporting it
+    g, pair = bipartite(4, 4, [(u, u) for u in range(4)])
+    real = regularity._extremal_completion
+    monkeypatch.setattr(regularity, "_extremal_completion", lambda w, take, largest: real(w, take, not largest))
+    with pytest.raises(SoundnessError):
+        check_regular_exhaustive(g, pair, 0.25, 1.0)
