@@ -4,10 +4,14 @@ Subcommands: ``gen gnp``, ``gen class``, ``partition``, ``clean``,
 ``count``, ``m2``, ``schedule``, and ``experiment <name>``.  Identical
 argument vectors and seeds produce byte-identical outputs.  Exit codes:
 0 success; 2 parse or precondition error, including an out-of-range
-``--eps`` (must lie in (0, 1]), ``--trials`` or ``--refuter-trials`` (must
-be >= 1), an unreadable input path and malformed input JSON; 3 budget
-error; 4 theorem-check failure in an experiment report; 5 soundness error,
-an internal cross-check that failed (a bug, never a property of the input).
+value, an unreadable input path and malformed input JSON; 3 budget error;
+4 theorem-check failure in an experiment report; 5 soundness error, an
+internal cross-check that failed (a bug, never a property of the input).
+
+Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
+(0, 1]; ``--trials``, ``--refuter-trials`` and the experiment ``--k``,
+``--n`` and ``--m`` are >= 1; the experiment ``--delta``, ``--d`` and
+``--gamma`` are >= 0.
 """
 
 from __future__ import annotations
@@ -43,11 +47,19 @@ def parse_probability(text: str) -> float:
     return float(text)
 
 
-def parse_epsilon(text: str) -> float:
-    """A probability in (0, 1]: the regularity parameter eps."""
+def parse_unit_interval(text: str) -> float:
+    """A number in (0, 1], such as the regularity parameter eps or the class fraction eta."""
     value = parse_probability(text)
     if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"eps must lie in (0, 1], got {text}")
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
+def parse_nonnegative(text: str) -> float:
+    """A number >= 0 (NaN rejected), such as a tolerance or a density floor."""
+    value = parse_probability(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
@@ -97,12 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     class_cmd.add_argument("--n", type=int, required=True, help="part size")
     class_cmd.add_argument("--m", type=int, required=True, help="edges per pair")
     class_cmd.add_argument("--p", type=parse_probability, required=True)
-    class_cmd.add_argument("--eps", type=parse_epsilon, required=True)
+    class_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     class_cmd.add_argument("--mode", choices=("raw", "rejection"), default="raw")
 
     part_cmd = sub.add_parser("partition", help="sparse regular partition of an edge-list graph")
     part_cmd.add_argument("--graph", required=True, help="edge-list path")
-    part_cmd.add_argument("--eps", type=parse_epsilon, required=True)
+    part_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     part_cmd.add_argument("--p", type=parse_probability, required=True)
     part_cmd.add_argument("--t0", type=int, default=4)
     part_cmd.add_argument("--max-t", type=int, default=64)
@@ -110,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     clean_cmd = sub.add_parser("clean", help="partition then clean; prints cleaned stats and cluster")
     clean_cmd.add_argument("--graph", required=True)
-    clean_cmd.add_argument("--eps", type=parse_epsilon, required=True)
+    clean_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     clean_cmd.add_argument("--p", type=parse_probability, required=True)
     clean_cmd.add_argument("--d", type=parse_probability, required=True)
     clean_cmd.add_argument("--uniformity", type=parse_probability, default=2.0)
@@ -135,16 +147,16 @@ def build_parser() -> argparse.ArgumentParser:
     ))
     exp_cmd.add_argument("--pattern", default=None, help="pattern JSON path (defaults to a triangle)")
     exp_cmd.add_argument("--N", type=int, default=800)
-    exp_cmd.add_argument("--n", type=int, default=6, help="part size (classprobe)")
-    exp_cmd.add_argument("--m", type=int, default=12, help="edges per pair (classprobe)")
+    exp_cmd.add_argument("--n", type=parse_positive_int, default=6, help="part size (classprobe)")
+    exp_cmd.add_argument("--m", type=parse_positive_int, default=12, help="edges per pair (classprobe)")
     exp_cmd.add_argument("--p", type=parse_probability, default=0.1)
-    exp_cmd.add_argument("--eps", type=parse_epsilon, default=0.25)
-    exp_cmd.add_argument("--delta", type=parse_probability, default=0.15)
-    exp_cmd.add_argument("--d", type=parse_probability, default=0.25)
-    exp_cmd.add_argument("--eta", type=parse_probability, default=0.3)
-    exp_cmd.add_argument("--gamma", type=parse_probability, default=0.25)
+    exp_cmd.add_argument("--eps", type=parse_unit_interval, default=0.25)
+    exp_cmd.add_argument("--delta", type=parse_nonnegative, default=0.15)
+    exp_cmd.add_argument("--d", type=parse_nonnegative, default=0.25)
+    exp_cmd.add_argument("--eta", type=parse_unit_interval, default=0.3)
+    exp_cmd.add_argument("--gamma", type=parse_nonnegative, default=0.25)
     exp_cmd.add_argument("--rho", default="0.9")
-    exp_cmd.add_argument("--k", type=int, default=3)
+    exp_cmd.add_argument("--k", type=parse_positive_int, default=3)
     exp_cmd.add_argument("--trials", type=parse_positive_int, default=10)
 
     return parser

@@ -15,8 +15,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .counting import automorphism_count, canonical_count, gk_bruteforce
 from .embedding import (
@@ -31,26 +32,24 @@ from .graphs import (
     MultipartiteGraph,
     PatternGraph,
     SimpleGraph,
-    VertexSetPair,
+    _peel_low_degree,
     bitmask_of,
     induced_multipartite,
+    iter_bits,
+    min_degree,
 )
 from .partition import (
     ClusterGraph,
     Partition,
     clean_partition,
+    pair_verdict,
     reduced_weighted_graph,
     sparse_regular_partition,
     trim_min_degree,
 )
 from .patterns import chromatic_number, two_density
 from .randgraph import RngStream, gnp, random_bipartite_rows, sample_class
-from .regularity import (
-    EXHAUSTIVE_PAIR_BUDGET,
-    REFUTED,
-    check_regular_exhaustive,
-    refute_regular_sampled,
-)
+from .regularity import REFUTED, check_regular_exhaustive
 
 REGULARITY_CAVEAT = (
     "regular means: not refuted by the sampled checker at the configured trial budget"
@@ -85,19 +84,6 @@ class ExperimentReport:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "ExperimentReport":
-        obj = json.loads(text)
-        return ExperimentReport(
-            name=obj["name"],
-            params=obj["params"],
-            seed=obj["seed"],
-            trials=obj["trials"],
-            aggregate=obj["aggregate"],
-            caveats=obj["caveats"],
-            schema=obj["schema"],
-        )
-
     def to_csv(self) -> str:
         keys: list[str] = []
         for trial in self.trials:
@@ -120,12 +106,7 @@ def _pair_verdicts(
     out = {}
     for index, (i, j) in enumerate(graph.pattern.sorted_edges()):
         pair_graph, sides = graph.pair_subgraph(i, j)
-        if graph.part_size <= EXHAUSTIVE_PAIR_BUDGET:
-            verdict = check_regular_exhaustive(pair_graph, sides, epsilon, p)
-        else:
-            verdict = refute_regular_sampled(
-                pair_graph, sides, epsilon, p, trials, rng.child(index), guided=False
-            )
+        verdict = pair_verdict(pair_graph, sides.U, sides.V, epsilon, p, rng.child(index), trials)
         out[f"{i + 1}-{j + 1}"] = verdict.status
     return out
 
@@ -224,6 +205,32 @@ def run_counting(
     )
 
 
+def _partite_cut(
+    host: SimpleGraph, side: list[int], stream: RngStream
+) -> tuple[SimpleGraph, list[tuple[int, int]]]:
+    """Host edges across the ``side`` labelling, and the interior host edges in random order.
+
+    The interior edges join two vertices with one label; they come in
+    ``edges()`` order permuted by ``stream``, and each caller re-adds them
+    one at a time under its own acceptance rule.
+    """
+    cut = host.keep_edges_between(side)
+    rest = [row ^ kept for row, kept in zip(host.adj, cut.adj)]
+    interior = list(SimpleGraph(host.n, rest, host.edge_count - cut.edge_count).edges())
+    return cut, [interior[int(i)] for i in stream.np_rng().permutation(len(interior))]
+
+
+def _success_aggregate(records: list[dict], pass_fraction: float) -> dict:
+    """Count of successful trials, their fraction, and whether it reaches ``pass_fraction``."""
+    successes = sum(1 for r in records if r["success"])
+    fraction = successes / len(records) if records else 0.0
+    return {
+        "successes": successes,
+        "success_fraction": fraction,
+        "passed": bool(records) and fraction >= pass_fraction,
+    }
+
+
 def _bipartite_plant(
     host: SimpleGraph,
     pattern: PatternGraph,
@@ -242,15 +249,12 @@ def _bipartite_plant(
     side = [0] * n
     for v in perm[: n // 2]:
         side[v] = 1
-    cut = host.keep_edges_between(side)
-    interior = [(u, v) for u, v in host.edges() if side[u] == side[v]]
-    order = stream.child(1).np_rng().permutation(len(interior))
+    cut, interior = _partite_cut(host, side, stream.child(1))
     adj = list(cut.adj)
     working = SimpleGraph(n, adj, cut.edge_count)
     planted = 0
     labelled = count_embeddings(working, pattern)  # 0 for odd-cycle-containing templates
-    for idx in order:
-        u, v = interior[int(idx)]
+    for u, v in interior:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         working = SimpleGraph(n, adj, working.edge_count + 1)
@@ -346,8 +350,6 @@ def run_removal(
         return record
 
     records = [one_trial(index) for index in range(trials)]
-    successes = sum(1 for r in records if r["success"])
-    fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
         name="removal",
         params={
@@ -367,11 +369,7 @@ def run_removal(
         },
         seed=rng.master_seed,
         trials=records,
-        aggregate={
-            "successes": successes,
-            "success_fraction": fraction,
-            "passed": bool(records) and fraction >= pass_fraction,
-        },
+        aggregate=_success_aggregate(records, pass_fraction),
         caveats=[
             REGULARITY_CAVEAT,
             "surviving copies after cleaning are removed one edge per copy; "
@@ -413,10 +411,7 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
         raise BudgetError(f"clique factor search limited to {CLIQUE_FACTOR_BUDGET} vertices")
     if t % k != 0:
         raise PreconditionError(f"k = {k} does not divide the cluster size t = {t}")
-    adj = [0] * t
-    for i, j in cluster.edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    adj = cluster.to_simple_graph().adj
     dead: set[int] = set()
 
     def rec(uncovered: int, chosen: list[tuple[int, ...]]) -> bool:
@@ -471,24 +466,9 @@ def _induced_on(graph: SimpleGraph, vertices: list[int]) -> tuple[SimpleGraph, l
     return SimpleGraph.from_edges(len(order), edges), order
 
 
-def _peel_to_min_degree(
-    graph: SimpleGraph, target: float, max_removals: int
-) -> tuple[list[int], bool]:
-    """Greedily drop lowest-degree vertices until all degrees reach target."""
-    alive = set(range(graph.n))
-    degrees = {v: graph.degree(v) for v in alive}
-    removed = 0
-    while removed < max_removals:
-        victim = min(alive, key=lambda v: (degrees[v], v))
-        if degrees[victim] >= target:
-            return sorted(alive), True
-        alive.remove(victim)
-        removed += 1
-        for u in alive:
-            if graph.has_edge(victim, u):
-                degrees[u] -= 1
-    achieved = all(degrees[v] >= target for v in alive)
-    return sorted(alive), achieved
+def _pad_to_divisible(cluster: ClusterGraph, k: int) -> list[int]:
+    """Cluster vertices left once the first t mod k in (starting degree, index) order are dropped."""
+    return sorted(sorted(range(cluster.t), key=lambda v: (cluster.degree(v), v))[cluster.t % k :])
 
 
 def packing_pipeline(
@@ -534,10 +514,7 @@ def packing_pipeline(
         # exact factor search decide
         record["trim_removed"] = None
         record["trim_fallback"] = True
-        kept = list(range(cleaned.cluster.t))
-        degrees = {v: cleaned.cluster.degree(v) for v in kept}
-        while len(kept) % k != 0:
-            kept.remove(min(kept, key=lambda v: (degrees[v], v)))
+        kept = _pad_to_divisible(cleaned.cluster, k)
         if not kept:
             record.update(stage_failed="trim", inconclusive=True, coverage=0.0, success=False)
             return record
@@ -606,7 +583,7 @@ def run_packing(
     """Near-spanning clique packings of high-min-degree subgraphs of a random host.
 
     Per trial: peel low-degree vertices toward min degree
-    (1 - 1/k + gamma) p N (the peel stops after gamma N / 2 removals and
+    (1 - 1/k + gamma) p N (the peel stops after gamma N / 4 removals and
     reports whether the target was met; at desk scale it usually is not,
     which the record carries), then run the packing pipeline and require
     coverage of at least (1 - gamma) N ambient vertices.
@@ -616,10 +593,12 @@ def run_packing(
     def one_trial(index: int) -> dict:
         stream = rng.child(index)
         host = gnp(host_n, p, stream.child(0))
-        keep, target_met = _peel_to_min_degree(host, target, max_removals=int(gamma * host_n / 4))
-        sub, original = _induced_on(host, keep)
+        alive, removed, target_met = _peel_low_degree(
+            host, lambda size: target, limit=int(gamma * host_n / 4)
+        )
+        sub, _ = _induced_on(host, list(iter_bits(alive)))
         record = {
-            "peeled": host.n - len(keep),
+            "peeled": len(removed),
             "min_degree_target": target,
             "min_degree_target_met": bool(target_met),
         }
@@ -630,8 +609,6 @@ def run_packing(
         return record
 
     records = [one_trial(index) for index in range(trials)]
-    successes = sum(1 for r in records if r["success"])
-    fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
         name="packing",
         params={
@@ -645,11 +622,7 @@ def run_packing(
         },
         seed=rng.master_seed,
         trials=records,
-        aggregate={
-            "successes": successes,
-            "success_fraction": fraction,
-            "passed": bool(records) and fraction >= pass_fraction,
-        },
+        aggregate=_success_aggregate(records, pass_fraction),
         caveats=[
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved target flag",
@@ -712,9 +685,7 @@ def run_clique_density(
         t = reduced.t
         weighted_sum = Fraction(0)
         estimate = Fraction(0)
-        from itertools import combinations as comb_iter
-
-        for tup in comb_iter(range(t), k):
+        for tup in combinations(range(t), k):
             w = Fraction(1)
             for a in range(k):
                 for b in range(a + 1, k):
@@ -852,9 +823,6 @@ def run_partite_stability(
         raise PreconditionError("template must have chromatic number at least 3")
     budget = Fraction(gamma) * Fraction(p) * host_n * host_n
 
-    def trim_threshold_for(t: int) -> float:
-        return (1 - 3 / (3 * chi - 4) + gamma / 2) * t
-
     def one_trial(index: int) -> dict:
         stream = rng.child(index)
         host = gnp(host_n, p, stream.child(0))
@@ -862,31 +830,26 @@ def run_partite_stability(
         side = [0] * host_n
         for pos, v in enumerate(perm):
             side[v] = pos % parts
-        sub = host.keep_edges_between(side)
-        if perturb_fraction > 0:
-            interior = [(u, v) for u, v in host.edges() if side[u] == side[v]]
-            order = stream.child(2).np_rng().permutation(len(interior))
-            adj = list(sub.adj)
-            working = SimpleGraph(host_n, adj, sub.edge_count)
-            budget_edges = int(perturb_fraction * len(interior))
-            added = 0
-            for idx in order:
-                if added >= budget_edges:
-                    break
-                u, v = interior[int(idx)]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                working = SimpleGraph(host_n, adj, working.edge_count + 1)
-                if count_embeddings_through_edge(working, pattern, u, v) > 0:
-                    adj[u] &= ~(1 << v)
-                    adj[v] &= ~(1 << u)
-                    working = SimpleGraph(host_n, adj, working.edge_count - 1)
-                else:
-                    added += 1
-            sub = working
+        cut, interior = _partite_cut(host, side, stream.child(2))
+        adj = list(cut.adj)
+        sub = SimpleGraph(host_n, adj, cut.edge_count)
+        budget_edges = int(perturb_fraction * len(interior))
+        added = 0
+        for u, v in interior:
+            if added >= budget_edges:
+                break
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            sub = SimpleGraph(host_n, adj, sub.edge_count + 1)
+            if count_embeddings_through_edge(sub, pattern, u, v) > 0:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+                sub = SimpleGraph(host_n, adj, sub.edge_count - 1)
+            else:
+                added += 1
         record: dict = {
             "subgraph_edges": sub.edge_count,
-            "min_degree": min(sub.degree(v) for v in range(host_n)),
+            "min_degree": min_degree(sub),
             "premise_min_degree": (1 - 3 / (3 * chi - 4) + gamma) * p * host_n,
         }
         record["premise_met"] = record["min_degree"] >= record["premise_min_degree"]
@@ -898,23 +861,9 @@ def run_partite_stability(
         record["deleted_clean"] = cleaned.deleted_total
 
         cluster = cleaned.cluster
-        trim_threshold = trim_threshold_for(cluster.t)
-        alive = set(range(cluster.t))
-        degrees = {v: cluster.degree(v) for v in alive}
-        removed = []
-        while True:
-            low = [v for v in alive if degrees[v] < trim_threshold]
-            if not low:
-                break
-            victim = min(low, key=lambda v: (degrees[v], v))
-            alive.remove(victim)
-            removed.append(victim)
-            for u in cluster.neighbors(victim):
-                if u in alive:
-                    degrees[u] -= 1
-            if not alive:
-                break
-        kept = sorted(alive)
+        trim_threshold = (1 - 3 / (3 * chi - 4) + gamma / 2) * cluster.t
+        alive, removed, _ = _peel_low_degree(cluster.to_simple_graph(), lambda size: trim_threshold)
+        kept = list(iter_bits(alive))
         record["trimmed_clusters"] = len(removed)
         sub_cluster = cluster.induced(kept)
 
@@ -957,8 +906,6 @@ def run_partite_stability(
         return record
 
     records = [one_trial(index) for index in range(trials)]
-    successes = sum(1 for r in records if r["success"])
-    fraction = successes / len(records) if records else 0.0
     return ExperimentReport(
         name="aes",
         params={
@@ -972,11 +919,7 @@ def run_partite_stability(
         },
         seed=rng.master_seed,
         trials=records,
-        aggregate={
-            "successes": successes,
-            "success_fraction": fraction,
-            "passed": bool(records) and fraction >= pass_fraction,
-        },
+        aggregate=_success_aggregate(records, pass_fraction),
         caveats=[
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved value",
@@ -1010,15 +953,12 @@ def run_turan(
         side = [0] * host_n
         for pos, v in enumerate(perm):
             side[v] = pos % (chi - 1)
-        sub = host.keep_edges_between(side)
-        interior = [(u, v) for u, v in host.edges() if side[u] == side[v]]
-        order = stream.child(2).np_rng().permutation(len(interior))
+        sub, interior = _partite_cut(host, side, stream.child(2))
         adj = list(sub.adj)
         count = sub.edge_count
-        for idx in order:
+        for u, v in interior:
             if count >= required:
                 break
-            u, v = interior[int(idx)]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             count += 1

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -300,6 +300,38 @@ def min_degree(graph: SimpleGraph) -> int:
     if graph.n == 0:
         return 0
     return min(graph.degree(v) for v in range(graph.n))
+
+
+def _peel_low_degree(
+    graph: SimpleGraph,
+    threshold: Callable[[int], float],
+    limit: int | None = None,
+    alive: int | None = None,
+) -> tuple[int, list[int], bool]:
+    """The greedy degree peel behind every trim of the experiments.
+
+    While some alive vertex has fewer alive neighbours than
+    ``threshold(number of alive vertices)``, remove the one with the
+    smallest (degree, index), at most ``limit`` times.  ``alive`` is the
+    starting vertex bitset (default: every vertex).  Returns the surviving
+    bitset, the removed vertices in removal order, and whether no survivor
+    is left below the threshold.
+    """
+    if alive is None:
+        alive = (1 << graph.n) - 1
+    degree = [(row & alive).bit_count() for row in graph.adj]
+    removed: list[int] = []
+    while alive:
+        victim = min(iter_bits(alive), key=lambda v: (degree[v], v))
+        if degree[victim] >= threshold(alive.bit_count()):
+            break
+        if len(removed) == limit:
+            return alive, removed, False
+        alive ^= 1 << victim
+        removed.append(victim)
+        for u in iter_bits(graph.adj[victim] & alive):
+            degree[u] -= 1
+    return alive, removed, True
 
 
 class MultipartiteGraph:

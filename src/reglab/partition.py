@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError, SoundnessError
-from .graphs import SimpleGraph, VertexSetPair, bitmask_of
+from .graphs import SimpleGraph, VertexSetPair, _peel_low_degree, bitmask_of, iter_bits
 from .randgraph import RngStream
 from .regularity import (
     CERTIFIED,
@@ -117,15 +117,6 @@ class ClusterGraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for i, j in self.edges if v in (i, j))
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return sorted(out)
 
     def to_simple_graph(self) -> SimpleGraph:
         """The unweighted cluster graph (one isolated vertex when t = 0)."""
@@ -677,37 +668,24 @@ def trim_min_degree(cluster: ClusterGraph, k: int, beta: float) -> TrimResult:
 
     Vertices of degree below (1 - 1/k) t' + k are removed one at a time
     (lowest degree first, ties by index; t' is the current survivor count),
-    then up to k - 1 more so that k divides the survivors.  If more than
-    beta * t - k deletions would be needed the trim fails.
+    then up to k - 1 more so that k divides the survivors.  The trim fails
+    at the first deletion beyond beta * t - k, or beyond beta * t - 1 while
+    padding.
     """
     if k < 2:
         raise PreconditionError("k must be >= 2")
     t = cluster.t
+    graph = cluster.to_simple_graph()
     allowance = beta * t - k
-    alive = set(range(t))
-    degrees = {v: cluster.degree(v) for v in alive}
-    removed: list[int] = []
-
-    def remove(v: int):
-        alive.remove(v)
-        removed.append(v)
-        for u in cluster.neighbors(v):
-            if u in alive:
-                degrees[u] -= 1
-
-    while True:
-        threshold = (1 - 1 / k) * len(alive) + k
-        low = [v for v in alive if degrees[v] < threshold]
-        if not low:
-            break
-        victim = min(low, key=lambda v: (degrees[v], v))
-        remove(victim)
-        if len(removed) > allowance:
-            return TrimResult(False, None, tuple(sorted(alive)), tuple(removed))
-    while len(alive) % k != 0:
-        victim = min(alive, key=lambda v: (degrees[v], v))
-        remove(victim)
-        if len(removed) > allowance + k - 1 or not alive:
-            return TrimResult(False, None, tuple(sorted(alive)), tuple(removed))
-    kept = tuple(sorted(alive))
-    return TrimResult(True, cluster.induced(list(kept)), kept, tuple(removed))
+    # each stage stops at the removal that first exceeds its allowance
+    limit = max(1, math.floor(allowance) + 1)
+    alive, removed, _ = _peel_low_degree(graph, lambda size: (1 - 1 / k) * size + k, limit, (1 << t) - 1)
+    if len(removed) < limit:
+        # padding: every survivor counts as low while k does not divide their number
+        limit = max(1, math.floor(allowance + k - 1) + 1 - len(removed))
+        alive, padded, _ = _peel_low_degree(graph, lambda size: math.inf if size % k else 0, limit, alive)
+        removed += padded
+        if len(padded) < limit:
+            kept = tuple(iter_bits(alive))
+            return TrimResult(True, cluster.induced(list(kept)), kept, tuple(removed))
+    return TrimResult(False, None, tuple(iter_bits(alive)), tuple(removed))

@@ -203,3 +203,97 @@ def loop_check_lower_regular_exhaustive(graph, pair, epsilon: float, d: float):
     if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
         return REFUTED, Fraction(d) - worst, worst_witness
     return CERTIFIED, Fraction(0), None
+
+
+@st.composite
+def cluster_graphs(draw, min_t=0, max_t=14):
+    """Unit-weight cluster graphs on min_t..max_t vertices."""
+    from reglab.partition import ClusterGraph
+
+    t = draw(st.integers(min_t, max_t))
+    slots = list(combinations(range(t), 2))
+    edges = draw(st.lists(st.sampled_from(slots), max_size=len(slots), unique=True)) if slots else []
+    return ClusterGraph(t, frozenset(edges), {e: Fraction(1) for e in edges})
+
+
+# The four greedy degree peels as they were written before they shared one
+# routine; each returns what its caller observes, plus the removal order.
+
+
+def reference_trim_min_degree(cluster, k: int, beta: float):
+    """``partition.trim_min_degree``: returns ``(success, kept, removed)``."""
+    t = cluster.t
+    allowance = beta * t - k
+    alive = set(range(t))
+    degrees = {v: cluster.degree(v) for v in alive}
+    removed: list[int] = []
+
+    def remove(v: int):
+        alive.remove(v)
+        removed.append(v)
+        for u in alive:
+            if cluster.has_edge(u, v):
+                degrees[u] -= 1
+
+    while True:
+        threshold = (1 - 1 / k) * len(alive) + k
+        low = [v for v in alive if degrees[v] < threshold]
+        if not low:
+            break
+        victim = min(low, key=lambda v: (degrees[v], v))
+        remove(victim)
+        if len(removed) > allowance:
+            return False, tuple(sorted(alive)), tuple(removed)
+    while len(alive) % k != 0:
+        victim = min(alive, key=lambda v: (degrees[v], v))
+        remove(victim)
+        if len(removed) > allowance + k - 1 or not alive:
+            return False, tuple(sorted(alive)), tuple(removed)
+    return True, tuple(sorted(alive)), tuple(removed)
+
+
+def reference_constant_trim(cluster, trim_threshold: float):
+    """The inline trim of ``run_partite_stability``: returns ``(kept, removed)``."""
+    alive = set(range(cluster.t))
+    degrees = {v: cluster.degree(v) for v in alive}
+    removed = []
+    while True:
+        low = [v for v in alive if degrees[v] < trim_threshold]
+        if not low:
+            break
+        victim = min(low, key=lambda v: (degrees[v], v))
+        alive.remove(victim)
+        removed.append(victim)
+        for u in alive:
+            if cluster.has_edge(u, victim):
+                degrees[u] -= 1
+        if not alive:
+            break
+    return sorted(alive), removed
+
+
+def reference_fallback_pad(cluster, k: int):
+    """The packing trim fallback: drop lowest starting-degree classes until k divides the rest."""
+    kept = list(range(cluster.t))
+    degrees = {v: cluster.degree(v) for v in kept}
+    while len(kept) % k != 0:
+        kept.remove(min(kept, key=lambda v: (degrees[v], v)))
+    return kept
+
+
+def reference_host_peel(graph, target: float, max_removals: int):
+    """``experiments._peel_to_min_degree``: returns ``(kept, removed, achieved)``."""
+    alive = set(range(graph.n))
+    degrees = {v: graph.degree(v) for v in alive}
+    removed = []
+    while len(removed) < max_removals:
+        victim = min(alive, key=lambda v: (degrees[v], v))
+        if degrees[victim] >= target:
+            return sorted(alive), removed, True
+        alive.remove(victim)
+        removed.append(victim)
+        for u in alive:
+            if graph.has_edge(victim, u):
+                degrees[u] -= 1
+    achieved = all(degrees[v] >= target for v in alive)
+    return sorted(alive), removed, achieved

@@ -73,6 +73,15 @@ EXIT_CODES = {
         ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--refuter-trials", "0"], EXIT_USAGE,
     ),
     "zero_denominator": (["schedule", "--p", "1/0", "--rounds", "2", "--ratio", "0.5"], EXIT_USAGE),
+    "eta_zero": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "0"], EXIT_USAGE),
+    "eta_above_one": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "1.5"], EXIT_USAGE),
+    "packing_k_zero": (["experiment", "packing", "--N", "30", "--k", "0", "--trials", "1"], EXIT_USAGE),
+    "classprobe_m_zero": (["experiment", "classprobe", "--m", "0", "--trials", "1"], EXIT_USAGE),
+    "classprobe_n_zero": (["experiment", "classprobe", "--n", "0", "--trials", "1"], EXIT_USAGE),
+    "delta_negative": (["experiment", "counting", "--N", "30", "--trials", "1", "--delta", "-0.1"], EXIT_USAGE),
+    "d_negative": (["experiment", "counting", "--N", "30", "--trials", "1", "--d", "-1/4"], EXIT_USAGE),
+    "gamma_negative": (["experiment", "aes", "--N", "30", "--trials", "1", "--gamma", "-0.25"], EXIT_USAGE),
+    "gamma_nan": (["experiment", "aes", "--N", "30", "--trials", "1", "--gamma", "nan"], EXIT_USAGE),
 }
 
 

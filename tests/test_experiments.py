@@ -1,0 +1,203 @@
+"""Experiment building blocks: the degree peels, cluster-supported counts, and the packing pipeline."""
+
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from reglab import experiments
+from reglab.errors import SoundnessError
+from reglab.experiments import _cluster_supported_count, _pad_to_divisible, packing_pipeline
+from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, iter_bits
+from reglab.partition import ClusterGraph, evaluate_partition, trim_min_degree
+from reglab.randgraph import RngStream, gnp
+
+from helpers import (
+    cluster_graphs,
+    patterns,
+    reference_constant_trim,
+    reference_fallback_pad,
+    reference_host_peel,
+    reference_trim_min_degree,
+    simple_graphs,
+)
+
+
+def unit_cluster(t: int, edges) -> ClusterGraph:
+    edges = frozenset(edges)
+    return ClusterGraph(t, edges, {e: Fraction(1) for e in edges})
+
+
+def complete_cluster(t: int) -> ClusterGraph:
+    return unit_cluster(t, [(i, j) for i in range(t) for j in range(i + 1, t)])
+
+
+def assert_trim_matches_reference(cluster: ClusterGraph, k: int, beta: float):
+    expected = reference_trim_min_degree(cluster, k, beta)
+    result = trim_min_degree(cluster, k, beta)
+    assert (result.success, result.kept, result.removed) == expected
+    if result.success:
+        assert result.subgraph == cluster.induced(list(result.kept))
+    else:
+        assert result.subgraph is None
+
+
+def unbounded_removals(cluster: ClusterGraph, k: int) -> int:
+    """Removals of both trim stages under an allowance that never binds."""
+    return len(reference_trim_min_degree(cluster, k, float(cluster.t + k + 1))[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cluster=cluster_graphs(), k=st.integers(2, 4), data=st.data())
+def test_trim_matches_reference(cluster, k, data):
+    if data.draw(st.booleans()) or cluster.t == 0:
+        beta = data.draw(st.floats(0.0, 3.0))
+    else:
+        # allowances in half steps around both stage limits: the first stage
+        # needs between R - k + 1 and R of the R unbounded removals, and the
+        # padding stage may go k - 1 past the allowance
+        offset = data.draw(st.sampled_from([x / 2 for x in range(-2 * k - 2, 3)]))
+        beta = (unbounded_removals(cluster, k) + offset + k) / cluster.t
+    assert_trim_matches_reference(cluster, k, beta)
+
+
+@pytest.mark.parametrize(
+    "cluster, k, beta, success, kept",
+    [
+        # every vertex is low while t < k(k + 1): all removed within the allowance
+        (unit_cluster(5, []), 2, 3.0, True, ()),
+        (complete_cluster(5), 3, 3.0, True, ()),
+        # five removals against an allowance of four, then of five
+        (complete_cluster(5), 3, 7 / 5, False, ()),
+        (complete_cluster(5), 3, 8 / 5, True, ()),
+        (complete_cluster(5), 3, 1.0, False, (3, 4)),
+        # t mod k != 0: padding removes t mod k classes
+        (complete_cluster(13), 3, 0.5, True, tuple(range(1, 13))),
+        (complete_cluster(14), 3, 0.5, True, tuple(range(2, 14))),
+        # padding needed with a negative allowance: the padding stage fails
+        (complete_cluster(7), 2, 0.25, False, tuple(range(1, 7))),
+        (complete_cluster(7), 2, 2 / 7, True, tuple(range(1, 7))),
+        (unit_cluster(0, []), 3, 0.5, True, ()),
+    ],
+)
+def test_trim_edge_cases(cluster, k, beta, success, kept):
+    assert_trim_matches_reference(cluster, k, beta)
+    result = trim_min_degree(cluster, k, beta)
+    assert (result.success, result.kept) == (success, kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster=cluster_graphs(min_t=1), threshold=st.floats(-1.0, 15.0))
+@example(cluster=unit_cluster(4, [(0, 1)]), threshold=1.0)
+def test_constant_trim_matches_reference(cluster, threshold):
+    """The trim of ``run_partite_stability``: constant threshold, no limit."""
+    alive, removed, done = _peel_low_degree(cluster.to_simple_graph(), lambda size: threshold)
+    assert (list(iter_bits(alive)), removed) == reference_constant_trim(cluster, threshold)
+    assert done
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster=cluster_graphs(), k=st.integers(2, 5))
+def test_fallback_pad_matches_reference(cluster, k):
+    assert _pad_to_divisible(cluster, k) == reference_fallback_pad(cluster, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=simple_graphs(max_n=14), target=st.floats(0.0, 10.0), data=st.data())
+def test_host_peel_matches_reference(graph, target, data):
+    """The peel of ``run_packing``: constant target, at most ``max_removals`` removals."""
+    max_removals = data.draw(st.integers(0, graph.n - 1))
+    alive, removed, met = _peel_low_degree(graph, lambda size: target, max_removals)
+    assert (list(iter_bits(alive)), removed, met) == reference_host_peel(graph, target, max_removals)
+
+
+def brute_cluster_supported(graph, classes, cluster, pattern) -> int:
+    """Labelled copies with pairwise distinct classes and every template edge on a cluster edge."""
+    owner = {v: c for c, members in enumerate(classes) for v in members}
+    total = 0
+    for tup in permutations(range(graph.n), pattern.k):
+        cls = [owner[v] for v in tup]
+        if len(set(cls)) == pattern.k and all(
+            graph.has_edge(tup[a], tup[b]) and cluster.has_edge(cls[a], cls[b])
+            for a, b in pattern.edges
+        ):
+            total += 1
+    return total
+
+
+CLASSES = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+
+
+def cluster_supported(graph, cluster, pattern) -> int:
+    part = evaluate_partition(graph, CLASSES, 0.5, 0.5, RngStream(3), refuter_trials=4)
+    return _cluster_supported_count(graph, part, cluster, pattern)
+
+
+def test_cluster_supported_count_on_planted_partition():
+    graph = gnp(12, 0.6, RngStream(11))
+    cluster = unit_cluster(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    for pattern in (PatternGraph.complete(3), PatternGraph.path(3), PatternGraph.path(4)):
+        expected = brute_cluster_supported(graph, CLASSES, cluster, pattern)
+        assert expected > 0
+        assert cluster_supported(graph, cluster, pattern) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=simple_graphs(min_n=12, max_n=12),
+    cluster=cluster_graphs(min_t=4, max_t=4),
+    pattern=patterns(max_k=4),
+)
+def test_cluster_supported_count_matches_brute_force(graph, cluster, pattern):
+    assert cluster_supported(graph, cluster, pattern) == brute_cluster_supported(
+        graph, CLASSES, cluster, pattern
+    )
+
+
+def spy_on_find_embedding(monkeypatch) -> list[tuple[bool, tuple[int, ...]]]:
+    """Record every clique the packing pipeline finds, flagged True when the mop-up found it."""
+    found = []
+    original = experiments.find_embedding
+
+    def spy(graph, pattern, candidate_masks=None):
+        result = original(graph, pattern, candidate_masks=candidate_masks)
+        if result is not None:
+            found.append((len(set(candidate_masks)) == 1, result))
+        return result
+
+    monkeypatch.setattr(experiments, "find_embedding", spy)
+    return found
+
+
+@pytest.mark.parametrize(
+    "graph, p, trimmed",
+    [
+        (SimpleGraph.complete(36), 1.0, True),
+        (gnp(45, 0.95, RngStream(4)), 0.95, False),
+    ],
+    ids=["complete-trim", "dense-fallback"],
+)
+def test_packing_pipeline_extracts_verified_cliques(graph, p, trimmed, monkeypatch):
+    found = spy_on_find_embedding(monkeypatch)
+    record = packing_pipeline(graph, 3, 0.25, p, RngStream(1), t0=12)
+    assert "stage_failed" not in record
+    assert record.get("trim_fallback", False) is not trimmed
+    cliques = [clique for _, clique in found]
+    covered = {v for clique in cliques for v in clique}
+    assert len(covered) == 3 * len(cliques)
+    assert all(graph.has_edge(a, b) for clique in cliques for a in clique for b in clique if a != b)
+    assert record["packed_cliques"] == len(cliques) >= record["factor_cliques"]
+    assert record["covered_vertices"] == len(covered)
+    assert record["coverage"] == len(covered) / graph.n
+    assert record["success"] == (len(covered) >= 0.75 * graph.n)
+    if not trimmed:
+        assert any(mop_up for mop_up, _ in found)
+
+
+def test_packing_pipeline_rejects_a_reused_vertex(monkeypatch):
+    answers = iter([(0, 1, 2), (0, 3, 4)])
+    monkeypatch.setattr(experiments, "find_embedding", lambda *args, **kwargs: next(answers, None))
+    with pytest.raises(SoundnessError, match="reuses a vertex"):
+        packing_pipeline(SimpleGraph.complete(36), 3, 0.25, 1.0, RngStream(1), t0=12)
