@@ -6,7 +6,7 @@ counting, seeded random graph classes with exposure schedules, and
 statistical experiment pipelines over all of it.
 """
 
-from .counting import CountResult, canonical_count, constrained_count, extension_degree, gk_bruteforce, mu_star
+from .counting import CountResult, canonical_count, constrained_count, extension_degree, gk_bruteforce
 from .errors import BudgetError, PreconditionError, RejectionBudgetError, SoundnessError
 from .graphs import (
     MultipartiteGraph,
@@ -75,7 +75,6 @@ __all__ = [
     "induced_multipartite",
     "is_strictly_balanced",
     "min_degree",
-    "mu_star",
     "pair_density",
     "reduced_weighted_graph",
     "refute_regular_sampled",

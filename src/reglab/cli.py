@@ -11,7 +11,8 @@ internal cross-check that failed (a bug, never a property of the input).
 Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
 (0, 1]; ``--trials``, ``--refuter-trials`` and the experiment ``--k``,
 ``--n`` and ``--m`` are >= 1; the experiment ``--delta``, ``--d`` and
-``--gamma`` are >= 0.
+``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
+``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     clean_cmd.add_argument("--graph", required=True)
     clean_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     clean_cmd.add_argument("--p", type=parse_probability, required=True)
-    clean_cmd.add_argument("--d", type=parse_probability, required=True)
-    clean_cmd.add_argument("--uniformity", type=parse_probability, default=2.0)
+    clean_cmd.add_argument("--d", type=parse_nonnegative, required=True)
+    clean_cmd.add_argument("--uniformity", type=parse_nonnegative, default=2.0)
     clean_cmd.add_argument("--t0", type=int, default=4)
     clean_cmd.add_argument("--max-t", type=int, default=64)
 

@@ -23,7 +23,26 @@ The kernel has two modes:
   template edge uses the host's ``adj`` rows, and host vertices already used
   are masked out.
 
-Counts are Python ints, so n^k overflow is a non-issue.
+Unpinned canonical counts (:func:`canonical_count`, :func:`constrained_count`)
+take one of two routes.  The matrix route, :func:`matrix_count`, turns each
+template edge's rows into a 0/1 float64 matrix and eliminates template
+vertices one at a time, always the lowest-index vertex of current degree
+<= 2: degree 0 multiplies the scalar by its vector's sum (n without one),
+degree 1 folds ``M_uv @ x_v`` into u's vector, and degree 2 replaces its two
+edges by ``M_uv diag(x_v) M_vw``, multiplied entrywise into any (u, w) matrix
+already there.  It applies when all of the following hold, and the
+backtracker runs otherwise:
+
+* the template is not complete (cliques count faster by backtracking);
+* the elimination empties the template, i.e. its treewidth is at most 2;
+* n^k < 2^53.  Every vector, matrix entry and BLAS partial sum is then a
+  count of partial copies, a non-negative integer at most n^k, and float64
+  represents every such integer exactly, so the result does not depend on
+  the summation order.
+
+The matrix route holds 8 n^2 bytes per template edge.  Pinned counts and
+every :mod:`reglab.embedding` search stay on the backtracker, whose counts
+are Python ints, so n^k overflow is a non-issue there.
 """
 
 from __future__ import annotations
@@ -36,11 +55,16 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, iter_bits
+from .graphs import MultipartiteGraph, PatternGraph, iter_bits, rows_to_matrix
 from . import smallgraphs
 
 GK_BUDGET = 9
+
+#: float64 represents every integer below this exactly.
+EXACT_FLOAT_LIMIT = 2**53
 
 
 @dataclass(frozen=True)
@@ -231,9 +255,79 @@ def _result(pattern: PatternGraph, n: int, count: int, pair_counts: dict[tuple[i
     return CountResult(count=count, normalized=normalized, expected=expected, ratio=ratio)
 
 
+@lru_cache(maxsize=None)
+def elimination_steps(pattern: PatternGraph) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
+    """The matrix route's steps as (vertex, its current neighbours), or ``None``.
+
+    Each step removes the lowest-index vertex of current degree <= 2; removing
+    a degree-2 vertex joins its two neighbours.  ``None`` when the template is
+    complete or a step finds no such vertex (treewidth above 2).
+    """
+    k = pattern.k
+    if pattern.edge_count == k * (k - 1) // 2:
+        return None
+    neigh = {v: pattern.neighbors(v) for v in range(k)}
+    steps = []
+    while neigh:
+        v = next((u for u in sorted(neigh) if len(neigh[u]) <= 2), None)
+        if v is None:
+            return None
+        around = tuple(sorted(neigh.pop(v)))
+        for u in around:
+            neigh[u].discard(v)
+        if len(around) == 2:
+            u, w = around
+            neigh[u].add(w)
+            neigh[w].add(u)
+        steps.append((v, around))
+    return tuple(steps)
+
+
+def matrix_count(
+    pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int
+) -> int | None:
+    """Canonical copies by float64 matrix elimination; ``None`` where the route does not apply.
+
+    Takes the partite-mode arguments of :func:`count_extensions` without pins
+    or masks; the module docstring states when the route applies and why it
+    is exact.
+    """
+    steps = elimination_steps(pattern)
+    if steps is None or n**pattern.k >= EXACT_FLOAT_LIMIT:
+        return None
+    # matrices[(a, b)], a < b, rows indexed by part a
+    matrices = {e: rows_to_matrix(rows[e], n, np.float64) for e in pattern.sorted_edges()}
+    vectors: dict[int, np.ndarray] = {}
+    scalar = 1
+
+    def take(a: int, b: int) -> np.ndarray:
+        return matrices.pop((a, b)) if a < b else matrices.pop((b, a)).T
+
+    for v, around in steps:
+        x = vectors.pop(v, None)
+        if not around:
+            scalar *= n if x is None else int(x.sum())
+        elif len(around) == 1:
+            (u,) = around
+            m = take(u, v)
+            y = m.sum(axis=1) if x is None else m @ x
+            vectors[u] = vectors[u] * y if u in vectors else y
+        else:
+            u, w = around
+            left = take(u, v)
+            y = (left if x is None else left * x) @ take(v, w)
+            matrices[(u, w)] = matrices[(u, w)] * y if (u, w) in matrices else y
+    return scalar
+
+
+def _unpinned_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int) -> int:
+    count = matrix_count(pattern, rows, n)
+    return count_extensions(pattern, rows, n) if count is None else count
+
+
 def canonical_count(graph: MultipartiteGraph) -> CountResult:
     """Exact number of canonical copies of the template in ``graph``."""
-    count = count_extensions(graph.pattern, graph.rows, graph.part_size)
+    count = _unpinned_count(graph.pattern, graph.rows, graph.part_size)
     return _result(graph.pattern, graph.part_size, count, graph.pair_edge_counts)
 
 
@@ -263,7 +357,7 @@ def constrained_count(
 ) -> CountResult:
     """Canonical copies whose sub-pattern edges additionally lie in ``overlay``."""
     rows, counts = _effective_rows(graph, sub_pattern, overlay)
-    count = count_extensions(graph.pattern, rows, graph.part_size)
+    count = _unpinned_count(graph.pattern, rows, graph.part_size)
     return _result(graph.pattern, graph.part_size, count, counts)
 
 
@@ -284,19 +378,6 @@ def extension_degree(
         raise PreconditionError(f"edge ({u}, {v}) not present in pair {(i + 1, j + 1)}")
     rows, _ = _effective_rows(graph, sub_pattern, overlay)
     return count_extensions(graph.pattern, rows, graph.part_size, pinned={i: u, j: v})
-
-
-def mu_star(graph: MultipartiteGraph, normalizer: int) -> Fraction:
-    """Canonical copy count divided by normalizer^k.
-
-    The normalizer is explicit because the natural choice (part size versus
-    ambient host order) depends on the experiment; callers must document
-    theirs.
-    """
-    if normalizer < 1:
-        raise PreconditionError("normalizer must be >= 1")
-    count = count_extensions(graph.pattern, graph.rows, graph.part_size)
-    return Fraction(count, normalizer**graph.k)
 
 
 def automorphism_count(pattern: PatternGraph) -> int:

@@ -43,6 +43,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
+    """The bitset ``rows`` as a 0/1 matrix of ``len(rows)`` rows and ``width`` columns.
+
+    Entry ``[r, c]`` is bit ``c`` of ``rows[r]``; every row must fit in ``width`` bits.
+    """
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width].astype(dtype)
+
+
 def leq_with_tolerance(value: Fraction, threshold: float) -> bool:
     """Exact-rational ``value <= threshold`` with the declared boundary slack."""
     return value <= Fraction(threshold) + COMPARISON_TOLERANCE
@@ -181,11 +193,7 @@ class SimpleGraph:
         return SimpleGraph(n, adj, count)
 
     def to_bool_matrix(self) -> np.ndarray:
-        nbytes = (self.n + 7) // 8
-        rows = np.frombuffer(
-            b"".join(row.to_bytes(nbytes, "little") for row in self.adj), dtype=np.uint8
-        ).reshape(self.n, nbytes)
-        return np.unpackbits(rows, axis=1, bitorder="little")[:, : self.n].astype(bool)
+        return rows_to_matrix(self.adj, self.n, bool)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -457,6 +457,8 @@ def sparse_regular_partition(
     """
     if t0 < 1:
         raise PreconditionError("t0 must be >= 1")
+    if max_t < t0:
+        raise PreconditionError(f"max_t = {max_t} is below t0 = {t0}")
     if graph.n < t0:
         raise PreconditionError(f"graph has {graph.n} vertices, fewer than t0 = {t0}")
     if not 0.0 < p <= 1.0:

@@ -82,6 +82,23 @@ EXIT_CODES = {
     "d_negative": (["experiment", "counting", "--N", "30", "--trials", "1", "--d", "-1/4"], EXIT_USAGE),
     "gamma_negative": (["experiment", "aes", "--N", "30", "--trials", "1", "--gamma", "-0.25"], EXIT_USAGE),
     "gamma_nan": (["experiment", "aes", "--N", "30", "--trials", "1", "--gamma", "nan"], EXIT_USAGE),
+    "clean_d_negative": (
+        ["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "-1"], EXIT_USAGE,
+    ),
+    "clean_uniformity_negative": (
+        ["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "0.25", "--uniformity", "-3"],
+        EXIT_USAGE,
+    ),
+    "partition_max_t_below_t0": (
+        ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--max-t", "0"], EXIT_USAGE,
+    ),
+    "clean_max_t_below_t0": (
+        ["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "0.25", "--t0", "3", "--max-t", "2"],
+        EXIT_USAGE,
+    ),
+    "max_t_equal_to_t0_accepted": (
+        ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--t0", "2", "--max-t", "2"], EXIT_OK,
+    ),
 }
 
 

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglab import counting
 from reglab.counting import (
+    EXACT_FLOAT_LIMIT,
     automorphism_count,
     canonical_count,
     constrained_count,
+    count_extensions,
+    elimination_steps,
     extension_degree,
     gk_bruteforce,
     greedy_order,
-    mu_star,
+    matrix_count,
 )
 from reglab.errors import BudgetError, PreconditionError
 from reglab.graphs import MultipartiteGraph, PatternGraph
@@ -152,18 +156,151 @@ def test_count_result_normalizations():
     assert '"count": "27"' in result.to_json()
 
 
-def test_mu_star():
-    k3 = PatternGraph.complete(3)
-    blowup = MultipartiteGraph.complete_blowup(k3, 2)
-    assert mu_star(blowup, 2) == 1
-    assert mu_star(blowup, 4) == Fraction(8, 64)
-    empty = MultipartiteGraph.from_pair_edges(k3, 2, {})
-    assert mu_star(empty, 2) == 0
-    k2 = PatternGraph.complete(2)
-    mg = MultipartiteGraph.from_pair_edges(k2, 3, {(0, 1): [(0, 0), (1, 2)]})
-    assert mu_star(mg, 5) == Fraction(2, 25)
-    with pytest.raises(PreconditionError):
-        mu_star(mg, 0)
+DIAMOND = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+
+
+@st.composite
+def treewidth_two_patterns(draw, max_k=6):
+    """Disjoint unions of paths, cycles, forests, diamonds (K4 - e) and isolated
+    vertices on at most ``max_k`` vertices, randomly relabelled."""
+    edges = []
+    k = 0
+    while k < 2 or (k < max_k and draw(st.booleans())):
+        kind = draw(st.sampled_from(["isolated", "path", "cycle", "forest", "diamond"]))
+        room = max_k - k
+        if kind == "isolated" or room < 2:
+            size, part = 1, []
+        elif kind == "path":
+            size = draw(st.integers(2, room))
+            part = [(i, i + 1) for i in range(size - 1)]
+        elif kind == "cycle" and room >= 3:
+            size = draw(st.integers(3, room))
+            part = [(i, (i + 1) % size) for i in range(size)]
+        elif kind == "diamond" and room >= 4:
+            size, part = 4, DIAMOND
+        else:
+            size = draw(st.integers(2, room))
+            part = [(draw(st.integers(0, i - 1)), i) for i in range(1, size) if draw(st.booleans())]
+        edges += [(a + k, b + k) for a, b in part]
+        k += size
+    label = draw(st.permutations(range(k)))
+    return PatternGraph.from_edges(k, [(label[a], label[b]) for a, b in edges])
+
+
+def is_complete(pattern: PatternGraph) -> bool:
+    return pattern.edge_count == pattern.k * (pattern.k - 1) // 2
+
+
+def identity_blocks(pattern: PatternGraph, n: int) -> MultipartiteGraph:
+    """Every pair a perfect matching u -- u, so a connected template has exactly n copies."""
+    return MultipartiteGraph.from_pair_edges(
+        pattern, n, {e: [(u, u) for u in range(n)] for e in pattern.sorted_edges()}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(treewidth_two_patterns(), st.integers(1, 4), st.floats(0.2, 1.0), st.integers(0, 10**9))
+def test_matrix_route_matches_backtracker_and_naive(pattern, n, density, seed):
+    graph = random_multipartite(pattern, n, density, RngStream(seed))
+    expected = count_extensions(pattern, graph.rows, n)
+    assert expected == naive_canonical_count(graph)
+    count = matrix_count(pattern, graph.rows, n)
+    if is_complete(pattern):
+        assert count is None
+    else:
+        assert type(count) is int and count == expected
+    assert canonical_count(graph).count == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(treewidth_two_patterns(max_k=5), st.integers(0, 10**9), st.data())
+def test_matrix_route_constrained_matches_naive(pattern, seed, data):
+    graph = random_multipartite(pattern, 3, 0.7, RngStream(seed))
+    overlay = random_sub_multipartite(graph, 0.6, RngStream(seed + 1))
+    edge_list = pattern.sorted_edges()
+    sub_edges = data.draw(st.lists(st.sampled_from(edge_list), unique=True)) if edge_list else []
+    sub = PatternGraph.from_edges(pattern.k, sub_edges)
+    assert constrained_count(graph, sub, overlay).count == naive_constrained_count(graph, sub, overlay)
+
+
+@settings(max_examples=100, deadline=None)
+@given(patterns(max_k=6), st.integers(0, 10**9))
+def test_matrix_route_on_any_template(pattern, seed):
+    # whatever the template, the route either declines or counts exactly; it
+    # always declines a clique and any template containing K4
+    graph = random_multipartite(pattern, 2, 0.7, RngStream(seed))
+    count = matrix_count(pattern, graph.rows, 2)
+    has_k4 = any(
+        all(pair in pattern.edges for pair in combinations(quad, 2))
+        for quad in combinations(range(pattern.k), 4)
+    )
+    if is_complete(pattern) or has_k4:
+        assert count is None
+    if count is not None:
+        assert count == naive_canonical_count(graph)
+
+
+@pytest.mark.parametrize("pattern", [
+    PatternGraph.complete(2),
+    PatternGraph.complete(3),
+    PatternGraph.complete(4),
+    PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(4), 2)] + [(3, 4)]),
+    PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(5), 2) if (a, b) != (0, 1)]),
+], ids=["K2", "K3", "K4", "K4_pendant", "K5_minus_e"])
+def test_cliques_and_treewidth_three_take_the_backtracker(pattern, monkeypatch):
+    assert elimination_steps(pattern) is None
+    graph = random_multipartite(pattern, 3, 0.7, RngStream(pattern.k))
+    assert matrix_count(pattern, graph.rows, 3) is None
+    calls = []
+
+    def counting_backtracker(*args, **kwargs):
+        calls.append(args[0])
+        return count_extensions(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_extensions", counting_backtracker)
+    assert canonical_count(graph).count == naive_canonical_count(graph)
+    assert constrained_count(graph, pattern, graph).count == naive_canonical_count(graph)
+    assert calls == [pattern, pattern]
+
+
+def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
+    def no_backtracker(*args, **kwargs):
+        raise AssertionError("backtracker called")
+
+    monkeypatch.setattr(counting, "count_extensions", no_backtracker)
+    for pattern in (PatternGraph.cycle(4), PatternGraph.path(4), PatternGraph.from_edges(4, DIAMOND)):
+        blowup = MultipartiteGraph.complete_blowup(pattern, 3)
+        assert canonical_count(blowup).count == 3**4
+        assert constrained_count(blowup, pattern, blowup).count == 3**4
+
+
+def test_float_limit_routes_to_the_backtracker():
+    # 2^52 copies are counted by elimination, 2^53 tuples are not: the
+    # pair-by-pair perfect matchings leave 2 copies of any path either way
+    below, at = PatternGraph.path(52), PatternGraph.path(53)
+    assert 2**52 < EXACT_FLOAT_LIMIT <= 2**53
+    assert matrix_count(below, identity_blocks(below, 2).rows, 2) == 2
+    assert matrix_count(at, identity_blocks(at, 2).rows, 2) is None
+    assert canonical_count(identity_blocks(at, 2)).count == 2
+    c4 = PatternGraph.cycle(4)
+    wide = identity_blocks(c4, 2**14)  # n^k = 2^56
+    assert matrix_count(c4, wide.rows, 2**14) is None
+    assert canonical_count(wide).count == 2**14
+
+
+def test_matrix_route_exact_just_below_the_float_limit():
+    # 3^33 lies between 2^52 and 2^53, where float64 still holds every integer
+    for pattern in (PatternGraph.path(33), PatternGraph.cycle(33)):
+        assert 2**52 < 3**33 < EXACT_FLOAT_LIMIT
+        assert matrix_count(pattern, MultipartiteGraph.complete_blowup(pattern, 3).rows, 3) == 3**33
+
+
+def test_elimination_steps_order():
+    # lowest-index vertex of degree <= 2 first; a degree-2 step joins its neighbours
+    assert elimination_steps(PatternGraph.cycle(4)) == ((0, (1, 3)), (1, (2, 3)), (2, (3,)), (3, ()))
+    diamond = PatternGraph.from_edges(4, DIAMOND)
+    assert elimination_steps(diamond) == ((0, (1, 2)), (1, (2, 3)), (2, (3,)), (3, ()))
+    assert elimination_steps(PatternGraph(3, frozenset())) == ((0, ()), (1, ()), (2, ()))
 
 
 def test_greedy_order_prefers_back_degree():

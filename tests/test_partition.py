@@ -64,6 +64,13 @@ def test_degenerate_inputs_rejected():
         sparse_regular_partition(SimpleGraph.empty(10), 0.25, 0.0, t0=2, max_t=8, rng=RngStream(3))
 
 
+def test_max_t_below_t0_rejected():
+    graph = SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)])
+    with pytest.raises(PreconditionError, match="below t0"):
+        sparse_regular_partition(graph, 0.3, 0.5, t0=4, max_t=3, rng=RngStream(3))
+    assert sparse_regular_partition(graph, 0.3, 0.5, t0=4, max_t=4, rng=RngStream(3)).t <= 4
+
+
 def test_planted_blocks_recovered():
     hits = 0
     for seed in range(5):
