@@ -26,22 +26,8 @@ from .partition import (
     trim_min_degree,
 )
 from .patterns import DensityReport, chromatic_number, is_strictly_balanced, two_density
-from .randgraph import (
-    ExposureSchedule,
-    RngStream,
-    chernoff_bounds,
-    double_mean_tail_bound,
-    exposure_schedule,
-    gnp,
-    sample_class,
-)
-from .regularity import (
-    RegularityVerdict,
-    check_lower_regular,
-    check_regular_exhaustive,
-    check_upper_uniform,
-    refute_regular_sampled,
-)
+from .randgraph import ExposureSchedule, RngStream, exposure_schedule, gnp, sample_class
+from .regularity import RegularityVerdict, check_lower_regular, pair_verdict
 
 __all__ = [
     "BudgetError",
@@ -60,14 +46,10 @@ __all__ = [
     "SoundnessError",
     "VertexSetPair",
     "canonical_count",
-    "chernoff_bounds",
     "check_lower_regular",
-    "check_regular_exhaustive",
-    "check_upper_uniform",
     "chromatic_number",
     "clean_partition",
     "constrained_count",
-    "double_mean_tail_bound",
     "exposure_schedule",
     "extension_degree",
     "gk_bruteforce",
@@ -76,8 +58,8 @@ __all__ = [
     "is_strictly_balanced",
     "min_degree",
     "pair_density",
+    "pair_verdict",
     "reduced_weighted_graph",
-    "refute_regular_sampled",
     "sample_class",
     "sparse_regular_partition",
     "trim_min_degree",

@@ -42,14 +42,13 @@ from .partition import (
     ClusterGraph,
     Partition,
     clean_partition,
-    pair_verdict,
     reduced_weighted_graph,
     sparse_regular_partition,
     trim_min_degree,
 )
 from .patterns import chromatic_number, two_density
 from .randgraph import RngStream, gnp, random_bipartite_rows, sample_class
-from .regularity import REFUTED, check_regular_exhaustive
+from .regularity import REFUTED, pair_verdict
 
 REGULARITY_CAVEAT = (
     "regular means: not refuted by the sampled checker at the configured trial budget"
@@ -106,7 +105,7 @@ def _pair_verdicts(
     out = {}
     for index, (i, j) in enumerate(graph.pattern.sorted_edges()):
         pair_graph, sides = graph.pair_subgraph(i, j)
-        verdict = pair_verdict(pair_graph, sides.U, sides.V, epsilon, p, rng.child(index), trials)
+        verdict = pair_verdict(pair_graph, sides, epsilon, p, rng.child(index), trials)
         out[f"{i + 1}-{j + 1}"] = verdict.status
     return out
 
@@ -295,6 +294,8 @@ def run_removal(
     The output must be exactly template-free, verified by independent
     search, with total deletions at most delta * p * N^2.
     """
+    if pattern.edge_count == 0:
+        raise PreconditionError("removal experiment needs a template with edges")
     aut = automorphism_count(pattern)
     copy_budget = Fraction(eps_copies) * Fraction(p) ** pattern.edge_count * host_n**pattern.k
     labelled_budget = int(copy_budget * aut)
@@ -656,6 +657,8 @@ def run_clique_density(
     """
     if k not in (3, 4):
         raise PreconditionError("desk-scale clique-density experiment supports k in {3, 4}")
+    if not 0.0 < p <= 1.0:
+        raise PreconditionError(f"clique-density experiment needs p in (0, 1], got {p}")
     rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho)
     if rho_frac > 1:
         raise PreconditionError("relative density rho must be at most 1")
@@ -942,6 +945,8 @@ def run_turan(
     topped up with random interior edges to reach the threshold fraction)
     and searches for the template exactly.
     """
+    if pattern.edge_count == 0:
+        raise PreconditionError("turan experiment needs a template with edges")
     chi = chromatic_number(pattern)
     fraction_required = 1 - 1 / (chi - 1) + eps
 
@@ -1023,7 +1028,7 @@ def probe_copy_free_class(
         regular = True
         for pair_index, (i, j) in enumerate(pattern.sorted_edges()):
             pair_graph, sides = sample.pair_subgraph(i, j)
-            verdict = check_regular_exhaustive(pair_graph, sides, eps, p_scale)
+            verdict = pair_verdict(pair_graph, sides, eps, p_scale)
             if verdict.status == REFUTED:
                 regular = False
                 break

@@ -18,14 +18,7 @@ from fractions import Fraction
 from .errors import PreconditionError, SoundnessError
 from .graphs import SimpleGraph, VertexSetPair, _peel_low_degree, bitmask_of, iter_bits
 from .randgraph import RngStream
-from .regularity import (
-    CERTIFIED,
-    EXHAUSTIVE_PAIR_BUDGET,
-    REFUTED,
-    RegularityVerdict,
-    check_regular_exhaustive,
-    refute_regular_sampled,
-)
+from .regularity import REFUTED, RegularityVerdict, pair_verdict
 
 
 @dataclass(frozen=True)
@@ -173,23 +166,6 @@ def partition_energy(graph: SimpleGraph, classes: list[list[int]], p: float) -> 
     return total
 
 
-def pair_verdict(
-    graph: SimpleGraph,
-    class_a: list[int],
-    class_b: list[int],
-    epsilon: float,
-    p: float,
-    rng: RngStream,
-    refuter_trials: int,
-    refuter_guided: bool = False,
-) -> RegularityVerdict:
-    """Exhaustive verdict below the budget, sampled refutation above it."""
-    pair = VertexSetPair(tuple(class_a), tuple(class_b))
-    if len(class_a) <= EXHAUSTIVE_PAIR_BUDGET and len(class_b) <= EXHAUSTIVE_PAIR_BUDGET:
-        return check_regular_exhaustive(graph, pair, epsilon, p)
-    return refute_regular_sampled(graph, pair, epsilon, p, refuter_trials, rng, guided=refuter_guided)
-
-
 def evaluate_partition(
     graph: SimpleGraph,
     classes: list[list[int]],
@@ -197,7 +173,6 @@ def evaluate_partition(
     p: float,
     rng: RngStream,
     refuter_trials: int = 32,
-    refuter_guided: bool = False,
     converged: bool = True,
     rounds: int = 0,
 ) -> Partition:
@@ -210,16 +185,8 @@ def evaluate_partition(
         i, j = key
         e = graph.edges_between(masks[i], masks[j])
         density = Fraction(e, len(classes[i]) * len(classes[j]))
-        verdict = pair_verdict(
-            graph,
-            classes[i],
-            classes[j],
-            epsilon,
-            p,
-            rng.child(rounds, i, j),
-            refuter_trials,
-            refuter_guided,
-        )
+        pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
+        verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
         return key, PairInfo(density=density, edges=e, verdict=verdict)
 
     pair_info = dict([work(key) for key in keys])
@@ -438,7 +405,6 @@ def sparse_regular_partition(
     max_t: int,
     rng: RngStream,
     refuter_trials: int = 32,
-    refuter_guided: bool = False,
     max_rounds: int = 12,
 ) -> Partition:
     """Equipartition with at most eps * t^2 refuted pairs, by iterated refinement.
@@ -447,13 +413,9 @@ def sparse_regular_partition(
     either certifies convergence or splits classes along refutation
     witnesses and re-equalizes; refinement stops with ``converged=False``
     when the class budget ``max_t``, the round budget, or an energy
-    stagnation is hit, returning the best partition seen.
-
-    Guided refuter candidates default to off here: their selection bias is
-    of order sqrt(density / subset size), which at desk scale exceeds
-    eps * p for sparse hosts and would refute every pair of a perfectly
-    random graph.  Unbiased uniform candidates keep the operational notion
-    "not refuted" meaningful; callers hunting planted structure can opt in.
+    stagnation is hit, returning the best partition seen.  Pairs are
+    judged by ``regularity.pair_verdict``, with unguided refuter candidates
+    above the exhaustive budget.
     """
     if t0 < 1:
         raise PreconditionError("t0 must be >= 1")
@@ -477,7 +439,6 @@ def sparse_regular_partition(
             p,
             rng,
             refuter_trials=refuter_trials,
-            refuter_guided=refuter_guided,
             converged=True,
             rounds=round_index,
         )

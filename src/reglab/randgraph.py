@@ -1,4 +1,4 @@
-"""Seeded random graph generation, exposure schedules, and tail bounds.
+"""Seeded random graph generation and exposure schedules.
 
 Reproducibility contract: every randomized routine takes an explicit
 :class:`RngStream`.  Substreams are addressed by integer paths and derived
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RejectionBudgetError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, VertexSetPair
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -91,12 +91,17 @@ def exposure_schedule(p: float, rounds: int, ratio: float) -> ExposureSchedule:
         raise PreconditionError(f"p must be in (0, 1), got {p}")
     if rounds < 1:
         raise PreconditionError("rounds must be >= 1")
-    if ratio < 1.0:
-        raise PreconditionError("growth ratio must be >= 1")
+    if not 1.0 <= ratio < math.inf:
+        raise PreconditionError(f"growth ratio must be finite and >= 1, got {ratio}")
     if rounds == 1:
         return ExposureSchedule(p, 1, ratio, (p,))
 
-    factors = [ratio**s for s in range(rounds)]
+    try:
+        factors = [ratio**s for s in range(rounds)]
+    except OverflowError:
+        raise PreconditionError(
+            f"ratio^(rounds - 1) overflows at ratio = {ratio}, rounds = {rounds}"
+        ) from None
 
     def union_prob(p1: float) -> float:
         prod = 1.0
@@ -123,34 +128,6 @@ def exposure_schedule(p: float, rounds: int, ratio: float) -> ExposureSchedule:
     for _ in range(rounds - 1):
         probs.append(probs[-1] * ratio)
     return ExposureSchedule(p, rounds, ratio, tuple(probs))
-
-
-@dataclass(frozen=True)
-class ChernoffBounds:
-    """Binomial tail bounds for X ~ Bin(t, p) and deviation a > 0."""
-
-    lower_tail: float  # bound on Pr(X < pt - a)
-    upper_tail: float  # bound on Pr(X > pt + a)
-
-
-def chernoff_bounds(t: int, p: float, a: float) -> ChernoffBounds:
-    if t < 1:
-        raise PreconditionError("t must be a positive integer")
-    if a <= 0:
-        raise PreconditionError("deviation a must be positive")
-    if p <= 0:
-        raise PreconditionError("p must be positive for these bounds")
-    pt = p * t
-    lower = math.exp(-(a * a) / pt)
-    upper = math.exp(-(a * a) / (2 * pt) + (a * a * a) / (2 * pt * pt))
-    return ChernoffBounds(lower_tail=lower, upper_tail=upper)
-
-
-def double_mean_tail_bound(t: int, p: float) -> float:
-    """Bound exp(-pt/16) on Pr(X > 2pt) for X ~ Bin(t, p)."""
-    if t < 1 or p <= 0:
-        raise PreconditionError("need t >= 1 and p > 0")
-    return math.exp(-p * t / 16.0)
 
 
 def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
@@ -200,12 +177,11 @@ def sample_class(
     """Sample a pattern-shaped multipartite graph with exactly m edges per pair.
 
     Every pair is a uniformly random m-edge bipartite graph.  Mode
-    ``rejection`` re-draws any pair the regularity checker refutes
-    (exhaustive below its budget, sampled refuter above) until the pair is
-    not refuted; mode ``raw`` skips the filter.
+    ``rejection`` re-draws any pair that ``regularity.pair_verdict`` refutes
+    (with 32 guided refuter trials above the exhaustive budget) until the
+    pair is not refuted; mode ``raw`` skips the filter.
     """
-    from .regularity import EXHAUSTIVE_PAIR_BUDGET, check_regular_exhaustive, refute_regular_sampled
-    from .graphs import VertexSetPair
+    from .regularity import REFUTED, pair_verdict
 
     if m > n * n:
         raise PreconditionError(f"m = {m} exceeds the n^2 = {n * n} available slots")
@@ -228,13 +204,10 @@ def sample_class(
                 m,
             )
             sides = VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
-            if n <= EXHAUSTIVE_PAIR_BUDGET:
-                verdict = check_regular_exhaustive(pair_graph, sides, epsilon, p)
-            else:
-                verdict = refute_regular_sampled(
-                    pair_graph, sides, epsilon, p, trials=32, rng=pair_stream.child(attempt, 1)
-                )
-            if verdict.status != "refuted":
+            verdict = pair_verdict(
+                pair_graph, sides, epsilon, p, pair_stream.child(attempt, 1), trials=32, guided=True
+            )
+            if verdict.status != REFUTED:
                 break
             attempt += 1
             if attempt >= max_attempts:

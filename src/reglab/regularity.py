@@ -1,4 +1,4 @@
-"""Deciding and refuting pair regularity, lower-regularity, and upper-uniformity.
+"""Judging pair regularity: one verdict policy, its exhaustive checker and its sampled refuter.
 
 A bipartite pair (U, V) is (eps, p)-regular when every pair of subsets
 U' of U, V' of V with |U'| >= eps|U| and |V'| >= eps|V| has density within
@@ -15,10 +15,16 @@ partial selection per row instead of a sort.  Deviations are compared as
 integers scaled by s_u s_v |U| |V|; only the final deviation is a
 ``Fraction``, and only the winning witness is rebuilt vertex by vertex.
 
-Certification is only ever claimed by the exhaustive checker.  Above its
-budget the sampled refuter either produces a re-checkable witness or
-reports ``undecided``; pipelines treat "not refuted" as operationally
-regular and must say so in their reports.
+This module alone decides how a pair is judged.  The policy is
+``pair_verdict``: the exhaustive checker when both sides have at most
+``EXHAUSTIVE_PAIR_BUDGET`` vertices, the sampled refuter above.  The
+partitioner, the experiments' per-pair statuses, rejection sampling of
+random classes and the class probe all ask it; the one-sided
+``check_lower_regular`` follows the same size rule.  Certification is only
+ever claimed by the exhaustive checker.  Above its budget the sampled
+refuter either produces a re-checkable witness or reports ``undecided``;
+pipelines treat "not refuted" as operationally regular and must say so in
+their reports.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .graphs import (
 from .randgraph import RngStream
 
 EXHAUSTIVE_PAIR_BUDGET = 16
-EXHAUSTIVE_UNIFORMITY_BUDGET = 2_000_000
 
 CERTIFIED = "certified_regular"
 REFUTED = "refuted"
@@ -52,12 +57,14 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class RegularityVerdict:
-    """Outcome of a regularity-style check.
+    """Outcome of a regularity check, as decided by ``pair_verdict`` or ``check_lower_regular``.
 
-    ``deviation`` is the exact amount by which the witness violates the
-    checked inequality (absolute density deviation for regularity, shortfall
-    below d for lower-regularity, excess above D*p for upper-uniformity).
-    ``scale`` echoes the density scale p the check ran at.
+    ``status`` is ``certified_regular`` (never from sampled candidates),
+    ``refuted`` or ``undecided`` (sampled candidates only).  ``deviation`` is
+    the exact amount by which the witness violates the checked inequality:
+    the absolute density deviation for regularity, the shortfall below d
+    for lower-regularity.  ``scale`` echoes the density scale the check ran
+    at (p, or d for lower-regularity).
     """
 
     status: str
@@ -153,6 +160,11 @@ def _scan_subsets(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_v: int) -
     return _SubsetScan(pair, members, weights, largest, smallest, int(biadjacency.sum()), s_v)
 
 
+def _fits_exhaustive(pair: VertexSetPair) -> bool:
+    """The size rule of every verdict: exhaustive when both sides are within the budget."""
+    return len(pair.U) <= EXHAUSTIVE_PAIR_BUDGET and len(pair.V) <= EXHAUSTIVE_PAIR_BUDGET
+
+
 def check_regular_exhaustive(
     graph: SimpleGraph, pair: VertexSetPair, epsilon: float, p: float
 ) -> RegularityVerdict:
@@ -168,7 +180,7 @@ def check_regular_exhaustive(
     if not pair.U or not pair.V:
         return RegularityVerdict(CERTIFIED, None, Fraction(0), p, params)
     nu, nv = len(pair.U), len(pair.V)
-    if nu > EXHAUSTIVE_PAIR_BUDGET or nv > EXHAUSTIVE_PAIR_BUDGET:
+    if not _fits_exhaustive(pair):
         raise BudgetError(
             f"exhaustive regularity check limited to {EXHAUSTIVE_PAIR_BUDGET}+"
             f"{EXHAUSTIVE_PAIR_BUDGET} vertices (got {nu}+{nv}); use the sampled refuter"
@@ -257,6 +269,47 @@ def _candidate_pairs(
             yield us, vs
 
 
+@dataclass(frozen=True)
+class _SampledExtremes:
+    """Both extremes of one pass over the sampled candidates of a pair.
+
+    ``deviating`` is the first candidate whose |d(U', V') - d(U, V)|
+    strictly exceeds every earlier one and zero (``None`` when none does),
+    ``deviation`` its deviation; ``sparsest`` is the first candidate of
+    strictly smallest density (``None`` when there are no candidates),
+    ``sparsest_density`` its density.  ``density`` is d(U, V).
+    """
+
+    density: Fraction
+    deviation: Fraction
+    deviating: VertexSetPair | None
+    sparsest_density: Fraction | None
+    sparsest: VertexSetPair | None
+
+
+def _sampled_extremes(
+    graph: SimpleGraph,
+    pair: VertexSetPair,
+    s_u: int,
+    s_v: int,
+    trials: int,
+    rng: RngStream,
+    guided: bool,
+) -> _SampledExtremes:
+    """Densities of the candidates of ``_candidate_pairs``, keeping both extremes."""
+    d_pair = pair_density(graph, pair)
+    deviation, deviating = Fraction(0), None
+    sparsest_density, sparsest = None, None
+    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
+        candidate = VertexSetPair(tuple(us), tuple(vs))
+        dens = pair_density(graph, candidate)
+        if abs(dens - d_pair) > deviation:
+            deviation, deviating = abs(dens - d_pair), candidate
+        if sparsest is None or dens < sparsest_density:
+            sparsest_density, sparsest = dens, candidate
+    return _SampledExtremes(d_pair, deviation, deviating, sparsest_density, sparsest)
+
+
 def refute_regular_sampled(
     graph: SimpleGraph,
     pair: VertexSetPair,
@@ -280,21 +333,37 @@ def refute_regular_sampled(
         return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
     s_u = subset_floor(epsilon, len(pair.U))
     s_v = subset_floor(epsilon, len(pair.V))
-    d_pair = pair_density(graph, pair)
-
-    best_dev = Fraction(0)
-    best_witness: VertexSetPair | None = None
-    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
-        candidate = VertexSetPair(tuple(us), tuple(vs))
-        dev = abs(pair_density(graph, candidate) - d_pair)
-        if dev > best_dev:
-            best_dev = dev
-            best_witness = candidate
-    if best_witness is not None and not leq_with_tolerance(best_dev, epsilon * p):
-        if abs(pair_density(graph, best_witness) - d_pair) != best_dev:
+    found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided)
+    if found.deviating is not None and not leq_with_tolerance(found.deviation, epsilon * p):
+        if abs(pair_density(graph, found.deviating) - found.density) != found.deviation:
             raise SoundnessError("refutation witness does not reproduce its deviation")
-        return RegularityVerdict(REFUTED, best_witness, best_dev, p, params)
-    return RegularityVerdict(UNDECIDED, None, best_dev, p, params)
+        return RegularityVerdict(REFUTED, found.deviating, found.deviation, p, params)
+    return RegularityVerdict(UNDECIDED, None, found.deviation, p, params)
+
+
+def pair_verdict(
+    graph: SimpleGraph,
+    pair: VertexSetPair,
+    epsilon: float,
+    p: float,
+    rng: RngStream | None = None,
+    trials: int = 32,
+    guided: bool = False,
+) -> RegularityVerdict:
+    """The verdict policy: exhaustive below the budget, sampled refutation above it.
+
+    ``rng`` and ``trials`` feed the sampled refuter and are needed only
+    above the budget.  Guided refuter candidates default to off: their
+    selection bias is of order sqrt(density / subset size), which at desk
+    scale exceeds eps * p for sparse hosts and would refute every pair of
+    a perfectly random graph.  Unbiased uniform candidates keep the
+    operational notion "not refuted" meaningful.
+    """
+    if _fits_exhaustive(pair):
+        return check_regular_exhaustive(graph, pair, epsilon, p)
+    if rng is None:
+        raise PreconditionError("a pair above the exhaustive budget needs an rng stream")
+    return refute_regular_sampled(graph, pair, epsilon, p, trials, rng, guided=guided)
 
 
 def check_lower_regular(
@@ -302,159 +371,43 @@ def check_lower_regular(
     pair: VertexSetPair,
     epsilon: float,
     d: float,
-    mode: str = "exhaustive",
     trials: int = 64,
     rng: RngStream | None = None,
 ) -> RegularityVerdict:
     """Check the one-sided bound: every large subset pair has density >= d.
 
-    ``deviation`` on refutation is the shortfall d - d(U', V').
+    Follows the size rule of ``pair_verdict``: the exhaustive scan
+    certifies or refutes within the budget; above it the guided sampled
+    candidates, drawn from ``rng``, refute or leave the pair ``undecided``.
+    ``deviation`` on refutation is the shortfall d - d(U', V'), re-derived
+    from the witness before it is reported.
     """
-    params = {"check": "lower_regular", "epsilon": epsilon, "d": d, "mode": mode}
+    params = {"check": "lower_regular", "epsilon": epsilon, "d": d}
     if not pair.U or not pair.V:
         return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
     nu, nv = len(pair.U), len(pair.V)
     s_u = subset_floor(epsilon, nu)
     s_v = subset_floor(epsilon, nv)
-
-    if mode == "exhaustive":
-        if nu > EXHAUSTIVE_PAIR_BUDGET or nv > EXHAUSTIVE_PAIR_BUDGET:
-            raise BudgetError(
-                f"exhaustive lower-regularity check limited to {EXHAUSTIVE_PAIR_BUDGET} per side"
-            )
-        if s_u > nu or s_v > nv:
-            return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
-        scan = _scan_subsets(graph, pair, s_u, s_v)
-        row = int(np.argmin(scan.smallest))
-        worst = Fraction(int(scan.smallest[row]), s_u * s_v)
-        if not leq_with_tolerance(Fraction(d) - worst, 0.0):
-            return RegularityVerdict(REFUTED, scan.witness(row, largest=False), Fraction(d) - worst, d, params)
+    if s_u > nu or s_v > nv:
+        # eps > 1: no subset is large enough, so nothing can fall short
         return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
 
-    if mode != "sampled":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise PreconditionError("sampled mode needs an rng stream")
-    worst = None
-    worst_witness = None
-    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided=True):
-        candidate = VertexSetPair(tuple(us), tuple(vs))
-        dens = pair_density(graph, candidate)
-        if worst is None or dens < worst:
-            worst = dens
-            worst_witness = candidate
-    if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
-        return RegularityVerdict(REFUTED, worst_witness, Fraction(d) - worst, d, params)
-    return RegularityVerdict(UNDECIDED, None, Fraction(0), d, params)
-
-
-def check_upper_uniform(
-    graph: SimpleGraph,
-    eta: float,
-    p: float,
-    uniformity: float,
-    mode: str = "auto",
-    trials: int = 200,
-    rng: RngStream | None = None,
-) -> RegularityVerdict:
-    """Check (eta, p, D)-upper-uniformity of a whole graph.
-
-    All disjoint pairs of vertex sets of size ceil(eta * n) must have density
-    at most D*p, and every single such set U must satisfy
-    e(U) <= D * p * C(|U|, 2).  ``deviation`` on refutation is the excess.
-    A single-set witness is reported with an empty second side.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise PreconditionError(f"eta must be in (0, 1], got {eta}")
-    d_cap = uniformity * p
-    params = {"check": "upper_uniform", "eta": eta, "p": p, "D": uniformity, "mode": mode}
-    n = graph.n
-    s = subset_floor(eta, n)
-    if 2 * s > n:
-        # no two disjoint sets of the required size exist; only the single-set condition applies
-        pairs_possible = False
+    if _fits_exhaustive(pair):
+        scan = _scan_subsets(graph, pair, s_u, s_v)
+        row = int(np.argmin(scan.smallest))
+        sparsest = Fraction(int(scan.smallest[row]), s_u * s_v)
+        witness = scan.witness(row, largest=False)
+        unrefuted = CERTIFIED
     else:
-        pairs_possible = True
-
-    if mode == "auto":
-        work = math.comb(n, s) * (math.comb(n - s, s) if pairs_possible else 1)
-        mode = "exhaustive" if work <= EXHAUSTIVE_UNIFORMITY_BUDGET else "sampled"
-
-    def single_set_excess(vertices: tuple[int, ...]) -> Fraction:
-        e_inside = graph.edges_within(bitmask_of(vertices))
-        cap = Fraction(uniformity) * Fraction(p) * Fraction(len(vertices) * (len(vertices) - 1), 2)
-        return Fraction(e_inside) - cap
-
-    if mode == "exhaustive":
-        work = math.comb(n, s) * (math.comb(n - s, s) if pairs_possible else 1)
-        if work > EXHAUSTIVE_UNIFORMITY_BUDGET:
-            raise BudgetError(
-                f"exhaustive upper-uniformity enumeration needs {work} pairs; use sampled mode"
-            )
-        best_excess = Fraction(0)
-        best_witness = None
-        vertices = list(range(n))
-        for subset_a in combinations(vertices, s):
-            excess = single_set_excess(subset_a)
-            denom = Fraction(s * s)
-            if excess > best_excess:
-                best_excess = excess
-                best_witness = VertexSetPair(subset_a, ())
-            if pairs_possible:
-                remaining = [v for v in vertices if v not in set(subset_a)]
-                mask_a = bitmask_of(subset_a)
-                for subset_b in combinations(remaining, s):
-                    if subset_b[0] < subset_a[0]:
-                        continue  # unordered pairs once
-                    e_ab = graph.edges_between(mask_a, bitmask_of(subset_b))
-                    pair_excess = Fraction(e_ab, s * s) - Fraction(d_cap)
-                    if pair_excess > best_excess:
-                        best_excess = pair_excess
-                        best_witness = VertexSetPair(subset_a, subset_b)
-        if best_witness is not None and not leq_with_tolerance(best_excess, 0.0):
-            return RegularityVerdict(REFUTED, best_witness, best_excess, p, params)
-        return RegularityVerdict(CERTIFIED, None, Fraction(0), p, params)
-
-    if mode != "sampled":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise PreconditionError("sampled mode needs an rng stream")
-    gen = rng.np_rng()
-    degree_order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    best_excess = Fraction(0)
-    best_witness = None
-
-    def consider_pair(a: list[int], b: list[int]):
-        nonlocal best_excess, best_witness
-        e_ab = graph.edges_between(bitmask_of(a), bitmask_of(b))
-        excess = Fraction(e_ab, len(a) * len(b)) - Fraction(d_cap)
-        if excess > best_excess:
-            best_excess = excess
-            best_witness = VertexSetPair(tuple(a), tuple(b))
-
-    def consider_single(a: list[int]):
-        nonlocal best_excess, best_witness
-        excess = single_set_excess(tuple(a))
-        if excess > best_excess:
-            best_excess = excess
-            best_witness = VertexSetPair(tuple(a), ())
-
-    consider_single(degree_order[:s])
-    if pairs_possible:
-        top = degree_order[:s]
-        top_mask = bitmask_of(top)
-        rest = [v for v in range(n) if not top_mask >> v & 1]
-        rest.sort(key=lambda v: (-(graph.adj[v] & top_mask).bit_count(), v))
-        consider_pair(top, rest[:s])
-    for _ in range(trials):
-        perm = [int(x) for x in gen.permutation(n)]
-        a = perm[:s]
-        consider_single(a)
-        if pairs_possible:
-            mask_a = bitmask_of(a)
-            others = perm[s:]
-            others.sort(key=lambda v: (-(graph.adj[v] & mask_a).bit_count(), v))
-            consider_pair(a, others[:s])
-    if best_witness is not None and not leq_with_tolerance(best_excess, 0.0):
-        return RegularityVerdict(REFUTED, best_witness, best_excess, p, params)
-    return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
+        if rng is None:
+            raise PreconditionError("a pair above the exhaustive budget needs an rng stream")
+        # guided candidates always include the degree-sorted ones, so both are set
+        found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided=True)
+        sparsest, witness = found.sparsest_density, found.sparsest
+        unrefuted = UNDECIDED
+    shortfall = Fraction(d) - sparsest
+    if leq_with_tolerance(shortfall, 0.0):
+        return RegularityVerdict(unrefuted, None, Fraction(0), d, params)
+    if Fraction(d) - pair_density(graph, witness) != shortfall:
+        raise SoundnessError("lower-regularity witness does not reproduce its shortfall")
+    return RegularityVerdict(REFUTED, witness, shortfall, d, params)

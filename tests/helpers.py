@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -203,6 +205,73 @@ def loop_check_lower_regular_exhaustive(graph, pair, epsilon: float, d: float):
     if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
         return REFUTED, Fraction(d) - worst, worst_witness
     return CERTIFIED, Fraction(0), None
+
+
+def loop_refute_regular_sampled(graph, pair, epsilon: float, p: float, trials: int, rng, guided: bool = True):
+    """``refute_regular_sampled`` with its own candidate loop, before the loop was shared.
+
+    Returns ``(status, deviation, witness)``.
+    """
+    from reglab.graphs import VertexSetPair, leq_with_tolerance, pair_density
+    from reglab.regularity import REFUTED, UNDECIDED, _candidate_pairs, subset_floor
+
+    if not pair.U or not pair.V:
+        return UNDECIDED, Fraction(0), None
+    s_u = subset_floor(epsilon, len(pair.U))
+    s_v = subset_floor(epsilon, len(pair.V))
+    d_pair = pair_density(graph, pair)
+    best_dev = Fraction(0)
+    best_witness = None
+    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
+        candidate = VertexSetPair(tuple(us), tuple(vs))
+        dev = abs(pair_density(graph, candidate) - d_pair)
+        if dev > best_dev:
+            best_dev = dev
+            best_witness = candidate
+    if best_witness is not None and not leq_with_tolerance(best_dev, epsilon * p):
+        return REFUTED, best_dev, best_witness
+    return UNDECIDED, best_dev, None
+
+
+def loop_check_lower_regular_sampled(graph, pair, epsilon: float, d: float, trials: int, rng):
+    """The sampled branch of ``check_lower_regular`` with its own loop, before the loop was shared.
+
+    Returns ``(status, deviation, witness)``.
+    """
+    from reglab.graphs import VertexSetPair, leq_with_tolerance, pair_density
+    from reglab.regularity import CERTIFIED, REFUTED, UNDECIDED, _candidate_pairs, subset_floor
+
+    if not pair.U or not pair.V:
+        return CERTIFIED, Fraction(0), None
+    s_u = subset_floor(epsilon, len(pair.U))
+    s_v = subset_floor(epsilon, len(pair.V))
+    worst = None
+    worst_witness = None
+    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided=True):
+        candidate = VertexSetPair(tuple(us), tuple(vs))
+        dens = pair_density(graph, candidate)
+        if worst is None or dens < worst:
+            worst = dens
+            worst_witness = candidate
+    if worst is not None and not leq_with_tolerance(Fraction(d) - worst, 0.0):
+        return REFUTED, Fraction(d) - worst, worst_witness
+    return UNDECIDED, Fraction(0), None
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` of wall time have passed (POSIX only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

@@ -47,12 +47,50 @@ def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
     assert digests == [expected_digest, expected_digest]
 
 
+#: case -> (argv after the triangle --pattern, exit code, sha256 of the output); the
+#: rejection cases take the exhaustive (n <= 16) and the guided sampled verdict route
+ROUTE_GOLDEN = {
+    "class_rejection_exhaustive": (
+        ["gen", "class", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.75", "--mode", "rejection"],
+        EXIT_OK, "766b4a24862bbe6f84561d15c6d7c0f4bed8ced6c35dd957f7249c309235d32b",
+    ),
+    "class_rejection_exhaustive_redraws": (
+        ["gen", "class", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.625", "--mode", "rejection"],
+        EXIT_OK, "399de2210b0fa6d416686570651f6dcaa0ffc25a8105c5170b7c402f26a4131e",
+    ),
+    "class_rejection_sampled_redraws": (
+        ["gen", "class", "--n", "17", "--m", "72", "--p", "0.3", "--eps", "0.5", "--mode", "rejection"],
+        EXIT_OK, "b8e5f235cfb2fb1caaf9b218c1a9b882bfe3a43e45b2f9e4c2c15666e233062e",
+    ),
+    "classprobe": (
+        ["experiment", "classprobe", "--n", "8", "--m", "16", "--eps", "0.75", "--trials", "10"],
+        EXIT_OK, "2b92daa762e362320e294f2dbde998ab4037f421e5ef1d7c2ec9734e8e8a2370",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_GOLDEN))
+def test_verdict_route_output_is_golden_and_rerun_identical(name, tmp_path):
+    pattern = tmp_path / "triangle.json"
+    pattern.write_text(TRIANGLE, encoding="utf-8")
+    args, expected_code, expected_digest = ROUTE_GOLDEN[name]
+    command, rest = args[:2], args[2:]
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"{name}-{run}.json"
+        argv = ["--seed", "1", "--format", "json", "--out", str(out), *command, "--pattern", str(pattern), *rest]
+        assert main(argv) == expected_code
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [expected_digest, expected_digest]
+
+
 def test_counting_runs_on_its_defaults(tmp_path):
     out = tmp_path / "counting.json"
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
 
 
-#: case -> (argv with {dir}, {graph}, {bad_pattern} and {bad_multipartite} placeholders, exit code)
+#: case -> (argv with {dir}, {graph}, {bad_pattern}, {edgeless_pattern} and {bad_multipartite}
+#: placeholders, exit code)
 EXIT_CODES = {
     "graph_is_directory": (["partition", "--graph", "{dir}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
     "graph_missing": (["partition", "--graph", "{dir}/absent.edges", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
@@ -73,6 +111,16 @@ EXIT_CODES = {
         ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--refuter-trials", "0"], EXIT_USAGE,
     ),
     "zero_denominator": (["schedule", "--p", "1/0", "--rounds", "2", "--ratio", "0.5"], EXIT_USAGE),
+    "schedule_ratio_nan": (["schedule", "--p", "0.5", "--rounds", "2", "--ratio", "nan"], EXIT_USAGE),
+    "schedule_ratio_inf": (["schedule", "--p", "0.5", "--rounds", "2", "--ratio", "inf"], EXIT_USAGE),
+    "schedule_ratio_overflow": (["schedule", "--p", "0.5", "--rounds", "3", "--ratio", "1e200"], EXIT_USAGE),
+    "turan_edgeless_template": (
+        ["experiment", "turan", "--pattern", "{edgeless_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
+    ),
+    "removal_edgeless_template": (
+        ["experiment", "removal", "--pattern", "{edgeless_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
+    ),
+    "cliquedensity_p_zero": (["experiment", "cliquedensity", "--N", "30", "--p", "0", "--trials", "1"], EXIT_USAGE),
     "eta_zero": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "0"], EXIT_USAGE),
     "eta_above_one": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "1.5"], EXIT_USAGE),
     "packing_k_zero": (["experiment", "packing", "--N", "30", "--k", "0", "--trials", "1"], EXIT_USAGE),
@@ -108,13 +156,21 @@ def test_exit_code_table(case, tmp_path):
     graph.write_text(SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list())
     bad_pattern = tmp_path / "no_edges.json"
     bad_pattern.write_text('{"k": 3}\n', encoding="utf-8")
+    edgeless_pattern = tmp_path / "edgeless.json"
+    edgeless_pattern.write_text('{"k": 3, "edges": []}\n', encoding="utf-8")
     bad_multipartite = tmp_path / "bad_multipartite.json"
     bad_multipartite.write_text(
         '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": 2, "pairs": {"1-2": [["a", 1]]}}\n',
         encoding="utf-8",
     )
     template, expected = EXIT_CODES[case]
-    paths = {"dir": tmp_path, "graph": graph, "bad_pattern": bad_pattern, "bad_multipartite": bad_multipartite}
+    paths = {
+        "dir": tmp_path,
+        "graph": graph,
+        "bad_pattern": bad_pattern,
+        "edgeless_pattern": edgeless_pattern,
+        "bad_multipartite": bad_multipartite,
+    }
     argv = ["--seed", "1", "--out", str(tmp_path / "out.txt")] + [arg.format(**paths) for arg in template]
     assert main(argv) == expected
 

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reglab import regularity
-from reglab.errors import BudgetError, SoundnessError
+from reglab.errors import BudgetError, PreconditionError, SoundnessError
 from reglab.graphs import SimpleGraph, VertexSetPair, pair_density
-from reglab.randgraph import RngStream, gnp, random_bipartite_rows
+from reglab.randgraph import RngStream
 from reglab.regularity import (
     CERTIFIED,
+    EXHAUSTIVE_PAIR_BUDGET,
     REFUTED,
     UNDECIDED,
     check_lower_regular,
     check_regular_exhaustive,
-    check_upper_uniform,
+    pair_verdict,
     refute_regular_sampled,
     subset_floor,
 )
@@ -24,7 +25,9 @@ from reglab.regularity import (
 from helpers import (
     full_quantifier_regular,
     loop_check_lower_regular_exhaustive,
+    loop_check_lower_regular_sampled,
     loop_check_regular_exhaustive,
+    loop_refute_regular_sampled,
 )
 
 
@@ -177,24 +180,6 @@ def test_regular_plus_density_implies_lower_regular():
     assert checked > 0
 
 
-def test_upper_uniform_trivial_cases():
-    assert check_upper_uniform(SimpleGraph.empty(10), 0.3, 0.5, 1.0).status == CERTIFIED
-    assert check_upper_uniform(SimpleGraph.complete(10), 0.3, 1.0, 1.0).status == CERTIFIED
-
-
-def test_upper_uniform_dense_spot_refuted():
-    g = SimpleGraph.from_edges(12, [(u, v) for u in range(6) for v in range(u + 1, 6)])
-    verdict = check_upper_uniform(g, 0.25, 0.05, 1.0)
-    assert verdict.status == REFUTED
-    assert verdict.deviation > 0
-
-
-def test_upper_uniform_sampled_mode_on_random_graph():
-    g = gnp(120, 0.3, RngStream(61))
-    verdict = check_upper_uniform(g, 0.2, 0.3, 2.0, mode="sampled", trials=60, rng=RngStream(62))
-    assert verdict.status == UNDECIDED
-
-
 def test_verdict_json_round_trippable_fields():
     gm, pm = bipartite(4, 4, [(u, u) for u in range(4)])
     verdict = check_regular_exhaustive(gm, pm, 0.25, 1.0)
@@ -273,3 +258,96 @@ def test_exhaustive_refutation_rechecks_its_witness(monkeypatch):
     monkeypatch.setattr(regularity, "_extremal_completion", lambda w, take, largest: real(w, take, not largest))
     with pytest.raises(SoundnessError):
         check_regular_exhaustive(g, pair, 0.25, 1.0)
+
+
+def test_lower_regular_refutation_rechecks_its_witness(monkeypatch):
+    # the sparsest completion rebuilt as the densest one no longer has the
+    # scanned density, and the check must notice instead of reporting it
+    g, pair = bipartite(4, 4, [(u, v) for u in range(3) for v in range(4)] + [(3, 0)])
+    assert check_lower_regular(g, pair, 0.25, 0.5).witness == VertexSetPair((3,), (5,))
+    real = regularity._extremal_completion
+    monkeypatch.setattr(regularity, "_extremal_completion", lambda w, take, largest: real(w, take, not largest))
+    with pytest.raises(SoundnessError):
+        check_lower_regular(g, pair, 0.25, 0.5)
+
+
+def lie_on_second_look(monkeypatch):
+    """Make ``pair_density`` answer 1/7 too high whenever it sees the same pair object again."""
+    real = regularity.pair_density
+    seen = []
+
+    def lying(graph, pair):
+        value = real(graph, pair)
+        if any(pair is earlier for earlier in seen):
+            return value + Fraction(1, 7)
+        seen.append(pair)
+        return value
+
+    monkeypatch.setattr(regularity, "pair_density", lying)
+
+
+def test_sampled_refutations_recheck_their_witness(monkeypatch):
+    # the re-check reads the witness again; a density that changed between
+    # the scan and the re-check must raise instead of being reported
+    g, pair = bipartite(20, 20, [(u, v) for u in range(20) for v in range(20) if u >= 5 or v >= 5])
+    lie_on_second_look(monkeypatch)
+    with pytest.raises(SoundnessError):
+        refute_regular_sampled(g, pair, 0.25, 0.1, trials=8, rng=RngStream(3))
+    with pytest.raises(SoundnessError):
+        check_lower_regular(g, pair, 0.25, 0.9, trials=8, rng=RngStream(3))
+
+
+def test_lower_regular_sampled_above_the_budget():
+    # 20 + 20 vertices take the sampled route: it refutes a planted empty
+    # corner but never certifies, and it needs an rng stream
+    g, pair = bipartite(20, 20, [(u, v) for u in range(20) for v in range(20) if u >= 5 or v >= 5])
+    verdict = check_lower_regular(g, pair, 0.25, 0.5, trials=8, rng=RngStream(4))
+    assert verdict.status == REFUTED
+    assert verdict.deviation == Fraction(1, 2) - pair_density(g, verdict.witness)
+    full, full_pair = bipartite(20, 20, [(u, v) for u in range(20) for v in range(20)])
+    assert check_lower_regular(full, full_pair, 0.25, 0.5, trials=8, rng=RngStream(4)).status == UNDECIDED
+    with pytest.raises(PreconditionError):
+        check_lower_regular(g, pair, 0.25, 0.5)
+
+
+def test_pair_verdict_is_exhaustive_within_the_budget_and_unguided_sampled_above():
+    small, small_pair = scattered_pair(EXHAUSTIVE_PAIR_BUDGET, 5, 0.4, RngStream(81))
+    assert pair_verdict(small, small_pair, 0.3, 0.2) == check_regular_exhaustive(small, small_pair, 0.3, 0.2)
+    big, big_pair = scattered_pair(EXHAUSTIVE_PAIR_BUDGET + 1, 5, 0.4, RngStream(82))
+    got = pair_verdict(big, big_pair, 0.3, 0.2, RngStream(83), trials=12)
+    assert got == refute_regular_sampled(big, big_pair, 0.3, 0.2, 12, RngStream(83), guided=False)
+    assert got.params["guided"] is False
+    guided = pair_verdict(big, big_pair, 0.3, 0.2, RngStream(83), trials=12, guided=True)
+    assert guided == refute_regular_sampled(big, big_pair, 0.3, 0.2, 12, RngStream(83))
+    with pytest.raises(PreconditionError):
+        pair_verdict(big, big_pair, 0.3, 0.2)
+
+
+BELOW = st.tuples(st.integers(1, EXHAUSTIVE_PAIR_BUDGET), st.integers(1, EXHAUSTIVE_PAIR_BUDGET))
+ABOVE = st.tuples(st.integers(EXHAUSTIVE_PAIR_BUDGET + 1, 24), st.integers(1, 24)).flatmap(
+    lambda shape: st.sampled_from([shape, shape[::-1]])
+)
+
+
+@pytest.mark.parametrize("shapes", [BELOW, ABOVE], ids=["below_budget", "above_budget"])
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    density=st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+    epsilon=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+    trials=st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+)
+def test_shared_sampled_loop_matches_the_separate_loops(shapes, data, density, epsilon, trials, seed):
+    n_u, n_v = data.draw(shapes)
+    g, pair = scattered_pair(n_u, n_v, density, RngStream(seed))
+    for guided in (True, False):
+        for p in (0.05, 0.3, 1.0):
+            got = as_triple(refute_regular_sampled(g, pair, epsilon, p, trials, RngStream(seed, (1,)), guided))
+            assert got == loop_refute_regular_sampled(g, pair, epsilon, p, trials, RngStream(seed, (1,)), guided)
+    for d in (0.0, 0.2, 0.5, 0.8, 1.0):
+        got = as_triple(check_lower_regular(g, pair, epsilon, d, trials, RngStream(seed, (2,))))
+        if n_u <= EXHAUSTIVE_PAIR_BUDGET and n_v <= EXHAUSTIVE_PAIR_BUDGET:
+            assert got == loop_check_lower_regular_exhaustive(g, pair, epsilon, d)
+        else:
+            assert got == loop_check_lower_regular_sampled(g, pair, epsilon, d, trials, RngStream(seed, (2,)))

@@ -18,3 +18,31 @@ def test_package_has_no_assert_statements():
     ]
     assert len(SOURCES) > 1
     assert found == []
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier, attribute, definition, imported name and string constant in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_regularity_names_the_checkers_behind_the_verdict_policy():
+    """Callers judge a pair through ``regularity.pair_verdict``, never a checker of their own choosing."""
+    checkers = {"check_regular_exhaustive", "refute_regular_sampled"}
+    named = {
+        path.name: sorted(checkers & _names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+        for path in SOURCES
+    }
+    assert named.pop("regularity.py") == sorted(checkers)
+    assert {name: found for name, found in named.items() if found} == {}
