@@ -9,8 +9,9 @@ value, an unreadable input path and malformed input JSON; 3 budget error;
 internal cross-check that failed (a bug, never a property of the input).
 
 Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
-(0, 1]; ``--trials``, ``--refuter-trials`` and the experiment ``--k``,
-``--n`` and ``--m`` are >= 1; the experiment ``--delta``, ``--d`` and
+(0, 1]; ``--trials``, ``--refuter-trials``, the experiment ``--k``,
+``--n`` and ``--m`` and the ``gen class`` ``--n`` are >= 1; the
+``gen class`` ``--m``, the experiment ``--delta``, ``--d`` and
 ``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
 ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.
 """
@@ -71,6 +72,13 @@ def parse_positive_int(text: str) -> int:
     return value
 
 
+def parse_nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -107,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     gnp_cmd.add_argument("--p", type=parse_probability, required=True)
     class_cmd = gen_sub.add_parser("class")
     class_cmd.add_argument("--pattern", required=True, help="pattern JSON path")
-    class_cmd.add_argument("--n", type=int, required=True, help="part size")
-    class_cmd.add_argument("--m", type=int, required=True, help="edges per pair")
+    class_cmd.add_argument("--n", type=parse_positive_int, required=True, help="part size")
+    class_cmd.add_argument("--m", type=parse_nonnegative_int, required=True, help="edges per pair")
     class_cmd.add_argument("--p", type=parse_probability, required=True)
     class_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     class_cmd.add_argument("--mode", choices=("raw", "rejection"), default="raw")

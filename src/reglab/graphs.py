@@ -52,7 +52,7 @@ def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
     packed = np.frombuffer(
         b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
     ).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width].astype(dtype)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width].astype(dtype, copy=False)
 
 
 def leq_with_tolerance(value: Fraction, threshold: float) -> bool:
@@ -178,22 +178,6 @@ class SimpleGraph:
         full = (1 << n) - 1
         adj = [full ^ (1 << v) for v in range(n)]
         return SimpleGraph(n, adj, n * (n - 1) // 2)
-
-    @staticmethod
-    def from_bool_matrix(matrix: np.ndarray) -> "SimpleGraph":
-        """Build from a symmetric boolean adjacency matrix (diagonal ignored)."""
-        n = matrix.shape[0]
-        m = np.asarray(matrix, dtype=bool).copy()
-        np.fill_diagonal(m, False)
-        if not (m == m.T).all():
-            raise PreconditionError("adjacency matrix is not symmetric")
-        packed = np.packbits(m, axis=1, bitorder="little")
-        adj = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-        count = int(m.sum()) // 2
-        return SimpleGraph(n, adj, count)
-
-    def to_bool_matrix(self) -> np.ndarray:
-        return rows_to_matrix(self.adj, self.n, bool)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -483,7 +467,9 @@ def induced_multipartite(
 
     ``classes`` are pairwise disjoint, equally sized vertex sets, one per
     pattern vertex.  Edges of ``graph`` between classes ``i`` and ``j`` are
-    kept iff ``ij`` is a pattern edge; everything else is dropped.
+    kept iff ``ij`` is a pattern edge; everything else is dropped.  Only the
+    adjacency rows of each pattern edge's first class are unpacked, one
+    |class| x n block of bytes at a time; no n x n array is built.
     """
     if len(classes) != pattern.k:
         raise PreconditionError(f"expected {pattern.k} classes, got {len(classes)}")
@@ -499,11 +485,10 @@ def induced_multipartite(
     n = sizes.pop()
     class_lists = [sorted(c) for c in classes]
 
-    matrix = graph.to_bool_matrix()
     rows: dict[tuple[int, int], list[int]] = {}
     counts: dict[tuple[int, int], int] = {}
     for i, j in pattern.sorted_edges():
-        block = matrix[np.ix_(class_lists[i], class_lists[j])]
+        block = rows_to_matrix([graph.adj[u] for u in class_lists[i]], graph.n, np.uint8)[:, class_lists[j]]
         packed = np.packbits(block, axis=1, bitorder="little")
         rows[(i, j)] = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
         packed_t = np.packbits(block.T, axis=1, bitorder="little")

@@ -130,8 +130,23 @@ def exposure_schedule(p: float, rounds: int, ratio: float) -> ExposureSchedule:
     return ExposureSchedule(p, rounds, ratio, tuple(probs))
 
 
+#: Rows of the upper triangle ``gnp`` unpacks at once; a multiple of 8, so
+#: that a block's mirrored columns start on a byte boundary.
+_GNP_BLOCK_ROWS = 128
+
+
 def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
-    """Erdos-Renyi graph: each unordered pair present independently with probability p."""
+    """Erdos-Renyi graph: each unordered pair present independently with probability p.
+
+    Stream contract: the generator of ``rng`` yields one ``random()`` double
+    per unordered pair, in row-major upper-triangle order (01, 02, ...,
+    0(n-1), 12, ...), and the pair is an edge iff its double is below p.
+    The doubles are drawn one row at a time; a PCG64 generator fills its
+    output sequentially, so this is the graph a single draw of n(n-1)/2
+    doubles gives.  Working memory is one packed n x ceil(n/8)-byte
+    adjacency matrix plus one block of ``_GNP_BLOCK_ROWS`` x n booleans; no
+    n x n array is built.
+    """
     if not 0.0 <= p <= 1.0:
         raise PreconditionError(f"p must be in [0, 1], got {p}")
     if n <= 0:
@@ -141,13 +156,20 @@ def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
     if p == 1.0:
         return SimpleGraph.complete(n)
     gen = rng.np_rng()
-    num_pairs = n * (n - 1) // 2
-    mask = gen.random(num_pairs) < p
-    matrix = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, k=1)
-    matrix[iu] = mask
-    matrix |= matrix.T
-    return SimpleGraph.from_bool_matrix(matrix)
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    edges = 0
+    for start in range(0, n - 1, _GNP_BLOCK_ROWS):
+        stop = min(start + _GNP_BLOCK_ROWS, n - 1)
+        block = np.zeros((stop - start, n), dtype=bool)
+        for u in range(start, stop):
+            block[u - start, u + 1 :] = gen.random(n - 1 - u) < p
+        edges += int(np.count_nonzero(block))
+        packed[start:stop] |= np.packbits(block, axis=1, bitorder="little")
+        # mirror: bit u of row v for every edge uv of the block, u < v
+        mirror = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
+        packed[:, start // 8 : start // 8 + mirror.shape[1]] |= mirror
+    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return SimpleGraph(n, adj, edges)
 
 
 def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int], set[tuple[int, int]]]:

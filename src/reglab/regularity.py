@@ -333,6 +333,9 @@ def refute_regular_sampled(
         return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
     s_u = subset_floor(epsilon, len(pair.U))
     s_v = subset_floor(epsilon, len(pair.V))
+    if s_u > len(pair.U) or s_v > len(pair.V):
+        # eps > 1: no subset is large enough to be a witness
+        return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
     found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided)
     if found.deviating is not None and not leq_with_tolerance(found.deviation, epsilon * p):
         if abs(pair_density(graph, found.deviating) - found.density) != found.deviation:

@@ -7,9 +7,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
-from reglab.graphs import PatternGraph, SimpleGraph
+from reglab.errors import PreconditionError
+from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, rows_to_matrix
 
 
 @st.composite
@@ -29,6 +31,53 @@ def simple_graphs(draw, min_n=1, max_n=10):
     slots = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(slots), max_size=len(slots), unique=True)) if slots else []
     return SimpleGraph.from_edges(n, edges)
+
+
+def graph_from_bool_matrix(matrix) -> SimpleGraph:
+    """A graph from a symmetric boolean adjacency matrix (diagonal ignored)."""
+    n = matrix.shape[0]
+    m = np.asarray(matrix, dtype=bool).copy()
+    np.fill_diagonal(m, False)
+    if not (m == m.T).all():
+        raise PreconditionError("adjacency matrix is not symmetric")
+    packed = np.packbits(m, axis=1, bitorder="little")
+    adj = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
+    return SimpleGraph(n, adj, int(m.sum()) // 2)
+
+
+def bool_matrix(graph: SimpleGraph) -> np.ndarray:
+    """The n x n boolean adjacency matrix of ``graph``."""
+    return rows_to_matrix(graph.adj, graph.n, bool)
+
+
+def reference_gnp(n: int, p: float, rng) -> SimpleGraph:
+    """``randgraph.gnp`` as a single draw of n(n-1)/2 doubles into a dense n x n matrix."""
+    if p == 0.0:
+        return SimpleGraph.empty(n)
+    if p == 1.0:
+        return SimpleGraph.complete(n)
+    gen = rng.np_rng()
+    mask = gen.random(n * (n - 1) // 2) < p
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[np.triu_indices(n, k=1)] = mask
+    matrix |= matrix.T
+    return graph_from_bool_matrix(matrix)
+
+
+def reference_induced_multipartite(graph: SimpleGraph, classes, pattern: PatternGraph) -> MultipartiteGraph:
+    """``graphs.induced_multipartite`` by slicing the whole host matrix (no validation)."""
+    n = len(classes[0])
+    class_lists = [sorted(c) for c in classes]
+    matrix = bool_matrix(graph)
+    rows, counts = {}, {}
+    for i, j in pattern.sorted_edges():
+        block = matrix[np.ix_(class_lists[i], class_lists[j])]
+        packed = np.packbits(block, axis=1, bitorder="little")
+        rows[(i, j)] = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
+        packed_t = np.packbits(block.T, axis=1, bitorder="little")
+        rows[(j, i)] = [int.from_bytes(packed_t[v].tobytes(), "little") for v in range(n)]
+        counts[(i, j)] = int(block.sum())
+    return MultipartiteGraph(pattern, n, rows, counts)
 
 
 def naive_m2(pattern: PatternGraph) -> Fraction:

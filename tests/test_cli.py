@@ -84,13 +84,27 @@ def test_verdict_route_output_is_golden_and_rerun_identical(name, tmp_path):
     assert digests == [expected_digest, expected_digest]
 
 
+#: sha256 of ``--seed 1 gen gnp --n 300 --p 0.05``, as the dense single-draw
+#: sampler (``helpers.reference_gnp``) writes it
+GNP_GOLDEN = "bdeb4c36c294047acf44f4698f159c7ec43e0b887ab385a52c9e1084f833e1a6"
+
+
+def test_gnp_edge_list_is_golden_and_rerun_identical(tmp_path):
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"gnp-{run}.edges"
+        assert main(["--seed", "1", "--out", str(out), "gen", "gnp", "--n", "300", "--p", "0.05"]) == EXIT_OK
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [GNP_GOLDEN, GNP_GOLDEN]
+
+
 def test_counting_runs_on_its_defaults(tmp_path):
     out = tmp_path / "counting.json"
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
 
 
-#: case -> (argv with {dir}, {graph}, {bad_pattern}, {edgeless_pattern} and {bad_multipartite}
-#: placeholders, exit code)
+#: case -> (argv with {dir}, {graph}, {triangle}, {bad_pattern}, {edgeless_pattern} and
+#: {bad_multipartite} placeholders, exit code)
 EXIT_CODES = {
     "graph_is_directory": (["partition", "--graph", "{dir}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
     "graph_missing": (["partition", "--graph", "{dir}/absent.edges", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
@@ -144,6 +158,22 @@ EXIT_CODES = {
         ["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "0.25", "--t0", "3", "--max-t", "2"],
         EXIT_USAGE,
     ),
+    "class_n_negative": (
+        ["gen", "class", "--pattern", "{triangle}", "--n", "-2", "--m", "0", "--p", "0.5", "--eps", "0.5"],
+        EXIT_USAGE,
+    ),
+    "class_n_zero": (
+        ["gen", "class", "--pattern", "{triangle}", "--n", "0", "--m", "0", "--p", "0.5", "--eps", "0.5"],
+        EXIT_USAGE,
+    ),
+    "class_m_negative": (
+        ["gen", "class", "--pattern", "{triangle}", "--n", "4", "--m", "-1", "--p", "0.5", "--eps", "0.5"],
+        EXIT_USAGE,
+    ),
+    "class_m_zero_accepted": (
+        ["gen", "class", "--pattern", "{triangle}", "--n", "1", "--m", "0", "--p", "0.5", "--eps", "0.5"],
+        EXIT_OK,
+    ),
     "max_t_equal_to_t0_accepted": (
         ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--t0", "2", "--max-t", "2"], EXIT_OK,
     ),
@@ -154,6 +184,8 @@ EXIT_CODES = {
 def test_exit_code_table(case, tmp_path):
     graph = tmp_path / "path.edges"
     graph.write_text(SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list())
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(TRIANGLE, encoding="utf-8")
     bad_pattern = tmp_path / "no_edges.json"
     bad_pattern.write_text('{"k": 3}\n', encoding="utf-8")
     edgeless_pattern = tmp_path / "edgeless.json"
@@ -167,6 +199,7 @@ def test_exit_code_table(case, tmp_path):
     paths = {
         "dir": tmp_path,
         "graph": graph,
+        "triangle": triangle,
         "bad_pattern": bad_pattern,
         "edgeless_pattern": edgeless_pattern,
         "bad_multipartite": bad_multipartite,

@@ -20,7 +20,7 @@ from reglab.graphs import (
 )
 from reglab.randgraph import RngStream, gnp
 
-from helpers import simple_graphs
+from helpers import bool_matrix, graph_from_bool_matrix, reference_induced_multipartite, simple_graphs
 
 
 def test_pair_density_examples():
@@ -91,7 +91,7 @@ def test_adjacency_symmetric_no_loops():
 
 def test_bool_matrix_round_trip():
     g = gnp(30, 0.4, RngStream(9))
-    again = SimpleGraph.from_bool_matrix(g.to_bool_matrix())
+    again = graph_from_bool_matrix(bool_matrix(g))
     assert again == g
 
 
@@ -127,6 +127,32 @@ def test_induced_multipartite_matches_manual_extraction():
             if g.has_edge(classes[i][a], classes[j][b])
         }
         assert set(mg.pair_edges(i, j)) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        PatternGraph.complete(2),
+        PatternGraph.path(3),
+        PatternGraph.complete(3),
+        PatternGraph.cycle(4),
+        PatternGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)]),
+        PatternGraph.complete(4),
+    ],
+    ids=["K2", "P3", "K3", "C4", "star", "K4"],
+)
+def test_induced_multipartite_matches_whole_matrix_extraction(pattern, seed):
+    # classes of scattered, unsorted host vertices; some vertices lie in no class
+    size = 3 + 5 * seed
+    host = gnp(pattern.k * size + 7, 0.35, RngStream(40 + seed))
+    order = [int(v) for v in RngStream(50 + seed).np_rng().permutation(host.n)]
+    classes = [order[c * size : (c + 1) * size] for c in range(pattern.k)]
+    got = induced_multipartite(host, classes, pattern)
+    want = reference_induced_multipartite(host, classes, pattern)
+    assert got.part_size == want.part_size == size
+    assert got.rows == want.rows
+    assert got.pair_edge_counts == want.pair_edge_counts
 
 
 def test_induced_multipartite_validation():

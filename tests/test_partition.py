@@ -21,6 +21,8 @@ from reglab.partition import (
 from reglab.randgraph import RngStream, gnp
 from reglab.regularity import REFUTED
 
+from helpers import graph_from_bool_matrix
+
 
 def planted_two_block(n: int, p_in: float, p_out: float, stream: RngStream):
     gen = stream.np_rng()
@@ -31,7 +33,7 @@ def planted_two_block(n: int, p_in: float, p_out: float, stream: RngStream):
     same = labels[upper[0]] == labels[upper[1]]
     matrix[upper] = np.where(same, draws < p_in, draws < p_out)
     matrix |= matrix.T
-    return SimpleGraph.from_bool_matrix(matrix), labels
+    return graph_from_bool_matrix(matrix), labels
 
 
 def test_equipartition_sizes():

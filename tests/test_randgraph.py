@@ -1,12 +1,13 @@
 """Seeded generation and exposure schedules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reglab.errors import PreconditionError, RejectionBudgetError
-from reglab.graphs import VertexSetPair
+from reglab.graphs import VertexSetPair, induced_multipartite
 from reglab.randgraph import (
     RngStream,
     derive_key,
@@ -18,7 +19,7 @@ from reglab.randgraph import (
 from reglab.graphs import PatternGraph
 from reglab.regularity import CERTIFIED, check_regular_exhaustive
 
-from helpers import time_limit
+from helpers import reference_gnp, time_limit
 
 # Pinned vectors for the substream mixing function.  These freeze the
 # implementation constant: any change to the mixer breaks replays of every
@@ -72,6 +73,36 @@ def test_gnp_deterministic_per_stream():
     c = gnp(64, 0.37, RngStream(5).child(3))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.5, 0.95])
+def test_gnp_matches_the_dense_single_draw_reference(p):
+    # every n mod 8; row blocks that end exactly at the last row (n = 129,
+    # 257); several blocks and a partial last one (n = 1000)
+    for n in [*range(1, 41), 129, 257, 1000]:
+        for seed in range(3):
+            stream = RngStream(seed).child(n)
+            got, want = gnp(n, p, stream), reference_gnp(n, p, stream)
+            assert got.adj == want.adj and got.edge_count == want.edge_count, (n, seed)
+
+
+def test_gnp_and_induced_multipartite_build_no_n_by_n_array():
+    # one n x n boolean array is n^2 bytes; the packed adjacency matrix is n^2 / 8
+    n = 3000
+    tracemalloc.start()
+    try:
+        host = gnp(n, 0.05, RngStream(1))
+        gnp_peak = tracemalloc.get_traced_memory()[1]
+        order = RngStream(2).np_rng().permutation(n)
+        classes = [[int(v) for v in order[c * 900 : (c + 1) * 900]] for c in range(3)]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        induced_multipartite(host, classes, PatternGraph.complete(3))
+        slice_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert gnp_peak < n * n / 2
+    assert slice_peak < n * n
 
 
 def test_gnp_edge_count_concentration():

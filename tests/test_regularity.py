@@ -244,6 +244,17 @@ def test_eps_above_one_certifies_with_zero_deviation():
     assert as_triple(check_lower_regular(g, pair, 2.0, 0.9)) == (CERTIFIED, Fraction(0), None)
 
 
+
+def test_eps_above_one_leaves_the_refuter_undecided_with_zero_deviation():
+    # ceil(eps |U|) > |U| admits no witness, and the refuter never certifies
+    g, pair = bipartite(4, 4, [(u, u) for u in range(4)])
+    for guided in (False, True):
+        verdict = refute_regular_sampled(g, pair, 1.5, 1.0, 8, RngStream(3), guided=guided)
+        assert as_triple(verdict) == (UNDECIDED, Fraction(0), None)
+    n = EXHAUSTIVE_PAIR_BUDGET + 1
+    g, pair = bipartite(n, n, [(u, u) for u in range(n)])
+    assert as_triple(pair_verdict(g, pair, 1.5, 1.0, RngStream(4))) == (UNDECIDED, Fraction(0), None)
+
 def test_regular_pair_with_zero_deviation_certified():
     # complete pair: every completion has density exactly d
     g, pair = bipartite(5, 3, [(u, v) for u in range(5) for v in range(3)])
