@@ -43,6 +43,16 @@ backtracker runs otherwise:
 The matrix route holds 8 n^2 bytes per template edge.  Pinned counts and
 every :mod:`reglab.embedding` search stay on the backtracker, whose counts
 are Python ints, so n^k overflow is a non-issue there.
+
+Counts that pin or mask template vertices are constant on the orbits of
+Aut(H).  For an automorphism s, the map f -> f o s is a bijection from the
+copies that pin (s(a), s(b)) to (u, v) onto the copies that pin (a, b) to
+(u, v), and from the copies whose vertex v lies in mask ``m[v]`` onto those
+whose vertex v lies in ``m[s(v)]``.  So a sum of such counts over a whole
+orbit is exactly the orbit size times the count at one member.  :func:`automorphisms` lists Aut(H) and
+:func:`edge_orbits` gives one oriented template edge per orbit with its
+size; counting through a host edge and the removal experiment's
+cluster-supported count do one count per orbit.
 """
 
 from __future__ import annotations
@@ -52,13 +62,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, iter_bits, rows_to_matrix
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix
 from . import smallgraphs
 
 GK_BUDGET = 9
@@ -380,14 +389,39 @@ def extension_degree(
     return count_extensions(graph.pattern, rows, graph.part_size, pinned={i: u, j: v})
 
 
+@lru_cache(maxsize=None)
+def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """Aut(H): the embeddings of the template into itself, found by the injective search.
+
+    An injective vertex map that keeps every edge sends the e(H) edges
+    injectively into themselves, hence onto them, so it also keeps every
+    non-edge and is an automorphism.
+    """
+    rows = SimpleGraph.from_edges(pattern.k, pattern.edges).adj
+    return tuple(iter_extensions(pattern, rows, pattern.k, injective=True))
+
+
 def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)| by brute force; for unlabelled-count postprocessing only."""
-    edges = set(pattern.edges)
-    total = 0
-    for perm in permutations(range(pattern.k)):
-        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges for a, b in edges):
-            total += 1
-    return total
+    """|Aut(H)|: the labelled copies of each unlabelled copy."""
+    return len(automorphisms(pattern))
+
+
+@lru_cache(maxsize=None)
+def edge_orbits(pattern: PatternGraph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The Aut(H) orbits on oriented template edges, as (least member, orbit size).
+
+    The oriented edges are (a, b) and (b, a) for each template edge, so the
+    sizes sum to 2 e(H).
+    """
+    auts = automorphisms(pattern)
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for a, b in sorted([e for a, b in pattern.edges for e in ((a, b), (b, a))]):
+        if (a, b) not in seen:
+            orbit = {(perm[a], perm[b]) for perm in auts}
+            seen |= orbit
+            orbits.append(((a, b), len(orbit)))
+    return tuple(orbits)
 
 
 def gk_bruteforce(k: int, rho: Fraction | float, n: int) -> Fraction:

@@ -5,11 +5,15 @@ Entry points to the injective mode of the search kernel in
 pruning, where host vertices already used are masked out.  Embeddings are
 injective vertex maps realizing every template edge; host edges not demanded
 by the template are allowed (subgraph containment, not induced).
+
+Counting through a host edge pins one template edge per Aut(H) orbit of
+oriented template edges and weights the count by the orbit size; the
+:mod:`reglab.counting` docstring gives the bijection that makes this exact.
 """
 
 from __future__ import annotations
 
-from .counting import count_extensions, iter_extensions
+from .counting import count_extensions, edge_orbits, iter_extensions
 from .graphs import PatternGraph, SimpleGraph, iter_bits
 
 
@@ -52,14 +56,15 @@ def count_embeddings_through_edge(
 ) -> int:
     """Labelled embeddings whose image uses the host edge {u, v}.
 
-    Each qualifying embedding maps exactly one template edge onto {u, v},
-    so summing over template edges and both orientations counts it once.
+    Each qualifying embedding maps exactly one oriented template edge onto
+    (u, v), so summing the pinned counts over all 2 e(H) oriented edges
+    counts it once; the pinned count is constant on each Aut(H) orbit, so
+    one count per orbit, times the orbit size, gives the same sum.
     """
-    total = 0
-    for a, b in pattern.sorted_edges():
-        total += count_embeddings(graph, pattern, fixed={a: u, b: v})
-        total += count_embeddings(graph, pattern, fixed={a: v, b: u})
-    return total
+    return sum(
+        size * count_embeddings(graph, pattern, fixed={a: u, b: v})
+        for (a, b), size in edge_orbits(pattern)
+    )
 
 
 def count_kcliques(graph: SimpleGraph, k: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .counting import automorphism_count, canonical_count, gk_bruteforce
+from .counting import automorphism_count, automorphisms, canonical_count, gk_bruteforce
 from .embedding import (
     count_embeddings,
     count_embeddings_through_edge,
@@ -256,15 +256,14 @@ def _bipartite_plant(
     for u, v in interior:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        working = SimpleGraph(n, adj, working.edge_count + 1)
         gained = count_embeddings_through_edge(working, pattern, u, v)
         if labelled + gained > copy_budget_labelled:
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            working = SimpleGraph(n, adj, working.edge_count - 1)
             break
         labelled += gained
         planted += 1
+    working.edge_count += planted
     return working, planted, labelled
 
 
@@ -321,20 +320,7 @@ def run_removal(
         record["cluster_supported_copies"] = _cluster_supported_count(
             cleaned.graph, part, cleaned.cluster, pattern
         )
-        # one edge deleted per surviving copy: enumerate all embeddings once,
-        # then break each still-alive copy at its first template edge
-        adj = list(cleaned.graph.adj)
-        per_copy = 0
-        first_a, first_b = pattern.sorted_edges()[0]
-        for emb in iter_embeddings(cleaned.graph, pattern):
-            if all(adj[emb[x]] >> emb[y] & 1 for x, y in pattern.sorted_edges()):
-                u, v = emb[first_a], emb[first_b]
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
-                per_copy += 1
-        working = SimpleGraph(
-            cleaned.graph.n, adj, cleaned.graph.edge_count - per_copy
-        )
+        working, per_copy = _break_surviving_copies(cleaned.graph, pattern)
         record["deleted_per_copy"] = per_copy
         total_deleted = sub.edge_count - working.edge_count
         if total_deleted != cleaned.deleted_total + per_copy:
@@ -379,6 +365,33 @@ def run_removal(
     )
 
 
+def _break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph) -> tuple[SimpleGraph, int]:
+    """Delete one edge from each copy of the template; returns the new graph and the deletion count.
+
+    The copies come in search order, and each copy whose edges are all still
+    present loses the image of its first template edge.  The search runs on
+    the rows it deletes from.  Edges are only removed, so a copy the live
+    rows prune had already lost an edge; a search over a snapshot of the
+    input rows would reach it later and reject it at the all-edges check.
+    That check stays, for copies whose candidate sets were taken before one
+    of their edges went.  So the same copies are broken, in the same order,
+    as when a snapshot is enumerated.
+    """
+    edges = pattern.sorted_edges()
+    first_a, first_b = edges[0]
+    working = SimpleGraph(graph.n, list(graph.adj), graph.edge_count)
+    adj = working.adj
+    deleted = 0
+    for emb in iter_embeddings(working, pattern):
+        if all(adj[emb[x]] >> emb[y] & 1 for x, y in edges):
+            u, v = emb[first_a], emb[first_b]
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            deleted += 1
+    working.edge_count -= deleted
+    return working, deleted
+
+
 def _cluster_supported_count(
     graph: SimpleGraph, part: Partition, cluster: ClusterGraph, pattern: PatternGraph
 ) -> int:
@@ -389,11 +402,20 @@ def _cluster_supported_count(
     classes with every template edge on a cluster edge; copies collapsing
     two non-adjacent template vertices into one class are not visited (for
     complete templates none exist, since within-class edges are gone).
+
+    The masked count of ``assign`` equals that of every ``assign o s`` with s
+    in Aut(H) (the :mod:`reglab.counting` docstring gives the bijection).
+    Assignments are injective, so ``assign o s == assign`` only for the
+    identity and each orbit has exactly |Aut(H)| members: the sum is
+    |Aut(H)| times the sum over the lexicographically least member of each
+    orbit.
     """
     masks = [bitmask_of(c) for c in part.classes]
-    return sum(
+    auts = automorphisms(pattern)
+    return len(auts) * sum(
         count_embeddings(graph, pattern, candidate_masks=[masks[c] for c in assign])
         for assign in iter_embeddings(cluster.to_simple_graph(), pattern)
+        if all(assign <= tuple(assign[x] for x in perm) for perm in auts)
     )
 
 
@@ -843,13 +865,12 @@ def run_partite_stability(
                 break
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            sub = SimpleGraph(host_n, adj, sub.edge_count + 1)
             if count_embeddings_through_edge(sub, pattern, u, v) > 0:
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
-                sub = SimpleGraph(host_n, adj, sub.edge_count - 1)
             else:
                 added += 1
+        sub.edge_count += added
         record: dict = {
             "subgraph_edges": sub.edge_count,
             "min_degree": min_degree(sub),

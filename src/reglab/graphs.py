@@ -143,6 +143,10 @@ class SimpleGraph:
     """Undirected simple graph with bitset adjacency rows.
 
     Instances are immutable by convention: all operations build new graphs.
+    The exception is a working graph in :mod:`reglab.experiments` whose
+    owner edits ``adj`` and ``edge_count`` in place: the plant loops re-add
+    edges, and the removal experiment searches live rows while it breaks
+    copies.
     """
 
     __slots__ = ("n", "adj", "edge_count")

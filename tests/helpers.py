@@ -5,7 +5,7 @@ from __future__ import annotations
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,6 +23,10 @@ def patterns(draw, min_k=2, max_k=6, require_edge=True):
         st.lists(st.sampled_from(slots), min_size=min_edges, max_size=len(slots), unique=True)
     )
     return PatternGraph.from_edges(k, edges)
+
+
+#: A 6-vertex template with trivial automorphism group (none has fewer vertices).
+ASYMMETRIC6 = PatternGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
 
 
 @st.composite
@@ -415,3 +419,40 @@ def reference_host_peel(graph, target: float, max_removals: int):
                 degrees[u] -= 1
     achieved = all(degrees[v] >= target for v in alive)
     return sorted(alive), removed, achieved
+
+
+def reference_automorphism_count(pattern: PatternGraph) -> int:
+    """|Aut(H)| by a scan of all k! permutations, as ``counting.automorphism_count`` once computed it."""
+    edges = set(pattern.edges)
+    total = 0
+    for perm in permutations(range(pattern.k)):
+        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges for a, b in edges):
+            total += 1
+    return total
+
+
+def reference_count_through_edge(graph: SimpleGraph, pattern: PatternGraph, u: int, v: int) -> int:
+    """Embeddings through {u, v} as one pinned count per template edge and orientation."""
+    from reglab.embedding import count_embeddings
+
+    total = 0
+    for a, b in pattern.sorted_edges():
+        total += count_embeddings(graph, pattern, fixed={a: u, b: v})
+        total += count_embeddings(graph, pattern, fixed={a: v, b: u})
+    return total
+
+
+def reference_break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph):
+    """The removal experiment's per-copy loop over a snapshot of the rows: returns ``(adj, deletions)``."""
+    from reglab.embedding import iter_embeddings
+
+    adj = list(graph.adj)
+    deleted = 0
+    first_a, first_b = pattern.sorted_edges()[0]
+    for emb in iter_embeddings(graph, pattern):
+        if all(adj[emb[x]] >> emb[y] & 1 for x, y in pattern.sorted_edges()):
+            u, v = emb[first_a], emb[first_b]
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+            deleted += 1
+    return adj, deleted

@@ -15,7 +15,23 @@ from reglab.embedding import (
 )
 from reglab.graphs import PatternGraph, SimpleGraph
 
-from helpers import patterns, simple_graphs
+from helpers import (
+    ASYMMETRIC6,
+    patterns,
+    reference_automorphism_count,
+    reference_count_through_edge,
+    simple_graphs,
+)
+
+#: One template per kind of edge orbit: trivial Aut, P3, C4, K4 - e, K1,3 and K3.
+ORBIT_TEMPLATES = [
+    ASYMMETRIC6,
+    PatternGraph.path(3),
+    PatternGraph.cycle(4),
+    PatternGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+    PatternGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    PatternGraph.complete(3),
+]
 
 
 def oracle_embeddings(graph, pattern, masks=None, fixed=None) -> set[tuple[int, ...]]:
@@ -96,6 +112,47 @@ def test_through_edge_is_count_difference(graph, pattern, data):
     assert count_embeddings_through_edge(graph, pattern, v, u) == through
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    simple_graphs(min_n=2, max_n=8),
+    st.sampled_from(ORBIT_TEMPLATES) | patterns(max_k=5),
+    st.data(),
+)
+def test_through_edge_matches_sum_over_every_orientation(graph, pattern, data):
+    edges = list(graph.edges())
+    if not edges:
+        return
+    u, v = data.draw(st.sampled_from(edges))
+    expected = reference_count_through_edge(graph, pattern, u, v)
+    assert count_embeddings_through_edge(graph, pattern, u, v) == expected
+    assert count_embeddings_through_edge(graph, pattern, v, u) == expected
+
+
+def test_asymmetric_template_has_one_orbit_per_oriented_edge():
+    assert counting.automorphism_count(ASYMMETRIC6) == 1
+    assert len(counting.edge_orbits(ASYMMETRIC6)) == 2 * ASYMMETRIC6.edge_count
+
+
+def all_templates(max_k: int):
+    """Every labelled template on 2..max_k vertices, the edgeless ones included."""
+    for k in range(2, max_k + 1):
+        slots = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        for bits in range(1 << len(slots)):
+            yield PatternGraph.from_edges(k, [e for i, e in enumerate(slots) if bits >> i & 1])
+
+
+def test_automorphisms_and_edge_orbits_on_every_small_template():
+    for pattern in all_templates(5):
+        assert counting.automorphism_count(pattern) == reference_automorphism_count(pattern)
+        orbits = counting.edge_orbits(pattern)
+        assert sum(size for _, size in orbits) == 2 * pattern.edge_count
+        for (a, b), size in orbits:
+            orbit = {(perm[a], perm[b]) for perm in counting.automorphisms(pattern)}
+            assert len(orbit) == size and min(orbit) == (a, b)
+    counting.automorphisms.cache_clear()
+    counting.edge_orbits.cache_clear()
+
+
 @settings(max_examples=60, deadline=None)
 @given(simple_graphs(min_n=1, max_n=10))
 def test_kcliques_match_networkx(graph):
@@ -122,5 +179,5 @@ def test_plan_built_once_per_template_and_pins(monkeypatch):
     for _ in range(3):
         assert count_embeddings(graph, pattern) == 6 * 5 * 4 * 3
         count_embeddings_through_edge(graph, pattern, 0, 1)
-    assert len(calls) == len(set(calls)) == 1 + pattern.edge_count
+    assert len(calls) == len(set(calls)) == 1 + len(counting.edge_orbits(pattern))
     counting.search_plan.cache_clear()

@@ -9,14 +9,21 @@ from hypothesis import strategies as st
 
 from reglab import experiments
 from reglab.errors import SoundnessError
-from reglab.experiments import _cluster_supported_count, _pad_to_divisible, packing_pipeline
-from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, iter_bits
+from reglab.embedding import count_embeddings, iter_embeddings
+from reglab.experiments import (
+    _break_surviving_copies,
+    _cluster_supported_count,
+    _pad_to_divisible,
+    packing_pipeline,
+)
+from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, bitmask_of, iter_bits
 from reglab.partition import ClusterGraph, evaluate_partition, trim_min_degree
 from reglab.randgraph import RngStream, gnp
 
 from helpers import (
     cluster_graphs,
     patterns,
+    reference_break_surviving_copies,
     reference_constant_trim,
     reference_fallback_pad,
     reference_host_peel,
@@ -154,6 +161,60 @@ def test_cluster_supported_count_matches_brute_force(graph, cluster, pattern):
     assert cluster_supported(graph, cluster, pattern) == brute_cluster_supported(
         graph, CLASSES, cluster, pattern
     )
+
+
+def unreduced_cluster_supported(graph, cluster, pattern) -> int:
+    """One masked count for every cluster embedding, with no orbit reduction."""
+    masks = [bitmask_of(c) for c in CLASSES]
+    return sum(
+        count_embeddings(graph, pattern, candidate_masks=[masks[c] for c in assign])
+        for assign in iter_embeddings(cluster.to_simple_graph(), pattern)
+    )
+
+
+REDUCED_TEMPLATES = [
+    PatternGraph.complete(3),
+    PatternGraph.path(3),
+    PatternGraph.path(4),
+    PatternGraph.cycle(4),
+]
+
+
+@pytest.mark.parametrize("pattern", REDUCED_TEMPLATES, ids=["K3", "P3", "P4", "C4"])
+def test_orbit_reduced_count_on_planted_partition(pattern):
+    graph = gnp(12, 0.6, RngStream(11))
+    cluster = complete_cluster(4)
+    expected = unreduced_cluster_supported(graph, cluster, pattern)
+    assert expected > 0
+    assert cluster_supported(graph, cluster, pattern) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=simple_graphs(min_n=12, max_n=12),
+    cluster=cluster_graphs(min_t=4, max_t=4),
+    pattern=st.sampled_from(REDUCED_TEMPLATES),
+)
+def test_orbit_reduced_count_matches_unreduced_sum(graph, cluster, pattern):
+    assert cluster_supported(graph, cluster, pattern) == unreduced_cluster_supported(
+        graph, cluster, pattern
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    graph=simple_graphs(min_n=3, max_n=10),
+    pattern=st.sampled_from([PatternGraph.complete(3), PatternGraph.cycle(4), PatternGraph.path(3)]),
+)
+def test_break_on_live_rows_matches_snapshot(graph, pattern):
+    before = list(graph.adj)
+    expected_adj, expected_deleted = reference_break_surviving_copies(graph, pattern)
+    broken, deleted = _break_surviving_copies(graph, pattern)
+    assert deleted == expected_deleted
+    assert broken.adj == expected_adj
+    assert broken.edge_count == graph.edge_count - deleted == sum(map(int.bit_count, expected_adj)) // 2
+    assert graph.adj == before
+    assert count_embeddings(broken, pattern) == 0
 
 
 def spy_on_find_embedding(monkeypatch) -> list[tuple[bool, tuple[int, ...]]]:
