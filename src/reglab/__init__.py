@@ -21,7 +21,6 @@ from .partition import (
     ClusterGraph,
     Partition,
     clean_partition,
-    reduced_weighted_graph,
     sparse_regular_partition,
     trim_min_degree,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "min_degree",
     "pair_density",
     "pair_verdict",
-    "reduced_weighted_graph",
     "sample_class",
     "sparse_regular_partition",
     "trim_min_degree",

@@ -7,6 +7,13 @@ data: every per-trial record is reproducible from the master seed and
 trial index, deletion budgets are compared in rational arithmetic, and
 "regular" always means "not refuted by the configured sampled checker",
 which the caveats repeat explicitly.
+
+Every runner reports through one skeleton, ``_run_trials``: trial i draws
+from ``rng.child(i)``, and the report's params are the runner's arguments,
+so a report can be rerun from its own params.  The params drop ``rng``
+(its master seed is the report's ``seed``), name ``host_n`` ``N``, write a
+template as its parsed JSON and a ``Fraction`` as its string; a runner may
+add derived entries, as ``cliquedensity`` adds ``g_hat``.
 """
 
 from __future__ import annotations
@@ -42,12 +49,11 @@ from .partition import (
     ClusterGraph,
     Partition,
     clean_partition,
-    reduced_weighted_graph,
     sparse_regular_partition,
     trim_min_degree,
 )
 from .patterns import chromatic_number, two_density
-from .randgraph import RngStream, gnp, random_bipartite_rows, sample_class
+from .randgraph import RngStream, gnp, sample_class
 from .regularity import REFUTED, pair_verdict
 
 REGULARITY_CAVEAT = (
@@ -98,6 +104,26 @@ class ExperimentReport:
         return buf.getvalue()
 
 
+def _run_trials(name: str, args: dict, one_trial, aggregate, caveats: list[str]) -> ExperimentReport:
+    """The report of ``one_trial(rng.child(i))`` for each i < trials, with params from ``args``.
+
+    ``args`` is the runner's arguments by name; ``aggregate`` maps the trial
+    records to the report's aggregate.
+    """
+    rng = args["rng"]
+    records = [one_trial(rng.child(index)) for index in range(args["trials"])]
+    params = {}
+    for key, value in args.items():
+        if key == "rng":
+            continue
+        if isinstance(value, PatternGraph):
+            value = json.loads(value.to_json())
+        elif isinstance(value, Fraction):
+            value = str(value)
+        params["N" if key == "host_n" else key] = value
+    return ExperimentReport(name, params, rng.master_seed, records, aggregate(records), caveats)
+
+
 def _pair_verdicts(
     graph: MultipartiteGraph, epsilon: float, p: float, trials: int, rng: RngStream
 ) -> dict[str, str]:
@@ -131,6 +157,7 @@ def run_counting(
     Trials where some pair has fewer than d * p * n^2 edges are skipped
     (below the density floor the statement does not apply).
     """
+    args = dict(locals())
     if pattern.edge_count == 0:
         raise PreconditionError("counting experiment needs a template with edges")
     k = pattern.k
@@ -147,8 +174,7 @@ def run_counting(
         )
     floor = Fraction(d) * Fraction(p) * n * n
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         perm = [int(v) for v in stream.child(1).np_rng().permutation(host_n)]
         classes = [perm[i * n : (i + 1) * n] for i in range(k)]
@@ -172,36 +198,19 @@ def run_counting(
         )
         return record
 
-    records = [one_trial(index) for index in range(trials)]
-    effective = [r for r in records if not r["skipped"]]
-    band = sum(1 for r in effective if r["in_band"])
-    fraction = band / len(effective) if effective else 0.0
-    aggregate = {
-        "effective_trials": len(effective),
-        "in_band": band,
-        "band_fraction": fraction,
-        "passed": bool(effective) and fraction >= pass_fraction,
-        "p_threshold": threshold,
-    }
-    return ExperimentReport(
-        name="counting",
-        params={
-            "pattern": json.loads(pattern.to_json()),
-            "N": host_n,
-            "p": p,
-            "eta": eta,
-            "d": d,
-            "delta": delta,
-            "epsilon": epsilon,
-            "trials": trials,
-            "refuter_trials": refuter_trials,
-            "pass_fraction": pass_fraction,
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate=aggregate,
-        caveats=caveats,
-    )
+    def aggregate(records: list[dict]) -> dict:
+        effective = [r for r in records if not r["skipped"]]
+        band = sum(1 for r in effective if r["in_band"])
+        fraction = band / len(effective) if effective else 0.0
+        return {
+            "effective_trials": len(effective),
+            "in_band": band,
+            "band_fraction": fraction,
+            "passed": bool(effective) and fraction >= pass_fraction,
+            "p_threshold": threshold,
+        }
+
+    return _run_trials("counting", args, one_trial, aggregate, caveats)
 
 
 def _partite_cut(
@@ -293,6 +302,7 @@ def run_removal(
     The output must be exactly template-free, verified by independent
     search, with total deletions at most delta * p * N^2.
     """
+    args = dict(locals())
     if pattern.edge_count == 0:
         raise PreconditionError("removal experiment needs a template with edges")
     aut = automorphism_count(pattern)
@@ -300,8 +310,7 @@ def run_removal(
     labelled_budget = int(copy_budget * aut)
     deletion_budget = Fraction(delta) * Fraction(p) * host_n * host_n
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         sub, planted, labelled = _bipartite_plant(host, pattern, labelled_budget, stream.child(1))
         record: dict = {
@@ -336,28 +345,12 @@ def run_removal(
         record["success"] = bool(template_free and Fraction(total_deleted) <= deletion_budget)
         return record
 
-    records = [one_trial(index) for index in range(trials)]
-    return ExperimentReport(
-        name="removal",
-        params={
-            "pattern": json.loads(pattern.to_json()),
-            "N": host_n,
-            "p": p,
-            "delta": delta,
-            "eps_copies": eps_copies,
-            "trials": trials,
-            "t0": t0,
-            "max_t": max_t,
-            "epsilon": epsilon,
-            "d": d,
-            "uniformity": uniformity,
-            "refuter_trials": refuter_trials,
-            "pass_fraction": pass_fraction,
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate=_success_aggregate(records, pass_fraction),
-        caveats=[
+    return _run_trials(
+        "removal",
+        args,
+        one_trial,
+        lambda records: _success_aggregate(records, pass_fraction),
+        [
             REGULARITY_CAVEAT,
             "surviving copies after cleaning are removed one edge per copy; "
             "the deletion budget check covers all stages",
@@ -611,10 +604,11 @@ def run_packing(
     which the record carries), then run the packing pipeline and require
     coverage of at least (1 - gamma) N ambient vertices.
     """
+    args = dict(locals())
+    args.update(args.pop("pipeline_kwargs"))
     target = (1 - 1 / k + gamma) * p * host_n
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         alive, removed, target_met = _peel_low_degree(
             host, lambda size: target, limit=int(gamma * host_n / 4)
@@ -631,22 +625,12 @@ def run_packing(
         record.update(inner)
         return record
 
-    records = [one_trial(index) for index in range(trials)]
-    return ExperimentReport(
-        name="packing",
-        params={
-            "k": k,
-            "N": host_n,
-            "p": p,
-            "gamma": gamma,
-            "trials": trials,
-            "pass_fraction": pass_fraction,
-            **{key: val for key, val in pipeline_kwargs.items()},
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate=_success_aggregate(records, pass_fraction),
-        caveats=[
+    return _run_trials(
+        "packing",
+        args,
+        one_trial,
+        lambda records: _success_aggregate(records, pass_fraction),
+        [
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved target flag",
         ],
@@ -677,6 +661,7 @@ def run_clique_density(
     (g_hat(rho) - eps) p^C(k,2) C(N, k), where g_hat comes from the exact
     small-n minimum extended by zero below the (k-1)-partite threshold.
     """
+    args = dict(locals())
     if k not in (3, 4):
         raise PreconditionError("desk-scale clique-density experiment supports k in {3, 4}")
     if not 0.0 < p <= 1.0:
@@ -688,10 +673,10 @@ def run_clique_density(
         g_hat = Fraction(0)
     else:
         g_hat = gk_bruteforce(k, rho_frac, oracle_n)
+    args["g_hat"] = g_hat
     bound = (g_hat - Fraction(eps)) * Fraction(p) ** math.comb(k, 2) * math.comb(host_n, k)
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         m_target = math.ceil(rho_frac * p * host_n * (host_n - 1) / 2)
         edges = list(host.edges())
@@ -706,15 +691,15 @@ def run_clique_density(
             sub, epsilon, p, t0, max_t, stream.child(2), refuter_trials=refuter_trials
         )
         cleaned = clean_partition(sub, part, epsilon, p, d, uniformity)
-        reduced = reduced_weighted_graph(cleaned.graph, part, p)
-        t = reduced.t
+        cluster = cleaned.cluster
+        t = cluster.t
         weighted_sum = Fraction(0)
         estimate = Fraction(0)
         for tup in combinations(range(t), k):
             w = Fraction(1)
             for a in range(k):
                 for b in range(a + 1, k):
-                    w *= reduced.weight(tup[a], tup[b])
+                    w *= cluster.weight(tup[a], tup[b])
                     if w == 0:
                         break
                 if w == 0:
@@ -739,27 +724,16 @@ def run_clique_density(
             "estimate_meets_bound": bool(estimate >= bound),
         }
 
-    records = [one_trial(index) for index in range(trials)]
-    meets = sum(1 for r in records if r["count_meets_bound"])
-    return ExperimentReport(
-        name="cliquedensity",
-        params={
-            "k": k,
-            "N": host_n,
-            "p": p,
-            "rho": str(rho_frac),
-            "eps": eps,
-            "oracle_n": oracle_n,
-            "trials": trials,
-            "g_hat": str(g_hat),
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate={
-            "count_meets_bound": meets,
-            "passed": meets == len(records),
-        },
-        caveats=[
+    def aggregate(records: list[dict]) -> dict:
+        meets = sum(1 for r in records if r["count_meets_bound"])
+        return {"count_meets_bound": meets, "passed": meets == len(records)}
+
+    return _run_trials(
+        "cliquedensity",
+        args,
+        one_trial,
+        aggregate,
+        [
             REGULARITY_CAVEAT,
             f"g_hat evaluated by exact search at n = {oracle_n}, extended by the "
             "classical zero region below 1 - 1/(k-1)",
@@ -842,14 +816,14 @@ def run_partite_stability(
     cluster copy of the template are counted exactly; a positive count for
     a template-free input raises a soundness error.
     """
+    args = dict(locals())
     chi = chromatic_number(pattern)
     parts = chi - 1
     if parts < 2:
         raise PreconditionError("template must have chromatic number at least 3")
     budget = Fraction(gamma) * Fraction(p) * host_n * host_n
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         perm = [int(v) for v in stream.child(1).np_rng().permutation(host_n)]
         side = [0] * host_n
@@ -929,22 +903,12 @@ def run_partite_stability(
         record["success"] = bool(Fraction(total) <= budget)
         return record
 
-    records = [one_trial(index) for index in range(trials)]
-    return ExperimentReport(
-        name="aes",
-        params={
-            "pattern": json.loads(pattern.to_json()),
-            "N": host_n,
-            "p": p,
-            "gamma": gamma,
-            "trials": trials,
-            "perturb_fraction": perturb_fraction,
-            "pass_fraction": pass_fraction,
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate=_success_aggregate(records, pass_fraction),
-        caveats=[
+    return _run_trials(
+        "aes",
+        args,
+        one_trial,
+        lambda records: _success_aggregate(records, pass_fraction),
+        [
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved value",
         ],
@@ -966,13 +930,13 @@ def run_turan(
     topped up with random interior edges to reach the threshold fraction)
     and searches for the template exactly.
     """
+    args = dict(locals())
     if pattern.edge_count == 0:
         raise PreconditionError("turan experiment needs a template with edges")
     chi = chromatic_number(pattern)
     fraction_required = 1 - 1 / (chi - 1) + eps
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         required = math.ceil(fraction_required * host.edge_count)
         perm = [int(v) for v in stream.child(1).np_rng().permutation(host_n)]
@@ -1000,21 +964,16 @@ def run_turan(
             "strategy": "partite-plus-interior-topup",
         }
 
-    records = [one_trial(index) for index in range(trials)]
-    found = sum(1 for r in records if r["found"])
-    return ExperimentReport(
-        name="turan",
-        params={
-            "pattern": json.loads(pattern.to_json()),
-            "N": host_n,
-            "p": p,
-            "eps": eps,
-            "trials": trials,
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate={"found": found, "found_fraction": found / len(records) if records else 0.0},
-        caveats=[
+    def aggregate(records: list[dict]) -> dict:
+        found = sum(1 for r in records if r["found"])
+        return {"found": found, "found_fraction": found / len(records) if records else 0.0}
+
+    return _run_trials(
+        "turan",
+        args,
+        one_trial,
+        aggregate,
+        [
             "the theorem quantifies over all subgraphs; this tests one named "
             "adversarial strategy, recorded per trial"
         ],
@@ -1037,14 +996,14 @@ def probe_copy_free_class(
     regular member contains no canonical copy.  Reports a Wilson 95 percent
     interval and the implied per-edge rate estimate^(1/m).
     """
+    args = dict(locals())
     if n > 12:
         raise PreconditionError("exhaustive filtering is limited to n <= 12 per part")
     if m > n * n:
         raise PreconditionError("m exceeds the n^2 slots per pair")
     p_scale = m / (n * n)
 
-    def one_trial(index: int) -> dict:
-        stream = rng.child(index)
+    def one_trial(stream: RngStream) -> dict:
         sample = sample_class(pattern, n, m, p_scale, eps, stream, mode="raw")
         regular = True
         for pair_index, (i, j) in enumerate(pattern.sorted_edges()):
@@ -1058,32 +1017,21 @@ def probe_copy_free_class(
         count = canonical_count(sample).count
         return {"regular": True, "copy_free": count == 0, "count": str(count)}
 
-    records = [one_trial(index) for index in range(trials)]
-    regular_records = [r for r in records if r["regular"]]
-    if not regular_records:
-        raise RejectionBudgetError(
-            f"no regular samples among {trials} draws at eps = {eps}", acceptance_rate=0.0
-        )
-    bad = sum(1 for r in regular_records if r["copy_free"])
-    total = len(regular_records)
-    estimate = bad / total
-    z = 1.959963984540054  # two-sided 95 percent normal quantile
-    denom = 1 + z * z / total
-    centre = (estimate + z * z / (2 * total)) / denom
-    half = z * math.sqrt(estimate * (1 - estimate) / total + z * z / (4 * total * total)) / denom
-    lo, hi = max(0.0, centre - half), min(1.0, centre + half)
-    return ExperimentReport(
-        name="classprobe",
-        params={
-            "pattern": json.loads(pattern.to_json()),
-            "n": n,
-            "m": m,
-            "eps": eps,
-            "trials": trials,
-        },
-        seed=rng.master_seed,
-        trials=records,
-        aggregate={
+    def aggregate(records: list[dict]) -> dict:
+        regular_records = [r for r in records if r["regular"]]
+        if not regular_records:
+            raise RejectionBudgetError(
+                f"no regular samples among {trials} draws at eps = {eps}", acceptance_rate=0.0
+            )
+        bad = sum(1 for r in regular_records if r["copy_free"])
+        total = len(regular_records)
+        estimate = bad / total
+        z = 1.959963984540054  # two-sided 95 percent normal quantile
+        denom = 1 + z * z / total
+        centre = (estimate + z * z / (2 * total)) / denom
+        half = z * math.sqrt(estimate * (1 - estimate) / total + z * z / (4 * total * total)) / denom
+        lo, hi = max(0.0, centre - half), min(1.0, centre + half)
+        return {
             "regular_samples": total,
             "acceptance_rate": total / trials,
             "copy_free": bad,
@@ -1091,8 +1039,14 @@ def probe_copy_free_class(
             "wilson_95": [lo, hi],
             "beta_hat": estimate ** (1.0 / m) if bad else 0.0,
             "beta_hat_upper": hi ** (1.0 / m),
-        },
-        caveats=[
+        }
+
+    return _run_trials(
+        "classprobe",
+        args,
+        one_trial,
+        aggregate,
+        [
             "a single (n, m, eps) estimate can neither confirm nor refute the "
             "counting conjecture's quantifier order; this probe is descriptive"
         ],

@@ -13,7 +13,7 @@ tolerance helpers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence

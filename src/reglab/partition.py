@@ -173,23 +173,19 @@ def evaluate_partition(
     p: float,
     rng: RngStream,
     refuter_trials: int = 32,
-    converged: bool = True,
     rounds: int = 0,
 ) -> Partition:
     """Attach pair densities, verdicts, and energy to the given classes."""
     masks = [bitmask_of(c) for c in classes]
     t = len(classes)
-    keys = [(i, j) for i in range(t) for j in range(i + 1, t)]
-
-    def work(key: tuple[int, int]) -> tuple[tuple[int, int], PairInfo]:
-        i, j = key
-        e = graph.edges_between(masks[i], masks[j])
-        density = Fraction(e, len(classes[i]) * len(classes[j]))
-        pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
-        verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
-        return key, PairInfo(density=density, edges=e, verdict=verdict)
-
-    pair_info = dict([work(key) for key in keys])
+    pair_info = {}
+    for i in range(t):
+        for j in range(i + 1, t):
+            e = graph.edges_between(masks[i], masks[j])
+            density = Fraction(e, len(classes[i]) * len(classes[j]))
+            pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
+            verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
+            pair_info[(i, j)] = PairInfo(density=density, edges=e, verdict=verdict)
     energy = partition_energy(graph, classes, p)
     return Partition(
         classes=[sorted(c) for c in classes],
@@ -197,7 +193,6 @@ def evaluate_partition(
         energy=energy,
         epsilon=epsilon,
         p=p,
-        converged=converged,
         rounds=rounds,
     )
 
@@ -439,7 +434,6 @@ def sparse_regular_partition(
             p,
             rng,
             refuter_trials=refuter_trials,
-            converged=True,
             rounds=round_index,
         )
         refuted = len(part.refuted_pairs())
@@ -594,26 +588,6 @@ def clean_partition(
         bound_inputs_hold=not failed,
         failed_inequalities=failed,
     )
-
-
-def reduced_weighted_graph(graph: SimpleGraph, part: Partition, p: float) -> ClusterGraph:
-    """Weights R(i, j) = min(e(Vi, Vj) / (p |Vi||Vj|), 1), exact before the min."""
-    if p <= 0:
-        raise PreconditionError("p must be positive")
-    classes = part.classes
-    t = len(classes)
-    masks = [bitmask_of(c) for c in classes]
-    p_frac = Fraction(p)
-    weights = {}
-    edges = set()
-    for i in range(t):
-        for j in range(i + 1, t):
-            e = graph.edges_between(masks[i], masks[j])
-            w = min(Fraction(e) / (p_frac * len(classes[i]) * len(classes[j])), Fraction(1))
-            if w > 0:
-                weights[(i, j)] = w
-                edges.add((i, j))
-    return ClusterGraph(t, frozenset(edges), weights)
 
 
 @dataclass(frozen=True)

@@ -172,18 +172,16 @@ def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
     return SimpleGraph(n, adj, edges)
 
 
-def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int], set[tuple[int, int]]]:
+def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int]]:
     """Uniform m-subset of the n*n bipartite slots, as bitset rows both ways."""
     slots = gen.choice(n * n, size=m, replace=False)
     fwd = [0] * n
     rev = [0] * n
-    edges = set()
     for s in map(int, slots):
         u, v = divmod(s, n)
         fwd[u] |= 1 << v
         rev[v] |= 1 << u
-        edges.add((u, v))
-    return fwd, rev, edges
+    return fwd, rev
 
 
 def sample_class(
@@ -217,7 +215,7 @@ def sample_class(
         attempt = 0
         while True:
             gen = pair_stream.child(attempt).np_rng()
-            fwd, rev, edges = random_bipartite_rows(n, m, gen)
+            fwd, rev = random_bipartite_rows(n, m, gen)
             if mode == "raw":
                 break
             pair_graph = SimpleGraph(

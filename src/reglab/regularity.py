@@ -29,9 +29,8 @@ their reports.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -63,27 +62,12 @@ class RegularityVerdict:
     ``refuted`` or ``undecided`` (sampled candidates only).  ``deviation`` is
     the exact amount by which the witness violates the checked inequality:
     the absolute density deviation for regularity, the shortfall below d
-    for lower-regularity.  ``scale`` echoes the density scale the check ran
-    at (p, or d for lower-regularity).
+    for lower-regularity.
     """
 
     status: str
     witness: VertexSetPair | None
     deviation: Fraction
-    scale: float
-    params: dict = field(default_factory=dict, compare=False)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "status": self.status,
-                "witness_u": list(self.witness.U) if self.witness else None,
-                "witness_v": list(self.witness.V) if self.witness else None,
-                "deviation": str(self.deviation),
-                "scale": self.scale,
-                "params": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in self.params.items()},
-            }
-        )
 
 
 def subset_floor(epsilon: float, size: int) -> int:
@@ -176,9 +160,8 @@ def check_regular_exhaustive(
     (``combinations`` order) reaching it, with the largest completion
     tried before the smallest.
     """
-    params = {"check": "regular", "epsilon": epsilon, "p": p}
     if not pair.U or not pair.V:
-        return RegularityVerdict(CERTIFIED, None, Fraction(0), p, params)
+        return RegularityVerdict(CERTIFIED, None, Fraction(0))
     nu, nv = len(pair.U), len(pair.V)
     if not _fits_exhaustive(pair):
         raise BudgetError(
@@ -189,7 +172,7 @@ def check_regular_exhaustive(
     s_v = subset_floor(epsilon, nv)
     if s_u > nu or s_v > nv:
         # eps > 1: no subset is large enough, so nothing can deviate
-        return RegularityVerdict(CERTIFIED, None, Fraction(0), p, params)
+        return RegularityVerdict(CERTIFIED, None, Fraction(0))
     scan = _scan_subsets(graph, pair, s_u, s_v)
 
     # |edge_sum / (s_u s_v) - e / (nu nv)| scaled by s_u s_v nu nv: exact in int64
@@ -200,11 +183,11 @@ def check_regular_exhaustive(
     best = int(scaled.flat[flat])
     best_dev = Fraction(best, s_u * s_v * nu * nv)
     if leq_with_tolerance(best_dev, epsilon * p):
-        return RegularityVerdict(CERTIFIED, None, best_dev, p, params)
+        return RegularityVerdict(CERTIFIED, None, best_dev)
     witness = scan.witness(flat // 2, largest=flat % 2 == 0) if best else None
     if witness is not None and abs(pair_density(graph, witness) - pair_density(graph, pair)) != best_dev:
         raise SoundnessError("exhaustive refutation witness does not reproduce its deviation")
-    return RegularityVerdict(REFUTED, witness, best_dev, p, params)
+    return RegularityVerdict(REFUTED, witness, best_dev)
 
 
 def _candidate_pairs(
@@ -328,20 +311,19 @@ def refute_regular_sampled(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    params = {"check": "regular", "epsilon": epsilon, "p": p, "trials": trials, "guided": guided}
     if not pair.U or not pair.V:
-        return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
+        return RegularityVerdict(UNDECIDED, None, Fraction(0))
     s_u = subset_floor(epsilon, len(pair.U))
     s_v = subset_floor(epsilon, len(pair.V))
     if s_u > len(pair.U) or s_v > len(pair.V):
         # eps > 1: no subset is large enough to be a witness
-        return RegularityVerdict(UNDECIDED, None, Fraction(0), p, params)
+        return RegularityVerdict(UNDECIDED, None, Fraction(0))
     found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided)
     if found.deviating is not None and not leq_with_tolerance(found.deviation, epsilon * p):
         if abs(pair_density(graph, found.deviating) - found.density) != found.deviation:
             raise SoundnessError("refutation witness does not reproduce its deviation")
-        return RegularityVerdict(REFUTED, found.deviating, found.deviation, p, params)
-    return RegularityVerdict(UNDECIDED, None, found.deviation, p, params)
+        return RegularityVerdict(REFUTED, found.deviating, found.deviation)
+    return RegularityVerdict(UNDECIDED, None, found.deviation)
 
 
 def pair_verdict(
@@ -385,15 +367,14 @@ def check_lower_regular(
     ``deviation`` on refutation is the shortfall d - d(U', V'), re-derived
     from the witness before it is reported.
     """
-    params = {"check": "lower_regular", "epsilon": epsilon, "d": d}
     if not pair.U or not pair.V:
-        return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
+        return RegularityVerdict(CERTIFIED, None, Fraction(0))
     nu, nv = len(pair.U), len(pair.V)
     s_u = subset_floor(epsilon, nu)
     s_v = subset_floor(epsilon, nv)
     if s_u > nu or s_v > nv:
         # eps > 1: no subset is large enough, so nothing can fall short
-        return RegularityVerdict(CERTIFIED, None, Fraction(0), d, params)
+        return RegularityVerdict(CERTIFIED, None, Fraction(0))
 
     if _fits_exhaustive(pair):
         scan = _scan_subsets(graph, pair, s_u, s_v)
@@ -410,7 +391,7 @@ def check_lower_regular(
         unrefuted = UNDECIDED
     shortfall = Fraction(d) - sparsest
     if leq_with_tolerance(shortfall, 0.0):
-        return RegularityVerdict(unrefuted, None, Fraction(0), d, params)
+        return RegularityVerdict(unrefuted, None, Fraction(0))
     if Fraction(d) - pair_density(graph, witness) != shortfall:
         raise SoundnessError("lower-regularity witness does not reproduce its shortfall")
-    return RegularityVerdict(REFUTED, witness, shortfall, d, params)
+    return RegularityVerdict(REFUTED, witness, shortfall)

@@ -456,3 +456,26 @@ def reference_break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph):
             adj[v] &= ~(1 << u)
             deleted += 1
     return adj, deleted
+
+
+def reference_reduced_weighted_graph(graph: SimpleGraph, part, p: float):
+    """Weights R(i, j) = min(e(Vi, Vj) / (p |Vi||Vj|), 1) of every class pair, exact before the min."""
+    from reglab.graphs import bitmask_of
+    from reglab.partition import ClusterGraph
+
+    if p <= 0:
+        raise PreconditionError("p must be positive")
+    classes = part.classes
+    t = len(classes)
+    masks = [bitmask_of(c) for c in classes]
+    p_frac = Fraction(p)
+    weights = {}
+    edges = set()
+    for i in range(t):
+        for j in range(i + 1, t):
+            e = graph.edges_between(masks[i], masks[j])
+            w = min(Fraction(e) / (p_frac * len(classes[i]) * len(classes[j])), Fraction(1))
+            if w > 0:
+                weights[(i, j)] = w
+                edges.add((i, j))
+    return ClusterGraph(t, frozenset(edges), weights)

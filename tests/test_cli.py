@@ -6,6 +6,7 @@ reports must be byte-identical and match the recorded digest.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -24,27 +25,54 @@ PARAMS = [
 #: experiment -> (exit code, sha256 of the JSON report)
 GOLDEN = {
     "turan": (EXIT_OK, "d2b66056c443a336770b372f069b294562d3090e58d82dee1928e095d3143351"),
-    "aes": (EXIT_CHECK_FAILED, "8455bfe5ea3ed13aa146b44315e9e847187e4d902210009eb671387ce1a44dfa"),
+    "aes": (EXIT_CHECK_FAILED, "bbc4af08eb7ca8e2a7751cdcbb927df794aae76444180bd7c71ee3e2715babf0"),
     "removal": (EXIT_CHECK_FAILED, "6c2cde2cfd0f58450d61a2c3d070d64fc7dc67f569154a0ee3782af2779ac1a5"),
     "packing": (EXIT_CHECK_FAILED, "44a49d8935885aa2c02ecd806f5b7361fc057813b52f9dccd7b81809002f781b"),
-    "cliquedensity": (EXIT_OK, "6a3046845a81c46f257ac8754315569619485e103983129e7f6a22ad4dfb9501"),
+    "cliquedensity": (EXIT_OK, "064893e2c67a09385f7e472e3c0db5edb65f94800c0cc43cf88ef3268fcef0ef"),
     "counting": (EXIT_OK, "88c10b33b40047a0e3b462b47648ca8b1e42ce17b4326a2256c2eb2d972ad8d9"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
+def run_golden(name: str, tmp_path, run: int) -> tuple[int, bytes]:
+    """Exit code and JSON report of one golden run of experiment ``name``."""
     pattern = tmp_path / "triangle.json"
     pattern.write_text(TRIANGLE, encoding="utf-8")
+    out = tmp_path / f"{name}-{run}.json"
+    argv = ["--seed", "1", "--format", "json", "--out", str(out), "experiment", name,
+            "--pattern", str(pattern), *PARAMS]
+    return main(argv), out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
     expected_code, expected_digest = GOLDEN[name]
     digests = []
     for run in range(2):
-        out = tmp_path / f"{name}-{run}.json"
-        argv = ["--seed", "1", "--format", "json", "--out", str(out), "experiment", name,
-                "--pattern", str(pattern), *PARAMS]
-        assert main(argv) == expected_code
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        code, report = run_golden(name, tmp_path, run)
+        assert code == expected_code
+        digests.append(hashlib.sha256(report).hexdigest())
     assert digests == [expected_digest, expected_digest]
+
+
+#: Runner arguments that the aes and cliquedensity params once left out.
+ADDED_PARAMS = ("t0", "max_t", "epsilon", "d", "uniformity", "refuter_trials")
+
+#: experiment -> sha256 of its golden report when its params lacked ADDED_PARAMS
+NARROW_PARAMS_GOLDEN = {
+    "aes": "8455bfe5ea3ed13aa146b44315e9e847187e4d902210009eb671387ce1a44dfa",
+    "cliquedensity": "6a3046845a81c46f257ac8754315569619485e103983129e7f6a22ad4dfb9501",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_PARAMS_GOLDEN))
+def test_full_params_only_add_the_left_out_arguments(name, tmp_path):
+    """Without the added params the report is the one written before, byte for byte."""
+    _, report = run_golden(name, tmp_path, 0)
+    obj = json.loads(report)
+    for key in ADDED_PARAMS:
+        del obj["params"][key]
+    narrow = (json.dumps(obj, sort_keys=True) + "\n").encode()
+    assert hashlib.sha256(narrow).hexdigest() == NARROW_PARAMS_GOLDEN[name]
 
 
 #: case -> (argv after the triangle --pattern, exit code, sha256 of the output); the

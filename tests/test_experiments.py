@@ -1,5 +1,7 @@
 """Experiment building blocks: the degree peels, cluster-supported counts, and the packing pipeline."""
 
+import inspect
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import experiments
+from reglab.counting import gk_bruteforce
 from reglab.errors import SoundnessError
 from reglab.embedding import count_embeddings, iter_embeddings
 from reglab.experiments import (
@@ -262,3 +265,52 @@ def test_packing_pipeline_rejects_a_reused_vertex(monkeypatch):
     monkeypatch.setattr(experiments, "find_embedding", lambda *args, **kwargs: next(answers, None))
     with pytest.raises(SoundnessError, match="reuses a vertex"):
         packing_pipeline(SimpleGraph.complete(36), 3, 0.25, 1.0, RngStream(1), t0=12)
+
+
+K3 = PatternGraph.complete(3)
+
+#: runner -> keyword arguments of a tiny run, each with a non-default keyword
+SKELETON_RUNS = {
+    "counting": (experiments.run_counting, dict(
+        pattern=K3, host_n=60, p=0.3, eta=0.3, d=0.25, delta=0.15, trials=1, rng=RngStream(1), refuter_trials=8,
+    )),
+    "removal": (experiments.run_removal, dict(
+        pattern=K3, host_n=60, p=0.3, delta=0.15, eps_copies=0.25, rng=RngStream(1), trials=1, t0=4,
+    )),
+    "packing": (experiments.run_packing, dict(k=3, host_n=60, p=0.3, gamma=0.25, rng=RngStream(1), trials=1, t0=6)),
+    "cliquedensity": (experiments.run_clique_density, dict(
+        k=3, host_n=40, p=0.3, rho=Fraction(9, 10), eps=0.25, rng=RngStream(1), trials=1, oracle_n=5,
+    )),
+    "aes": (experiments.run_partite_stability, dict(
+        pattern=K3, host_n=60, p=0.3, gamma=0.25, rng=RngStream(1), trials=1, perturb_fraction=0.1,
+    )),
+    "turan": (experiments.run_turan, dict(pattern=K3, host_n=60, p=0.3, eps=0.25, rng=RngStream(1), trials=2)),
+    "classprobe": (experiments.probe_copy_free_class, dict(
+        pattern=K3, n=8, m=16, eps=0.75, trials=2, rng=RngStream(1),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKELETON_RUNS))
+def test_report_params_are_the_runner_arguments(name):
+    """Params drop rng, name host_n N, write a template as its JSON and a Fraction as its string."""
+    runner, kwargs = SKELETON_RUNS[name]
+    bound = inspect.signature(runner).bind(**kwargs)
+    bound.apply_defaults()
+    arguments = dict(bound.arguments)
+    arguments.update(arguments.pop("pipeline_kwargs", {}))
+    expected = {}
+    for key, value in arguments.items():
+        if key == "rng":
+            continue
+        if isinstance(value, PatternGraph):
+            value = json.loads(value.to_json())
+        elif isinstance(value, Fraction):
+            value = str(value)
+        expected["N" if key == "host_n" else key] = value
+    report = runner(**kwargs)
+    derived = {}
+    if name == "cliquedensity":
+        derived["g_hat"] = str(gk_bruteforce(3, kwargs["rho"], kwargs["oracle_n"]))
+    assert report.params == {**expected, **derived}
+    assert (report.name, report.seed, len(report.trials)) == (name, 1, kwargs["trials"])

@@ -14,14 +14,13 @@ from reglab.partition import (
     evaluate_partition,
     _otsu_cut,
     partition_energy,
-    reduced_weighted_graph,
     sparse_regular_partition,
     trim_min_degree,
 )
 from reglab.randgraph import RngStream, gnp
 from reglab.regularity import REFUTED
 
-from helpers import graph_from_bool_matrix
+from helpers import graph_from_bool_matrix, reference_reduced_weighted_graph
 
 
 def planted_two_block(n: int, p_in: float, p_out: float, stream: RngStream):
@@ -149,19 +148,34 @@ def test_clean_deletion_bound_measured():
 
 
 def test_reduced_weighted_graph_formula():
-    g = SimpleGraph.from_edges(8, [(0, 4), (1, 5), (2, 6)])
-    part = evaluate_partition(
-        g, [[0, 1, 2, 3], [4, 5, 6, 7]], 0.5, 0.5, RngStream(63), refuter_trials=4
-    )
-    reduced = reduced_weighted_graph(g, part, 0.5)
-    assert reduced.weight(0, 1) == min(Fraction(3) / (Fraction(1, 2) * 16), Fraction(1))
-    assert reduced.weight(0, 1) == Fraction(3, 8)
+    """The cleaned cluster weighs every pair as the reduced weighted graph of the cleaned graph does."""
+    matching = SimpleGraph.from_edges(8, [(0, 4), (1, 5), (2, 6)])
+    halves = [[0, 1, 2, 3], [4, 5, 6, 7]]
     saturated = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    part2 = evaluate_partition(saturated, [[0, 1], [2, 3]], 0.5, 1.0, RngStream(64), refuter_trials=4)
-    reduced2 = reduced_weighted_graph(saturated, part2, 1.0)
-    assert reduced2.weight(0, 1) == 1
-    with pytest.raises(PreconditionError):
-        reduced_weighted_graph(g, part, 0.0)
+    blocks, labels = planted_two_block(96, 0.5, 0.02, RngStream(65))
+    inside = [v for v in range(96) if labels[v]]
+    outside = [v for v in range(96) if not labels[v]]
+    quarters = [inside[:24], inside[24:], outside[:24], outside[24:]]
+    cases = [
+        # epsilon 1 leaves no proper witness, so the matching pair survives unrefuted
+        (matching, evaluate_partition(matching, halves, 1.0, 0.5, RngStream(63)), 0.5),
+        (matching, evaluate_partition(matching, halves, 0.5, 0.5, RngStream(63)), 0.5),
+        # e / (p |Vi||Vj|) = 2, so the min saturates at weight 1
+        (saturated, evaluate_partition(saturated, [[0, 1], [2, 3]], 0.5, 0.5, RngStream(64)), 0.5),
+        # pairs inside a block saturate, pairs across it are light or sparse
+        (blocks, evaluate_partition(blocks, quarters, 0.5, 0.3, RngStream(66)), 0.3),
+    ]
+    for d in (0.0, 0.05, 0.25):
+        weights = []
+        for graph, part, p in cases:
+            cleaned = clean_partition(graph, part, part.epsilon, p, d, 2.0)
+            reference = reference_reduced_weighted_graph(cleaned.graph, part, p)
+            pairs = [(i, j) for i in range(part.t) for j in range(part.t) if i != j]
+            assert [cleaned.cluster.weight(i, j) for i, j in pairs] == [reference.weight(i, j) for i, j in pairs]
+            weights.append(sorted({cleaned.cluster.weight(i, j) for i, j in pairs}))
+        assert weights[:3] == [[Fraction(3, 8)], [0], [1]]
+        # only d = 0.25 makes the cross pairs (density about 0.02) sparse
+        assert weights[3][-1] == 1 and (weights[3][0] == 0) == (d == 0.25)
 
 
 def full_cluster(t: int) -> ClusterGraph:

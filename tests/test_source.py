@@ -46,3 +46,28 @@ def test_only_regularity_names_the_checkers_behind_the_verdict_policy():
     }
     assert named.pop("regularity.py") == sorted(checkers)
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads (``from __future__`` is exempt)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_package_modules_import_no_unused_name():
+    """Every imported name is used; ``__init__.py`` imports only to re-export."""
+    unused = {}
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            found = _unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            if found:
+                unused[path.name] = found
+    assert unused == {}
