@@ -9,8 +9,8 @@ value, an unreadable input path and malformed input JSON; 3 budget error;
 internal cross-check that failed (a bug, never a property of the input).
 
 Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
-(0, 1]; ``--trials``, ``--refuter-trials``, the experiment ``--k``,
-``--n`` and ``--m`` and the ``gen class`` ``--n`` are >= 1; the
+(0, 1]; ``--trials``, ``--refuter-trials``, the experiment ``--N``,
+``--k``, ``--n`` and ``--m`` and the ``gen class`` ``--n`` are >= 1; the
 ``gen class`` ``--m``, the experiment ``--delta``, ``--d`` and
 ``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
 ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "counting", "removal", "cliquedensity", "packing", "aes", "turan", "classprobe",
     ))
     exp_cmd.add_argument("--pattern", default=None, help="pattern JSON path (defaults to a triangle)")
-    exp_cmd.add_argument("--N", type=int, default=800)
+    exp_cmd.add_argument("--N", type=parse_positive_int, default=800)
     exp_cmd.add_argument("--n", type=parse_positive_int, default=6, help="part size (classprobe)")
     exp_cmd.add_argument("--m", type=parse_positive_int, default=12, help="edges per pair (classprobe)")
     exp_cmd.add_argument("--p", type=parse_probability, default=0.1)

@@ -14,6 +14,19 @@ so a report can be rerun from its own params.  The params drop ``rng``
 (its master seed is the report's ``seed``), name ``host_n`` ``N``, write a
 template as its parsed JSON and a ``Fraction`` as its string; a runner may
 add derived entries, as ``cliquedensity`` adds ``g_hat``.
+
+removal, packing, cliquedensity and aes start from one stage,
+``_regularize``: ``sparse_regular_partition`` then ``clean_partition`` on
+the trial's subgraph, from one stream.  Its flat record joins the trial
+record.  From the partition: ``partition_t`` (classes),
+``partition_converged`` and ``inconclusive`` (its negation; a packing trial
+that stops at a stage sets it true), and ``pairs_certified``, ``pairs_refuted``
+and ``pairs_undecided``, the verdicts of ``Partition.pair_info`` counted in
+class pairs, so they sum to C(t, 2).  From the cleaning, in edges:
+``deleted_clean``, the sum of ``deleted_clean_within``,
+``deleted_clean_refuted`` and ``deleted_clean_sparse`` (``CleanResult``'s
+deletions by cause); and ``clean_bound_inputs_hold``, whether the
+inequalities behind ``CleanResult.deletion_bound`` held.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -46,6 +60,7 @@ from .graphs import (
     min_degree,
 )
 from .partition import (
+    CleanResult,
     ClusterGraph,
     Partition,
     clean_partition,
@@ -54,7 +69,7 @@ from .partition import (
 )
 from .patterns import chromatic_number, two_density
 from .randgraph import RngStream, gnp, sample_class
-from .regularity import REFUTED, pair_verdict
+from .regularity import CERTIFIED, REFUTED, UNDECIDED, pair_verdict
 
 REGULARITY_CAVEAT = (
     "regular means: not refuted by the sampled checker at the configured trial budget"
@@ -122,6 +137,37 @@ def _run_trials(name: str, args: dict, one_trial, aggregate, caveats: list[str])
             value = str(value)
         params["N" if key == "host_n" else key] = value
     return ExperimentReport(name, params, rng.master_seed, records, aggregate(records), caveats)
+
+
+def _regularize(
+    graph: SimpleGraph,
+    epsilon: float,
+    p: float,
+    t0: int,
+    max_t: int,
+    d: float,
+    uniformity: float,
+    refuter_trials: int,
+    stream: RngStream,
+) -> tuple[Partition, CleanResult, dict]:
+    """Partition ``graph`` from ``stream``, clean it, and the flat stage record of both."""
+    part = sparse_regular_partition(graph, epsilon, p, t0, max_t, stream, refuter_trials=refuter_trials)
+    cleaned = clean_partition(graph, part, epsilon, p, d, uniformity)
+    verdicts = Counter(info.verdict.status for info in part.pair_info.values())
+    stage = {
+        "partition_t": part.t,
+        "partition_converged": part.converged,
+        "inconclusive": not part.converged,
+        "pairs_certified": verdicts[CERTIFIED],
+        "pairs_refuted": verdicts[REFUTED],
+        "pairs_undecided": verdicts[UNDECIDED],
+        "deleted_clean": cleaned.deleted_total,
+        "deleted_clean_within": cleaned.deleted_within,
+        "deleted_clean_refuted": cleaned.deleted_refuted,
+        "deleted_clean_sparse": cleaned.deleted_sparse,
+        "clean_bound_inputs_hold": cleaned.bound_inputs_hold,
+    }
+    return part, cleaned, stage
 
 
 def _pair_verdicts(
@@ -318,14 +364,12 @@ def run_removal(
             "subgraph_edges": sub.edge_count,
             "planted_interior_edges": planted,
             "copies_before": labelled // aut,
+            "copies_within_budget": labelled <= labelled_budget,
         }
-        part = sparse_regular_partition(
-            sub, epsilon, p, t0, max_t, stream.child(2), refuter_trials=refuter_trials
+        part, cleaned, stage = _regularize(
+            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
         )
-        record["partition_t"] = part.t
-        record["partition_converged"] = part.converged
-        cleaned = clean_partition(sub, part, epsilon, p, d, uniformity)
-        record["deleted_clean"] = cleaned.deleted_total
+        record.update(stage)
         record["cluster_supported_copies"] = _cluster_supported_count(
             cleaned.graph, part, cleaned.cluster, pattern
         )
@@ -341,7 +385,6 @@ def run_removal(
         record["deleted_total"] = total_deleted
         record["deletion_budget"] = str(deletion_budget)
         record["template_free"] = bool(template_free)
-        record["inconclusive"] = not part.converged
         record["success"] = bool(template_free and Fraction(total_deleted) <= deletion_budget)
         return record
 
@@ -472,13 +515,8 @@ def _induced_on(graph: SimpleGraph, vertices: list[int]) -> tuple[SimpleGraph, l
     """Induced subgraph with dense relabeling; returns (graph, original ids)."""
     order = sorted(vertices)
     pos = {v: i for i, v in enumerate(order)}
-    edges = []
     mask = bitmask_of(order)
-    for v in order:
-        row = graph.adj[v] & mask
-        for w in (x for x in order if x > v):
-            if row >> w & 1:
-                edges.append((pos[v], pos[w]))
+    edges = [(pos[v], pos[w]) for v in order for w in iter_bits(graph.adj[v] & mask) if w > v]
     return SimpleGraph.from_edges(len(order), edges), order
 
 
@@ -510,13 +548,10 @@ def packing_pipeline(
     """
     ambient = host_n if host_n is not None else graph.n
     record: dict = {"subgraph_n": graph.n, "subgraph_edges": graph.edge_count}
-    part = sparse_regular_partition(
-        graph, epsilon, p, t0, max_t, rng.child(0), refuter_trials=refuter_trials
+    part, cleaned, stage = _regularize(
+        graph, epsilon, p, t0, max_t, d, uniformity, refuter_trials, rng.child(0)
     )
-    record["partition_t"] = part.t
-    record["partition_converged"] = part.converged
-    cleaned = clean_partition(graph, part, epsilon, p, d, uniformity)
-    record["deleted_clean"] = cleaned.deleted_total
+    record.update(stage)
     beta = min(gamma / 2.0, 1.0 / (2 * k))
     trim = trim_min_degree(cleaned.cluster, k, beta)
     if trim.success:
@@ -580,7 +615,6 @@ def packing_pipeline(
         packed_cliques=len(covered),
         covered_vertices=len(seen),
         coverage=coverage,
-        inconclusive=not part.converged,
         success=bool(Fraction(len(seen), ambient) >= 1 - Fraction(gamma)),
     )
     return record
@@ -687,35 +721,22 @@ def run_clique_density(
             picks = stream.child(1).np_rng().choice(len(edges), size=m_target, replace=False)
             sub = SimpleGraph.from_edges(host.n, [edges[int(i)] for i in picks])
         achieved_rho = float(sub.edge_count / (p * host_n * (host_n - 1) / 2))
-        part = sparse_regular_partition(
-            sub, epsilon, p, t0, max_t, stream.child(2), refuter_trials=refuter_trials
+        part, cleaned, stage = _regularize(
+            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
         )
-        cleaned = clean_partition(sub, part, epsilon, p, d, uniformity)
         cluster = cleaned.cluster
         t = cluster.t
         weighted_sum = Fraction(0)
         estimate = Fraction(0)
         for tup in combinations(range(t), k):
-            w = Fraction(1)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    w *= cluster.weight(tup[a], tup[b])
-                    if w == 0:
-                        break
-                if w == 0:
-                    break
-            if w == 0:
-                continue
+            w = math.prod(cluster.weight(a, b) for a, b in combinations(tup, 2))
             weighted_sum += w
-            sizes = 1
-            for c in tup:
-                sizes *= len(part.classes[c])
-            estimate += w * Fraction(p) ** math.comb(k, 2) * sizes
+            estimate += w * Fraction(p) ** math.comb(k, 2) * math.prod(len(part.classes[c]) for c in tup)
         true_count = count_kcliques(sub, k)
         return {
+            **stage,
             "subgraph_edges": sub.edge_count,
             "achieved_rho": achieved_rho,
-            "partition_t": part.t,
             "weighted_clique_sum": float(weighted_sum),
             "cluster_estimate": float(estimate),
             "true_count": true_count,
@@ -851,12 +872,10 @@ def run_partite_stability(
             "premise_min_degree": (1 - 3 / (3 * chi - 4) + gamma) * p * host_n,
         }
         record["premise_met"] = record["min_degree"] >= record["premise_min_degree"]
-        part = sparse_regular_partition(
-            sub, epsilon, p, t0, max_t, stream.child(3), refuter_trials=refuter_trials
+        part, cleaned, stage = _regularize(
+            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(3)
         )
-        cleaned = clean_partition(sub, part, epsilon, p, d, uniformity)
-        record["partition_t"] = part.t
-        record["deleted_clean"] = cleaned.deleted_total
+        record.update(stage)
 
         cluster = cleaned.cluster
         trim_threshold = (1 - 3 / (3 * chi - 4) + gamma / 2) * cluster.t
@@ -899,7 +918,6 @@ def run_partite_stability(
         record["deleted_lift"] = lift_deleted
         record["deleted_total"] = total
         record["deletion_budget"] = str(budget)
-        record["inconclusive"] = not part.converged
         record["success"] = bool(Fraction(total) <= budget)
         return record
 

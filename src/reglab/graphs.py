@@ -115,12 +115,6 @@ class PatternGraph:
                 out.add(a)
         return out
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.k))
-
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "edges": [[a + 1, b + 1] for a, b in self.sorted_edges()]})
 
@@ -409,21 +403,8 @@ class MultipartiteGraph:
     def edge_count(self, i: int, j: int) -> int:
         return self.pair_edge_counts[(min(i, j), max(i, j))]
 
-    def total_edges(self) -> int:
-        return sum(self.pair_edge_counts.values())
-
     def has_pair_edge(self, i: int, j: int, u: int, v: int) -> bool:
         return bool(self.rows[(i, j)][u] >> v & 1)
-
-    def flatten(self) -> SimpleGraph:
-        """Join the parts into one SimpleGraph; part i occupies [i*n, (i+1)*n)."""
-        n = self.part_size
-        edges = []
-        for i, j in self.pattern.sorted_edges():
-            base_i, base_j = i * n, j * n
-            for u, v in self.pair_edges(i, j):
-                edges.append((base_i + u, base_j + v))
-        return SimpleGraph.from_edges(self.k * n, edges)
 
     def pair_subgraph(self, i: int, j: int) -> tuple[SimpleGraph, VertexSetPair]:
         """The bipartite pair {i, j} as a standalone graph plus its sides."""

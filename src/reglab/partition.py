@@ -54,10 +54,6 @@ class Partition:
                 out[v] = idx
         return out
 
-    def check_equipartition(self) -> bool:
-        sizes = [len(c) for c in self.classes]
-        return max(sizes) - min(sizes) <= 1
-
     def to_json(self) -> str:
         n = sum(len(c) for c in self.classes)
         pairs = {
@@ -464,10 +460,10 @@ def sparse_regular_partition(
 class CleanResult:
     """Outcome of partition cleaning, with exact deletion accounting.
 
-    Unpacks as ``(graph, cluster)``.  ``bound_inputs_hold`` reports whether
-    the per-class and per-pair upper-uniformity inequalities and the refuted
-    pair budget used to derive ``deletion_bound`` all held; when they do the
-    measured deletions are asserted against the bound.
+    ``bound_inputs_hold`` reports whether the per-class and per-pair
+    upper-uniformity inequalities and the refuted pair budget used to derive
+    ``deletion_bound`` all held; when they do the measured deletions are
+    asserted against the bound.
     """
 
     graph: SimpleGraph
@@ -482,9 +478,6 @@ class CleanResult:
     @property
     def deleted_total(self) -> int:
         return self.deleted_within + self.deleted_refuted + self.deleted_sparse
-
-    def __iter__(self):
-        return iter((self.graph, self.cluster))
 
 
 def clean_partition(
@@ -502,6 +495,8 @@ def clean_partition(
     (D/t + 2 D eps + d) * p n^2 / 2 whenever its ingredient inequalities
     hold on this instance.
     """
+    if not 0.0 < p <= 1.0:
+        raise PreconditionError(f"p must be in (0, 1], got {p}")
     classes = part.classes
     t = len(classes)
     n = graph.n

@@ -7,6 +7,7 @@ reports must be byte-identical and match the recorded digest.
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -25,10 +26,10 @@ PARAMS = [
 #: experiment -> (exit code, sha256 of the JSON report)
 GOLDEN = {
     "turan": (EXIT_OK, "d2b66056c443a336770b372f069b294562d3090e58d82dee1928e095d3143351"),
-    "aes": (EXIT_CHECK_FAILED, "bbc4af08eb7ca8e2a7751cdcbb927df794aae76444180bd7c71ee3e2715babf0"),
-    "removal": (EXIT_CHECK_FAILED, "6c2cde2cfd0f58450d61a2c3d070d64fc7dc67f569154a0ee3782af2779ac1a5"),
-    "packing": (EXIT_CHECK_FAILED, "44a49d8935885aa2c02ecd806f5b7361fc057813b52f9dccd7b81809002f781b"),
-    "cliquedensity": (EXIT_OK, "064893e2c67a09385f7e472e3c0db5edb65f94800c0cc43cf88ef3268fcef0ef"),
+    "aes": (EXIT_CHECK_FAILED, "5dbb69d7c8282225040da51a2764218bd3bbdac6a4b1e2b1e9525ecf513ba0fa"),
+    "removal": (EXIT_CHECK_FAILED, "a6fac29f5d028ab29e97bbb53825a2d7f090e35bcf81a753da1ef84ef6c005be"),
+    "packing": (EXIT_CHECK_FAILED, "8b8e5ce7c9f3a47ed9d3f937bd67e3e8830f2e09f99e029a8efc041a4fa25c17"),
+    "cliquedensity": (EXIT_OK, "094c231ec4f7c140f052d278be0e143f25b6ae5b723bdfefa2f2b46437650167"),
     "counting": (EXIT_OK, "88c10b33b40047a0e3b462b47648ca8b1e42ce17b4326a2256c2eb2d972ad8d9"),
 }
 
@@ -54,10 +55,67 @@ def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
     assert digests == [expected_digest, expected_digest]
 
 
+#: Stage fields of ``experiments._regularize`` that no trial record carried before it.
+STAGE_KEYS = (
+    "pairs_certified", "pairs_refuted", "pairs_undecided", "deleted_clean_within", "deleted_clean_refuted",
+    "deleted_clean_sparse", "clean_bound_inputs_hold",
+)
+
+#: experiment -> the keys its trial records gained with the regularize stage
+ADDED_RECORD_KEYS = {
+    "aes": STAGE_KEYS + ("partition_converged",),
+    "removal": STAGE_KEYS + ("copies_within_budget",),
+    "packing": STAGE_KEYS,
+    "cliquedensity": STAGE_KEYS + ("partition_converged", "inconclusive", "deleted_clean"),
+}
+
+#: experiment -> sha256 of its golden report when its trial records lacked ADDED_RECORD_KEYS
+NARROW_RECORDS_GOLDEN = {
+    "aes": "bbc4af08eb7ca8e2a7751cdcbb927df794aae76444180bd7c71ee3e2715babf0",
+    "removal": "6c2cde2cfd0f58450d61a2c3d070d64fc7dc67f569154a0ee3782af2779ac1a5",
+    "packing": "44a49d8935885aa2c02ecd806f5b7361fc057813b52f9dccd7b81809002f781b",
+    "cliquedensity": "064893e2c67a09385f7e472e3c0db5edb65f94800c0cc43cf88ef3268fcef0ef",
+}
+
+
+def narrow_records(obj: dict, name: str) -> None:
+    """Delete the keys the regularize stage added from every trial record of a parsed report."""
+    for record in obj["trials"]:
+        for key in ADDED_RECORD_KEYS[name]:
+            del record[key]
+
+
+def digest(obj: dict) -> str:
+    """sha256 of a parsed report serialised as ``reglab`` writes it."""
+    return hashlib.sha256((json.dumps(obj, sort_keys=True) + "\n").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_RECORDS_GOLDEN))
+def test_regularize_stage_only_adds_record_keys(name, tmp_path):
+    """Without the added record keys the report is the one written before, byte for byte."""
+    _, report = run_golden(name, tmp_path, 0)
+    obj = json.loads(report)
+    narrow_records(obj, name)
+    assert digest(obj) == NARROW_RECORDS_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ADDED_RECORD_KEYS))
+def test_regularize_stage_counts_add_up(name, tmp_path):
+    """Verdicts cover every class pair once; cleaning's deletions are the sum of their causes."""
+    _, report = run_golden(name, tmp_path, 0)
+    for record in json.loads(report)["trials"]:
+        pairs = record["pairs_certified"] + record["pairs_refuted"] + record["pairs_undecided"]
+        assert pairs == math.comb(record["partition_t"], 2)
+        causes = record["deleted_clean_within"] + record["deleted_clean_refuted"] + record["deleted_clean_sparse"]
+        assert record["deleted_clean"] == causes
+        assert "stage_failed" in record or record["inconclusive"] == (not record["partition_converged"])
+
+
 #: Runner arguments that the aes and cliquedensity params once left out.
 ADDED_PARAMS = ("t0", "max_t", "epsilon", "d", "uniformity", "refuter_trials")
 
-#: experiment -> sha256 of its golden report when its params lacked ADDED_PARAMS
+#: experiment -> sha256 of its golden report when its params lacked ADDED_PARAMS and its
+#: trial records lacked ADDED_RECORD_KEYS
 NARROW_PARAMS_GOLDEN = {
     "aes": "8455bfe5ea3ed13aa146b44315e9e847187e4d902210009eb671387ce1a44dfa",
     "cliquedensity": "6a3046845a81c46f257ac8754315569619485e103983129e7f6a22ad4dfb9501",
@@ -66,13 +124,13 @@ NARROW_PARAMS_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(NARROW_PARAMS_GOLDEN))
 def test_full_params_only_add_the_left_out_arguments(name, tmp_path):
-    """Without the added params the report is the one written before, byte for byte."""
+    """Without the added params and record keys the report is the one written before, byte for byte."""
     _, report = run_golden(name, tmp_path, 0)
     obj = json.loads(report)
+    narrow_records(obj, name)
     for key in ADDED_PARAMS:
         del obj["params"][key]
-    narrow = (json.dumps(obj, sort_keys=True) + "\n").encode()
-    assert hashlib.sha256(narrow).hexdigest() == NARROW_PARAMS_GOLDEN[name]
+    assert digest(obj) == NARROW_PARAMS_GOLDEN[name]
 
 
 #: case -> (argv after the triangle --pattern, exit code, sha256 of the output); the
@@ -163,6 +221,7 @@ EXIT_CODES = {
         ["experiment", "removal", "--pattern", "{edgeless_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
     ),
     "cliquedensity_p_zero": (["experiment", "cliquedensity", "--N", "30", "--p", "0", "--trials", "1"], EXIT_USAGE),
+    "counting_N_zero": (["experiment", "counting", "--N", "0", "--trials", "1"], EXIT_USAGE),
     "eta_zero": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "0"], EXIT_USAGE),
     "eta_above_one": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "1.5"], EXIT_USAGE),
     "packing_k_zero": (["experiment", "packing", "--N", "30", "--k", "0", "--trials", "1"], EXIT_USAGE),

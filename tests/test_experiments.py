@@ -314,3 +314,15 @@ def test_report_params_are_the_runner_arguments(name):
         derived["g_hat"] = str(gk_bruteforce(3, kwargs["rho"], kwargs["oracle_n"]))
     assert report.params == {**expected, **derived}
     assert (report.name, report.seed, len(report.trials)) == (name, 1, kwargs["trials"])
+
+
+def test_removal_flags_a_cut_above_the_copy_budget():
+    """A bipartite template: the random cut alone holds more copies than the budget admits."""
+    report = experiments.run_removal(
+        PatternGraph.cycle(4), 120, 0.15, 0.15, 0.01, RngStream(1), trials=1, t0=4, max_t=8
+    )
+    record = report.trials[0]
+    copy_budget = Fraction(0.01) * Fraction(0.15) ** 4 * 120**4
+    assert record["planted_interior_edges"] == 0
+    assert record["copies_before"] == 1834 > copy_budget
+    assert record["copies_within_budget"] is False

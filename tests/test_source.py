@@ -48,6 +48,18 @@ def test_only_regularity_names_the_checkers_behind_the_verdict_policy():
     assert {name: found for name, found in named.items() if found} == {}
 
 
+def test_experiments_partition_and_clean_only_in_the_regularize_stage():
+    """The partitioning experiments share ``experiments._regularize``; none partitions or cleans by hand."""
+    stage = {"sparse_regular_partition", "clean_partition"}
+    path = Path(reglab.__file__).parent / "experiments.py"
+    callers = {name: [] for name in sorted(stage)}
+    for function in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in stage:
+                callers[node.func.id].append(getattr(function, "name", "<module>"))
+    assert callers == {"clean_partition": ["_regularize"], "sparse_regular_partition": ["_regularize"]}
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads (``from __future__`` is exempt)."""
     imported = {}
