@@ -1,9 +1,16 @@
 """Core graph representations and density primitives.
 
-All graphs are simple and undirected.  Adjacency is stored as one Python
+All graphs are simple and undirected.  In memory, adjacency is one Python
 integer bitset per vertex (bit ``u`` of ``adj[v]`` set iff ``uv`` is an
 edge), which makes the intersection/popcount kernels used by the counting
 and regularity modules fast without any native extension.
+
+Bulk conversion between bit rows and edges goes through one block codec:
+:func:`rows_to_edges` lists the set bits of a run of rows as numpy index
+arrays and :func:`edges_to_rows` packs index arrays back into rows.  Both
+work on ``_CODEC_BLOCK_ROWS`` rows at a time, so their working memory is
+bounded by one block of rows, never an n x n array.  Edge-list text and
+multipartite JSON are read and written through them.
 
 Densities are exact :class:`fractions.Fraction` values throughout;
 probabilities are floats and only enter comparisons through documented
@@ -15,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -53,6 +61,90 @@ def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
         b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
     ).reshape(len(rows), nbytes)
     return np.unpackbits(packed, axis=1, bitorder="little")[:, :width].astype(dtype, copy=False)
+
+
+def packed_to_rows(packed: np.ndarray) -> list[int]:
+    """Bitset rows of a uint8 matrix packed little-endian along axis 1, as ``np.packbits`` writes it."""
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def matrix_to_rows(matrix: np.ndarray) -> list[int]:
+    """The inverse of :func:`rows_to_matrix`: bit ``c`` of row ``r`` is set iff ``matrix[r, c]`` is nonzero."""
+    return packed_to_rows(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+#: Rows the edge codec unpacks or packs at once; bounds its working memory
+#: to one block of this many rows.
+_CODEC_BLOCK_ROWS = 128
+
+
+def rows_to_edges(
+    rows: Sequence[int], width: int, upper: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The set bits of bitset ``rows`` as (row, column) index arrays, one block of rows at a time.
+
+    Bits come in row-major order, that is by row and then by column.  With
+    ``upper`` only bits with column > row are listed: the edges u < v of an
+    adjacency.  Every row must fit in ``width`` bits.
+    """
+    for start in range(0, len(rows), _CODEC_BLOCK_ROWS):
+        block = rows_to_matrix(rows[start : start + _CODEC_BLOCK_ROWS], width, bool)
+        r, c = np.divmod(np.flatnonzero(block), width)
+        r += start
+        if upper:
+            keep = c > r
+            r, c = r[keep], c[keep]
+        yield r, c
+
+
+def edges_to_rows(n_rows: int, width: int, r: np.ndarray, c: np.ndarray) -> list[int]:
+    """``n_rows`` bitset rows with bit ``c[i]`` of row ``r[i]`` set, the inverse of :func:`rows_to_edges`.
+
+    Indices must lie in ``[0, n_rows)`` and ``[0, width)``; a repeated pair
+    sets its bit once.  Pairs are grouped by block of rows, and each block
+    is scattered into a block x ``width`` matrix, so no ``n_rows`` x
+    ``width`` array is built.
+    """
+    rows = [0] * n_rows
+    n_blocks = -(-n_rows // _CODEC_BLOCK_ROWS)
+    block_of = (r // _CODEC_BLOCK_ROWS).astype(np.min_scalar_type(n_blocks))
+    counts = np.bincount(block_of, minlength=n_blocks)
+    order = np.argsort(block_of, kind="stable")  # a counting sort on keys this small
+    ends = np.cumsum(counts)
+    for b in np.flatnonzero(counts).tolist():
+        picked = order[ends[b] - counts[b] : ends[b]]
+        start = b * _CODEC_BLOCK_ROWS
+        stop = min(start + _CODEC_BLOCK_ROWS, n_rows)
+        block = np.zeros((stop - start) * width, dtype=bool)
+        block[(r[picked] - start) * width + c[picked]] = True
+        rows[start:stop] = matrix_to_rows(block.reshape(stop - start, width))
+    return rows
+
+
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The two endpoint columns of a sequence of integer pairs, as int64 arrays.
+
+    An entry that is not an integer is rejected, not truncated or parsed: a
+    float or a string raises ``TypeError``, a pair of another length
+    ``ValueError``.
+    """
+    pairs = edges if isinstance(edges, list) else list(edges)
+    lengths = set(map(len, pairs)) - {2}
+    if lengths:
+        raise ValueError(f"edges must be pairs, got an entry of length {min(lengths)}")
+    kinds = set(map(type, chain.from_iterable(pairs)))
+    if not all(issubclass(kind, (int, np.integer)) for kind in kinds):
+        raise TypeError(f"edge endpoints must be integers, got {sorted(kind.__name__ for kind in kinds)}")
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+    except OverflowError:
+        raise ValueError("edge endpoint outside the 64-bit integer range") from None
+    return flat[0::2], flat[1::2]
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of ``bad``, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def leq_with_tolerance(value: Fraction, threshold: float) -> bool:
@@ -133,6 +225,10 @@ def _pattern_fields(obj) -> tuple[int, list[tuple[int, int]]]:
     return int(obj["k"]), [(index(a) - 1, index(b) - 1) for a, b in obj["edges"]]
 
 
+#: Keyword of each edge-list line -> the number of fields of the line.
+_EDGE_LIST_FIELDS = {"vertices": 2, "edge": 3}
+
+
 class SimpleGraph:
     """Undirected simple graph with bitset adjacency rows.
 
@@ -152,20 +248,21 @@ class SimpleGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
+        """The graph on ``n`` vertices with the given (u, v) integer pairs; repeats count once.
+
+        The first loop or out-of-range pair in input order is reported.
+        """
         if n <= 0:
             raise PreconditionError("vertex count must be positive")
-        adj = [0] * n
-        count = 0
-        for u, v in edges:
-            if u == v:
-                raise PreconditionError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
-            if not adj[u] >> v & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-                count += 1
-        return SimpleGraph(n, adj, count)
+        u, v = _edge_columns(edges)
+        bad = _first((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if bad is not None:
+            a, b = int(u[bad]), int(v[bad])
+            if a == b:
+                raise PreconditionError(f"loop at vertex {a}")
+            raise PreconditionError(f"edge ({a}, {b}) out of range for n={n}")
+        adj = [fwd | rev for fwd, rev in zip(edges_to_rows(n, n, u, v), edges_to_rows(n, n, v, u))]
+        return SimpleGraph(n, adj, sum(row.bit_count() for row in adj) // 2)
 
     @staticmethod
     def empty(n: int) -> "SimpleGraph":
@@ -184,10 +281,9 @@ class SimpleGraph:
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in iter_bits(row):
-                yield (u, v)
+        """Every edge once as (u, v) with u < v, in increasing (u, v) order."""
+        for us, vs in rows_to_edges(self.adj, self.n, upper=True):
+            yield from zip(us.tolist(), vs.tolist())
 
     def edges_within(self, mask: int) -> int:
         """Number of edges with both endpoints in the bitset ``mask``."""
@@ -226,25 +322,45 @@ class SimpleGraph:
         return SimpleGraph(self.n, adj, count // 2)
 
     def to_edge_list(self) -> str:
-        lines = [f"vertices {self.n}"]
-        lines.extend(f"edge {u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        """The graph as edge-list text.
+
+        The first line is ``vertices <n>``; then comes one ``edge <u> <v>``
+        line per edge, with u < v, in increasing (u, v) order, the order of
+        :meth:`edges`.  Every line ends in a newline.
+        """
+        names = np.array([str(v) for v in range(self.n)], dtype=object)
+        chunks = [f"vertices {self.n}"]
+        for us, vs in rows_to_edges(self.adj, self.n, upper=True):
+            targets = names[vs].tolist()
+            starts = np.flatnonzero(np.diff(us, prepend=-1)).tolist()  # first edge of each row
+            for a, b in zip(starts, starts[1:] + [len(targets)]):
+                head = f"edge {names[us[a]]} "
+                chunks.append(head + ("\n" + head).join(targets[a:b]))
+        return "\n".join(chunks) + "\n"
 
     @staticmethod
     def from_edge_list(text: str) -> "SimpleGraph":
+        """Parse :meth:`to_edge_list` text; ``#`` starts a comment and blank lines are skipped.
+
+        Exactly one ``vertices <n>`` line is required, and every line must
+        have the field count of its keyword.
+        """
         n = None
         edges = []
         for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
-            if parts[0] == "vertices":
-                n = int(parts[1])
-            elif parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
-            else:
+            if parts[0] not in _EDGE_LIST_FIELDS:
                 raise PreconditionError(f"unrecognized edge-list line: {raw!r}")
+            if len(parts) != _EDGE_LIST_FIELDS[parts[0]]:
+                raise PreconditionError(f"wrong number of fields in edge-list line: {raw!r}")
+            if parts[0] == "edge":
+                edges.append((int(parts[1]), int(parts[2])))
+            elif n is not None:
+                raise PreconditionError(f"second 'vertices' header in edge-list text: {raw!r}")
+            else:
+                n = int(parts[1])
         if n is None:
             raise PreconditionError("edge-list text missing 'vertices <N>' header")
         return SimpleGraph.from_edges(n, edges)
@@ -361,19 +477,13 @@ class MultipartiteGraph:
         rows: dict[tuple[int, int], list[int]] = {}
         counts: dict[tuple[int, int], int] = {}
         for i, j in pattern.sorted_edges():
-            fwd = [0] * n
-            rev = [0] * n
-            count = 0
-            for u, v in pair_edges.get((i, j), ()):  # u in part i, v in part j
-                if not (0 <= u < n and 0 <= v < n):
-                    raise PreconditionError(f"local edge ({u}, {v}) out of range for n={n}")
-                if not fwd[u] >> v & 1:
-                    fwd[u] |= 1 << v
-                    rev[v] |= 1 << u
-                    count += 1
-            rows[(i, j)] = fwd
-            rows[(j, i)] = rev
-            counts[(i, j)] = count
+            u, v = _edge_columns(pair_edges.get((i, j), ()))  # u in part i, v in part j
+            bad = _first((u < 0) | (u >= n) | (v < 0) | (v >= n))
+            if bad is not None:
+                raise PreconditionError(f"local edge ({int(u[bad])}, {int(v[bad])}) out of range for n={n}")
+            rows[(i, j)] = edges_to_rows(n, n, u, v)
+            rows[(j, i)] = edges_to_rows(n, n, v, u)
+            counts[(i, j)] = sum(row.bit_count() for row in rows[(i, j)])
         unknown = set(pair_edges) - set(pattern.sorted_edges())
         if unknown:
             raise PreconditionError(f"edges supplied for non-pattern pairs: {sorted(unknown)}")
@@ -395,10 +505,9 @@ class MultipartiteGraph:
         return self.pattern.k
 
     def pair_edges(self, i: int, j: int) -> Iterator[tuple[int, int]]:
-        """Local (u in part i, v in part j) edges of pair {i, j}."""
-        for u in range(self.part_size):
-            for v in iter_bits(self.rows[(i, j)][u]):
-                yield (u, v)
+        """Local (u in part i, v in part j) edges of pair {i, j}, in increasing (u, v) order."""
+        for us, vs in rows_to_edges(self.rows[(i, j)], self.part_size):
+            yield from zip(us.tolist(), vs.tolist())
 
     def edge_count(self, i: int, j: int) -> int:
         return self.pair_edge_counts[(min(i, j), max(i, j))]
@@ -474,9 +583,7 @@ def induced_multipartite(
     counts: dict[tuple[int, int], int] = {}
     for i, j in pattern.sorted_edges():
         block = rows_to_matrix([graph.adj[u] for u in class_lists[i]], graph.n, np.uint8)[:, class_lists[j]]
-        packed = np.packbits(block, axis=1, bitorder="little")
-        rows[(i, j)] = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-        packed_t = np.packbits(block.T, axis=1, bitorder="little")
-        rows[(j, i)] = [int.from_bytes(packed_t[v].tobytes(), "little") for v in range(n)]
+        rows[(i, j)] = matrix_to_rows(block)
+        rows[(j, i)] = matrix_to_rows(block.T)
         counts[(i, j)] = int(block.sum())
     return MultipartiteGraph(pattern, n, rows, counts)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RejectionBudgetError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, VertexSetPair
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, VertexSetPair, edges_to_rows, packed_to_rows
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -168,20 +168,13 @@ def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
         # mirror: bit u of row v for every edge uv of the block, u < v
         mirror = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
         packed[:, start // 8 : start // 8 + mirror.shape[1]] |= mirror
-    adj = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return SimpleGraph(n, adj, edges)
+    return SimpleGraph(n, packed_to_rows(packed), edges)
 
 
 def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int]]:
     """Uniform m-subset of the n*n bipartite slots, as bitset rows both ways."""
-    slots = gen.choice(n * n, size=m, replace=False)
-    fwd = [0] * n
-    rev = [0] * n
-    for s in map(int, slots):
-        u, v = divmod(s, n)
-        fwd[u] |= 1 << v
-        rev[v] |= 1 << u
-    return fwd, rev
+    u, v = np.divmod(gen.choice(n * n, size=m, replace=False), n)
+    return edges_to_rows(n, n, u, v), edges_to_rows(n, n, v, u)
 
 
 def sample_class(

@@ -54,6 +54,50 @@ def bool_matrix(graph: SimpleGraph) -> np.ndarray:
     return rows_to_matrix(graph.adj, graph.n, bool)
 
 
+def reference_edges(graph: SimpleGraph) -> list[tuple[int, int]]:
+    """``SimpleGraph.edges`` bit by bit: each row above the diagonal, lowest bit first."""
+    return [(u, v) for u in range(graph.n) for v in range(u + 1, graph.n) if graph.adj[u] >> v & 1]
+
+
+def reference_edge_list(graph: SimpleGraph) -> str:
+    """``SimpleGraph.to_edge_list`` with one formatted line per edge."""
+    lines = [f"vertices {graph.n}"] + [f"edge {u} {v}" for u, v in reference_edges(graph)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_from_edges(n: int, edges) -> SimpleGraph:
+    """``SimpleGraph.from_edges`` one edge at a time, with its checks in input order."""
+    if n <= 0:
+        raise PreconditionError("vertex count must be positive")
+    adj = [0] * n
+    count = 0
+    for u, v in edges:
+        if u == v:
+            raise PreconditionError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
+        if not adj[u] >> v & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            count += 1
+    return SimpleGraph(n, adj, count)
+
+
+def reference_from_pair_edges(pattern: PatternGraph, n: int, pair_edges) -> MultipartiteGraph:
+    """``MultipartiteGraph.from_pair_edges`` one edge at a time, with its checks in input order."""
+    rows, counts = {}, {}
+    for i, j in pattern.sorted_edges():
+        fwd, rev = [0] * n, [0] * n
+        for u, v in pair_edges.get((i, j), ()):
+            if not (0 <= u < n and 0 <= v < n):
+                raise PreconditionError(f"local edge ({u}, {v}) out of range for n={n}")
+            fwd[u] |= 1 << v
+            rev[v] |= 1 << u
+        rows[(i, j)], rows[(j, i)] = fwd, rev
+        counts[(i, j)] = sum(row.bit_count() for row in fwd)
+    return MultipartiteGraph(pattern, n, rows, counts)
+
+
 def reference_gnp(n: int, p: float, rng) -> SimpleGraph:
     """``randgraph.gnp`` as a single draw of n(n-1)/2 doubles into a dense n x n matrix."""
     if p == 0.0:

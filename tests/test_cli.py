@@ -189,8 +189,27 @@ def test_counting_runs_on_its_defaults(tmp_path):
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
 
 
-#: case -> (argv with {dir}, {graph}, {triangle}, {bad_pattern}, {edgeless_pattern} and
-#: {bad_multipartite} placeholders, exit code)
+def multipartite_k2(pairs: str) -> str:
+    """Multipartite JSON of one 2-vertex pair with part size 2 and the given ``pairs`` entry."""
+    return f'{{"pattern": {{"k": 2, "edges": [[1, 2]]}}, "part_size": 2, "pairs": {{"1-2": {pairs}}}}}\n'
+
+
+#: placeholder -> text of the input file that it names in EXIT_CODES
+INPUT_FILES = {
+    "triangle": TRIANGLE,
+    "bad_pattern": '{"k": 3}\n',
+    "edgeless_pattern": '{"k": 3, "edges": []}\n',
+    "bad_multipartite": multipartite_k2('[["a", 1]]'),
+    "float_multipartite": multipartite_k2("[[0.5, 1]]"),
+    "integral_float_multipartite": multipartite_k2("[[0, 1], [1.0, 0]]"),
+    "string_multipartite": multipartite_k2('[[0, 1], ["1", "0"]]'),
+    "short_edge_line": "vertices 3\nedge 1\n",
+    "bare_vertices": "vertices\nedge 0 1\n",
+    "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
+    "second_vertices": "vertices 3\nedge 0 1\nvertices 4\n",
+}
+
+#: case -> (argv with {dir}, {graph} and INPUT_FILES placeholders, exit code)
 EXIT_CODES = {
     "graph_is_directory": (["partition", "--graph", "{dir}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
     "graph_missing": (["partition", "--graph", "{dir}/absent.edges", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
@@ -199,6 +218,21 @@ EXIT_CODES = {
         ["experiment", "turan", "--pattern", "{bad_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
     ),
     "multipartite_wrong_type": (["count", "--graph", "{bad_multipartite}"], EXIT_USAGE),
+    "multipartite_float_entry": (["count", "--graph", "{float_multipartite}"], EXIT_USAGE),
+    "multipartite_integral_float_entry": (["count", "--graph", "{integral_float_multipartite}"], EXIT_USAGE),
+    "multipartite_string_entry": (["count", "--graph", "{string_multipartite}"], EXIT_USAGE),
+    "edge_list_short_edge_line": (
+        ["partition", "--graph", "{short_edge_line}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
+    ),
+    "edge_list_bare_vertices": (
+        ["partition", "--graph", "{bare_vertices}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
+    ),
+    "edge_list_extra_field": (
+        ["partition", "--graph", "{extra_edge_field}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
+    ),
+    "edge_list_second_vertices": (
+        ["partition", "--graph", "{second_vertices}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
+    ),
     "eps_above_one": (["partition", "--graph", "{graph}", "--eps", "2", "--p", "0.5"], EXIT_USAGE),
     "eps_zero": (["partition", "--graph", "{graph}", "--eps", "0", "--p", "0.5"], EXIT_USAGE),
     "eps_one_accepted": (["partition", "--graph", "{graph}", "--eps", "1", "--p", "0.5"], EXIT_OK),
@@ -271,26 +305,11 @@ EXIT_CODES = {
 def test_exit_code_table(case, tmp_path):
     graph = tmp_path / "path.edges"
     graph.write_text(SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list())
-    triangle = tmp_path / "triangle.json"
-    triangle.write_text(TRIANGLE, encoding="utf-8")
-    bad_pattern = tmp_path / "no_edges.json"
-    bad_pattern.write_text('{"k": 3}\n', encoding="utf-8")
-    edgeless_pattern = tmp_path / "edgeless.json"
-    edgeless_pattern.write_text('{"k": 3, "edges": []}\n', encoding="utf-8")
-    bad_multipartite = tmp_path / "bad_multipartite.json"
-    bad_multipartite.write_text(
-        '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": 2, "pairs": {"1-2": [["a", 1]]}}\n',
-        encoding="utf-8",
-    )
+    paths = {"dir": tmp_path, "graph": graph}
+    for name, text in INPUT_FILES.items():
+        paths[name] = tmp_path / f"{name}.input"
+        paths[name].write_text(text, encoding="utf-8")
     template, expected = EXIT_CODES[case]
-    paths = {
-        "dir": tmp_path,
-        "graph": graph,
-        "triangle": triangle,
-        "bad_pattern": bad_pattern,
-        "edgeless_pattern": edgeless_pattern,
-        "bad_multipartite": bad_multipartite,
-    }
     argv = ["--seed", "1", "--out", str(tmp_path / "out.txt")] + [arg.format(**paths) for arg in template]
     assert main(argv) == expected
 

@@ -14,13 +14,30 @@ from reglab.graphs import (
     SimpleGraph,
     VertexSetPair,
     bitmask_of,
+    edges_to_rows,
     induced_multipartite,
+    matrix_to_rows,
     min_degree,
     pair_density,
+    rows_to_edges,
+    rows_to_matrix,
 )
 from reglab.randgraph import RngStream, gnp
 
-from helpers import bool_matrix, graph_from_bool_matrix, reference_induced_multipartite, simple_graphs
+from helpers import (
+    bool_matrix,
+    graph_from_bool_matrix,
+    patterns,
+    reference_edge_list,
+    reference_edges,
+    reference_from_edges,
+    reference_from_pair_edges,
+    reference_induced_multipartite,
+    simple_graphs,
+)
+
+#: Largest vertex count the codec tests draw: several row blocks and a partial last one.
+MAX_CODEC_N = 600
 
 
 def test_pair_density_examples():
@@ -199,3 +216,110 @@ def test_pair_subgraph_matches_edge_list_construction(seed):
             pair_graph, sides = mg.pair_subgraph(a, b)
             assert pair_graph == expected and pair_graph.edge_count == expected.edge_count
             assert sides == VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
+
+
+@st.composite
+def drawn_pairs(draw, sizes=st.integers(1, MAX_CODEC_N), loops=False):
+    """A vertex count n from ``sizes`` and random (u, v) pairs in [0, n), with repeats in both orientations."""
+    n = draw(sizes)
+    m = draw(st.sampled_from([0, 1, 40, 3000, 30000]))
+    u, v = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, n, size=(2, m))
+    if not loops:
+        u, v = u[u != v], v[u != v]
+    pairs = list(zip(u.tolist(), v.tolist()))
+    return n, pairs + [(b, a) for a, b in pairs[::3]] + pairs[::5]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, MAX_CODEC_N), st.integers(1, MAX_CODEC_N), st.integers(0, 2**32 - 1))
+def test_codec_round_trips_rectangular_rows(n_rows, width, seed):
+    matrix = np.random.default_rng(seed).random((n_rows, width)) < 0.05
+    rows = matrix_to_rows(matrix)
+    assert (rows_to_matrix(rows, width, bool) == matrix).all()
+    blocks = list(rows_to_edges(rows, width))
+    r, c = np.concatenate([r for r, _ in blocks]), np.concatenate([c for _, c in blocks])
+    want_r, want_c = np.nonzero(matrix)
+    assert r.tolist() == want_r.tolist() and c.tolist() == want_c.tolist()
+    assert edges_to_rows(n_rows, width, np.concatenate((r, r)), np.concatenate((c, c))) == rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_pairs())
+def test_from_edges_matches_per_edge_reference(drawn):
+    n, pairs = drawn
+    got, want = SimpleGraph.from_edges(n, pairs), reference_from_edges(n, pairs)
+    assert got.adj == want.adj and got.edge_count == want.edge_count
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn_pairs())
+def test_edges_and_edge_list_match_per_bit_reference(drawn):
+    graph = reference_from_edges(*drawn)
+    assert list(graph.edges()) == reference_edges(graph)
+    assert graph.to_edge_list() == reference_edge_list(graph)
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+def test_complete_graph_edge_list_matches_per_bit_reference(n):
+    graph = SimpleGraph.complete(n)
+    assert graph.to_edge_list() == reference_edge_list(graph)
+    assert SimpleGraph.from_edge_list(graph.to_edge_list()) == graph
+
+
+@settings(max_examples=30, deadline=None)
+@given(patterns(max_k=4), st.data())
+def test_from_pair_edges_matches_per_edge_reference(pattern, data):
+    n = data.draw(st.integers(1, MAX_CODEC_N))
+    pair_edges = {}
+    for i, j in pattern.sorted_edges():
+        if data.draw(st.booleans()):
+            pair_edges[(i, j)] = data.draw(drawn_pairs(st.just(n), loops=True))[1]
+    got = MultipartiteGraph.from_pair_edges(pattern, n, pair_edges)
+    want = reference_from_pair_edges(pattern, n, pair_edges)
+    assert got.rows == want.rows and got.pair_edge_counts == want.pair_edge_counts
+    for i, j in pattern.sorted_edges():
+        assert list(got.pair_edges(i, j)) == sorted(set(map(tuple, pair_edges.get((i, j), []))))
+
+
+def insert_bad_pairs(data, pairs: list, bad: list) -> list:
+    """``pairs`` with one to three entries of ``bad`` inserted at drawn positions."""
+    pairs = list(pairs)
+    for pair in data.draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3)):
+        pairs.insert(data.draw(st.integers(0, len(pairs))), pair)
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_pairs(st.integers(1, 40)), st.data())
+def test_from_edges_reports_the_first_bad_edge_like_the_reference(drawn, data):
+    n, pairs = drawn
+    pairs = insert_bad_pairs(data, pairs, [(0, 0), (n - 1, n - 1), (n, n), (-1, 0), (0, n), (n + 3, -2)])
+    with pytest.raises(PreconditionError) as want:
+        reference_from_edges(n, pairs)
+    with pytest.raises(PreconditionError) as got:
+        SimpleGraph.from_edges(n, pairs)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_pairs(st.integers(1, 40), loops=True), st.data())
+def test_from_pair_edges_reports_the_first_bad_edge_like_the_reference(drawn, data):
+    n, pairs = drawn
+    pattern = PatternGraph.path(3)
+    pair_edges = {(0, 1): pairs, (1, 2): list(reversed(pairs))}
+    key = data.draw(st.sampled_from(sorted(pair_edges)))
+    pair_edges[key] = insert_bad_pairs(data, pair_edges[key], [(-1, 0), (0, n), (n, n), (n + 3, -2)])
+    with pytest.raises(PreconditionError) as want:
+        reference_from_pair_edges(pattern, n, pair_edges)
+    with pytest.raises(PreconditionError) as got:
+        MultipartiteGraph.from_pair_edges(pattern, n, pair_edges)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("entry", [[0.5, 1], [1.0, 0], ["1", "0"], [0, 1, 2]], ids=["float", "integral", "str", "triple"])
+def test_edge_entries_must_be_integer_pairs(entry):
+    """Entries that the old per-edge loops rejected are not truncated or parsed into edges."""
+    with pytest.raises((TypeError, ValueError)):
+        SimpleGraph.from_edges(3, [[0, 1], entry])
+    with pytest.raises((TypeError, ValueError)):
+        MultipartiteGraph.from_pair_edges(PatternGraph.complete(2), 3, {(0, 1): [[0, 1], entry]})

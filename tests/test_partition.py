@@ -13,12 +13,10 @@ from reglab.partition import (
     equipartition_classes,
     evaluate_partition,
     _otsu_cut,
-    partition_energy,
     sparse_regular_partition,
     trim_min_degree,
 )
 from reglab.randgraph import RngStream, gnp
-from reglab.regularity import REFUTED
 
 from helpers import graph_from_bool_matrix, reference_reduced_weighted_graph
 

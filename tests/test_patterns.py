@@ -1,7 +1,6 @@
 """2-density, balance classification, chromatic number."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from reglab.errors import PreconditionError, RejectionBudgetError
-from reglab.graphs import VertexSetPair, induced_multipartite
+from reglab.graphs import induced_multipartite
 from reglab.randgraph import (
     RngStream,
     derive_key,

@@ -1,7 +1,5 @@
 """Isomorph-free enumeration of small graphs."""
 
-from itertools import combinations
-
 import pytest
 
 from reglab.errors import BudgetError

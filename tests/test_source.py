@@ -6,6 +6,7 @@ from pathlib import Path
 import reglab
 
 SOURCES = sorted(Path(reglab.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_package_has_no_assert_statements():
@@ -75,11 +76,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_package_modules_import_no_unused_name():
-    """Every imported name is used; ``__init__.py`` imports only to re-export."""
+    """Every imported name of the package and its tests is used; ``__init__.py`` imports only to re-export."""
     unused = {}
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         if path.name != "__init__.py":
             found = _unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
             if found:
-                unused[path.name] = found
+                unused[f"{path.parent.name}/{path.name}"] = found
+    assert len(TESTS) > 1
     assert unused == {}
