@@ -11,10 +11,10 @@ runs on one kernel.  A :class:`SearchPlan` orders the template vertices by
 greedy maximum back-degree (pinned vertices first) and lists, per position,
 the earlier positions it must be adjacent to; it is built once per
 (template, pinned vertices) and cached.  The candidates at a position are
-the intersection of the placed neighbours' bitset rows.  Two traversals run
-over the plan: :func:`count_extensions` takes a popcount at the last level,
-and :func:`iter_extensions` yields every full assignment in search order.
-The kernel has two modes:
+the intersection of the placed neighbours' bitset rows.  Two depth-first
+traversals run over the plan: :func:`count_extensions` takes a popcount at
+the last level, and :func:`iter_extensions` yields every full assignment in
+search order.  The kernel has two modes:
 
 * partite (canonical copies): each template edge ``(a, b)`` has its own row
   table ``rows[(a, b)]`` over local part indices, and there is no used-vertex
@@ -30,19 +30,35 @@ vertices one at a time, always the lowest-index vertex of current degree
 <= 2: degree 0 multiplies the scalar by its vector's sum (n without one),
 degree 1 folds ``M_uv @ x_v`` into u's vector, and degree 2 replaces its two
 edges by ``M_uv diag(x_v) M_vw``, multiplied entrywise into any (u, w) matrix
-already there.  It applies when all of the following hold, and the
-backtracker runs otherwise:
+already there.  It applies when all of the following hold:
 
-* the template is not complete (cliques count faster by backtracking);
+* the template is not complete (the level route below counted triangles
+  on parts of 1800 faster than dense matrix products, at densities 0.05
+  and 0.5 alike);
 * the elimination empties the template, i.e. its treewidth is at most 2;
 * n^k < 2^53.  Every vector, matrix entry and BLAS partial sum is then a
   count of partial copies, a non-negative integer at most n^k, and float64
   represents every such integer exactly, so the result does not depend on
   the summation order.
 
-The matrix route holds 8 n^2 bytes per template edge.  Pinned counts and
-every :mod:`reglab.embedding` search stay on the backtracker, whose counts
-are Python ints, so n^k overflow is a non-issue there.
+The matrix route holds 8 n^2 bytes per template edge.  Every other unpinned
+count takes the level route, :func:`level_count`.  It walks the plan
+breadth-first on numpy arrays: each template edge's rows become one packed
+table of n rows of ceil(n / 64) uint64 words, the frontier of partial copies
+is a column of host indices per placed position, and each level ANDs the
+gathered rows of its back-constraints, unpacks them and extends the frontier
+with the set bits.  The frontier is walked ``_FRONTIER_CHUNK_ROWS`` rows at a
+time, depth first across levels, so besides the tables the working memory is
+one chunk per level: its candidate words, its unpacked bits and the at most
+``_FRONTIER_CHUNK_ROWS * n`` partial copies it extends to.  The result is
+exact for every n: each chunk's popcount sum is at most
+``_FRONTIER_CHUNK_ROWS * n``, far inside a 64-bit integer, and the chunk sums
+add up in a Python int.
+
+The backtracker, whose counts are Python ints too, keeps the pinned
+partite count :func:`extension_degree` and every injective search: those of
+:mod:`reglab.embedding` (counts through a host edge among them) and
+:func:`automorphisms`.
 
 Counts that pin or mask template vertices are constant on the orbits of
 Aut(H).  For an automorphism s, the map f -> f o s is a bijection from the
@@ -67,7 +83,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix, rows_to_packed
 from . import smallgraphs
 
 GK_BUDGET = 9
@@ -329,9 +345,55 @@ def matrix_count(
     return scalar
 
 
+#: Partial copies :func:`level_count` extends at once; bounds its working
+#: memory to one chunk of this many frontier rows per level.
+_FRONTIER_CHUNK_ROWS = 1024
+
+
+def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int) -> int:
+    """Canonical copies by extending all partial copies one plan position at a time.
+
+    Takes the partite-mode arguments of :func:`count_extensions` without pins
+    or masks and returns the same count.  A frontier of partial copies holds
+    one numpy column of host indices per placed position.
+    """
+    plan = search_plan(pattern)
+    last = pattern.k - 1
+    width = -(-n // 64) * 64  # rows padded to whole uint64 words
+
+    def words(table: list[int]) -> np.ndarray:
+        return rows_to_packed(table, width).view("<u8")
+
+    tables = {
+        (s, t): words(rows[(plan.order[s], v)]) for t, v in enumerate(plan.order) for s in plan.back[t]
+    }
+    full = words([(1 << n) - 1])
+
+    def extend(t: int, frontier: list[np.ndarray], size: int) -> int:
+        total = 0
+        for start in range(0, size, _FRONTIER_CHUNK_ROWS):
+            chunk = [column[start : start + _FRONTIER_CHUNK_ROWS] for column in frontier]
+            if plan.back[t]:
+                first, *rest = plan.back[t]
+                cand = np.take(tables[(first, t)], chunk[first], axis=0)
+                for s in rest:
+                    cand &= np.take(tables[(s, t)], chunk[s], axis=0)
+            else:
+                cand = np.broadcast_to(full, (min(size - start, _FRONTIER_CHUNK_ROWS), full.shape[1]))
+            if t == last:
+                total += int(np.bitwise_count(cand).sum())
+                continue
+            bits = np.unpackbits(cand.view(np.uint8), axis=1, count=n, bitorder="little")
+            picked, hosts = np.divmod(np.flatnonzero(bits.view(bool)), n)
+            total += extend(t + 1, [column[picked] for column in chunk] + [hosts], len(hosts))
+        return total
+
+    return extend(0, [], 1)
+
+
 def _unpinned_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int) -> int:
     count = matrix_count(pattern, rows, n)
-    return count_extensions(pattern, rows, n) if count is None else count
+    return level_count(pattern, rows, n) if count is None else count
 
 
 def canonical_count(graph: MultipartiteGraph) -> CountResult:

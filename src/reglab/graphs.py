@@ -51,16 +51,26 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def rows_to_packed(rows: Sequence[int], width: int) -> np.ndarray:
+    """The bitset ``rows`` as a uint8 matrix of ``len(rows)`` rows and ``ceil(width / 8)`` columns.
+
+    Bit ``c`` of ``rows[r]`` is bit ``c % 8`` of byte ``[r, c // 8]``, the
+    little-endian packing that ``np.packbits(..., bitorder="little")``
+    writes; every row must fit in ``width`` bits.
+    """
+    nbytes = (width + 7) // 8
+    return np.frombuffer(
+        b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+
+
 def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
     """The bitset ``rows`` as a 0/1 matrix of ``len(rows)`` rows and ``width`` columns.
 
     Entry ``[r, c]`` is bit ``c`` of ``rows[r]``; every row must fit in ``width`` bits.
     """
-    nbytes = (width + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(nbytes, "little") for row in rows), dtype=np.uint8
-    ).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, bitorder="little")[:, :width].astype(dtype, copy=False)
+    packed = rows_to_packed(rows, width)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little").astype(dtype, copy=False)
 
 
 def packed_to_rows(packed: np.ndarray) -> list[int]:
@@ -342,8 +352,9 @@ class SimpleGraph:
     def from_edge_list(text: str) -> "SimpleGraph":
         """Parse :meth:`to_edge_list` text; ``#`` starts a comment and blank lines are skipped.
 
-        Exactly one ``vertices <n>`` line is required, and every line must
-        have the field count of its keyword.
+        Exactly one ``vertices <n>`` line is required, every line must have
+        the field count of its keyword, and every field after the keyword
+        must be an integer.
         """
         n = None
         edges = []
@@ -355,12 +366,16 @@ class SimpleGraph:
                 raise PreconditionError(f"unrecognized edge-list line: {raw!r}")
             if len(parts) != _EDGE_LIST_FIELDS[parts[0]]:
                 raise PreconditionError(f"wrong number of fields in edge-list line: {raw!r}")
-            if parts[0] == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
-            elif n is not None:
+            try:
+                if parts[0] == "edge":
+                    edges.append((int(parts[1]), int(parts[2])))
+                    continue
+                count = int(parts[1])
+            except ValueError:
+                raise PreconditionError(f"non-integer field in edge-list line: {raw!r}") from None
+            if n is not None:
                 raise PreconditionError(f"second 'vertices' header in edge-list text: {raw!r}")
-            else:
-                n = int(parts[1])
+            n = count
         if n is None:
             raise PreconditionError("edge-list text missing 'vertices <N>' header")
         return SimpleGraph.from_edges(n, edges)
@@ -398,7 +413,8 @@ def pair_density(graph: SimpleGraph, pair: VertexSetPair) -> Fraction:
     """Edge density e(U, V) / (|U| |V|) as an exact rational."""
     if not pair.U or not pair.V:
         raise PreconditionError("pair density needs nonempty sets")
-    e = graph.edges_between(pair.mask_u, pair.mask_v)
+    mask_v = pair.mask_v
+    e = sum((graph.adj[u] & mask_v).bit_count() for u in pair.U)
     return Fraction(e, len(pair.U) * len(pair.V))
 
 

@@ -184,6 +184,38 @@ def test_gnp_edge_list_is_golden_and_rerun_identical(tmp_path):
     assert digests == [GNP_GOLDEN, GNP_GOLDEN]
 
 
+def multipartite_clique(k: int, n: int) -> str:
+    """Multipartite JSON of K_k on parts of ``n``: pair (i, j) joins u and v iff (u (i+2) + v (j+3) + i j) mod 5 < 3."""
+    pairs = {
+        f"{i + 1}-{j + 1}": [[u, v] for u in range(n) for v in range(n) if (u * (i + 2) + v * (j + 3) + i * j) % 5 < 3]
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    edges = [[i + 1, j + 1] for i in range(k) for j in range(i + 1, k)]
+    return json.dumps({"pattern": {"k": k, "edges": edges}, "part_size": n, "pairs": pairs}) + "\n"
+
+
+#: (k, part size) -> sha256 of ``reglab count`` on ``multipartite_clique(k, n)``;
+#: both part sizes leave padding bits in the packed rows and both counts span
+#: several frontier chunks
+COUNT_GOLDEN = {
+    (3, 70): "e6655b53ddf73cb210a493b18b323676c57d2655bef83f318a2a0643e7d252f8",
+    (4, 37): "832dd82593a100b2193b31eb2c1ba4e8b3e9c870ca0e619a0420c7fb5a2c3a16",
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(COUNT_GOLDEN), ids=["K3", "K4"])
+def test_clique_count_is_golden_and_rerun_identical(k, n, tmp_path):
+    graph = tmp_path / f"k{k}.json"
+    graph.write_text(multipartite_clique(k, n), encoding="utf-8")
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"count-{run}.json"
+        assert main(["--seed", "1", "--out", str(out), "count", "--graph", str(graph)]) == EXIT_OK
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [COUNT_GOLDEN[(k, n)]] * 2
+
+
 def test_counting_runs_on_its_defaults(tmp_path):
     out = tmp_path / "counting.json"
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
@@ -207,6 +239,7 @@ INPUT_FILES = {
     "bare_vertices": "vertices\nedge 0 1\n",
     "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
     "second_vertices": "vertices 3\nedge 0 1\nvertices 4\n",
+    "non_integer_field": "vertices 8\nedge 0 x\n",
 }
 
 #: case -> (argv with {dir}, {graph} and INPUT_FILES placeholders, exit code)
@@ -232,6 +265,9 @@ EXIT_CODES = {
     ),
     "edge_list_second_vertices": (
         ["partition", "--graph", "{second_vertices}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
+    ),
+    "edge_list_non_integer_field": (
+        ["partition", "--graph", "{non_integer_field}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
     ),
     "eps_above_one": (["partition", "--graph", "{graph}", "--eps", "2", "--p", "0.5"], EXIT_USAGE),
     "eps_zero": (["partition", "--graph", "{graph}", "--eps", "0", "--p", "0.5"], EXIT_USAGE),

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,33 +241,76 @@ def test_matrix_route_on_any_template(pattern, seed):
         assert count == naive_canonical_count(graph)
 
 
+K4_PENDANT = PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(4), 2)] + [(3, 4)])
+K5_MINUS_E = PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(5), 2) if (a, b) != (0, 1)])
+
+
+def no_backtracker(*args, **kwargs):
+    raise AssertionError("backtracker called")
+
+
 @pytest.mark.parametrize("pattern", [
     PatternGraph.complete(2),
     PatternGraph.complete(3),
     PatternGraph.complete(4),
-    PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(4), 2)] + [(3, 4)]),
-    PatternGraph.from_edges(5, [(a, b) for a, b in combinations(range(5), 2) if (a, b) != (0, 1)]),
+    K4_PENDANT,
+    K5_MINUS_E,
 ], ids=["K2", "K3", "K4", "K4_pendant", "K5_minus_e"])
-def test_cliques_and_treewidth_three_take_the_backtracker(pattern, monkeypatch):
+def test_cliques_and_treewidth_three_skip_the_backtracker(pattern, monkeypatch):
     assert elimination_steps(pattern) is None
     graph = random_multipartite(pattern, 3, 0.7, RngStream(pattern.k))
     assert matrix_count(pattern, graph.rows, 3) is None
-    calls = []
-
-    def counting_backtracker(*args, **kwargs):
-        calls.append(args[0])
-        return count_extensions(*args, **kwargs)
-
-    monkeypatch.setattr(counting, "count_extensions", counting_backtracker)
+    monkeypatch.setattr(counting, "count_extensions", no_backtracker)
     assert canonical_count(graph).count == naive_canonical_count(graph)
     assert constrained_count(graph, pattern, graph).count == naive_canonical_count(graph)
-    assert calls == [pattern, pattern]
+
+
+def multipartite_at(pattern: PatternGraph, n: int, densities: list[float], seed: int) -> MultipartiteGraph:
+    """Pair ``i`` of ``pattern.sorted_edges()`` keeps each of its n^2 slots with probability ``densities[i]``."""
+    gen = RngStream(seed).np_rng()
+    pair_edges = {}
+    for e, density in zip(pattern.sorted_edges(), densities):
+        r, c = np.nonzero(gen.random((n, n)) < density)
+        pair_edges[e] = list(zip(r.tolist(), c.tolist()))
+    return MultipartiteGraph.from_pair_edges(pattern, n, pair_edges)
+
+
+# PatternGraph needs two vertices, so the edgeless pair stands in for K1:
+# every position of its plan is unconstrained
+LEVEL_TEMPLATES = {
+    "edgeless2": PatternGraph(2, frozenset()),
+    "K2": PatternGraph.complete(2),
+    "K3": PatternGraph.complete(3),
+    "K4": PatternGraph.complete(4),
+    "K5": PatternGraph.complete(5),
+    "K4_pendant": K4_PENDANT,
+    "K5_minus_e": K5_MINUS_E,
+    "K3_isolated": PatternGraph.from_edges(4, [(0, 1), (0, 3), (1, 3)]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(sorted(LEVEL_TEMPLATES)).map(LEVEL_TEMPLATES.get), treewidth_two_patterns(max_k=5)),
+    st.integers(1, 19),
+    st.integers(0, 10**9),
+    st.data(),
+)
+def test_level_count_matches_backtracker(pattern, n, seed, data):
+    # part sizes off multiples of 8 leave padding bits in every packed row, and
+    # a float limit of 1 sends treewidth-2 templates to the level route too
+    e = pattern.edge_count
+    densities = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=e, max_size=e))
+    graph = multipartite_at(pattern, n, densities, seed)
+    expected = count_extensions(pattern, graph.rows, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "EXACT_FLOAT_LIMIT", 1)
+        patch.setattr(counting, "count_extensions", no_backtracker)
+        assert matrix_count(pattern, graph.rows, n) is None
+        assert canonical_count(graph).count == expected
 
 
 def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
-    def no_backtracker(*args, **kwargs):
-        raise AssertionError("backtracker called")
-
     monkeypatch.setattr(counting, "count_extensions", no_backtracker)
     for pattern in (PatternGraph.cycle(4), PatternGraph.path(4), PatternGraph.from_edges(4, DIAMOND)):
         blowup = MultipartiteGraph.complete_blowup(pattern, 3)

@@ -122,6 +122,30 @@ def test_edge_list_round_trip():
     assert parsed.edge_count == 1 and parsed.has_edge(0, 2)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("vertices 8\nedge 0 x\n", "edge 0 x"),
+    ("vertices eight\n", "vertices eight"),
+    ("vertices 3\nedge 1.0 2\n", "edge 1.0 2"),
+])
+def test_edge_list_non_integer_field_quotes_its_line(text, line):
+    with pytest.raises(PreconditionError, match="non-integer field") as error:
+        SimpleGraph.from_edge_list(text)
+    assert repr(line) in str(error.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10**9), st.data())
+def test_pair_density_counts_every_cross_pair(n, seed, data):
+    g = gnp(n, 0.5, RngStream(seed))
+    side = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    U = [v for v in range(n) if side[v] == 1]
+    V = [v for v in range(n) if side[v] == 2]
+    if not U or not V:
+        return
+    cross = sum(g.has_edge(u, v) for u in U for v in V)
+    assert pair_density(g, VertexSetPair(tuple(U), tuple(V))) == Fraction(cross, len(U) * len(V))
+
+
 def test_induced_multipartite_examples():
     k3 = PatternGraph.complete(3)
     g = SimpleGraph.complete(3)
