@@ -24,8 +24,11 @@ search order.  The kernel has two modes:
   are masked out.
 
 Unpinned canonical counts (:func:`canonical_count`, :func:`constrained_count`)
-take one of two routes.  The matrix route, :func:`matrix_count`, turns each
-template edge's rows into a 0/1 float64 matrix and eliminates template
+are products over the template's connected components: a copy is one copy
+of each component, and an isolated template vertex has n images.  Each
+component with an edge is counted as a template of its own, by one of two
+routes.  The matrix route, :func:`matrix_count`, turns each template
+edge's rows into a 0/1 float64 matrix and eliminates template
 vertices one at a time, always the lowest-index vertex of current degree
 <= 2: degree 0 multiplies the scalar by its vector's sum (n without one),
 degree 1 folds ``M_uv @ x_v`` into u's vector, and degree 2 replaces its two
@@ -83,7 +86,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix, rows_to_packed
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix, rows_to_words
 from . import smallgraphs
 
 GK_BUDGET = 9
@@ -359,15 +362,12 @@ def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n
     """
     plan = search_plan(pattern)
     last = pattern.k - 1
-    width = -(-n // 64) * 64  # rows padded to whole uint64 words
-
-    def words(table: list[int]) -> np.ndarray:
-        return rows_to_packed(table, width).view("<u8")
-
     tables = {
-        (s, t): words(rows[(plan.order[s], v)]) for t, v in enumerate(plan.order) for s in plan.back[t]
+        (s, t): rows_to_words(rows[(plan.order[s], v)], n)
+        for t, v in enumerate(plan.order)
+        for s in plan.back[t]
     }
-    full = words([(1 << n) - 1])
+    full = rows_to_words([(1 << n) - 1], n)
 
     def extend(t: int, frontier: list[np.ndarray], size: int) -> int:
         total = 0
@@ -391,9 +391,42 @@ def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n
     return extend(0, [], 1)
 
 
+@lru_cache(maxsize=None)
+def _components(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """The vertex sets of the template's connected components, each sorted, in order of least vertex."""
+    seen: set[int] = set()
+    out = []
+    for root in range(pattern.k):
+        if root in seen:
+            continue
+        component, frontier = {root}, [root]
+        while frontier:
+            for u in pattern.neighbors(frontier.pop()) - component:
+                component.add(u)
+                frontier.append(u)
+        seen |= component
+        out.append(tuple(sorted(component)))
+    return tuple(out)
+
+
 def _unpinned_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int) -> int:
-    count = matrix_count(pattern, rows, n)
-    return level_count(pattern, rows, n) if count is None else count
+    """Canonical copies as the product of the counts of the template's components.
+
+    A copy is a choice of one copy of each component, so the count is the
+    product; an isolated template vertex has n images.
+    """
+    count = 1
+    for component in _components(pattern):
+        if len(component) == 1:
+            count *= n
+            continue
+        local = {v: idx for idx, v in enumerate(component)}
+        edges = [(local[a], local[b]) for a, b in pattern.edges if a in local]
+        sub = PatternGraph.from_edges(len(component), edges)
+        sub_rows = {(local[a], local[b]): table for (a, b), table in rows.items() if a in local}
+        part = matrix_count(sub, sub_rows, n)
+        count *= level_count(sub, sub_rows, n) if part is None else part
+    return count
 
 
 def canonical_count(graph: MultipartiteGraph) -> CountResult:

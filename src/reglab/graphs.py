@@ -64,6 +64,16 @@ def rows_to_packed(rows: Sequence[int], width: int) -> np.ndarray:
     ).reshape(len(rows), nbytes)
 
 
+def rows_to_words(rows: Sequence[int], width: int) -> np.ndarray:
+    """The bitset ``rows`` as a uint64 matrix of ``len(rows)`` rows and ``ceil(width / 64)`` columns.
+
+    Bit ``c`` of ``rows[r]`` is bit ``c % 64`` of word ``[r, c // 64]``: the
+    bytes of :func:`rows_to_packed`, padded to whole words and read as
+    little-endian uint64.  Every row must fit in ``width`` bits.
+    """
+    return rows_to_packed(rows, -(-width // 64) * 64).view("<u8")
+
+
 def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
     """The bitset ``rows`` as a 0/1 matrix of ``len(rows)`` rows and ``width`` columns.
 

@@ -6,6 +6,42 @@ class by the witness sets touching it and re-equalize.  Certification above
 the exhaustive budget is sampled refutation only, so at scale "regular"
 means "not refuted after the configured trials" and every downstream report
 must repeat that caveat.
+
+A refinement round asks one question many thousand times: how many
+neighbours does vertex v have in vertex set S?  The host rows are packed
+with ``graphs.rows_to_words`` into a table of n + 1 rows of ceil(n / 64)
+uint64 words, once per ``evaluate_partition`` call and once per
+``sparse_regular_partition`` call for the splits; row n is empty and pads
+ragged vertex lists.  The count kernel takes a batch of (vertex, set)
+questions as an index array of vertices per set and one row of words per
+set, gathers the vertices' rows, ANDs each with its set's words and sums
+``np.bitwise_count`` over the words.  Every count of a round comes from it:
+
+* ``evaluate_partition`` builds the n x t vertex-by-class count matrix once
+  and reads every pair's edge count, and so the energy, from it;
+* ``_split_by_best_probe`` runs the power iteration of every refuted
+  (pair, side) job of the round together, one batched count per step, and
+  scores all probes in one more;
+* ``_equalize_affinity`` counts each atom once and then keeps the
+  vertex-by-class counts and each class's internal edge count up to date
+  as vertices move.
+
+Exactness.  Counts are integers summed in int64, far from overflow.  Otsu
+cuts compare between-class variances num^2 / (i (s - i)) in float64 with
+exact int64 numerators, and donor keys |a / s - d| - |a' / s' - d'| in
+float64; floats only narrow the choice, and every candidate within
+``_NEAR_TIE`` of the best (a relative margin for the variances, which
+carry a relative error of a few units of 2^-53, and an absolute one for
+the keys, whose absolute error is below 1e-15) is compared again as an
+exact rational, with the same tie rules (cut nearest the middle, then the
+lower; least vertex).  So every decision equals the one that exact
+``Fraction`` arithmetic vertex by vertex makes, and reports are unchanged.
+
+Memory.  Besides the table (n^2 / 8 bytes, the host's own size) the round
+holds the n x t count matrix, arrays of (jobs x largest class) entries for
+the split, and gather temporaries of at most ``_COUNT_CHUNK_WORDS`` words
+(or one row); never an n x n array of counts, nor a gather of jobs x class
+size x n entries.
 """
 
 from __future__ import annotations
@@ -14,9 +50,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from typing import Sequence
+
+import numpy as np
 
 from .errors import PreconditionError, SoundnessError
-from .graphs import SimpleGraph, VertexSetPair, _peel_low_degree, bitmask_of, iter_bits
+from .graphs import SimpleGraph, VertexSetPair, _peel_low_degree, bitmask_of, iter_bits, rows_to_words
 from .randgraph import RngStream
 from .regularity import REFUTED, RegularityVerdict, pair_verdict
 
@@ -145,21 +185,78 @@ def equipartition_classes(vertices: list[int], t: int) -> list[list[int]]:
     return classes
 
 
-def partition_energy(graph: SimpleGraph, classes: list[list[int]], p: float) -> Fraction:
-    """Sum over pairs of (|Vi||Vj| / n^2) (d_ij / p)^2, exact."""
-    n = graph.n
-    p_frac = Fraction(p)
-    masks = [bitmask_of(c) for c in classes]
-    total = Fraction(0)
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            size = len(classes[i]) * len(classes[j])
-            if size == 0:
-                continue
-            e = graph.edges_between(masks[i], masks[j])
-            d = Fraction(e, size)
-            total += Fraction(size, n * n) * (d / p_frac) ** 2
-    return total
+#: Words of host rows the count kernel gathers and ANDs with set words at
+#: once: each of its temporaries holds at most this many words (or one row).
+_COUNT_CHUNK_WORDS = 1 << 15
+
+#: Float scores within this margin of the best are compared again exactly
+#: (see the module docstring).
+_NEAR_TIE = 1e-9
+
+
+def _row_table(graph: SimpleGraph) -> np.ndarray:
+    """The adjacency rows as an (n + 1) x ceil(n / 64) uint64 table; row n, the padding vertex, is empty."""
+    return rows_to_words([*graph.adj, 0], graph.n)
+
+
+def _padded(sets: Sequence[Sequence[int]], pad: int) -> np.ndarray:
+    """The vertex sets as the sorted rows of one index array, each padded with ``pad`` at its end."""
+    lengths = np.array([len(s) for s in sets], dtype=np.intp)
+    out = np.full((len(sets), int(lengths.max(initial=0))), pad, dtype=np.intp)
+    row = np.repeat(np.arange(len(sets)), lengths)
+    pos = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    out[row, pos] = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=len(row))
+    return np.sort(out, axis=1)
+
+
+def _set_words(table: np.ndarray, members: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Row j holds the words of the vertex set {members[j, r] : keep[j, r]}."""
+    words = np.zeros((len(members), table.shape[1]), dtype=np.uint64)
+    row, pos = np.nonzero(keep)
+    v = members[row, pos].astype(np.uint64)
+    np.bitwise_or.at(words, (row, v >> np.uint64(6)), np.uint64(1) << (v & np.uint64(63)))
+    return words
+
+
+def _counts(table: np.ndarray, members: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Entry [j, r] is the number of neighbours of vertex members[j, r] in set j (given by its words)."""
+    flat = members.ravel()
+    owner = np.repeat(np.arange(len(words)), members.shape[1])
+    out = np.empty(flat.size, dtype=np.int64)
+    step = max(1, _COUNT_CHUNK_WORDS // table.shape[1])
+    for start in range(0, flat.size, step):
+        stop = start + step
+        out[start:stop] = np.bitwise_count(table[flat[start:stop]] & words[owner[start:stop]]).sum(axis=1)
+    return out.reshape(members.shape)
+
+
+def _class_counts(table: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """The n x t matrix whose entry [v, c] is the number of neighbours of v in class c.
+
+    The classes are the rows of ``padded``, as :func:`_padded` writes them
+    with the padding vertex n.
+    """
+    n = len(table) - 1
+    words = _set_words(table, padded, padded < n)
+    return np.ascontiguousarray(_counts(table, np.broadcast_to(np.arange(n), (len(padded), n)), words).T)
+
+
+def partition_energy(edges: Sequence[Sequence[int]], sizes: Sequence[int], n: int, p: float) -> Fraction:
+    """Sum over pairs of (|Vi||Vj| / n^2) (d_ij / p)^2, exact, from the pair edge counts ``edges[i][j]``.
+
+    Each term is e_ij^2 / (|Vi||Vj| n^2 p^2), so the terms are summed as
+    integers per value of |Vi||Vj| (class sizes take at most three values
+    after equalising) and divided once.
+    """
+    squares: dict[int, int] = {}
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            size = sizes[i] * sizes[j]
+            if size:
+                squares[size] = squares.get(size, 0) + edges[i][j] ** 2
+    if not squares:
+        return Fraction(0)
+    return sum(Fraction(s2, size) for size, s2 in squares.items()) / (n * n * Fraction(p) ** 2)
 
 
 def evaluate_partition(
@@ -172,17 +269,20 @@ def evaluate_partition(
     rounds: int = 0,
 ) -> Partition:
     """Attach pair densities, verdicts, and energy to the given classes."""
-    masks = [bitmask_of(c) for c in classes]
+    padded = _padded(classes, graph.n)
+    counts = _class_counts(_row_table(graph), padded)
+    # e(V_i, V_j) sums the counts of V_i's rows; the padding row n adds zero
+    edges = np.vstack([counts, np.zeros(len(classes), dtype=np.int64)])[padded].sum(axis=1).tolist()
     t = len(classes)
     pair_info = {}
     for i in range(t):
         for j in range(i + 1, t):
-            e = graph.edges_between(masks[i], masks[j])
+            e = edges[i][j]
             density = Fraction(e, len(classes[i]) * len(classes[j]))
             pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
             verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
             pair_info[(i, j)] = PairInfo(density=density, edges=e, verdict=verdict)
-    energy = partition_energy(graph, classes, p)
+    energy = partition_energy(edges, [len(c) for c in classes], graph.n, p)
     return Partition(
         classes=[sorted(c) for c in classes],
         pair_info=pair_info,
@@ -193,32 +293,55 @@ def evaluate_partition(
     )
 
 
-def _otsu_cut(counts: list[int]) -> int:
-    """The cut 0 < i < len(counts) maximising the between-class variance of ``counts``.
+def _otsu_cuts(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per row j, the cut 0 < i < sizes[j] maximising the between-class variance of counts[j, :sizes[j]].
 
-    Splitting after position i gives variance i(n - i) (mean_left -
-    mean_right)^2 = num^2 / (i(n - i)) with num = prefix_i n - total i, so
-    cuts are compared by integer cross-multiplication.  Ties go to the cut
-    nearest the middle, then to the lower i.  Needs at least two counts.
+    Splitting after position i gives variance i(s - i) (mean_left -
+    mean_right)^2 = num^2 / (i(s - i)) with num = prefix_i s - total i.
+    Ties go to the cut nearest the middle, then to the lower i.  Each num is
+    an exact int64 (|num| <= i (s - i) max count); the variances are
+    compared in float64, where each carries a relative error of a few units
+    of 2^-53, and every cut within relative ``_NEAR_TIE`` of its row's best
+    is compared again by exact rationals, so the cut is the exact one.
+    Entries past sizes[j] are ignored; every size must be at least 2.
     """
-    size = len(counts)
-    if size < 2:
+    if (sizes < 2).any():
         raise PreconditionError("an Otsu cut needs at least two counts")
-    total = sum(counts)
-    best_cut, best_num2, best_den = 0, -1, 1
-    prefix = 0
-    for i in range(1, size):
-        prefix += counts[i - 1]
-        num = prefix * size - total * i
-        num2, den = num * num, i * (size - i)
-        lhs, rhs = num2 * best_den, best_num2 * den
-        if lhs > rhs or (lhs == rhs and abs(2 * i - size) < abs(2 * best_cut - size)):
-            best_cut, best_num2, best_den = i, num2, den
-    return best_cut
+    sizes = sizes[:, None]
+    i = np.arange(1, counts.shape[1])
+    prefix = np.cumsum(counts, axis=1)
+    total = np.take_along_axis(prefix, sizes - 1, axis=1)
+    num = prefix[:, :-1] * sizes - total * i
+    valid = i < sizes
+    score = np.where(valid, num.astype(np.float64) ** 2 / np.where(valid, i * (sizes - i), 1), -1.0)
+    near = valid & (score >= score.max(axis=1, keepdims=True) * (1 - _NEAR_TIE))
+    cuts = near.argmax(axis=1) + 1
+    for row in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+        size, nums = int(sizes[row, 0]), num[row].tolist()
+        cuts[row] = max(
+            (np.flatnonzero(near[row]) + 1).tolist(),
+            key=lambda c: (Fraction(nums[c - 1] ** 2, c * (size - c)), -abs(2 * c - size), -c),
+        )
+    return cuts
+
+
+def _otsu_groups(
+    table: np.ndarray, members: np.ndarray, sizes: np.ndarray, words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of ``members`` ranked by (-count into its set, vertex), with the ranked counts and Otsu cuts.
+
+    Rows of ``members`` are sorted with padding at their ends, as
+    :func:`_padded` writes them; padding stays at the end of each ranking.
+    """
+    counts = _counts(table, members, words)
+    valid = np.arange(members.shape[1]) < sizes[:, None]
+    order = np.argsort(np.where(valid, -counts, 1), axis=1, kind="stable")
+    ranked_counts = np.take_along_axis(counts, order, axis=1)
+    return np.take_along_axis(members, order, axis=1), ranked_counts, _otsu_cuts(ranked_counts, sizes)
 
 
 def _split_by_best_probe(
-    graph: SimpleGraph,
+    table: np.ndarray,
     classes: list[list[int]],
     pair_info: dict[tuple[int, int], PairInfo],
 ) -> list[list[int]]:
@@ -233,77 +356,76 @@ def _split_by_best_probe(
     small foreign minority splits off as its own atom instead of being
     forced into an equal half.  Among the candidate probes a class
     inherits from its refuted pairs, the one separating its top and bottom
-    halves most wins.  Untouched classes stay whole.
+    halves most wins.  Untouched classes stay whole.  Every (pair, side)
+    job of the round advances together, one batched count per step.
     """
-
-    def ranked_counts(members: list[int], probe_mask: int) -> tuple[list[int], list[int]]:
-        ranked = sorted(members, key=lambda v: (-(graph.adj[v] & probe_mask).bit_count(), v))
-        return ranked, [(graph.adj[v] & probe_mask).bit_count() for v in ranked]
-
-    def otsu_group(members: list[int], probe_mask: int) -> list[int]:
-        ranked, counts = ranked_counts(members, probe_mask)
-        cut = _otsu_cut(counts)
-        top, bottom = ranked[:cut], ranked[cut:]
-        return top if len(top) <= len(bottom) else bottom
-
-    candidate_probes: list[list[int]] = [[] for _ in classes]
+    n = len(table) - 1
+    jobs = []
     for (i, j), info in sorted(pair_info.items()):
         if info.verdict.status != REFUTED or info.verdict.witness is None:
             continue
-        for side, other, seed in (
-            (i, j, info.verdict.witness.U),
-            (j, i, info.verdict.witness.V),
-        ):
-            if len(classes[other]) < 2 or len(classes[side]) < 2:
-                continue
-            # power iteration: alternately re-derive each side's extreme
-            # group from the other's; a weakly unbalanced witness sharpens
-            # into a high-contrast probe within a few rounds
-            probe = otsu_group(classes[other], bitmask_of(seed))
-            for _ in range(2):
-                mine = otsu_group(classes[side], bitmask_of(probe))
-                probe = otsu_group(classes[other], bitmask_of(mine))
-            if probe:
-                candidate_probes[side].append(bitmask_of(probe))
+        for side, other, seed in ((i, j, info.verdict.witness.U), (j, i, info.verdict.witness.V)):
+            if len(classes[other]) >= 2 and len(classes[side]) >= 2:
+                jobs.append((side, other, seed))
+    best: dict[int, tuple[int, int, list[int], list[int], int]] = {}
+    if jobs:
+        padded = _padded(classes, n)
+        sizes = np.array([len(c) for c in classes], dtype=np.intp)
+        side = np.array([job[0] for job in jobs], dtype=np.intp)
+        other = np.array([job[1] for job in jobs], dtype=np.intp)
+        seeds = _padded([job[2] for job in jobs], n)
+        words = _set_words(table, seeds, seeds < n)
+        # power iteration: alternately re-derive each side's extreme group
+        # from the other's; a weakly unbalanced witness sharpens into a
+        # high-contrast probe within a few rounds
+        for step in range(5):
+            cls = other if step % 2 == 0 else side
+            ranked, _, cuts = _otsu_groups(table, padded[cls], sizes[cls], words)
+            pos = np.arange(ranked.shape[1])
+            cut, size = cuts[:, None], sizes[cls][:, None]
+            keep = np.where(2 * cut <= size, pos < cut, (pos >= cut) & (pos < size))
+            words = _set_words(table, ranked, keep)
+        probe_sizes = keep.sum(axis=1).tolist()
+        ranked, counts, cuts = _otsu_groups(table, padded[side], sizes[side], words)
+        prefix = np.cumsum(counts, axis=1)
+        half_sums = np.take_along_axis(prefix, (sizes[side] - 1)[:, None] // 2, axis=1)[:, 0]
+        # the score of a probe is (top half - bottom half) / (probe size * class size)
+        gaps = (2 * half_sums - prefix[:, -1]).tolist()
+        for job, idx in enumerate(side.tolist()):
+            gap, probe_size = gaps[job], probe_sizes[job]
+            if idx not in best or gap * best[idx][1] > best[idx][0] * probe_size:
+                size = len(classes[idx])
+                ranked_list, counts_list = ranked[job, :size].tolist(), counts[job, :size].tolist()
+                best[idx] = (gap, probe_size, ranked_list, counts_list, int(cuts[job]))
 
     atoms: list[list[int]] = []
     for idx, cls in enumerate(classes):
-        size = len(cls)
-        half = (size + 1) // 2
-        best: tuple[Fraction, int, list[int], list[int]] | None = None
-        for probe_mask in candidate_probes[idx]:
-            probe_size = probe_mask.bit_count()
-            ranked, counts = ranked_counts(cls, probe_mask)
-            score = Fraction(sum(counts[:half]) - sum(counts[half:]), probe_size * size)
-            if best is None or score > best[0]:
-                best = (score, probe_size, ranked, counts)
-        if best is None or size < 2:
+        if idx not in best:
             atoms.append(list(cls))
             continue
-        score, probe_size, ranked, counts = best
-        cut = _otsu_cut(counts)
+        gap, probe_size, ranked_list, counts_list, cut = best[idx]
+        size = len(cls)
         # two ways a split can clear the noise gate: the half-gap exceeds
         # what ranking an iid binomial sample produces by selection alone
         # (about 1.6 sqrt(d(1-d)/P)), or the cut explains nearly all count
         # variance (sharp bimodality, decisive even for tiny probes)
-        mean_count = sum(counts) / (len(counts) * probe_size)
+        total = sum(counts_list)
+        mean_count = total / (size * probe_size)
         noise_floor = 2.2 * math.sqrt(max(mean_count * (1.0 - mean_count), 1e-9) / probe_size)
-        mean = Fraction(sum(counts), size)
-        total_var = sum((Fraction(c) - mean) ** 2 for c in counts)
-        left = counts[:cut]
-        right = counts[cut:]
-        diff = Fraction(sum(left), len(left)) - Fraction(sum(right), len(right))
-        between = Fraction(len(left) * len(right), size) * diff * diff
+        total_var = Fraction(size * sum(c * c for c in counts_list) - total * total, size)
+        left = sum(counts_list[:cut])
+        diff = Fraction(left, cut) - Fraction(total - left, size - cut)
+        between = Fraction(cut * (size - cut), size) * diff * diff
         bimodal = total_var > 0 and between / total_var >= Fraction(17, 20)
-        if float(score) <= noise_floor and not bimodal:
+        if gap / (probe_size * size) <= noise_floor and not bimodal:
             atoms.append(list(cls))
             continue
-        atoms.append(sorted(ranked[:cut]))
-        atoms.append(sorted(ranked[cut:]))
+        atoms.append(sorted(ranked_list[:cut]))
+        atoms.append(sorted(ranked_list[cut:]))
     return atoms
 
 
-def _equalize_affinity(graph: SimpleGraph, atoms: list[list[int]], n: int) -> list[list[int]]:
+def _equalize_affinity(table: np.ndarray, atoms: list[list[int]], n: int) -> list[list[int]]:
     """Rebalance atoms to an equipartition, moving best-fitting vertices.
 
     Undersized fragments (below half a class target) first merge into the
@@ -314,78 +436,86 @@ def _equalize_affinity(graph: SimpleGraph, atoms: list[list[int]], n: int) -> li
     receiver's internal density (and least matches its donor's), so strays
     migrate to classes that look like them under either assortative or
     bipartite structure.  Ties break by vertex index.
+
+    The vertex-by-class neighbour counts and each class's internal edge
+    count are kept up to date as vertices move.  Donor keys are compared in
+    float64, where each carries an absolute error below 1e-15, and the keys
+    within ``_NEAR_TIE`` of the least are compared again as exact
+    ``Fraction`` values.
     """
     min_core = (n // len(atoms) + 1) // 2
     atoms = [sorted(a) for a in atoms]
+    counts = _class_counts(table, _padded(atoms, n))
+    inside = [int(counts[atom, idx].sum()) // 2 for idx, atom in enumerate(atoms)]
+
+    def internal_density(size: int, edges: int) -> Fraction:
+        return Fraction(edges, size * (size - 1) // 2) if size >= 2 else Fraction(0)
+
     while len(atoms) > 1:
         small = [idx for idx, a in enumerate(atoms) if len(a) < min_core]
         if not small:
             break
         frag_idx = min(small, key=lambda idx: (len(atoms[idx]), atoms[idx][0]))
         frag = atoms.pop(frag_idx)
-        frag_mask = bitmask_of(frag)
-        best_idx = None
-        best_key = None
-        for idx, atom in enumerate(atoms):
-            size = len(atom)
-            mask = bitmask_of(atom)
-            dens = Fraction(graph.edges_between(frag_mask, mask), len(frag) * size)
-            internal = (
-                Fraction(graph.edges_within(mask), size * (size - 1) // 2)
-                if size >= 2
-                else Fraction(0)
-            )
-            key = (abs(dens - internal), atom[0])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_idx = idx
+        to_frag = counts[frag].sum(axis=0).tolist()
+        del to_frag[frag_idx]
+        frag_column = counts[:, frag_idx]
+        counts = np.delete(counts, frag_idx, axis=1)
+        frag_inside = inside.pop(frag_idx)
+
+        def fit(idx: int) -> tuple[Fraction, int]:
+            size = len(atoms[idx])
+            dens = Fraction(to_frag[idx], len(frag) * size)
+            return abs(dens - internal_density(size, inside[idx])), atoms[idx][0]
+
+        best_idx = min(range(len(atoms)), key=fit)
         atoms[best_idx] = sorted(atoms[best_idx] + frag)
+        counts[:, best_idx] += frag_column
+        inside[best_idx] += frag_inside + to_frag[best_idx]
 
     t = len(atoms)
     q, r = divmod(n, t)
-    order = sorted(range(t), key=lambda idx: (-len(atoms[idx]), atoms[idx][0] if atoms[idx] else -1))
+    order = sorted(range(t), key=lambda idx: (-len(atoms[idx]), atoms[idx][0]))
     targets = [0] * t
     for rank, idx in enumerate(order):
         targets[idx] = q + 1 if rank < r else q
-    classes = [sorted(a) for a in atoms]
-    masks = [bitmask_of(c) for c in classes]
-
-    def internal_density(idx: int) -> Fraction:
-        size = len(classes[idx])
-        if size < 2:
-            return Fraction(0)
-        return Fraction(graph.edges_within(masks[idx]), size * (size - 1) // 2)
+    sizes = [len(a) for a in atoms]
+    member = np.full(n, -1, dtype=np.intp)
+    for idx, atom in enumerate(atoms):
+        member[atom] = idx
 
     def misfit(v: int, idx: int) -> Fraction:
-        size = len(classes[idx])
-        if size == 0:
-            return Fraction(0)
-        dens = Fraction((graph.adj[v] & masks[idx]).bit_count(), size)
-        return abs(dens - internal_density(idx))
+        return abs(Fraction(int(counts[v, idx]), sizes[idx]) - internal_density(sizes[idx], inside[idx]))
 
-    receivers = [idx for idx in range(t) if len(classes[idx]) < targets[idx]]
-    while receivers:
-        idx = min(receivers, key=lambda i: (len(classes[i]) - targets[i], i))
-        best_key = None
-        best_pick = None
-        for donor in range(t):
-            if len(classes[donor]) <= targets[donor]:
-                continue
-            for v in classes[donor]:
-                key = (misfit(v, idx) - misfit(v, donor), v)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pick = (donor, v)
-        if best_pick is None:
+    while True:
+        receivers = [i for i in range(t) if sizes[i] < targets[i]]
+        if not receivers:
+            break
+        idx = min(receivers, key=lambda i: (sizes[i] - targets[i], i))
+        donors = [i for i in range(t) if sizes[i] > targets[i]]
+        if not donors:
             raise SoundnessError(f"no class above its target can donate to class {idx}")
-        donor, v = best_pick
-        classes[donor].remove(v)
-        masks[donor] &= ~(1 << v)
-        classes[idx].append(v)
-        classes[idx].sort()
-        masks[idx] |= 1 << v
-        receivers = [i for i in range(t) if len(classes[i]) < targets[i]]
-    return classes
+        cand = np.flatnonzero(np.isin(member, donors))
+        own = member[cand]
+        size = np.array(sizes, dtype=np.float64)
+        dens = np.array([e / (s * (s - 1) // 2) if s >= 2 else 0.0 for s, e in zip(sizes, inside)])
+        into, at_home = counts[cand, idx], counts[cand, own]
+        key = np.abs(into / size[idx] - dens[idx]) - np.abs(at_home / size[own] - dens[own])
+        near = key <= key.min() + _NEAR_TIE
+        # vertices with the same donor and counts have equal keys: keep the least of each
+        _, first = np.unique(np.stack([own[near], into[near], at_home[near]]), axis=1, return_index=True)
+        picks = cand[near][first].tolist()
+        v = min(picks, key=lambda u: (misfit(u, idx) - misfit(u, int(member[u])), u))
+        donor = int(member[v])
+        row = np.unpackbits(table[v].view(np.uint8), count=n, bitorder="little")
+        inside[donor] -= int(counts[v, donor])
+        inside[idx] += int(counts[v, idx])
+        counts[:, donor] -= row
+        counts[:, idx] += row
+        member[v] = idx
+        sizes[donor] -= 1
+        sizes[idx] += 1
+    return [np.flatnonzero(member == idx).tolist() for idx in range(t)]
 
 
 def sparse_regular_partition(
@@ -422,6 +552,7 @@ def sparse_regular_partition(
     best: Partition | None = None
     previous_energy: Fraction | None = None
 
+    table = _row_table(graph)
     for round_index in range(max_rounds):
         part = evaluate_partition(
             graph,
@@ -442,10 +573,10 @@ def sparse_regular_partition(
         if previous_energy is not None and part.energy <= previous_energy:
             break  # energy stalled; refinement is no longer making progress
         previous_energy = part.energy
-        atoms = _split_by_best_probe(graph, part.classes, part.pair_info)
+        atoms = _split_by_best_probe(table, part.classes, part.pair_info)
         if len(atoms) == part.t:
             break  # nothing split
-        new_classes = _equalize_affinity(graph, atoms, graph.n)
+        new_classes = _equalize_affinity(table, atoms, graph.n)
         if len(new_classes) > max_t or len(new_classes) > graph.n:
             break
         classes = new_classes

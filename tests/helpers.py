@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -10,8 +11,9 @@ from itertools import combinations, permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from reglab.errors import PreconditionError
-from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, rows_to_matrix
+from reglab.errors import PreconditionError, SoundnessError
+from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, bitmask_of, rows_to_matrix
+from reglab.regularity import REFUTED
 
 
 @st.composite
@@ -523,3 +525,172 @@ def reference_reduced_weighted_graph(graph: SimpleGraph, part, p: float):
                 weights[(i, j)] = w
                 edges.add((i, j))
     return ClusterGraph(t, frozenset(edges), weights)
+
+
+# --- one partition refinement round, vertex by vertex -------------------------------
+
+
+def reference_partition_energy(graph: SimpleGraph, classes, p: float) -> Fraction:
+    """Sum over pairs of (|Vi||Vj| / n^2) (d_ij / p)^2, one exact ``Fraction`` term per pair."""
+    n = graph.n
+    p_frac = Fraction(p)
+    masks = [bitmask_of(c) for c in classes]
+    total = Fraction(0)
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            size = len(classes[i]) * len(classes[j])
+            if size == 0:
+                continue
+            d = Fraction(graph.edges_between(masks[i], masks[j]), size)
+            total += Fraction(size, n * n) * (d / p_frac) ** 2
+    return total
+
+
+def reference_otsu_cut(counts: list[int]) -> int:
+    """The Otsu cut of ``counts`` by one integer cross-multiplication per position.
+
+    Ties go to the cut nearest the middle, then to the lower i.
+    """
+    size = len(counts)
+    total = sum(counts)
+    best_cut, best_num2, best_den = 0, -1, 1
+    prefix = 0
+    for i in range(1, size):
+        prefix += counts[i - 1]
+        num = prefix * size - total * i
+        num2, den = num * num, i * (size - i)
+        lhs, rhs = num2 * best_den, best_num2 * den
+        if lhs > rhs or (lhs == rhs and abs(2 * i - size) < abs(2 * best_cut - size)):
+            best_cut, best_num2, best_den = i, num2, den
+    return best_cut
+
+
+def reference_split_by_best_probe(graph: SimpleGraph, classes, pair_info):
+    """``partition._split_by_best_probe`` with one sorted neighbour count per vertex and probe."""
+
+    def ranked_counts(members, probe_mask):
+        ranked = sorted(members, key=lambda v: (-(graph.adj[v] & probe_mask).bit_count(), v))
+        return ranked, [(graph.adj[v] & probe_mask).bit_count() for v in ranked]
+
+    def otsu_group(members, probe_mask):
+        ranked, counts = ranked_counts(members, probe_mask)
+        cut = reference_otsu_cut(counts)
+        top, bottom = ranked[:cut], ranked[cut:]
+        return top if len(top) <= len(bottom) else bottom
+
+    candidate_probes = [[] for _ in classes]
+    for (i, j), info in sorted(pair_info.items()):
+        if info.verdict.status != REFUTED or info.verdict.witness is None:
+            continue
+        for side, other, seed in ((i, j, info.verdict.witness.U), (j, i, info.verdict.witness.V)):
+            if len(classes[other]) < 2 or len(classes[side]) < 2:
+                continue
+            probe = otsu_group(classes[other], bitmask_of(seed))
+            for _ in range(2):
+                mine = otsu_group(classes[side], bitmask_of(probe))
+                probe = otsu_group(classes[other], bitmask_of(mine))
+            if probe:
+                candidate_probes[side].append(bitmask_of(probe))
+
+    atoms = []
+    for idx, cls in enumerate(classes):
+        size = len(cls)
+        half = (size + 1) // 2
+        best = None
+        for probe_mask in candidate_probes[idx]:
+            probe_size = probe_mask.bit_count()
+            ranked, counts = ranked_counts(cls, probe_mask)
+            score = Fraction(sum(counts[:half]) - sum(counts[half:]), probe_size * size)
+            if best is None or score > best[0]:
+                best = (score, probe_size, ranked, counts)
+        if best is None or size < 2:
+            atoms.append(list(cls))
+            continue
+        score, probe_size, ranked, counts = best
+        cut = reference_otsu_cut(counts)
+        mean_count = sum(counts) / (len(counts) * probe_size)
+        noise_floor = 2.2 * math.sqrt(max(mean_count * (1.0 - mean_count), 1e-9) / probe_size)
+        mean = Fraction(sum(counts), size)
+        total_var = sum((Fraction(c) - mean) ** 2 for c in counts)
+        left, right = counts[:cut], counts[cut:]
+        diff = Fraction(sum(left), len(left)) - Fraction(sum(right), len(right))
+        between = Fraction(len(left) * len(right), size) * diff * diff
+        bimodal = total_var > 0 and between / total_var >= Fraction(17, 20)
+        if float(score) <= noise_floor and not bimodal:
+            atoms.append(list(cls))
+            continue
+        atoms.append(sorted(ranked[:cut]))
+        atoms.append(sorted(ranked[cut:]))
+    return atoms
+
+
+def reference_equalize_affinity(graph: SimpleGraph, atoms, n: int):
+    """``partition._equalize_affinity`` with a ``Fraction`` misfit per vertex and class."""
+    min_core = (n // len(atoms) + 1) // 2
+    atoms = [sorted(a) for a in atoms]
+    while len(atoms) > 1:
+        small = [idx for idx, a in enumerate(atoms) if len(a) < min_core]
+        if not small:
+            break
+        frag_idx = min(small, key=lambda idx: (len(atoms[idx]), atoms[idx][0]))
+        frag = atoms.pop(frag_idx)
+        frag_mask = bitmask_of(frag)
+        best_idx = None
+        best_key = None
+        for idx, atom in enumerate(atoms):
+            size = len(atom)
+            mask = bitmask_of(atom)
+            dens = Fraction(graph.edges_between(frag_mask, mask), len(frag) * size)
+            internal = (
+                Fraction(graph.edges_within(mask), size * (size - 1) // 2) if size >= 2 else Fraction(0)
+            )
+            key = (abs(dens - internal), atom[0])
+            if best_key is None or key < best_key:
+                best_key = key
+                best_idx = idx
+        atoms[best_idx] = sorted(atoms[best_idx] + frag)
+
+    t = len(atoms)
+    q, r = divmod(n, t)
+    order = sorted(range(t), key=lambda idx: (-len(atoms[idx]), atoms[idx][0] if atoms[idx] else -1))
+    targets = [0] * t
+    for rank, idx in enumerate(order):
+        targets[idx] = q + 1 if rank < r else q
+    classes = [sorted(a) for a in atoms]
+    masks = [bitmask_of(c) for c in classes]
+
+    def internal_density(idx):
+        size = len(classes[idx])
+        if size < 2:
+            return Fraction(0)
+        return Fraction(graph.edges_within(masks[idx]), size * (size - 1) // 2)
+
+    def misfit(v, idx):
+        size = len(classes[idx])
+        if size == 0:
+            return Fraction(0)
+        return abs(Fraction((graph.adj[v] & masks[idx]).bit_count(), size) - internal_density(idx))
+
+    receivers = [idx for idx in range(t) if len(classes[idx]) < targets[idx]]
+    while receivers:
+        idx = min(receivers, key=lambda i: (len(classes[i]) - targets[i], i))
+        best_key = None
+        best_pick = None
+        for donor in range(t):
+            if len(classes[donor]) <= targets[donor]:
+                continue
+            for v in classes[donor]:
+                key = (misfit(v, idx) - misfit(v, donor), v)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_pick = (donor, v)
+        if best_pick is None:
+            raise SoundnessError(f"no class above its target can donate to class {idx}")
+        donor, v = best_pick
+        classes[donor].remove(v)
+        masks[donor] &= ~(1 << v)
+        classes[idx].append(v)
+        classes[idx].sort()
+        masks[idx] |= 1 << v
+        receivers = [i for i in range(t) if len(classes[i]) < targets[i]]
+    return classes

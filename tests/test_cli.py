@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from reglab import cli
@@ -214,6 +215,50 @@ def test_clique_count_is_golden_and_rerun_identical(k, n, tmp_path):
         assert main(["--seed", "1", "--out", str(out), "count", "--graph", str(graph)]) == EXIT_OK
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests == [COUNT_GOLDEN[(k, n)]] * 2
+
+
+def planted_blocks(n: int, blocks: int, p_in: float, p_out: float, seed: int) -> SimpleGraph:
+    """A planted-block host: vertex labels and edges drawn from ``np.random.default_rng(seed)``."""
+    gen = np.random.default_rng(seed)
+    labels = gen.permutation(np.arange(n) % blocks)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    u, v = np.nonzero(np.triu(gen.random((n, n)) < prob, 1))
+    return SimpleGraph.from_edges(n, zip(u.tolist(), v.tolist()))
+
+
+#: case -> (planted_blocks arguments, refinement arguments); "exhaustive" refines
+#: classes of at most 12 vertices through four rounds, so every verdict is an
+#: exhaustive scan, and "sampled" refines classes of 34-67 vertices through
+#: three rounds of sampled refutation
+REFINE_CASES = {
+    "exhaustive": ((120, 4, 0.3, 0.05, 120), ["--eps", "0.3", "--p", "0.1", "--t0", "10", "--max-t", "40"]),
+    "sampled": ((200, 3, 0.7, 0.1, 200), ["--eps", "0.15", "--p", "0.5", "--t0", "3", "--max-t", "12"]),
+}
+
+#: (case, command) -> (exit code, sha256 of the output)
+REFINE_GOLDEN = {
+    ("exhaustive", "partition"): (EXIT_OK, "db6fde75dea97e5c9b6fcca81552de752f5d51d7e30e22e3fcb9f9186da67823"),
+    ("exhaustive", "clean"): (EXIT_OK, "c55e72eaac79bb43c7fb919cd355fec33281be0bd12e0e70dadb71f484c6c296"),
+    ("sampled", "partition"): (EXIT_OK, "eef7824b52ce7741b5995f5addef61e49fef8d39e1d5dfec6b86d15af828ee0d"),
+    ("sampled", "clean"): (EXIT_OK, "efc049b77e235bdce1f56e5aaec24e54b71e6e006ed1b672cc324972e8c37231"),
+}
+
+
+@pytest.mark.parametrize("case, command", sorted(REFINE_GOLDEN))
+def test_refinement_output_is_golden_and_rerun_identical(case, command, tmp_path):
+    host_args, args = REFINE_CASES[case]
+    graph = tmp_path / "host.edges"
+    graph.write_text(planted_blocks(*host_args).to_edge_list(), encoding="utf-8")
+    if command == "clean":
+        args = args + ["--d", "0.25", "--uniformity", "2"]
+    expected_code, expected_digest = REFINE_GOLDEN[(case, command)]
+    digests = []
+    for run in range(2):
+        out = tmp_path / f"{command}-{run}.json"
+        argv = ["--seed", "1", "--format", "json", "--out", str(out), command, "--graph", str(graph), *args]
+        assert main(argv) == expected_code
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [expected_digest, expected_digest]
 
 
 def test_counting_runs_on_its_defaults(tmp_path):

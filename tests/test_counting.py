@@ -308,6 +308,63 @@ def test_level_count_matches_backtracker(pattern, n, seed, data):
         patch.setattr(counting, "count_extensions", no_backtracker)
         assert matrix_count(pattern, graph.rows, n) is None
         assert canonical_count(graph).count == expected
+        # canonical_count splits the disconnected templates into components,
+        # so the level route sees them whole only when called directly
+        assert counting.level_count(pattern, graph.rows, n) == expected
+
+
+@st.composite
+def disjoint_unions(draw, max_k=6):
+    """A template of two or more components, its vertices shuffled so no component is a run of labels."""
+    parts = draw(st.lists(patterns(min_k=2, max_k=3, require_edge=False), min_size=1, max_size=3))
+    isolated = draw(st.integers(0 if len(parts) > 1 else 1, 2))
+    k = sum(part.k for part in parts) + isolated
+    if k > max_k:
+        parts, isolated = parts[:1], 1
+        k = parts[0].k + 1
+    labels = draw(st.permutations(range(k)))
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(labels[offset + a], labels[offset + b]) for a, b in part.edges]
+        offset += part.k
+    return PatternGraph.from_edges(k, edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(disjoint_unions(), st.integers(1, 3), st.integers(0, 10**9), st.data())
+def test_disjoint_union_count_matches_naive(pattern, n, seed, data):
+    """Each component is counted as a template of its own, and the product is the brute-force count."""
+    e = pattern.edge_count
+    densities = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=e, max_size=e))
+    graph = multipartite_at(pattern, n, densities, seed)
+    sizes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("matrix_count", "level_count"):
+            original = getattr(counting, name)
+
+            def recording(sub, rows, size, original=original):
+                sizes.append(sub.k)
+                return original(sub, rows, size)
+
+            patch.setattr(counting, name, recording)
+        assert canonical_count(graph).count == naive_canonical_count(graph)
+    assert all(k < pattern.k for k in sizes)
+    parts = counting._components(pattern)
+    assert len(parts) >= 2 and sorted(v for part in parts for v in part) == list(range(pattern.k))
+
+
+def test_components_of_k4_and_k3_are_counted_apart():
+    k4_k3 = PatternGraph.from_edges(
+        7, [(a, b) for a, b in combinations(range(4), 2)] + [(a, b) for a, b in combinations(range(4, 7), 2)]
+    )
+    assert counting._components(k4_k3) == ((0, 1, 2, 3), (4, 5, 6))
+    graph = random_multipartite(k4_k3, 3, 0.8, RngStream(7))
+    k4 = PatternGraph.complete(4)
+    k3 = PatternGraph.complete(3)
+    rows4 = {e: graph.rows[e] for e in graph.rows if max(e) < 4}
+    rows3 = {(a - 4, b - 4): graph.rows[(a, b)] for a, b in graph.rows if min(a, b) >= 4}
+    expected = counting.level_count(k4, rows4, 3) * counting.level_count(k3, rows3, 3)
+    assert canonical_count(graph).count == expected == naive_canonical_count(graph)
 
 
 def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):

@@ -21,6 +21,7 @@ from reglab.graphs import (
     pair_density,
     rows_to_edges,
     rows_to_matrix,
+    rows_to_words,
 )
 from reglab.randgraph import RngStream, gnp
 
@@ -260,6 +261,9 @@ def test_codec_round_trips_rectangular_rows(n_rows, width, seed):
     matrix = np.random.default_rng(seed).random((n_rows, width)) < 0.05
     rows = matrix_to_rows(matrix)
     assert (rows_to_matrix(rows, width, bool) == matrix).all()
+    words = rows_to_words(rows, width)
+    assert words.shape == (n_rows, -(-width // 64))
+    assert [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in words] == rows
     blocks = list(rows_to_edges(rows, width))
     r, c = np.concatenate([r for r, _ in blocks]), np.concatenate([c for _, c in blocks])
     want_r, want_c = np.nonzero(matrix)

@@ -7,18 +7,31 @@ import pytest
 
 from reglab.errors import PreconditionError
 from reglab.graphs import SimpleGraph, bitmask_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from reglab.partition import (
     ClusterGraph,
+    _equalize_affinity,
+    _otsu_cuts,
+    _row_table,
+    _split_by_best_probe,
     clean_partition,
     equipartition_classes,
     evaluate_partition,
-    _otsu_cut,
     sparse_regular_partition,
     trim_min_degree,
 )
 from reglab.randgraph import RngStream, gnp
 
-from helpers import graph_from_bool_matrix, reference_reduced_weighted_graph
+from helpers import (
+    graph_from_bool_matrix,
+    reference_equalize_affinity,
+    reference_otsu_cut,
+    reference_partition_energy,
+    reference_reduced_weighted_graph,
+    reference_split_by_best_probe,
+)
 
 
 def planted_two_block(n: int, p_in: float, p_out: float, stream: RngStream):
@@ -88,14 +101,13 @@ def test_planted_blocks_recovered():
 
 def test_energy_increases_on_refinement_round():
     g, _ = planted_two_block(200, 0.8, 0.2, RngStream(50))
-    from reglab.partition import _equalize_affinity, _split_by_best_probe
-
+    table = _row_table(g)
     perm = [int(v) for v in RngStream(51).np_rng().permutation(200)]
     classes = equipartition_classes(perm, 4)
     before = evaluate_partition(g, classes, 0.1, 1.0, RngStream(52), refuter_trials=48)
-    atoms = _split_by_best_probe(g, before.classes, before.pair_info)
+    atoms = _split_by_best_probe(table, before.classes, before.pair_info)
     assert len(atoms) > before.t
-    refined = _equalize_affinity(g, atoms, 200)
+    refined = _equalize_affinity(table, atoms, 200)
     after = evaluate_partition(g, refined, 0.1, 1.0, RngStream(53), refuter_trials=48)
     assert after.energy > before.energy
 
@@ -228,7 +240,7 @@ def test_cluster_graph_validation():
 
 
 def fraction_otsu_cut(counts: list[int]) -> int:
-    """The ``Fraction``/``max`` cut choice that ``_otsu_cut`` replaced."""
+    """The ``Fraction``/``max`` cut choice that the integer Otsu cut replaced."""
     size = len(counts)
     prefix = [0]
     for c in counts:
@@ -243,16 +255,101 @@ def fraction_otsu_cut(counts: list[int]) -> int:
 
 
 def test_integer_otsu_cut_matches_fraction_version():
+    """Rows of different lengths, padded with zeros, are cut together as each alone."""
     gen = np.random.default_rng(4)
-    vectors = [[0, 0], [3, 1], [1, 3], [5, 5], [7] * 9, [0] * 10, [2] * 17]
+    vectors = [[0, 0], [3, 1], [1, 3], [5, 5], [7] * 9, [0] * 10, [2] * 17, [2, 1, 1, 0]]
     for _ in range(3000):
         size = int(gen.integers(2, 24))
         top = int(gen.choice([1, 2, 5, 40]))
         vectors.append(sorted((int(c) for c in gen.integers(0, top + 1, size)), reverse=True))
-    for counts in vectors:
-        assert _otsu_cut(counts) == fraction_otsu_cut(counts), counts
+    counts = np.zeros((len(vectors), max(map(len, vectors))), dtype=np.int64)
+    for row, vector in enumerate(vectors):
+        counts[row, : len(vector)] = vector
+    cuts = _otsu_cuts(counts, np.array([len(v) for v in vectors]))
+    for vector, cut in zip(vectors, cuts.tolist()):
+        assert cut == fraction_otsu_cut(vector) == reference_otsu_cut(vector), vector
 
 
 def test_otsu_cut_needs_two_counts():
     with pytest.raises(PreconditionError):
-        _otsu_cut([4])
+        _otsu_cuts(np.array([[4, 0]]), np.array([1]))
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=12), min_size=1, max_size=6), st.data())
+def test_otsu_cuts_of_large_counts_are_exact(rows, data):
+    """Counts scaled to 10^6 keep their cuts: float scores settle their near-ties exactly."""
+    scale = data.draw(st.sampled_from([1, 10**6]))
+    vectors = [[c * scale for c in row] for row in rows]
+    counts = np.zeros((len(vectors), 12), dtype=np.int64)
+    for row, vector in enumerate(vectors):
+        counts[row, : len(vector)] = vector
+    cuts = _otsu_cuts(counts, np.array([len(v) for v in vectors]))
+    assert cuts.tolist() == [reference_otsu_cut(v) for v in vectors]
+
+
+#: host kinds of the refinement oracle tests: several are all ties
+HOST_KINDS = ("empty", "complete", "sparse", "dense", "planted")
+
+
+@st.composite
+def hosts(draw, min_n=2, max_n=36):
+    """A host of one of ``HOST_KINDS``, drawn with numpy from a drawn seed."""
+    n = draw(st.integers(min_n, max_n))
+    kind = draw(st.sampled_from(HOST_KINDS))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "planted":
+        labels = gen.integers(0, 2, n)
+        prob = np.where(labels[:, None] == labels[None, :], 0.9, 0.1)
+    else:
+        prob = np.full((n, n), {"empty": 0.0, "complete": 1.0, "sparse": 0.15, "dense": 0.85}[kind])
+    upper = np.triu(gen.random((n, n)) < prob, 1)
+    return graph_from_bool_matrix(upper | upper.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hosts(min_n=8, max_n=32), st.data())
+def test_refinement_round_matches_vertex_by_vertex_reference(graph, data):
+    """Energy, atoms and classes of one round equal those of the vertex-by-vertex loops.
+
+    Classes come from a random equipartition, so their sizes differ by at
+    most one; every pair takes the exhaustive scan.
+    """
+    t = data.draw(st.integers(2, 6))
+    eps = data.draw(st.sampled_from([0.25, 0.5]))
+    p = data.draw(st.sampled_from([0.05, 0.1, 0.5]))
+    perm = data.draw(st.permutations(range(graph.n)))
+    classes = equipartition_classes(list(perm), t)
+    table = _row_table(graph)
+    part = evaluate_partition(graph, classes, eps, p, RngStream(1))
+    assert part.energy == reference_partition_energy(graph, classes, p)
+    for (i, j), info in part.pair_info.items():
+        assert info.edges == graph.edges_between(bitmask_of(classes[i]), bitmask_of(classes[j]))
+    atoms = _split_by_best_probe(table, part.classes, part.pair_info)
+    assert atoms == reference_split_by_best_probe(graph, part.classes, part.pair_info)
+    assert _equalize_affinity(table, atoms, graph.n) == reference_equalize_affinity(graph, atoms, graph.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hosts(), st.data())
+def test_equalize_matches_reference_on_any_atoms(graph, data):
+    """Atoms of any sizes, one-vertex atoms among them, equalise as in the ``Fraction`` loop."""
+    labels = data.draw(st.lists(st.integers(0, graph.n - 1), min_size=graph.n, max_size=graph.n))
+    atoms = [[v for v in range(graph.n) if labels[v] == label] for label in sorted(set(labels))]
+    table = _row_table(graph)
+    assert _equalize_affinity(table, atoms, graph.n) == reference_equalize_affinity(graph, atoms, graph.n)
+
+
+@pytest.mark.parametrize("kind", ["empty", "complete"])
+def test_equalize_breaks_all_tie_donors_by_vertex(kind):
+    """Every key ties on an empty or complete host, so vertices move in index order."""
+    graph = SimpleGraph.empty(9) if kind == "empty" else SimpleGraph.complete(9)
+    atoms = [[0, 1, 2, 3, 4, 5, 6], [7], [8]]
+    assert _equalize_affinity(_row_table(graph), atoms, 9) == reference_equalize_affinity(graph, atoms, 9)
+
+
+def test_energy_of_classes_one_apart_matches_reference():
+    g, _ = planted_two_block(61, 0.7, 0.2, RngStream(70))
+    classes = equipartition_classes(list(range(61)), 5)
+    part = evaluate_partition(g, classes, 0.3, 0.7, RngStream(71))
+    assert sorted({len(c) for c in classes}) == [12, 13]
+    assert part.energy == reference_partition_energy(g, classes, 0.7)
