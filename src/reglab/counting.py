@@ -58,10 +58,13 @@ exact for every n: each chunk's popcount sum is at most
 ``_FRONTIER_CHUNK_ROWS * n``, far inside a 64-bit integer, and the chunk sums
 add up in a Python int.
 
-The backtracker, whose counts are Python ints too, keeps the pinned
-partite count :func:`extension_degree` and every injective search: those of
-:mod:`reglab.embedding` (counts through a host edge among them) and
-:func:`automorphisms`.
+The level route has three callers: :func:`canonical_count` and
+:func:`constrained_count` (through the component product) and
+:func:`reglab.embedding.count_kcliques`, which runs it with a simple graph's
+rows on every edge of K_k and divides by k!.  The backtracker, whose counts
+are Python ints too, keeps the pinned partite count :func:`extension_degree`
+and every other injective search: those of :mod:`reglab.embedding` (counts
+through a host edge among them) and :func:`automorphisms`.
 
 Counts that pin or mask template vertices are constant on the orbits of
 Aut(H).  For an automorphism s, the map f -> f o s is a bijection from the

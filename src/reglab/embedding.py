@@ -6,6 +6,13 @@ pruning, where host vertices already used are masked out.  Embeddings are
 injective vertex maps realizing every template edge; host edges not demanded
 by the template are allowed (subgraph containment, not induced).
 
+:func:`count_kcliques` is the exception: it takes the level route of
+:func:`reglab.counting.level_count`, which extends all partial copies one
+template vertex at a time on packed numpy rows instead of backtracking.
+The cliquedensity experiment's true count, the removal experiment's final
+template-free check and the aes experiment's soundness cross-check (for a
+complete template) run on it.
+
 Counting through a host edge pins one template edge per Aut(H) orbit of
 oriented template edges and weights the count by the orbit size; the
 :mod:`reglab.counting` docstring gives the bijection that makes this exact.
@@ -13,8 +20,10 @@ oriented template edges and weights the count by the orbit size; the
 
 from __future__ import annotations
 
-from .counting import count_extensions, edge_orbits, iter_extensions
-from .graphs import PatternGraph, SimpleGraph, iter_bits
+import math
+
+from .counting import count_extensions, edge_orbits, iter_extensions, level_count
+from .graphs import PatternGraph, SimpleGraph
 
 
 def find_embedding(
@@ -70,9 +79,11 @@ def count_embeddings_through_edge(
 def count_kcliques(graph: SimpleGraph, k: int) -> int:
     """Exact number of k-vertex cliques.
 
-    Kept apart from the search kernel: it counts each clique once, in
-    increasing vertex order, where the kernel would count all k! labelled
-    copies.
+    From k = 3 on, the level route of :func:`reglab.counting.level_count`
+    counts the labelled copies of K_k with ``graph.adj`` on every template
+    edge.  Every vertex pair of K_k is a template edge and the host has no
+    loops, so each such map is injective, and each clique is counted k!
+    times: the division is exact.
     """
     if k < 1:
         return 0
@@ -80,21 +91,5 @@ def count_kcliques(graph: SimpleGraph, k: int) -> int:
         return graph.n
     if k == 2:
         return graph.edge_count
-    higher = [((1 << graph.n) - 1) >> (v + 1) << (v + 1) for v in range(graph.n)]
-
-    def rec(common: int, depth: int, last: int) -> int:
-        if depth == k:
-            return 1
-        remaining = common & higher[last]
-        if depth == k - 1:
-            return remaining.bit_count()
-        total = 0
-        for w in iter_bits(remaining):
-            total += rec(common & graph.adj[w], depth + 1, w)
-        return total
-
-    total = 0
-    for u in range(graph.n):
-        for v in iter_bits(graph.adj[u] & higher[u]):
-            total += rec(graph.adj[u] & graph.adj[v], 2, v)
-    return total
+    rows = {(a, b): graph.adj for a in range(k) for b in range(k) if a != b}
+    return level_count(PatternGraph.complete(k), rows, graph.n) // math.factorial(k)

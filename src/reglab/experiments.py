@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .counting import automorphism_count, automorphisms, canonical_count, gk_bruteforce
 from .embedding import (
     count_embeddings,
@@ -55,6 +57,7 @@ from .graphs import (
     SimpleGraph,
     _peel_low_degree,
     bitmask_of,
+    edges_to_rows,
     induced_multipartite,
     iter_bits,
     min_degree,
@@ -261,17 +264,31 @@ def run_counting(
 
 def _partite_cut(
     host: SimpleGraph, side: list[int], stream: RngStream
-) -> tuple[SimpleGraph, list[tuple[int, int]]]:
+) -> tuple[SimpleGraph, tuple[np.ndarray, np.ndarray]]:
     """Host edges across the ``side`` labelling, and the interior host edges in random order.
 
-    The interior edges join two vertices with one label; they come in
-    ``edges()`` order permuted by ``stream``, and each caller re-adds them
-    one at a time under its own acceptance rule.
+    The interior edges join two vertices with one label.  They come as
+    endpoint arrays (u, v), u < v, in ``edges()`` order permuted by
+    ``stream``; each caller re-adds a prefix of them under its own
+    acceptance rule.
     """
     cut = host.keep_edges_between(side)
     rest = [row ^ kept for row, kept in zip(host.adj, cut.adj)]
-    interior = list(SimpleGraph(host.n, rest, host.edge_count - cut.edge_count).edges())
-    return cut, [interior[int(i)] for i in stream.np_rng().permutation(len(interior))]
+    u, v = SimpleGraph(host.n, rest, host.edge_count - cut.edge_count).edge_arrays()
+    order = stream.np_rng().permutation(len(u))
+    return cut, (u[order], v[order])
+
+
+def _rows_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """Adjacency rows of ``n`` vertices holding the edges (u[i], v[i])."""
+    return edges_to_rows(n, n, np.concatenate([u, v]), np.concatenate([v, u]))
+
+
+def _template_free(graph: SimpleGraph, pattern: PatternGraph) -> bool:
+    """Whether ``graph`` has no copy of ``pattern``; a complete template is checked by counting its cliques."""
+    if pattern.edge_count == math.comb(pattern.k, 2):
+        return count_kcliques(graph, pattern.k) == 0
+    return find_embedding(graph, pattern) is None
 
 
 def _success_aggregate(records: list[dict], pass_fraction: float) -> dict:
@@ -303,12 +320,12 @@ def _bipartite_plant(
     side = [0] * n
     for v in perm[: n // 2]:
         side[v] = 1
-    cut, interior = _partite_cut(host, side, stream.child(1))
+    cut, (iu, iv) = _partite_cut(host, side, stream.child(1))
     adj = list(cut.adj)
     working = SimpleGraph(n, adj, cut.edge_count)
     planted = 0
     labelled = count_embeddings(working, pattern)  # 0 for odd-cycle-containing templates
-    for u, v in interior:
+    for u, v in zip(map(int, iu), map(int, iv)):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         gained = count_embeddings_through_edge(working, pattern, u, v)
@@ -381,7 +398,7 @@ def run_removal(
                 f"deletion accounting mismatch: {total_deleted} deleted, "
                 f"{cleaned.deleted_total} by cleaning plus {per_copy} per copy"
             )
-        template_free = find_embedding(working, pattern) is None
+        template_free = _template_free(working, pattern)
         record["deleted_total"] = total_deleted
         record["deletion_budget"] = str(deletion_budget)
         record["template_free"] = bool(template_free)
@@ -713,13 +730,12 @@ def run_clique_density(
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         m_target = math.ceil(rho_frac * p * host_n * (host_n - 1) / 2)
-        edges = list(host.edges())
-        if m_target >= len(edges):
+        if m_target >= host.edge_count:
             sub = host
-            m_target = len(edges)
         else:
-            picks = stream.child(1).np_rng().choice(len(edges), size=m_target, replace=False)
-            sub = SimpleGraph.from_edges(host.n, [edges[int(i)] for i in picks])
+            u, v = host.edge_arrays()
+            picks = stream.child(1).np_rng().choice(len(u), size=m_target, replace=False)
+            sub = SimpleGraph(host.n, _rows_of_edges(host.n, u[picks], v[picks]), m_target)
         achieved_rho = float(sub.edge_count / (p * host_n * (host_n - 1) / 2))
         part, cleaned, stage = _regularize(
             sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
@@ -850,12 +866,12 @@ def run_partite_stability(
         side = [0] * host_n
         for pos, v in enumerate(perm):
             side[v] = pos % parts
-        cut, interior = _partite_cut(host, side, stream.child(2))
+        cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         adj = list(cut.adj)
         sub = SimpleGraph(host_n, adj, cut.edge_count)
-        budget_edges = int(perturb_fraction * len(interior))
+        budget_edges = int(perturb_fraction * len(iu))
         added = 0
-        for u, v in interior:
+        for u, v in zip(map(int, iu), map(int, iv)):
             if added >= budget_edges:
                 break
             adj[u] |= 1 << v
@@ -894,7 +910,7 @@ def run_partite_stability(
                 cleaned.graph, [c[:size] for c in classes], pattern
             )
             derived = canonical_count(slice_graph).count
-            if find_embedding(sub, pattern) is None and derived > 0:
+            if _template_free(sub, pattern) and derived > 0:
                 raise SoundnessError(
                     "cluster tuple yields canonical copies inside a template-free subgraph"
                 )
@@ -961,16 +977,12 @@ def run_turan(
         side = [0] * host_n
         for pos, v in enumerate(perm):
             side[v] = pos % (chi - 1)
-        sub, interior = _partite_cut(host, side, stream.child(2))
-        adj = list(sub.adj)
-        count = sub.edge_count
-        for u, v in interior:
-            if count >= required:
-                break
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            count += 1
-        sub = SimpleGraph(host_n, adj, count)
+        cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
+        # the interior edges are new and distinct, so each adds one edge
+        top_up = max(0, required - cut.edge_count)
+        iu, iv = iu[:top_up], iv[:top_up]
+        top_rows = _rows_of_edges(host_n, iu, iv)
+        sub = SimpleGraph(host_n, [a | b for a, b in zip(cut.adj, top_rows)], cut.edge_count + len(iu))
         found = find_embedding(sub, pattern)
         return {
             "host_edges": host.edge_count,

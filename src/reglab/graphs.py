@@ -74,6 +74,50 @@ def rows_to_words(rows: Sequence[int], width: int) -> np.ndarray:
     return rows_to_packed(rows, -(-width // 64) * 64).view("<u8")
 
 
+#: Words of table rows :func:`set_counts` gathers and ANDs with set words at
+#: once: each of its temporaries holds at most this many words (or one row).
+COUNT_CHUNK_WORDS = 1 << 15
+
+
+def set_words(members: np.ndarray, n_words: int, keep: np.ndarray | None = None) -> np.ndarray:
+    """Row j holds the ``n_words`` uint64 words of the vertex set {members[j, r] : keep[j, r]}.
+
+    Without ``keep`` every member is kept.  The layout is that of
+    :func:`rows_to_words`: vertex v is bit v % 64 of word v // 64.  The
+    sets are scattered into a ``len(members)`` x ``64 n_words`` bool matrix
+    and packed.
+    """
+    bits = np.zeros((len(members), 64 * n_words), dtype=bool)
+    if keep is None:
+        bits[np.arange(len(members))[:, None], members] = True
+    else:
+        row, pos = np.nonzero(keep)
+        bits[row, members[row, pos]] = True
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def set_counts(table: np.ndarray, members: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Entry [j, r] is the number of set bits that row members[j, r] of ``table`` shares with ``words[j]``.
+
+    With a table of adjacency rows (:func:`rows_to_words`) and set words
+    (:func:`set_words`), that is the number of neighbours of a vertex in set
+    j.  The counts are exact int64.  Rows are gathered a block of sets and
+    members at a time, at most ``COUNT_CHUNK_WORDS`` words (or one row).
+    """
+    n_sets, size = members.shape
+    rows = max(1, COUNT_CHUNK_WORDS // table.shape[1])
+    sets_step, members_step = max(1, rows // max(size, 1)), max(1, min(size, rows))
+    out = np.empty(members.shape, dtype=np.int64)
+    for j in range(0, n_sets, sets_step):
+        sets = slice(j, j + sets_step)
+        for r in range(0, size, members_step):
+            block = (sets, slice(r, r + members_step))
+            shared = table[members[block]]
+            shared &= words[sets, None, :]
+            out[block] = np.einsum("jrw->jr", np.bitwise_count(shared), dtype=np.int64)
+    return out
+
+
 def rows_to_matrix(rows: Sequence[int], width: int, dtype) -> np.ndarray:
     """The bitset ``rows`` as a 0/1 matrix of ``len(rows)`` rows and ``width`` columns.
 
@@ -304,6 +348,12 @@ class SimpleGraph:
         """Every edge once as (u, v) with u < v, in increasing (u, v) order."""
         for us, vs in rows_to_edges(self.adj, self.n, upper=True):
             yield from zip(us.tolist(), vs.tolist())
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge once as endpoint arrays (u, v) with u < v, in :meth:`edges` order."""
+        blocks = list(rows_to_edges(self.adj, self.n, upper=True))
+        empty = np.empty(0, dtype=np.int64)
+        return np.concatenate([empty, *(u for u, _ in blocks)]), np.concatenate([empty, *(v for _, v in blocks)])
 
     def edges_within(self, mask: int) -> int:
         """Number of edges with both endpoints in the bitset ``mask``."""

@@ -12,10 +12,12 @@ neighbours does vertex v have in vertex set S?  The host rows are packed
 with ``graphs.rows_to_words`` into a table of n + 1 rows of ceil(n / 64)
 uint64 words, once per ``evaluate_partition`` call and once per
 ``sparse_regular_partition`` call for the splits; row n is empty and pads
-ragged vertex lists.  The count kernel takes a batch of (vertex, set)
-questions as an index array of vertices per set and one row of words per
-set, gathers the vertices' rows, ANDs each with its set's words and sums
-``np.bitwise_count`` over the words.  Every count of a round comes from it:
+ragged vertex lists.  The count kernel, ``graphs.set_counts`` (shared with
+the sampled refuter of :mod:`reglab.regularity`), takes a batch of
+(vertex, set) questions as an index array of vertices per set and one row
+of words per set (``graphs.set_words``), gathers the vertices' rows, ANDs
+each with its set's words and sums ``np.bitwise_count`` over the words.
+Every count of a round comes from it:
 
 * ``evaluate_partition`` builds the n x t vertex-by-class count matrix once
   and reads every pair's edge count, and so the energy, from it;
@@ -39,9 +41,10 @@ lower; least vertex).  So every decision equals the one that exact
 
 Memory.  Besides the table (n^2 / 8 bytes, the host's own size) the round
 holds the n x t count matrix, arrays of (jobs x largest class) entries for
-the split, and gather temporaries of at most ``_COUNT_CHUNK_WORDS`` words
-(or one row); never an n x n array of counts, nor a gather of jobs x class
-size x n entries.
+the split, a (jobs x n) bool scratch while it builds set words, and gather
+temporaries of at most ``graphs.COUNT_CHUNK_WORDS`` words (or one row);
+never an n x n array of counts, nor a gather of jobs x class size x n
+entries.
 """
 
 from __future__ import annotations
@@ -56,7 +59,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError, SoundnessError
-from .graphs import SimpleGraph, VertexSetPair, _peel_low_degree, bitmask_of, iter_bits, rows_to_words
+from .graphs import (
+    SimpleGraph,
+    VertexSetPair,
+    _peel_low_degree,
+    bitmask_of,
+    iter_bits,
+    rows_to_words,
+    set_counts,
+    set_words,
+)
 from .randgraph import RngStream
 from .regularity import REFUTED, RegularityVerdict, pair_verdict
 
@@ -185,10 +197,6 @@ def equipartition_classes(vertices: list[int], t: int) -> list[list[int]]:
     return classes
 
 
-#: Words of host rows the count kernel gathers and ANDs with set words at
-#: once: each of its temporaries holds at most this many words (or one row).
-_COUNT_CHUNK_WORDS = 1 << 15
-
 #: Float scores within this margin of the best are compared again exactly
 #: (see the module docstring).
 _NEAR_TIE = 1e-9
@@ -209,27 +217,6 @@ def _padded(sets: Sequence[Sequence[int]], pad: int) -> np.ndarray:
     return np.sort(out, axis=1)
 
 
-def _set_words(table: np.ndarray, members: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Row j holds the words of the vertex set {members[j, r] : keep[j, r]}."""
-    words = np.zeros((len(members), table.shape[1]), dtype=np.uint64)
-    row, pos = np.nonzero(keep)
-    v = members[row, pos].astype(np.uint64)
-    np.bitwise_or.at(words, (row, v >> np.uint64(6)), np.uint64(1) << (v & np.uint64(63)))
-    return words
-
-
-def _counts(table: np.ndarray, members: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Entry [j, r] is the number of neighbours of vertex members[j, r] in set j (given by its words)."""
-    flat = members.ravel()
-    owner = np.repeat(np.arange(len(words)), members.shape[1])
-    out = np.empty(flat.size, dtype=np.int64)
-    step = max(1, _COUNT_CHUNK_WORDS // table.shape[1])
-    for start in range(0, flat.size, step):
-        stop = start + step
-        out[start:stop] = np.bitwise_count(table[flat[start:stop]] & words[owner[start:stop]]).sum(axis=1)
-    return out.reshape(members.shape)
-
-
 def _class_counts(table: np.ndarray, padded: np.ndarray) -> np.ndarray:
     """The n x t matrix whose entry [v, c] is the number of neighbours of v in class c.
 
@@ -237,8 +224,8 @@ def _class_counts(table: np.ndarray, padded: np.ndarray) -> np.ndarray:
     with the padding vertex n.
     """
     n = len(table) - 1
-    words = _set_words(table, padded, padded < n)
-    return np.ascontiguousarray(_counts(table, np.broadcast_to(np.arange(n), (len(padded), n)), words).T)
+    words = set_words(padded, table.shape[1], padded < n)
+    return np.ascontiguousarray(set_counts(table, np.broadcast_to(np.arange(n), (len(padded), n)), words).T)
 
 
 def partition_energy(edges: Sequence[Sequence[int]], sizes: Sequence[int], n: int, p: float) -> Fraction:
@@ -333,7 +320,7 @@ def _otsu_groups(
     Rows of ``members`` are sorted with padding at their ends, as
     :func:`_padded` writes them; padding stays at the end of each ranking.
     """
-    counts = _counts(table, members, words)
+    counts = set_counts(table, members, words)
     valid = np.arange(members.shape[1]) < sizes[:, None]
     order = np.argsort(np.where(valid, -counts, 1), axis=1, kind="stable")
     ranked_counts = np.take_along_axis(counts, order, axis=1)
@@ -374,7 +361,7 @@ def _split_by_best_probe(
         side = np.array([job[0] for job in jobs], dtype=np.intp)
         other = np.array([job[1] for job in jobs], dtype=np.intp)
         seeds = _padded([job[2] for job in jobs], n)
-        words = _set_words(table, seeds, seeds < n)
+        words = set_words(seeds, table.shape[1], seeds < n)
         # power iteration: alternately re-derive each side's extreme group
         # from the other's; a weakly unbalanced witness sharpens into a
         # high-contrast probe within a few rounds
@@ -384,7 +371,7 @@ def _split_by_best_probe(
             pos = np.arange(ranked.shape[1])
             cut, size = cuts[:, None], sizes[cls][:, None]
             keep = np.where(2 * cut <= size, pos < cut, (pos >= cut) & (pos < size))
-            words = _set_words(table, ranked, keep)
+            words = set_words(ranked, table.shape[1], keep)
         probe_sizes = keep.sum(axis=1).tolist()
         ranked, counts, cuts = _otsu_groups(table, padded[side], sizes[side], words)
         prefix = np.cumsum(counts, axis=1)

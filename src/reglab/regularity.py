@@ -15,6 +15,26 @@ partial selection per row instead of a sort.  Deviations are compared as
 integers scaled by s_u s_v |U| |V|; only the final deviation is a
 ``Fraction``, and only the winning witness is rebuilt vertex by vertex.
 
+The sampled refuter first draws all its candidates from the pair's stream,
+in a fixed order, as rows of positions into the sorted U and V: uniform
+candidates by ``gen.choice``, guided ones by degree order and pivot
+neighbourhoods.  It then counts every candidate's e(U', V') in one batch
+with the count kernel it shares with the partitioner, ``graphs.set_counts``:
+a table of the U rows only (|U| rows of ceil(n / 64) uint64 words), one row
+of words per candidate V', and gathers of at most
+``graphs.COUNT_CHUNK_WORDS`` words; no |U| x |V| matrix is built.  Every
+candidate has exactly s_u x s_v vertex pairs, so its density is
+e' / (s_u s_v), and its deviation |e' / (s_u s_v) - e / (|U| |V|)| times
+the positive constant s_u s_v |U| |V| is the integer
+|e' |U| |V| - e s_u s_v|.  Scaling by a positive constant keeps every strict
+comparison, so the first argmax of these integers, when it is above 0, is
+the candidate that a loop keeping each ``Fraction`` deviation that strictly
+exceeds every earlier one reports, and the first argmin of e' is the first
+candidate of smallest density.  The integers are at most (|U| |V|)^2, exact
+in int64 while |U| |V| < 3 * 10^9.  Only a winner becomes a ``Fraction`` and
+a ``VertexSetPair``, and a reported witness is recounted by ``pair_density``
+on the Python-int rows, against d(U, V) counted the same way.
+
 This module alone decides how a pair is judged.  The policy is
 ``pair_verdict``: the exhaustive checker when both sides have at most
 ``EXHAUSTIVE_PAIR_BUDGET`` vertices, the sampled refuter above.  The
@@ -44,6 +64,9 @@ from .graphs import (
     bitmask_of,
     leq_with_tolerance,
     pair_density,
+    rows_to_words,
+    set_counts,
+    set_words,
 )
 from .randgraph import RngStream
 
@@ -198,8 +221,8 @@ def _candidate_pairs(
     trials: int,
     rng: RngStream,
     guided: bool,
-):
-    """Yield candidate (U' vertices, V' vertices) witness pairs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate witness pairs, as rows of positions into ``pair.U`` (s_u each) and ``pair.V`` (s_v each).
 
     Uniform candidates draw both sides independently at random, so their
     densities are unbiased estimates of the pair density.  Guided
@@ -209,68 +232,75 @@ def _candidate_pairs(
     sqrt(d/s), so callers whose eps * p budget is below that scale should
     disable them.
     """
-    u_list, v_list = list(pair.U), list(pair.V)
-    mask_u, mask_v = pair.mask_u, pair.mask_v
+    u_list, v_list = pair.U, pair.V
     gen = rng.np_rng()
+    us: list = []
+    vs: list = []
 
-    def complete(fixed: list[int], side_vertices: list[int], take: int, largest: bool) -> list[int]:
-        fixed_mask = bitmask_of(fixed)
-        weights = [(graph.adj[x] & fixed_mask).bit_count() for x in side_vertices]
-        chosen, _ = _extremal_completion(weights, take, largest)
-        return [side_vertices[i] for i in chosen]
+    def complete(seed: list[int], seed_side: tuple[int, ...], side: tuple[int, ...], take: int, largest: bool):
+        # the extremal completion on ``side`` of the seed positions in ``seed_side``
+        seed_mask = bitmask_of(seed_side[i] for i in seed)
+        weights = [(graph.adj[x] & seed_mask).bit_count() for x in side]
+        return _extremal_completion(weights, take, largest)[0]
+
+    def pivot_seed(side: tuple[int, ...], other: tuple[int, ...], take: int) -> list[int]:
+        row = graph.adj[side[int(gen.integers(len(side)))]]
+        nbrs = [i for i, x in enumerate(other) if row >> x & 1]
+        others = [i for i, x in enumerate(other) if not row >> x & 1]
+        return (nbrs + [others[i] for i in gen.permutation(len(others))])[:take]
 
     if guided:
-        deg_u = sorted(u_list, key=lambda u: (-(graph.adj[u] & mask_v).bit_count(), u))
-        deg_v = sorted(v_list, key=lambda v: (-(graph.adj[v] & mask_u).bit_count(), v))
-        for us in (deg_u[:s_u], deg_u[-s_u:]):
-            for vs in (deg_v[:s_v], deg_v[-s_v:]):
-                yield us, vs
+        mask_u, mask_v = pair.mask_u, pair.mask_v
+        deg_u = sorted(range(len(u_list)), key=lambda i: (-(graph.adj[u_list[i]] & mask_v).bit_count(), i))
+        deg_v = sorted(range(len(v_list)), key=lambda i: (-(graph.adj[v_list[i]] & mask_u).bit_count(), i))
+        for top_u in (deg_u[:s_u], deg_u[-s_u:]):
+            for top_v in (deg_v[:s_v], deg_v[-s_v:]):
+                us.append(top_u)
+                vs.append(top_v)
 
     for t in range(trials):
         if guided and t % 4 == 3:
             # pivot: one vertex's neighbourhood (padded at random) seeds one
             # side; the other side is completed greedily both ways
             if t % 8 == 3:
-                pv = u_list[int(gen.integers(len(u_list)))]
-                nbrs = [v for v in v_list if graph.adj[pv] >> v & 1]
-                others = [v for v in v_list if not graph.adj[pv] >> v & 1]
-                order = list(gen.permutation(len(others)))
-                seed_v = (nbrs + [others[i] for i in order])[:s_v]
-                yield complete(seed_v, u_list, s_u, True), seed_v
-                yield complete(seed_v, u_list, s_u, False), seed_v
+                seed_v = pivot_seed(u_list, v_list, s_v)
+                for largest in (True, False):
+                    us.append(complete(seed_v, v_list, u_list, s_u, largest))
+                    vs.append(seed_v)
             else:
-                pv = v_list[int(gen.integers(len(v_list)))]
-                nbrs = [u for u in u_list if graph.adj[pv] >> u & 1]
-                others = [u for u in u_list if not graph.adj[pv] >> u & 1]
-                order = list(gen.permutation(len(others)))
-                seed_u = (nbrs + [others[i] for i in order])[:s_u]
-                yield seed_u, complete(seed_u, v_list, s_v, True)
-                yield seed_u, complete(seed_u, v_list, s_v, False)
+                seed_u = pivot_seed(v_list, u_list, s_u)
+                for largest in (True, False):
+                    us.append(seed_u)
+                    vs.append(complete(seed_u, u_list, v_list, s_v, largest))
         else:
-            us = [u_list[int(i)] for i in gen.choice(len(u_list), size=s_u, replace=False)]
-            vs = [v_list[int(i)] for i in gen.choice(len(v_list), size=s_v, replace=False)]
-            yield us, vs
+            us.append(gen.choice(len(u_list), size=s_u, replace=False))
+            vs.append(gen.choice(len(v_list), size=s_v, replace=False))
+    return np.array(us, dtype=np.intp).reshape(-1, s_u), np.array(vs, dtype=np.intp).reshape(-1, s_v)
 
 
 @dataclass(frozen=True)
-class _SampledExtremes:
-    """Both extremes of one pass over the sampled candidates of a pair.
+class _SampledCounts:
+    """The sampled candidates of a pair with their edge counts, in candidate order.
 
-    ``deviating`` is the first candidate whose |d(U', V') - d(U, V)|
-    strictly exceeds every earlier one and zero (``None`` when none does),
-    ``deviation`` its deviation; ``sparsest`` is the first candidate of
-    strictly smallest density (``None`` when there are no candidates),
-    ``sparsest_density`` its density.  ``density`` is d(U, V).
+    Row c of ``us`` and ``vs`` holds candidate c's positions in ``pair.U``
+    and ``pair.V``; ``edges[c]`` is its e(U', V') and ``pair_edges`` is
+    e(U, V).
     """
 
-    density: Fraction
-    deviation: Fraction
-    deviating: VertexSetPair | None
-    sparsest_density: Fraction | None
-    sparsest: VertexSetPair | None
+    pair: VertexSetPair
+    us: np.ndarray
+    vs: np.ndarray
+    edges: np.ndarray
+    pair_edges: int
+
+    def candidate(self, row: int) -> VertexSetPair:
+        return VertexSetPair(
+            tuple(self.pair.U[i] for i in self.us[row].tolist()),
+            tuple(self.pair.V[i] for i in self.vs[row].tolist()),
+        )
 
 
-def _sampled_extremes(
+def _sampled_counts(
     graph: SimpleGraph,
     pair: VertexSetPair,
     s_u: int,
@@ -278,19 +308,16 @@ def _sampled_extremes(
     trials: int,
     rng: RngStream,
     guided: bool,
-) -> _SampledExtremes:
-    """Densities of the candidates of ``_candidate_pairs``, keeping both extremes."""
-    d_pair = pair_density(graph, pair)
-    deviation, deviating = Fraction(0), None
-    sparsest_density, sparsest = None, None
-    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
-        candidate = VertexSetPair(tuple(us), tuple(vs))
-        dens = pair_density(graph, candidate)
-        if abs(dens - d_pair) > deviation:
-            deviation, deviating = abs(dens - d_pair), candidate
-        if sparsest is None or dens < sparsest_density:
-            sparsest_density, sparsest = dens, candidate
-    return _SampledExtremes(d_pair, deviation, deviating, sparsest_density, sparsest)
+) -> _SampledCounts:
+    """The candidates of ``_candidate_pairs``, counted in one batch on a table of the U rows."""
+    us, vs = _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided)
+    table = rows_to_words([graph.adj[u] for u in pair.U], graph.n)
+    v_side = np.array(pair.V, dtype=np.intp)
+    words = set_words(v_side[vs], table.shape[1])
+    pair_words = set_words(v_side[None], table.shape[1])
+    return _SampledCounts(
+        pair, us, vs, set_counts(table, us, words).sum(axis=1), int(np.bitwise_count(table & pair_words).sum())
+    )
 
 
 def refute_regular_sampled(
@@ -306,24 +333,31 @@ def refute_regular_sampled(
 
     Runs ``trials`` candidate witness pairs (uniform subsets, plus
     degree-sorted and pivot-guided candidates when ``guided``) and reports
-    the largest deviation found if it exceeds eps * p.  Every returned
-    witness is re-verified against the definition before being reported.
+    the largest deviation found if it exceeds eps * p: the first candidate
+    reaching it.  Every returned witness is re-verified against the
+    definition before being reported.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
     if not pair.U or not pair.V:
         return RegularityVerdict(UNDECIDED, None, Fraction(0))
-    s_u = subset_floor(epsilon, len(pair.U))
-    s_v = subset_floor(epsilon, len(pair.V))
-    if s_u > len(pair.U) or s_v > len(pair.V):
+    nu, nv = len(pair.U), len(pair.V)
+    s_u = subset_floor(epsilon, nu)
+    s_v = subset_floor(epsilon, nv)
+    if s_u > nu or s_v > nv:
         # eps > 1: no subset is large enough to be a witness
         return RegularityVerdict(UNDECIDED, None, Fraction(0))
-    found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided)
-    if found.deviating is not None and not leq_with_tolerance(found.deviation, epsilon * p):
-        if abs(pair_density(graph, found.deviating) - found.density) != found.deviation:
+    found = _sampled_counts(graph, pair, s_u, s_v, trials, rng, guided)
+    # |e' / (s_u s_v) - e / (nu nv)| scaled by s_u s_v nu nv, exact in int64
+    scaled = np.abs(found.edges * (nu * nv) - found.pair_edges * (s_u * s_v))
+    top = int(np.argmax(scaled))
+    deviation = Fraction(int(scaled[top]), s_u * s_v * nu * nv)
+    if scaled[top] > 0 and not leq_with_tolerance(deviation, epsilon * p):
+        witness = found.candidate(top)
+        if abs(pair_density(graph, witness) - pair_density(graph, pair)) != deviation:
             raise SoundnessError("refutation witness does not reproduce its deviation")
-        return RegularityVerdict(REFUTED, found.deviating, found.deviation)
-    return RegularityVerdict(UNDECIDED, None, found.deviation)
+        return RegularityVerdict(REFUTED, witness, deviation)
+    return RegularityVerdict(UNDECIDED, None, deviation)
 
 
 def pair_verdict(
@@ -385,9 +419,11 @@ def check_lower_regular(
     else:
         if rng is None:
             raise PreconditionError("a pair above the exhaustive budget needs an rng stream")
-        # guided candidates always include the degree-sorted ones, so both are set
-        found = _sampled_extremes(graph, pair, s_u, s_v, trials, rng, guided=True)
-        sparsest, witness = found.sparsest_density, found.sparsest
+        # guided candidates always include the four degree-sorted ones
+        found = _sampled_counts(graph, pair, s_u, s_v, trials, rng, guided=True)
+        row = int(np.argmin(found.edges))
+        sparsest = Fraction(int(found.edges[row]), s_u * s_v)
+        witness = found.candidate(row)
         unrefuted = UNDECIDED
     shortfall = Fraction(d) - sparsest
     if leq_with_tolerance(shortfall, 0.0):

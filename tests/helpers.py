@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from reglab.errors import PreconditionError, SoundnessError
-from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, bitmask_of, rows_to_matrix
+from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, bitmask_of, iter_bits, rows_to_matrix
 from reglab.regularity import REFUTED
 
 
@@ -306,13 +306,61 @@ def loop_check_lower_regular_exhaustive(graph, pair, epsilon: float, d: float):
     return CERTIFIED, Fraction(0), None
 
 
+def reference_candidate_pairs(graph, pair, s_u: int, s_v: int, trials: int, rng, guided: bool):
+    """Yield candidate (U' vertices, V' vertices) witness pairs one at a time, on Python-int rows.
+
+    The sampled refuter's candidate generator as it was before its counts
+    were batched: the same draws from ``rng`` in the same order, so both
+    yield the same candidates.
+    """
+    u_list, v_list = list(pair.U), list(pair.V)
+    mask_u, mask_v = pair.mask_u, pair.mask_v
+    gen = rng.np_rng()
+
+    def complete(fixed, side_vertices, take, largest):
+        fixed_mask = bitmask_of(fixed)
+        weights = [(graph.adj[x] & fixed_mask).bit_count() for x in side_vertices]
+        chosen, _ = _reference_completion(weights, take, largest)
+        return [side_vertices[i] for i in chosen]
+
+    if guided:
+        deg_u = sorted(u_list, key=lambda u: (-(graph.adj[u] & mask_v).bit_count(), u))
+        deg_v = sorted(v_list, key=lambda v: (-(graph.adj[v] & mask_u).bit_count(), v))
+        for us in (deg_u[:s_u], deg_u[-s_u:]):
+            for vs in (deg_v[:s_v], deg_v[-s_v:]):
+                yield us, vs
+
+    for t in range(trials):
+        if guided and t % 4 == 3:
+            if t % 8 == 3:
+                pv = u_list[int(gen.integers(len(u_list)))]
+                nbrs = [v for v in v_list if graph.adj[pv] >> v & 1]
+                others = [v for v in v_list if not graph.adj[pv] >> v & 1]
+                order = list(gen.permutation(len(others)))
+                seed_v = (nbrs + [others[i] for i in order])[:s_v]
+                yield complete(seed_v, u_list, s_u, True), seed_v
+                yield complete(seed_v, u_list, s_u, False), seed_v
+            else:
+                pv = v_list[int(gen.integers(len(v_list)))]
+                nbrs = [u for u in u_list if graph.adj[pv] >> u & 1]
+                others = [u for u in u_list if not graph.adj[pv] >> u & 1]
+                order = list(gen.permutation(len(others)))
+                seed_u = (nbrs + [others[i] for i in order])[:s_u]
+                yield seed_u, complete(seed_u, v_list, s_v, True)
+                yield seed_u, complete(seed_u, v_list, s_v, False)
+        else:
+            us = [u_list[int(i)] for i in gen.choice(len(u_list), size=s_u, replace=False)]
+            vs = [v_list[int(i)] for i in gen.choice(len(v_list), size=s_v, replace=False)]
+            yield us, vs
+
+
 def loop_refute_regular_sampled(graph, pair, epsilon: float, p: float, trials: int, rng, guided: bool = True):
-    """``refute_regular_sampled`` with its own candidate loop, before the loop was shared.
+    """``refute_regular_sampled`` as one ``Fraction`` density per candidate pair.
 
     Returns ``(status, deviation, witness)``.
     """
     from reglab.graphs import VertexSetPair, leq_with_tolerance, pair_density
-    from reglab.regularity import REFUTED, UNDECIDED, _candidate_pairs, subset_floor
+    from reglab.regularity import REFUTED, UNDECIDED, subset_floor
 
     if not pair.U or not pair.V:
         return UNDECIDED, Fraction(0), None
@@ -321,7 +369,7 @@ def loop_refute_regular_sampled(graph, pair, epsilon: float, p: float, trials: i
     d_pair = pair_density(graph, pair)
     best_dev = Fraction(0)
     best_witness = None
-    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
+    for us, vs in reference_candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided):
         candidate = VertexSetPair(tuple(us), tuple(vs))
         dev = abs(pair_density(graph, candidate) - d_pair)
         if dev > best_dev:
@@ -333,12 +381,12 @@ def loop_refute_regular_sampled(graph, pair, epsilon: float, p: float, trials: i
 
 
 def loop_check_lower_regular_sampled(graph, pair, epsilon: float, d: float, trials: int, rng):
-    """The sampled branch of ``check_lower_regular`` with its own loop, before the loop was shared.
+    """The sampled branch of ``check_lower_regular`` as one ``Fraction`` density per candidate pair.
 
     Returns ``(status, deviation, witness)``.
     """
     from reglab.graphs import VertexSetPair, leq_with_tolerance, pair_density
-    from reglab.regularity import CERTIFIED, REFUTED, UNDECIDED, _candidate_pairs, subset_floor
+    from reglab.regularity import CERTIFIED, REFUTED, UNDECIDED, subset_floor
 
     if not pair.U or not pair.V:
         return CERTIFIED, Fraction(0), None
@@ -346,7 +394,7 @@ def loop_check_lower_regular_sampled(graph, pair, epsilon: float, d: float, tria
     s_v = subset_floor(epsilon, len(pair.V))
     worst = None
     worst_witness = None
-    for us, vs in _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided=True):
+    for us, vs in reference_candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided=True):
         candidate = VertexSetPair(tuple(us), tuple(vs))
         dens = pair_density(graph, candidate)
         if worst is None or dens < worst:
@@ -485,6 +533,34 @@ def reference_count_through_edge(graph: SimpleGraph, pattern: PatternGraph, u: i
     for a, b in pattern.sorted_edges():
         total += count_embeddings(graph, pattern, fixed={a: u, b: v})
         total += count_embeddings(graph, pattern, fixed={a: v, b: u})
+    return total
+
+
+def reference_count_kcliques(graph: SimpleGraph, k: int) -> int:
+    """Number of k-vertex cliques by backtracking, each clique once in increasing vertex order."""
+    if k < 1:
+        return 0
+    if k == 1:
+        return graph.n
+    if k == 2:
+        return graph.edge_count
+    higher = [((1 << graph.n) - 1) >> (v + 1) << (v + 1) for v in range(graph.n)]
+
+    def rec(common: int, depth: int, last: int) -> int:
+        if depth == k:
+            return 1
+        remaining = common & higher[last]
+        if depth == k - 1:
+            return remaining.bit_count()
+        total = 0
+        for w in iter_bits(remaining):
+            total += rec(common & graph.adj[w], depth + 1, w)
+        return total
+
+    total = 0
+    for u in range(graph.n):
+        for v in iter_bits(graph.adj[u] & higher[u]):
+            total += rec(graph.adj[u] & graph.adj[v], 2, v)
     return total
 
 

@@ -1,6 +1,7 @@
 """Subgraph search (the injective mode of the search kernel) against networkx."""
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -14,11 +15,13 @@ from reglab.embedding import (
     iter_embeddings,
 )
 from reglab.graphs import PatternGraph, SimpleGraph
+from reglab.randgraph import RngStream, gnp
 
 from helpers import (
     ASYMMETRIC6,
     patterns,
     reference_automorphism_count,
+    reference_count_kcliques,
     reference_count_through_edge,
     simple_graphs,
 )
@@ -162,6 +165,19 @@ def test_kcliques_match_networkx(graph):
     sizes = [len(c) for c in nx.enumerate_all_cliques(host)]
     for k in range(1, 6):
         assert count_kcliques(graph, k) == sizes.count(k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_kcliques_match_the_backtracker_on_random_hosts(k):
+    # the level route counts k! labelled copies per clique; the backtracker
+    # counts each clique once.  G(200, 0.5) with k = 5 is left out: the
+    # backtracker alone takes about a second on it.
+    for n in (60, 130, 200):
+        for density in (0.05, 0.2, 0.35, 0.5):
+            if (n, density) == (200, 0.5) and k == 5:
+                continue
+            graph = gnp(n, density, RngStream(n, (k, int(100 * density))))
+            assert count_kcliques(graph, k) == reference_count_kcliques(graph, k)
 
 
 def test_plan_built_once_per_template_and_pins(monkeypatch):

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from reglab import experiments
 from reglab.counting import gk_bruteforce
 from reglab.errors import SoundnessError
-from reglab.embedding import count_embeddings, iter_embeddings
+from reglab.embedding import count_embeddings, count_kcliques, find_embedding, iter_embeddings
 from reglab.experiments import (
     _break_surviving_copies,
     _cluster_supported_count,
     _pad_to_divisible,
+    _partite_cut,
+    _template_free,
     packing_pipeline,
 )
 from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, bitmask_of, iter_bits
@@ -326,3 +328,32 @@ def test_removal_flags_a_cut_above_the_copy_budget():
     assert record["planted_interior_edges"] == 0
     assert record["copies_before"] == 1834 > copy_budget
     assert record["copies_within_budget"] is False
+
+
+def test_partite_cut_lists_the_interior_edges_in_permuted_edge_order():
+    host = gnp(150, 0.2, RngStream(31))
+    side = [v % 3 for v in range(150)]
+    cut, (u, v) = _partite_cut(host, side, RngStream(32))
+    assert cut == host.keep_edges_between(side)
+    interior = [(a, b) for a, b in host.edges() if side[a] == side[b]]
+    order = RngStream(32).np_rng().permutation(len(interior))
+    assert list(zip(u.tolist(), v.tolist())) == [interior[i] for i in order.tolist()]
+
+
+def test_template_free_decision_matches_the_search_on_a_cut_and_a_planted_triangle():
+    # removal's final check and aes's soundness cross-check: a complete
+    # template is decided by counting cliques, any other by the search
+    n = 160
+    host = gnp(n, 0.1, RngStream(33))
+    side = [v % 2 for v in range(n)]
+    cut, _ = _partite_cut(host, side, RngStream(34))
+    # a same-side pair with exactly one common neighbour closes one triangle
+    u, w = next((a, b) for a in range(0, n, 2) for b in range(a + 2, n, 2) if (cut.adj[a] & cut.adj[b]).bit_count() == 1)
+    planted = SimpleGraph(n, list(cut.adj), cut.edge_count + 1)
+    planted.adj[u] |= 1 << w
+    planted.adj[w] |= 1 << u
+    assert count_kcliques(cut, 3) == 0 and count_kcliques(planted, 3) == 1
+    for graph, free in ((cut, True), (planted, False)):
+        for pattern in (PatternGraph.complete(3), PatternGraph.complete(4), PatternGraph.cycle(5), PatternGraph.cycle(4)):
+            assert _template_free(graph, pattern) == (find_embedding(graph, pattern) is None)
+        assert _template_free(graph, PatternGraph.complete(3)) == free

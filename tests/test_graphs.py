@@ -22,7 +22,10 @@ from reglab.graphs import (
     rows_to_edges,
     rows_to_matrix,
     rows_to_words,
+    set_counts,
+    set_words,
 )
+from reglab import graphs
 from reglab.randgraph import RngStream, gnp
 
 from helpers import (
@@ -271,6 +274,31 @@ def test_codec_round_trips_rectangular_rows(n_rows, width, seed):
     assert edges_to_rows(n_rows, width, np.concatenate((r, r)), np.concatenate((c, c))) == rows
 
 
+@pytest.mark.parametrize("chunk_words", [graphs.COUNT_CHUNK_WORDS, 64, 5, 1])
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    n_sets=st.integers(1, 9),
+    size=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_set_counts_match_python_popcounts_at_any_chunk(chunk_words, n, n_sets, size, seed):
+    # small chunks split the sets, then the members of one set, then leave
+    # one row per gather once a row has more words than the chunk
+    gen = np.random.default_rng(seed)
+    rows = matrix_to_rows(gen.random((n, n)) < 0.3)
+    members = gen.integers(0, n, size=(n_sets, size))
+    keep = gen.random((n_sets, size)) < 0.7
+    sets = [bitmask_of(m for m, k in zip(ms, ks) if k) for ms, ks in zip(members.tolist(), keep.tolist())]
+    words = set_words(members, -(-n // 64), keep)
+    assert [sum(int(w) << (64 * i) for i, w in enumerate(row)) for row in words] == sets
+    assert set_words(members, -(-n // 64)).tolist() == set_words(members, -(-n // 64), keep | True).tolist()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "COUNT_CHUNK_WORDS", chunk_words)
+        counts = set_counts(rows_to_words(rows, n), members, words)
+    assert counts.tolist() == [[(rows[m] & mask).bit_count() for m in ms] for ms, mask in zip(members.tolist(), sets)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(drawn_pairs())
 def test_from_edges_matches_per_edge_reference(drawn):
@@ -284,6 +312,8 @@ def test_from_edges_matches_per_edge_reference(drawn):
 def test_edges_and_edge_list_match_per_bit_reference(drawn):
     graph = reference_from_edges(*drawn)
     assert list(graph.edges()) == reference_edges(graph)
+    u, v = graph.edge_arrays()
+    assert u.dtype == v.dtype == np.int64 and list(zip(u.tolist(), v.tolist())) == reference_edges(graph)
     assert graph.to_edge_list() == reference_edge_list(graph)
 
 

@@ -189,6 +189,18 @@ def scattered_pair(n_u: int, n_v: int, density: float, stream: RngStream):
     return SimpleGraph.from_edges(n, edges), VertexSetPair(tuple(order[:n_u]), tuple(order[n_u : n_u + n_v]))
 
 
+def interleaved_pair(n_u: int, n_v: int, density: float, stream: RngStream):
+    """Random graph on n_u + n_v + 3 vertices with U and V alternating in vertex order, then the longer side's rest."""
+    gen = stream.np_rng()
+    n = n_u + n_v + 3
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if gen.random() < density]
+    both = 2 * min(n_u, n_v)
+    rest = range(both, both + abs(n_u - n_v))
+    u_side = list(range(0, both, 2)) + (list(rest) if n_u > n_v else [])
+    v_side = list(range(1, both, 2)) + (list(rest) if n_v > n_u else [])
+    return SimpleGraph.from_edges(n, edges), VertexSetPair(tuple(u_side), tuple(v_side))
+
+
 def as_triple(verdict):
     return verdict.status, verdict.deviation, verdict.witness
 
@@ -274,26 +286,26 @@ def test_lower_regular_refutation_rechecks_its_witness(monkeypatch):
         check_lower_regular(g, pair, 0.25, 0.5)
 
 
-def lie_on_second_look(monkeypatch):
-    """Make ``pair_density`` answer 1/7 too high whenever it sees the same pair object again."""
-    real = regularity.pair_density
-    seen = []
+def empty_first_candidate(monkeypatch):
+    """Make the batched candidate count report no edges for the first candidate, which has some."""
+    real = regularity.set_counts
 
-    def lying(graph, pair):
-        value = real(graph, pair)
-        if any(pair is earlier for earlier in seen):
-            return value + Fraction(1, 7)
-        seen.append(pair)
-        return value
+    def lying(table, members, words):
+        counts = real(table, members, words)
+        assert counts[0].sum() > 0
+        counts[0] = 0
+        return counts
 
-    monkeypatch.setattr(regularity, "pair_density", lying)
+    monkeypatch.setattr(regularity, "set_counts", lying)
 
 
 def test_sampled_refutations_recheck_their_witness(monkeypatch):
-    # the re-check reads the witness again; a density that changed between
-    # the scan and the re-check must raise instead of being reported
+    # the re-check recounts the witness on its own; a batched count that
+    # went wrong must raise instead of being reported.  The first guided
+    # candidate is the full corner of the highest-degree vertices: counted
+    # as empty, it ties the real empty corner and wins as the earlier one.
     g, pair = bipartite(20, 20, [(u, v) for u in range(20) for v in range(20) if u >= 5 or v >= 5])
-    lie_on_second_look(monkeypatch)
+    empty_first_candidate(monkeypatch)
     with pytest.raises(SoundnessError):
         refute_regular_sampled(g, pair, 0.25, 0.1, trials=8, rng=RngStream(3))
     with pytest.raises(SoundnessError):
@@ -329,9 +341,15 @@ BELOW = st.tuples(st.integers(1, EXHAUSTIVE_PAIR_BUDGET), st.integers(1, EXHAUST
 ABOVE = st.tuples(st.integers(EXHAUSTIVE_PAIR_BUDGET + 1, 24), st.integers(1, 24)).flatmap(
     lambda shape: st.sampled_from([shape, shape[::-1]])
 )
+#: hosts of at least 131 vertices, whose rows span three uint64 words
+MULTIWORD = st.tuples(st.integers(64, 90), st.integers(64, 90))
 
 
-@pytest.mark.parametrize("shapes", [BELOW, ABOVE], ids=["below_budget", "above_budget"])
+@pytest.mark.parametrize(
+    "shapes, layout",
+    [(BELOW, scattered_pair), (ABOVE, scattered_pair), (MULTIWORD, scattered_pair), (MULTIWORD, interleaved_pair)],
+    ids=["below_budget", "above_budget", "multiword_scattered", "multiword_interleaved"],
+)
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -340,9 +358,9 @@ ABOVE = st.tuples(st.integers(EXHAUSTIVE_PAIR_BUDGET + 1, 24), st.integers(1, 24
     trials=st.integers(1, 12),
     seed=st.integers(0, 10_000),
 )
-def test_shared_sampled_loop_matches_the_separate_loops(shapes, data, density, epsilon, trials, seed):
+def test_shared_sampled_loop_matches_the_separate_loops(shapes, layout, data, density, epsilon, trials, seed):
     n_u, n_v = data.draw(shapes)
-    g, pair = scattered_pair(n_u, n_v, density, RngStream(seed))
+    g, pair = layout(n_u, n_v, density, RngStream(seed))
     for guided in (True, False):
         for p in (0.05, 0.3, 1.0):
             got = as_triple(refute_regular_sampled(g, pair, epsilon, p, trials, RngStream(seed, (1,)), guided))
