@@ -6,7 +6,7 @@ counting, seeded random graph classes with exposure schedules, and
 statistical experiment pipelines over all of it.
 """
 
-from .counting import CountResult, canonical_count, constrained_count, extension_degree, gk_bruteforce
+from .counting import CountResult, canonical_count, constrained_count, gk_bruteforce
 from .errors import BudgetError, PreconditionError, RejectionBudgetError, SoundnessError
 from .graphs import (
     MultipartiteGraph,
@@ -50,7 +50,6 @@ __all__ = [
     "clean_partition",
     "constrained_count",
     "exposure_schedule",
-    "extension_degree",
     "gk_bruteforce",
     "gnp",
     "induced_multipartite",

@@ -3,25 +3,16 @@
 A canonical copy of a k-vertex template H in a multipartite graph G is a
 tuple (v_1, ..., v_k), v_i in part i, realizing every template edge between
 the prescribed parts.  Copies are labelled tuples: no automorphism factor
-is divided out (an optional helper exposes that normalization for
-experiments that want unlabelled counts).
+is divided out.  The instance gives each template edge ``(a, b)`` its own
+row table ``rows[(a, b)]`` over the local indices ``range(n)`` of part b,
+one bitset row per vertex of part a.
 
-Every subgraph search in the package, here and in :mod:`reglab.embedding`,
-runs on one kernel.  A :class:`SearchPlan` orders the template vertices by
-greedy maximum back-degree (pinned vertices first) and lists, per position,
-the earlier positions it must be adjacent to; it is built once per
-(template, pinned vertices) and cached.  The candidates at a position are
-the intersection of the placed neighbours' bitset rows.  Two depth-first
-traversals run over the plan: :func:`count_extensions` takes a popcount at
-the last level, and :func:`iter_extensions` yields every full assignment in
-search order.  The kernel has two modes:
-
-* partite (canonical copies): each template edge ``(a, b)`` has its own row
-  table ``rows[(a, b)]`` over local part indices, and there is no used-vertex
-  mask because the parts have separate index spaces;
-* injective (embeddings into a :class:`~reglab.graphs.SimpleGraph`): every
-  template edge uses the host's ``adj`` rows, and host vertices already used
-  are masked out.
+A :class:`SearchPlan` orders the template vertices by greedy maximum
+back-degree (pinned vertices first) and lists, per position, the earlier
+positions it must be adjacent to; it is built once per (template, pinned
+vertices) and cached.  The level route below walks it, and so does the
+backtracking kernel of :mod:`reglab.embedding`, which this module does
+not import.
 
 Unpinned canonical counts (:func:`canonical_count`, :func:`constrained_count`)
 are products over the template's connected components: a copy is one copy
@@ -61,20 +52,7 @@ add up in a Python int.
 The level route has three callers: :func:`canonical_count` and
 :func:`constrained_count` (through the component product) and
 :func:`reglab.embedding.count_kcliques`, which runs it with a simple graph's
-rows on every edge of K_k and divides by k!.  The backtracker, whose counts
-are Python ints too, keeps the pinned partite count :func:`extension_degree`
-and every other injective search: those of :mod:`reglab.embedding` (counts
-through a host edge among them) and :func:`automorphisms`.
-
-Counts that pin or mask template vertices are constant on the orbits of
-Aut(H).  For an automorphism s, the map f -> f o s is a bijection from the
-copies that pin (s(a), s(b)) to (u, v) onto the copies that pin (a, b) to
-(u, v), and from the copies whose vertex v lies in mask ``m[v]`` onto those
-whose vertex v lies in ``m[s(v)]``.  So a sum of such counts over a whole
-orbit is exactly the orbit size times the count at one member.  :func:`automorphisms` lists Aut(H) and
-:func:`edge_orbits` gives one oriented template edge per orbit with its
-size; counting through a host edge and the removal experiment's
-cluster-supported count do one count per orbit.
+rows on every edge of K_k and divides by k!.
 """
 
 from __future__ import annotations
@@ -84,12 +62,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, iter_bits, rows_to_matrix, rows_to_words
+from .graphs import MultipartiteGraph, PatternGraph, rows_to_matrix, rows_to_words
 from . import smallgraphs
 
 GK_BUDGET = 9
@@ -157,126 +134,6 @@ def search_plan(pattern: PatternGraph, pinned: tuple[int, ...] = ()) -> SearchPl
     return SearchPlan(order, back)
 
 
-def _place_pins(
-    pattern: PatternGraph,
-    rows: dict[tuple[int, int], list[int]] | list[int],
-    n: int,
-    pinned: dict[int, int] | None,
-    masks: Sequence[int] | None,
-    injective: bool,
-):
-    """Plan, per-position levels and the state after the pins; ``None`` if a pin fails.
-
-    A level is (candidate mask, [(earlier position, row table), ...]).  Each
-    pin is checked exactly like a search step: it must lie in the candidate
-    set its position would have.
-    """
-    pinned = pinned or {}
-    plan = search_plan(pattern, tuple(pinned))
-    full = (1 << n) - 1
-    levels = [
-        (
-            masks[v] if masks else full,
-            [(s, rows if injective else rows[(plan.order[s], v)]) for s in plan.back[t]],
-        )
-        for t, v in enumerate(plan.order)
-    ]
-    assignment = [0] * pattern.k
-    free = -1
-    for t in range(len(pinned)):
-        host = pinned[plan.order[t]]
-        cand, constraints = levels[t]
-        cand &= free
-        for s, table in constraints:
-            cand &= table[assignment[s]]
-        if not cand >> host & 1:
-            return None
-        assignment[t] = host
-        if injective:
-            free ^= 1 << host
-    return plan, levels, assignment, free
-
-
-def count_extensions(
-    pattern: PatternGraph,
-    rows: dict[tuple[int, int], list[int]] | list[int],
-    n: int,
-    pinned: dict[int, int] | None = None,
-    masks: Sequence[int] | None = None,
-    injective: bool = False,
-) -> int:
-    """Number of ways to extend ``pinned`` (template vertex -> host index) to a full copy.
-
-    ``rows`` is the dict of per-edge row tables in partite mode, or the one
-    host adjacency list shared by every edge in injective mode; host indices
-    run over ``range(n)``.  ``masks[v]`` restricts template vertex v.
-    """
-    state = _place_pins(pattern, rows, n, pinned, masks, injective)
-    if state is None:
-        return 0
-    _, levels, assignment, free = state
-    start = len(pinned or ())
-    last = pattern.k - 1
-
-    def rec(t: int, free: int) -> int:
-        cand, constraints = levels[t]
-        cand &= free
-        for s, table in constraints:
-            cand &= table[assignment[s]]
-            if not cand:
-                return 0
-        if t == last:
-            return cand.bit_count()
-        total = 0
-        for v in iter_bits(cand):
-            assignment[t] = v
-            total += rec(t + 1, free ^ (1 << v) if injective else free)
-        return total
-
-    if start == pattern.k:
-        return 1
-    return rec(start, free)
-
-
-def iter_extensions(
-    pattern: PatternGraph,
-    rows: dict[tuple[int, int], list[int]] | list[int],
-    n: int,
-    pinned: dict[int, int] | None = None,
-    masks: Sequence[int] | None = None,
-    injective: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every extension of ``pinned`` as host indices indexed by template vertex.
-
-    Same arguments as :func:`count_extensions`; the first item yielded is
-    the first copy the search finds.
-    """
-    state = _place_pins(pattern, rows, n, pinned, masks, injective)
-    if state is None:
-        return
-    plan, levels, assignment, free = state
-    k = pattern.k
-
-    def rec(t: int, free: int) -> Iterator[tuple[int, ...]]:
-        if t == k:
-            result = [0] * k
-            for pos, v in enumerate(plan.order):
-                result[v] = assignment[pos]
-            yield tuple(result)
-            return
-        cand, constraints = levels[t]
-        cand &= free
-        for s, table in constraints:
-            cand &= table[assignment[s]]
-            if not cand:
-                return
-        for v in iter_bits(cand):
-            assignment[t] = v
-            yield from rec(t + 1, free ^ (1 << v) if injective else free)
-
-    yield from rec(len(pinned or ()), free)
-
-
 def _result(pattern: PatternGraph, n: int, count: int, pair_counts: dict[tuple[int, int], int]) -> CountResult:
     expected = Fraction(n) ** pattern.k
     for e in pattern.sorted_edges():
@@ -319,9 +176,9 @@ def matrix_count(
 ) -> int | None:
     """Canonical copies by float64 matrix elimination; ``None`` where the route does not apply.
 
-    Takes the partite-mode arguments of :func:`count_extensions` without pins
-    or masks; the module docstring states when the route applies and why it
-    is exact.
+    ``rows`` holds the row tables of every template edge, both orientations,
+    over parts of size ``n``; the module docstring states when the route
+    applies and why it is exact.
     """
     steps = elimination_steps(pattern)
     if steps is None or n**pattern.k >= EXACT_FLOAT_LIMIT:
@@ -359,9 +216,9 @@ _FRONTIER_CHUNK_ROWS = 1024
 def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n: int) -> int:
     """Canonical copies by extending all partial copies one plan position at a time.
 
-    Takes the partite-mode arguments of :func:`count_extensions` without pins
-    or masks and returns the same count.  A frontier of partial copies holds
-    one numpy column of host indices per placed position.
+    Takes the arguments of :func:`matrix_count` and returns the same count
+    for every template.  A frontier of partial copies holds one numpy column
+    of host indices per placed position.
     """
     plan = search_plan(pattern)
     last = pattern.k - 1
@@ -466,60 +323,6 @@ def constrained_count(
     rows, counts = _effective_rows(graph, sub_pattern, overlay)
     count = _unpinned_count(graph.pattern, rows, graph.part_size)
     return _result(graph.pattern, graph.part_size, count, counts)
-
-
-def extension_degree(
-    graph: MultipartiteGraph,
-    sub_pattern: PatternGraph,
-    overlay: MultipartiteGraph,
-    i: int,
-    j: int,
-    u: int,
-    v: int,
-) -> int:
-    """Number of constrained copies using the pair edge (u in part i, v in part j)."""
-    a, b = min(i, j), max(i, j)
-    if (a, b) not in graph.pattern.edges:
-        raise PreconditionError(f"{(i + 1, j + 1)} is not a template edge")
-    if not graph.has_pair_edge(i, j, u, v):
-        raise PreconditionError(f"edge ({u}, {v}) not present in pair {(i + 1, j + 1)}")
-    rows, _ = _effective_rows(graph, sub_pattern, overlay)
-    return count_extensions(graph.pattern, rows, graph.part_size, pinned={i: u, j: v})
-
-
-@lru_cache(maxsize=None)
-def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
-    """Aut(H): the embeddings of the template into itself, found by the injective search.
-
-    An injective vertex map that keeps every edge sends the e(H) edges
-    injectively into themselves, hence onto them, so it also keeps every
-    non-edge and is an automorphism.
-    """
-    rows = SimpleGraph.from_edges(pattern.k, pattern.edges).adj
-    return tuple(iter_extensions(pattern, rows, pattern.k, injective=True))
-
-
-def automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)|: the labelled copies of each unlabelled copy."""
-    return len(automorphisms(pattern))
-
-
-@lru_cache(maxsize=None)
-def edge_orbits(pattern: PatternGraph) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The Aut(H) orbits on oriented template edges, as (least member, orbit size).
-
-    The oriented edges are (a, b) and (b, a) for each template edge, so the
-    sizes sum to 2 e(H).
-    """
-    auts = automorphisms(pattern)
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for a, b in sorted([e for a, b in pattern.edges for e in ((a, b), (b, a))]):
-        if (a, b) not in seen:
-            orbit = {(perm[a], perm[b]) for perm in auts}
-            seen |= orbit
-            orbits.append(((a, b), len(orbit)))
-    return tuple(orbits)
 
 
 def gk_bruteforce(k: int, rho: Fraction | float, n: int) -> Fraction:

@@ -1,10 +1,13 @@
-"""Exact subgraph search on host graphs (not restricted to canonical copies).
+"""Exact subgraph search on host graphs: the package's one backtracking kernel.
 
-Entry points to the injective mode of the search kernel in
-:mod:`reglab.counting`: a cached greedy template order with bitset candidate
-pruning, where host vertices already used are masked out.  Embeddings are
-injective vertex maps realizing every template edge; host edges not demanded
-by the template are allowed (subgraph containment, not induced).
+Embeddings are injective vertex maps realizing every template edge; host
+edges not demanded by the template are allowed (subgraph containment, not
+induced).  The kernel walks the template's :func:`reglab.counting.search_plan`
+depth first.  A position's candidates are its mask minus the hosts already
+used, intersected with the ``adj`` rows of its placed neighbours' images,
+tried in increasing order.  :func:`count_embeddings` takes a popcount at the
+last position; :func:`find_embedding`, :func:`iter_embeddings` and
+:func:`automorphisms` share one generator of full assignments in search order.
 
 :func:`count_kcliques` is the exception: it takes the level route of
 :func:`reglab.counting.level_count`, which extends all partial copies one
@@ -13,17 +16,88 @@ The cliquedensity experiment's true count, the removal experiment's final
 template-free check and the aes experiment's soundness cross-check (for a
 complete template) run on it.
 
-Counting through a host edge pins one template edge per Aut(H) orbit of
-oriented template edges and weights the count by the orbit size; the
-:mod:`reglab.counting` docstring gives the bijection that makes this exact.
+Counts that pin or mask template vertices are constant on the orbits of
+Aut(H).  For an automorphism s, the map f -> f o s is a bijection from the
+embeddings that pin (s(a), s(b)) to (u, v) onto the embeddings that pin
+(a, b) to (u, v), and from the embeddings whose vertex v lies in mask
+``m[v]`` onto those whose vertex v lies in ``m[s(v)]``.  So a sum of such
+counts over a whole orbit is exactly the orbit size times the count at one
+member.  :func:`automorphisms` lists Aut(H) and :func:`edge_orbits` gives
+one oriented template edge per orbit with its size; counting through a host
+edge and the removal experiment's cluster-supported count do one count per
+orbit.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import Iterator, Sequence
 
-from .counting import count_extensions, edge_orbits, iter_extensions, level_count
-from .graphs import PatternGraph, SimpleGraph
+from .counting import level_count, search_plan
+from .graphs import PatternGraph, SimpleGraph, iter_bits
+
+
+def _place_pins(
+    graph: SimpleGraph,
+    pattern: PatternGraph,
+    masks: Sequence[int] | None,
+    pinned: dict[int, int] | None,
+):
+    """Plan, per-position candidate masks and the state after the pins; ``None`` if a pin fails.
+
+    Each pin is checked exactly like a search step: it must lie in the
+    candidate set its position would have.
+    """
+    pinned = pinned or {}
+    plan = search_plan(pattern, tuple(pinned))
+    full = (1 << graph.n) - 1
+    cands = [masks[v] if masks else full for v in plan.order]
+    assignment = [0] * pattern.k
+    free = -1
+    for t in range(len(pinned)):
+        host = pinned[plan.order[t]]
+        cand = cands[t] & free
+        for s in plan.back[t]:
+            cand &= graph.adj[assignment[s]]
+        if not cand >> host & 1:
+            return None
+        assignment[t] = host
+        free ^= 1 << host
+    return plan, cands, assignment, free
+
+
+def _embeddings(
+    graph: SimpleGraph,
+    pattern: PatternGraph,
+    masks: Sequence[int] | None,
+    pinned: dict[int, int] | None,
+) -> Iterator[tuple[int, ...]]:
+    """Every embedding extending ``pinned``, as host vertices indexed by template vertex, in search order."""
+    state = _place_pins(graph, pattern, masks, pinned)
+    if state is None:
+        return
+    plan, cands, assignment, free = state
+    adj = graph.adj
+    k = pattern.k
+
+    def rec(t: int, free: int) -> Iterator[tuple[int, ...]]:
+        if t == k:
+            result = [0] * k
+            for pos, v in enumerate(plan.order):
+                result[v] = assignment[pos]
+            yield tuple(result)
+            return
+        cand = cands[t] & free
+        for s in plan.back[t]:
+            cand &= adj[assignment[s]]
+            if not cand:
+                return
+        for v in iter_bits(cand):
+            assignment[t] = v
+            yield from rec(t + 1, free ^ (1 << v))
+
+    yield from rec(len(pinned or ()), free)
 
 
 def find_embedding(
@@ -37,8 +111,7 @@ def find_embedding(
     ``candidate_masks[i]`` restricts template vertex i to a host subset;
     ``fixed`` pins template vertices to specific hosts.
     """
-    found = iter_extensions(pattern, graph.adj, graph.n, fixed, candidate_masks, injective=True)
-    return next(found, None)
+    return next(_embeddings(graph, pattern, candidate_masks, fixed), None)
 
 
 def count_embeddings(
@@ -47,17 +120,78 @@ def count_embeddings(
     candidate_masks: list[int] | None = None,
     fixed: dict[int, int] | None = None,
 ) -> int:
-    """Number of labelled embeddings (injective maps realizing all template edges)."""
-    return count_extensions(pattern, graph.adj, graph.n, fixed, candidate_masks, injective=True)
+    """Number of labelled embeddings (injective maps realizing all template edges).
+
+    Same arguments as :func:`find_embedding`.
+    """
+    state = _place_pins(graph, pattern, candidate_masks, fixed)
+    if state is None:
+        return 0
+    plan, cands, assignment, free = state
+    adj = graph.adj
+    start = len(fixed or ())
+    last = pattern.k - 1
+
+    def rec(t: int, free: int) -> int:
+        cand = cands[t] & free
+        for s in plan.back[t]:
+            cand &= adj[assignment[s]]
+            if not cand:
+                return 0
+        if t == last:
+            return cand.bit_count()
+        total = 0
+        for v in iter_bits(cand):
+            assignment[t] = v
+            total += rec(t + 1, free ^ (1 << v))
+        return total
+
+    if start == pattern.k:
+        return 1
+    return rec(start, free)
 
 
 def iter_embeddings(
     graph: SimpleGraph,
     pattern: PatternGraph,
     candidate_masks: list[int] | None = None,
-):
+) -> Iterator[tuple[int, ...]]:
     """Yield every labelled embedding (host tuple indexed by template vertex)."""
-    yield from iter_extensions(pattern, graph.adj, graph.n, None, candidate_masks, injective=True)
+    yield from _embeddings(graph, pattern, candidate_masks, None)
+
+
+@lru_cache(maxsize=None)
+def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
+    """Aut(H): the embeddings of the template into itself.
+
+    An injective vertex map that keeps every edge sends the e(H) edges
+    injectively into themselves, hence onto them, so it also keeps every
+    non-edge and is an automorphism.
+    """
+    return tuple(_embeddings(SimpleGraph.from_edges(pattern.k, pattern.edges), pattern, None, None))
+
+
+def automorphism_count(pattern: PatternGraph) -> int:
+    """|Aut(H)|: the labelled copies of each unlabelled copy."""
+    return len(automorphisms(pattern))
+
+
+@lru_cache(maxsize=None)
+def edge_orbits(pattern: PatternGraph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The Aut(H) orbits on oriented template edges, as (least member, orbit size).
+
+    The oriented edges are (a, b) and (b, a) for each template edge, so the
+    sizes sum to 2 e(H).
+    """
+    auts = automorphisms(pattern)
+    seen: set[tuple[int, int]] = set()
+    orbits = []
+    for a, b in sorted([e for a, b in pattern.edges for e in ((a, b), (b, a))]):
+        if (a, b) not in seen:
+            orbit = {(perm[a], perm[b]) for perm in auts}
+            seen |= orbit
+            orbits.append(((a, b), len(orbit)))
+    return tuple(orbits)
 
 
 def count_embeddings_through_edge(

@@ -42,8 +42,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .counting import automorphism_count, automorphisms, canonical_count, gk_bruteforce
+from .counting import canonical_count, gk_bruteforce
 from .embedding import (
+    automorphism_count,
+    automorphisms,
     count_embeddings,
     count_embeddings_through_edge,
     count_kcliques,
@@ -457,7 +459,7 @@ def _cluster_supported_count(
     complete templates none exist, since within-class edges are gone).
 
     The masked count of ``assign`` equals that of every ``assign o s`` with s
-    in Aut(H) (the :mod:`reglab.counting` docstring gives the bijection).
+    in Aut(H) (the :mod:`reglab.embedding` docstring gives the bijection).
     Assignments are injective, so ``assign o s == assign`` only for the
     identity and each orbit has exactly |Aut(H)| members: the sum is
     |Aut(H)| times the sum over the lexicographically least member of each
@@ -707,8 +709,9 @@ def run_clique_density(
     """Clique counts of relative-density-rho subgraphs versus the dense minimum.
 
     Per trial: keep a uniform random rho-fraction of the host's edges,
-    compute the reduced weighted cluster graph, evaluate the weighted
-    clique sum, count actual k-cliques, and compare both against
+    partition and clean it, evaluate the weighted clique sum over the
+    weighted cluster graph that ``clean_partition`` returns (pair weight
+    min(e / (p |Vi||Vj|), 1)), count actual k-cliques, and compare both against
     (g_hat(rho) - eps) p^C(k,2) C(N, k), where g_hat comes from the exact
     small-n minimum extended by zero below the (k-1)-partite threshold.
     """
@@ -916,19 +919,15 @@ def run_partite_stability(
                 )
             record["cluster_copy_supported_count"] = derived
 
-        pair_weights: dict[tuple[int, int], int] = {}
-        masks = [bitmask_of(part.classes[c]) for c in kept]
-        for a in range(len(kept)):
-            for b in range(a + 1, len(kept)):
-                if sub_cluster.has_edge(a, b):
-                    pair_weights[(a, b)] = cleaned.graph.edges_between(masks[a], masks[b])
+        # a cluster edge (i, j) is a pair that clean_partition kept whole (its
+        # survive_mask[i] contains masks[j]), so the pair's edges in the cleaned
+        # graph are exactly part.pair_info[(i, j)].edges
+        pair_weights = {(a, b): part.pair_info[(kept[a], kept[b])].edges for a, b in sorted(sub_cluster.edges)}
         assignment, lift_deleted = _min_deletion_partition(sub_cluster, pair_weights, parts)
-        trim_deleted = 0
         removed_set = set(removed)
-        all_masks = [bitmask_of(c) for c in part.classes]
-        for (a, b) in cluster.edges:
-            if a in removed_set or b in removed_set:
-                trim_deleted += cleaned.graph.edges_between(all_masks[a], all_masks[b])
+        trim_deleted = sum(
+            part.pair_info[(a, b)].edges for a, b in cluster.edges if a in removed_set or b in removed_set
+        )
         total = cleaned.deleted_total + trim_deleted + lift_deleted
         record["deleted_trim"] = trim_deleted
         record["deleted_lift"] = lift_deleted

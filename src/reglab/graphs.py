@@ -372,24 +372,13 @@ class SimpleGraph:
     def keep_edges_between(self, groups: Sequence[int]) -> "SimpleGraph":
         """Keep only edges whose endpoints lie in different ``groups`` labels.
 
-        ``groups[v]`` is an arbitrary integer label; ``-1`` drops the vertex's
-        edges entirely.
+        ``groups[v]`` is an arbitrary integer label of vertex v.
         """
         label_masks: dict[int, int] = {}
         for v, g in enumerate(groups):
             label_masks[g] = label_masks.get(g, 0) | (1 << v)
-        adj = [0] * self.n
-        count = 0
-        for v in range(self.n):
-            g = groups[v]
-            if g == -1:
-                continue
-            keep = self.adj[v] & ~label_masks.get(g, 0)
-            drop_mask = label_masks.get(-1, 0)
-            keep &= ~drop_mask
-            adj[v] = keep
-            count += keep.bit_count()
-        return SimpleGraph(self.n, adj, count // 2)
+        adj = [row & ~label_masks[g] for row, g in zip(self.adj, groups)]
+        return SimpleGraph(self.n, adj, sum(row.bit_count() for row in adj) // 2)
 
     def to_edge_list(self) -> str:
         """The graph as edge-list text.

@@ -623,7 +623,8 @@ def clean_partition(
     d_frac = Fraction(d)
     uniformity_frac = Fraction(uniformity)
 
-    within = sum(graph.edges_within(m) for m in masks)
+    inside = [graph.edges_within(m) for m in masks]
+    within = sum(inside)
     refuted_edges = 0
     sparse_edges = 0
     surviving: set[tuple[int, int]] = set()
@@ -631,28 +632,24 @@ def clean_partition(
     per_pair_cap = uniformity_frac * p_frac * Fraction(n, t) ** 2
     failed: list[str] = []
 
-    for i in range(t):
-        cap_within = per_pair_cap / 2
-        e_inside = graph.edges_within(masks[i])
+    cap_within = per_pair_cap / 2
+    for i, e_inside in enumerate(inside):
         if Fraction(e_inside) > cap_within:
             failed.append(f"class {i}: e(V_i) = {e_inside} > D p (n/t)^2 / 2 = {float(cap_within):.3f}")
 
     refuted_count = 0
     for (i, j), info in sorted(part.pair_info.items()):
         size = len(classes[i]) * len(classes[j])
-        is_refuted = info.verdict.status == REFUTED
-        is_sparse = Fraction(info.edges) < d_frac * p_frac * size
-        if is_refuted:
+        if info.verdict.status == REFUTED:
             refuted_count += 1
+            refuted_edges += info.edges
             if Fraction(info.edges) > per_pair_cap:
                 failed.append(
                     f"pair ({i}, {j}): e = {info.edges} > D p (n/t)^2 = {float(per_pair_cap):.3f}"
                 )
-        if is_refuted:
-            refuted_edges += info.edges
-        elif is_sparse:
+        elif Fraction(info.edges) < d_frac * p_frac * size:
             sparse_edges += info.edges
-        if not is_refuted and not is_sparse:
+        else:
             surviving.add((i, j))
             weights[(i, j)] = min(Fraction(info.edges) / (p_frac * size), Fraction(1))
 

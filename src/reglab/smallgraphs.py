@@ -6,7 +6,7 @@ greatest upper-triangle bit string over all vertex orderings, found by a
 prefix-pruned search that branches only across non-twin ties), and
 ``nonisomorphic_graphs`` grows representatives one edge at a time, deduping
 each level by certificate.  These searches stay apart from the subgraph
-search kernel in :mod:`reglab.counting`: they are literal brute-force
+search kernel in :mod:`reglab.embedding`: they are literal brute-force
 references that the tests and the dense-minimum oracle compare against.
 """
 

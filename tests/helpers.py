@@ -198,6 +198,25 @@ def naive_constrained_count(graph, sub_pattern, overlay) -> int:
     return total
 
 
+def blowup_embedding_count(multipartite) -> int:
+    """Canonical copies as embeddings into the k·n-vertex blow-up, template vertex i masked to part i.
+
+    Part i occupies hosts ``i * n .. i * n + n - 1``.  The parts are disjoint,
+    so every masked map is injective, and the only host edges between parts
+    a and b are those of pair {a, b}.
+    """
+    from reglab.embedding import count_embeddings
+
+    n, k = multipartite.part_size, multipartite.k
+    edges = [
+        (i * n + u, j * n + v)
+        for i, j in multipartite.pattern.sorted_edges()
+        for u, v in multipartite.pair_edges(i, j)
+    ]
+    masks = [((1 << n) - 1) << (i * n) for i in range(k)]
+    return count_embeddings(SimpleGraph.from_edges(k * n, edges), multipartite.pattern, masks)
+
+
 def full_quantifier_regular(graph, pair, epsilon: float, p: float) -> bool:
     """Literal definition: all subsets of size >= ceil(eps * side) on both sides."""
     from reglab.graphs import pair_density, VertexSetPair
@@ -516,7 +535,7 @@ def reference_host_peel(graph, target: float, max_removals: int):
 
 
 def reference_automorphism_count(pattern: PatternGraph) -> int:
-    """|Aut(H)| by a scan of all k! permutations, as ``counting.automorphism_count`` once computed it."""
+    """|Aut(H)| by a scan of all k! permutations, as ``embedding.automorphism_count`` once computed it."""
     edges = set(pattern.edges)
     total = 0
     for perm in permutations(range(pattern.k)):

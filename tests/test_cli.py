@@ -5,7 +5,9 @@ of a CLI default does not change what it runs.  Each case runs twice: both
 reports must be byte-identical and match the recorded digest.
 """
 
+import csv
 import hashlib
+import io
 import json
 import math
 
@@ -35,12 +37,12 @@ GOLDEN = {
 }
 
 
-def run_golden(name: str, tmp_path, run: int) -> tuple[int, bytes]:
-    """Exit code and JSON report of one golden run of experiment ``name``."""
+def run_golden(name: str, tmp_path, run: int, fmt: str = "json") -> tuple[int, bytes]:
+    """Exit code and report (JSON unless ``fmt`` says otherwise) of one golden run of experiment ``name``."""
     pattern = tmp_path / "triangle.json"
     pattern.write_text(TRIANGLE, encoding="utf-8")
-    out = tmp_path / f"{name}-{run}.json"
-    argv = ["--seed", "1", "--format", "json", "--out", str(out), "experiment", name,
+    out = tmp_path / f"{name}-{run}.{fmt}"
+    argv = ["--seed", "1", "--format", fmt, "--out", str(out), "experiment", name,
             "--pattern", str(pattern), *PARAMS]
     return main(argv), out.read_bytes()
 
@@ -54,6 +56,17 @@ def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
         assert code == expected_code
         digests.append(hashlib.sha256(report).hexdigest())
     assert digests == [expected_digest, expected_digest]
+
+
+def test_csv_report_has_one_row_per_trial_under_the_json_trial_keys(tmp_path):
+    runs = [run_golden("turan", tmp_path, run, "csv") for run in range(2)]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+    _, report = run_golden("turan", tmp_path, 2)
+    trials = json.loads(report)["trials"]
+    rows = list(csv.reader(io.StringIO(runs[0][1].decode("utf-8"))))
+    assert rows[0] == ["trial"] + sorted(set().union(*trials))
+    assert [row[0] for row in rows[1:]] == [str(index) for index in range(len(trials))]
+    assert len(trials) == 2
 
 
 #: Stage fields of ``experiments._regularize`` that no trial record carried before it.

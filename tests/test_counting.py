@@ -8,25 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reglab import counting
+from reglab import counting, embedding
 from reglab.counting import (
     EXACT_FLOAT_LIMIT,
-    automorphism_count,
     canonical_count,
     constrained_count,
-    count_extensions,
     elimination_steps,
-    extension_degree,
     gk_bruteforce,
     greedy_order,
     matrix_count,
 )
+from reglab.embedding import automorphism_count
 from reglab.errors import BudgetError, PreconditionError
 from reglab.graphs import MultipartiteGraph, PatternGraph
 from reglab.randgraph import RngStream
 from reglab import smallgraphs
 
-from helpers import naive_canonical_count, naive_constrained_count, patterns
+from helpers import blowup_embedding_count, naive_canonical_count, naive_constrained_count, patterns
 
 
 def random_multipartite(pattern: PatternGraph, n: int, density: float, stream: RngStream):
@@ -76,23 +74,6 @@ def test_constrained_with_empty_subpattern_equals_plain():
     assert constrained_count(graph, k3, graph).count == canonical_count(graph).count
 
 
-def test_extension_degree_trivial_cases():
-    k2 = PatternGraph.complete(2)
-    mg = MultipartiteGraph.from_pair_edges(k2, 3, {(0, 1): [(0, 0), (1, 2)]})
-    empty = PatternGraph(2, frozenset())
-    assert extension_degree(mg, empty, mg, 0, 1, 0, 0) == 1
-    blowup = MultipartiteGraph.complete_blowup(PatternGraph.complete(3), 2)
-    empty3 = PatternGraph(3, frozenset())
-    assert extension_degree(blowup, empty3, blowup, 0, 1, 0, 0) == 2
-
-
-def test_extension_degree_missing_edge_rejected():
-    k2 = PatternGraph.complete(2)
-    mg = MultipartiteGraph.from_pair_edges(k2, 3, {(0, 1): [(0, 0)]})
-    with pytest.raises(PreconditionError):
-        extension_degree(mg, PatternGraph(2, frozenset()), mg, 0, 1, 1, 1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(patterns(max_k=4), st.integers(0, 10**9))
 def test_count_matches_naive(pattern, seed):
@@ -115,22 +96,6 @@ def test_constrained_matches_naive(pattern, seed, data):
     assert constrained_count(graph, sub, overlay).count == naive_constrained_count(
         graph, sub, overlay
     )
-
-
-def test_edge_sum_identity_random_instances():
-    # summing extension degrees over a pair's edges recovers the constrained count
-    k3 = PatternGraph.complete(3)
-    for seed in range(25):
-        graph = random_multipartite(k3, 4, 0.5, RngStream(9000 + seed))
-        overlay = random_sub_multipartite(graph, 0.6, RngStream(9100 + seed))
-        sub = PatternGraph.from_edges(3, [(0, 1)])
-        target = constrained_count(graph, sub, overlay).count
-        for i, j in ((1, 2), (0, 2)):  # pairs outside the sub-pattern
-            total = sum(
-                extension_degree(graph, sub, overlay, i, j, u, v)
-                for u, v in graph.pair_edges(i, j)
-            )
-            assert total == target
 
 
 def test_count_monotone_in_edges():
@@ -203,7 +168,7 @@ def identity_blocks(pattern: PatternGraph, n: int) -> MultipartiteGraph:
 @given(treewidth_two_patterns(), st.integers(1, 4), st.floats(0.2, 1.0), st.integers(0, 10**9))
 def test_matrix_route_matches_backtracker_and_naive(pattern, n, density, seed):
     graph = random_multipartite(pattern, n, density, RngStream(seed))
-    expected = count_extensions(pattern, graph.rows, n)
+    expected = blowup_embedding_count(graph)
     assert expected == naive_canonical_count(graph)
     count = matrix_count(pattern, graph.rows, n)
     if is_complete(pattern):
@@ -249,6 +214,12 @@ def no_backtracker(*args, **kwargs):
     raise AssertionError("backtracker called")
 
 
+def forbid_backtracker(patch) -> None:
+    """Make every entry into the embedding kernel fail: its count and its generator."""
+    patch.setattr(embedding, "count_embeddings", no_backtracker)
+    patch.setattr(embedding, "_embeddings", no_backtracker)
+
+
 @pytest.mark.parametrize("pattern", [
     PatternGraph.complete(2),
     PatternGraph.complete(3),
@@ -260,7 +231,7 @@ def test_cliques_and_treewidth_three_skip_the_backtracker(pattern, monkeypatch):
     assert elimination_steps(pattern) is None
     graph = random_multipartite(pattern, 3, 0.7, RngStream(pattern.k))
     assert matrix_count(pattern, graph.rows, 3) is None
-    monkeypatch.setattr(counting, "count_extensions", no_backtracker)
+    forbid_backtracker(monkeypatch)
     assert canonical_count(graph).count == naive_canonical_count(graph)
     assert constrained_count(graph, pattern, graph).count == naive_canonical_count(graph)
 
@@ -302,10 +273,10 @@ def test_level_count_matches_backtracker(pattern, n, seed, data):
     e = pattern.edge_count
     densities = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=e, max_size=e))
     graph = multipartite_at(pattern, n, densities, seed)
-    expected = count_extensions(pattern, graph.rows, n)
+    expected = blowup_embedding_count(graph)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counting, "EXACT_FLOAT_LIMIT", 1)
-        patch.setattr(counting, "count_extensions", no_backtracker)
+        forbid_backtracker(patch)
         assert matrix_count(pattern, graph.rows, n) is None
         assert canonical_count(graph).count == expected
         # canonical_count splits the disconnected templates into components,
@@ -368,7 +339,7 @@ def test_components_of_k4_and_k3_are_counted_apart():
 
 
 def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
-    monkeypatch.setattr(counting, "count_extensions", no_backtracker)
+    forbid_backtracker(monkeypatch)
     for pattern in (PatternGraph.cycle(4), PatternGraph.path(4), PatternGraph.from_edges(4, DIAMOND)):
         blowup = MultipartiteGraph.complete_blowup(pattern, 3)
         assert canonical_count(blowup).count == 3**4

@@ -330,6 +330,48 @@ def test_removal_flags_a_cut_above_the_copy_budget():
     assert record["copies_within_budget"] is False
 
 
+def test_aes_reads_the_cleaned_graph_pair_counts_from_the_partition(monkeypatch):
+    """Cleaning keeps every cluster pair whole, so aes's lift weights and trim deletions are the
+    cleaned graph's edge counts between the classes; at this seed the trim drops one of six clusters."""
+    seen = {}
+    regularize, peel, min_deletion = (
+        experiments._regularize, experiments._peel_low_degree, experiments._min_deletion_partition
+    )
+
+    def recording_regularize(*args):
+        seen["part"], seen["cleaned"], stage = regularize(*args)
+        return seen["part"], seen["cleaned"], stage
+
+    def recording_peel(*args):
+        seen["alive"], seen["removed"], met = peel(*args)
+        return seen["alive"], seen["removed"], met
+
+    def recording_min_deletion(cluster, weights, parts):
+        seen["weights"] = weights
+        return min_deletion(cluster, weights, parts)
+
+    monkeypatch.setattr(experiments, "_regularize", recording_regularize)
+    monkeypatch.setattr(experiments, "_peel_low_degree", recording_peel)
+    monkeypatch.setattr(experiments, "_min_deletion_partition", recording_min_deletion)
+    record = experiments.run_partite_stability(
+        K3, 140, 0.5, 0.25, RngStream(3), trials=1, perturb_fraction=0.1
+    ).trials[0]
+    graph, cluster = seen["cleaned"].graph, seen["cleaned"].cluster
+    masks = [bitmask_of(c) for c in seen["part"].classes]
+    kept = list(iter_bits(seen["alive"]))
+    assert seen["removed"] and kept != list(range(len(kept)))
+    assert seen["weights"] == {
+        (a, b): graph.edges_between(masks[kept[a]], masks[kept[b]])
+        for a in range(len(kept))
+        for b in range(a + 1, len(kept))
+        if cluster.has_edge(kept[a], kept[b])
+    }
+    removed = set(seen["removed"])
+    assert record["deleted_trim"] == sum(
+        graph.edges_between(masks[a], masks[b]) for a, b in cluster.edges if a in removed or b in removed
+    ) > 0
+
+
 def test_partite_cut_lists_the_interior_edges_in_permuted_edge_order():
     host = gnp(150, 0.2, RngStream(31))
     side = [v % 3 for v in range(150)]

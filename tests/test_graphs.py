@@ -317,6 +317,17 @@ def test_edges_and_edge_list_match_per_bit_reference(drawn):
     assert graph.to_edge_list() == reference_edge_list(graph)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 150), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(1, 5), st.integers(0, 10**9))
+def test_keep_edges_between_matches_per_edge_reference(n, p, labels, seed):
+    # labels in [-labels, labels): negative ones are ordinary labels too
+    graph = gnp(n, p, RngStream(seed))
+    groups = RngStream(seed, (1,)).np_rng().integers(-labels, labels, n).tolist()
+    got = graph.keep_edges_between(groups)
+    want = reference_from_edges(n, [(u, v) for u, v in reference_edges(graph) if groups[u] != groups[v]])
+    assert got.adj == want.adj and got.edge_count == want.edge_count
+
+
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
 def test_complete_graph_edge_list_matches_per_bit_reference(n):
     graph = SimpleGraph.complete(n)

@@ -61,6 +61,21 @@ def test_experiments_partition_and_clean_only_in_the_regularize_stage():
     assert callers == {"clean_partition": ["_regularize"], "sparse_regular_partition": ["_regularize"]}
 
 
+def test_one_search_kernel_and_one_import_direction():
+    """Only the level route and the embedding kernel walk a search plan; ``counting`` never imports ``embedding``."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    walkers = sorted(name for name, tree in trees.items() if "search_plan" in _names(tree))
+    assert walkers == ["counting.py", "embedding.py"]
+    imported = set()  # dotted paths as written, e.g. "graphs.PatternGraph" for "from .graphs import PatternGraph"
+    for node in ast.walk(trees["counting.py"]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+    assert "graphs.PatternGraph" in imported
+    assert [name for name in imported if "embedding" in name.split(".")] == []
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads (``from __future__`` is exempt)."""
     imported = {}
