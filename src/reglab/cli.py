@@ -13,7 +13,9 @@ Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
 ``--k``, ``--n`` and ``--m`` and the ``gen class`` ``--n`` are >= 1; the
 ``gen class`` ``--m``, the experiment ``--delta``, ``--d`` and
 ``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
-``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.
+``partition`` and ``clean`` ``--max-t`` is at least ``--t0``; the
+experiment ``--rho`` is an exact decimal or fraction with a nonzero
+denominator.
 """
 
 from __future__ import annotations
@@ -39,14 +41,17 @@ EXIT_CHECK_FAILED = 4
 EXIT_SOUNDNESS = 5
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational from a decimal or a fraction like ``3/40``, such as the relative density rho."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
+
+
 def parse_probability(text: str) -> float:
     """Accept decimals or exact fractions like ``3/40``."""
-    if "/" in text:
-        try:
-            return float(Fraction(text))
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in {text!r}") from exc
-    return float(text)
+    return float(parse_fraction(text)) if "/" in text else float(text)
 
 
 def parse_unit_interval(text: str) -> float:
@@ -164,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp_cmd.add_argument("--d", type=parse_nonnegative, default=0.25)
     exp_cmd.add_argument("--eta", type=parse_unit_interval, default=0.3)
     exp_cmd.add_argument("--gamma", type=parse_nonnegative, default=0.25)
-    exp_cmd.add_argument("--rho", default="0.9")
+    exp_cmd.add_argument("--rho", type=parse_fraction, default="0.9")
     exp_cmd.add_argument("--k", type=parse_positive_int, default=3)
     exp_cmd.add_argument("--trials", type=parse_positive_int, default=10)
 
@@ -184,7 +189,7 @@ def _run_experiment(args, rng: RngStream):
         )
     if name == "cliquedensity":
         return experiments.run_clique_density(
-            args.k, args.N, args.p, Fraction(args.rho), args.eps, rng, trials=args.trials
+            args.k, args.N, args.p, args.rho, args.eps, rng, trials=args.trials
         )
     if name == "packing":
         return experiments.run_packing(args.k, args.N, args.p, args.gamma, rng, trials=args.trials)

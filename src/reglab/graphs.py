@@ -505,6 +505,18 @@ def _peel_low_degree(
     return alive, removed, True
 
 
+def standalone_pair(
+    n: int, fwd: Sequence[int], rev: Sequence[int], edge_count: int
+) -> tuple[SimpleGraph, VertexSetPair]:
+    """A bipartite pair of two n-vertex sides as a 2n-vertex graph, with U = 0..n-1 and V = n..2n-1.
+
+    ``fwd[u]`` and ``rev[v]`` are the local n-bit rows of the two sides:
+    the V-neighbours of u and the U-neighbours of v.
+    """
+    adj = [row << n for row in fwd] + list(rev)
+    return SimpleGraph(2 * n, adj, edge_count), VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
+
+
 class MultipartiteGraph:
     """k parts of equal size ``n`` with one bipartite graph per pattern edge.
 
@@ -581,12 +593,9 @@ class MultipartiteGraph:
         return bool(self.rows[(i, j)][u] >> v & 1)
 
     def pair_subgraph(self, i: int, j: int) -> tuple[SimpleGraph, VertexSetPair]:
-        """The bipartite pair {i, j} as a standalone graph plus its sides."""
-        n = self.part_size
+        """The bipartite pair {i, j} as a standalone graph plus its sides (``standalone_pair``)."""
         a, b = min(i, j), max(i, j)
-        adj = [r << n for r in self.rows[(a, b)]] + list(self.rows[(b, a)])
-        g = SimpleGraph(2 * n, adj, self.pair_edge_counts[(a, b)])
-        return g, VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
+        return standalone_pair(self.part_size, self.rows[(a, b)], self.rows[(b, a)], self.pair_edge_counts[(a, b)])
 
     def to_json(self) -> str:
         pairs = {}

@@ -74,14 +74,18 @@ def two_density(pattern: PatternGraph) -> DensityReport:
         raise PreconditionError("2-density is undefined for edgeless templates")
     best = Fraction(1, 2)
     best_subset: tuple[int, ...] | None = None
+    proper = Fraction(1, 2)  # the largest value of a proper subgraph, a single edge among them
     for value, subset in _subset_values(pattern):
         if value > best:
             best, best_subset = value, subset
-    full_value = (
-        Fraction(pattern.edge_count - 1, pattern.k - 2) if pattern.k >= 3 else None
-    )
-    balanced = full_value == best if full_value is not None else True
-    strictly = _strictly_balanced_given(pattern, best)
+        if len(subset) < pattern.k:
+            proper = max(proper, value)
+    if pattern.k < 3:
+        balanced = strictly = True  # single-edge convention: no proper subgraph to compare
+    else:
+        full = Fraction(pattern.edge_count - 1, pattern.k - 2)
+        balanced = full == best
+        strictly = balanced and proper < full
     return DensityReport(
         m2=best,
         maximizing_subset=best_subset,
@@ -89,21 +93,6 @@ def two_density(pattern: PatternGraph) -> DensityReport:
         strictly_balanced=strictly,
         chromatic_number=chromatic_number(pattern),
     )
-
-
-def _strictly_balanced_given(pattern: PatternGraph, m2: Fraction) -> bool:
-    if pattern.k < 3:
-        return True  # single-edge convention: no proper subgraph to compare
-    full = Fraction(pattern.edge_count - 1, pattern.k - 2)
-    if full != m2:
-        return False  # some proper subset already attains the maximum
-    if full == Fraction(1, 2):
-        return False  # a single edge is a proper subgraph with m2 = 1/2
-    for size in range(3, pattern.k):
-        for subset in combinations(range(pattern.k), size):
-            if Fraction(_subset_edges(pattern, subset) - 1, size - 2) >= full:
-                return False
-    return True
 
 
 def is_strictly_balanced(pattern: PatternGraph) -> bool:

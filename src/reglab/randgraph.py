@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RejectionBudgetError
-from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, VertexSetPair, edges_to_rows, packed_to_rows
+from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph, edges_to_rows, packed_to_rows, standalone_pair
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -211,12 +211,7 @@ def sample_class(
             fwd, rev = random_bipartite_rows(n, m, gen)
             if mode == "raw":
                 break
-            pair_graph = SimpleGraph(
-                2 * n,
-                [row << n for row in fwd] + rev,
-                m,
-            )
-            sides = VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
+            pair_graph, sides = standalone_pair(n, fwd, rev, m)
             verdict = pair_verdict(
                 pair_graph, sides, epsilon, p, pair_stream.child(attempt, 1), trials=32, guided=True
             )

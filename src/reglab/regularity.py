@@ -1,39 +1,41 @@
-"""Judging pair regularity: one verdict policy, its exhaustive checker and its sampled refuter.
+"""Judging pair regularity: one candidate record, one decision per inequality, one verdict policy.
 
 A bipartite pair (U, V) is (eps, p)-regular when every pair of subsets
 U' of U, V' of V with |U'| >= eps|U| and |V'| >= eps|V| has density within
-eps*p of d(U, V).  Exhaustive certification reduces the subset quantifier
-to subsets of size exactly ceil(eps|U|) x ceil(eps|V|): the density of a
-larger deviating pair is an average over its exact-size sub-pairs, so a
-deviation survives the reduction in one direction.  For one fixed side the
-extremal exact-size completion on the other side is reached by taking the
-vertices with the largest (or smallest) number of neighbours in the fixed
-side.  The exhaustive scan computes those neighbour counts for all exact-size
-subsets of U at once, as the product of a cached 0/1 subset matrix with the
-pair's biadjacency matrix, and takes the extremal completion sums with a
-partial selection per row instead of a sort.  Deviations are compared as
-integers scaled by s_u s_v |U| |V|; only the final deviation is a
-``Fraction``, and only the winning witness is rebuilt vertex by vertex.
+eps*p of d(U, V).  Every check reads one record of candidate witnesses,
+all of the exact size s_u x s_v = ceil(eps|U|) x ceil(eps|V|): each
+candidate's e(U', V') as int64, e(U, V), and a witness that is built only
+on demand.  Two sources fill it.  The exhaustive source covers the whole
+quantifier.  The density of a larger pair is an average over its
+exact-size sub-pairs, so a deviation survives the reduction to exact size
+in one direction, and for a fixed U' the extremal V' takes the vertices
+with the most (or fewest) neighbours in U'.  Its candidates 2r and 2r + 1
+are the largest and smallest completions of the r-th s_u-subset of U
+(``combinations`` order).  Their neighbour counts are the product of a
+cached 0/1 subset matrix with the pair's biadjacency matrix, and their
+sums come from a partial selection per row instead of a sort.  The sampled
+source draws its candidates from the pair's stream, in a fixed order, as
+rows of positions into the sorted U and V: uniform candidates by
+``gen.choice``, guided ones by degree order and pivot neighbourhoods.  It
+counts them in one batch with the kernel it shares with the partitioner,
+``graphs.set_counts``: a table of the U rows only (|U| rows of
+ceil(n / 64) uint64 words), one row of words per candidate V', and gathers
+of at most ``graphs.COUNT_CHUNK_WORDS`` words; no |U| x |V| matrix is
+built.
 
-The sampled refuter first draws all its candidates from the pair's stream,
-in a fixed order, as rows of positions into the sorted U and V: uniform
-candidates by ``gen.choice``, guided ones by degree order and pivot
-neighbourhoods.  It then counts every candidate's e(U', V') in one batch
-with the count kernel it shares with the partitioner, ``graphs.set_counts``:
-a table of the U rows only (|U| rows of ceil(n / 64) uint64 words), one row
-of words per candidate V', and gathers of at most
-``graphs.COUNT_CHUNK_WORDS`` words; no |U| x |V| matrix is built.  Every
-candidate has exactly s_u x s_v vertex pairs, so its density is
-e' / (s_u s_v), and its deviation |e' / (s_u s_v) - e / (|U| |V|)| times
-the positive constant s_u s_v |U| |V| is the integer
-|e' |U| |V| - e s_u s_v|.  Scaling by a positive constant keeps every strict
-comparison, so the first argmax of these integers, when it is above 0, is
-the candidate that a loop keeping each ``Fraction`` deviation that strictly
-exceeds every earlier one reports, and the first argmin of e' is the first
-candidate of smallest density.  The integers are at most (|U| |V|)^2, exact
-in int64 while |U| |V| < 3 * 10^9.  Only a winner becomes a ``Fraction`` and
-a ``VertexSetPair``, and a reported witness is recounted by ``pair_density``
-on the Python-int rows, against d(U, V) counted the same way.
+Each inequality is decided once, for both sources.  Every candidate has
+s_u s_v vertex pairs, so its deviation |e' / (s_u s_v) - e / (|U| |V|)|
+times the positive constant s_u s_v |U| |V| is the integer
+|e' |U| |V| - e s_u s_v|.  Scaling keeps every strict comparison, and the
+integers are at most (|U| |V|)^2, exact in int64 while |U| |V| < 3 * 10^9.
+The two-sided decision takes the first argmax of these integers and
+refutes when its deviation is above eps * p; the one-sided decision takes
+the first argmin of e' and refutes on a shortfall of its density below d.
+A first argmax or argmin is the candidate that a loop keeping each
+strictly better ``Fraction`` reports.  Only that winner becomes a
+``Fraction``, and only a refuting one becomes a ``VertexSetPair``, which
+``pair_density`` recounts on the Python-int rows, against d(U, V) counted
+the same way, before it is reported.
 
 This module alone decides how a pair is judged.  The policy is
 ``pair_verdict``: the exhaustive checker when both sides have at most
@@ -41,15 +43,17 @@ This module alone decides how a pair is judged.  The policy is
 partitioner, the experiments' per-pair statuses, rejection sampling of
 random classes and the class probe all ask it; the one-sided
 ``check_lower_regular`` follows the same size rule.  Certification is only
-ever claimed by the exhaustive checker.  Above its budget the sampled
-refuter either produces a re-checkable witness or reports ``undecided``;
-pipelines treat "not refuted" as operationally regular and must say so in
-their reports.
+ever claimed from exhaustive candidates, or when no subset pair is large
+enough to be a witness.  Above the budget the sampled candidates either
+produce a re-checked witness or leave the pair ``undecided``; pipelines
+treat "not refuted" as operationally regular and must say so in their
+reports.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -115,46 +119,39 @@ def _subset_rows(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return members, indicator
 
 
-def _extremal_completion(
-    weights: list[int], take: int, largest: bool
-) -> tuple[list[int], int]:
-    """Positions of the ``take`` largest/smallest weights (ties by index) and their sum."""
+def _extremal_completion(weights: list[int], take: int, largest: bool) -> list[int]:
+    """Positions of the ``take`` largest/smallest weights, ties by index."""
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i) if largest else (weights[i], i))
-    chosen = order[:take]
-    return chosen, sum(weights[i] for i in chosen)
+    return order[:take]
 
 
 @dataclass(frozen=True)
-class _SubsetScan:
-    """Every exact-size U-subset of a pair with its extremal V-completions.
+class _Candidates:
+    """Candidate witnesses of one pair, each of ``cells`` = s_u s_v vertex pairs, in candidate order.
 
-    Row r of ``weights`` holds, for each V position, its number of
-    neighbours in the r-th ``s_u``-subset of U (``combinations`` order);
-    ``largest[r]`` and ``smallest[r]`` are the sums of its ``s_v`` largest
-    and smallest weights.  ``edges`` is e(U, V).
+    ``edges[c]`` is candidate c's e(U', V') (int64) and ``pair_edges`` is
+    e(U, V); ``witness(c)`` builds candidate c as a ``VertexSetPair``.
     """
 
-    pair: VertexSetPair
-    members: np.ndarray
-    weights: np.ndarray
-    largest: np.ndarray
-    smallest: np.ndarray
-    edges: int
-    s_v: int
-
-    def witness(self, row: int, largest: bool) -> VertexSetPair:
-        """The witness of one subset row, its V side completed as by ``_extremal_completion``."""
-        chosen_v, _ = _extremal_completion(self.weights[row].tolist(), self.s_v, largest)
-        return VertexSetPair(
-            tuple(self.pair.U[i] for i in self.members[row]), tuple(self.pair.V[i] for i in chosen_v)
-        )
+    edges: np.ndarray
+    pair_edges: int
+    cells: int
+    witness: Callable[[int], VertexSetPair]
 
 
-def _scan_subsets(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_v: int) -> _SubsetScan:
-    """Completion weights of all ``s_u``-subsets of U at once, as one matrix product.
+def _witness_sizes(pair: VertexSetPair, epsilon: float) -> tuple[int, int] | None:
+    """(ceil(eps|U|), ceil(eps|V|)), or None when no subset pair is large enough (an empty side or eps > 1)."""
+    s_u, s_v = subset_floor(epsilon, len(pair.U)), subset_floor(epsilon, len(pair.V))
+    return (s_u, s_v) if s_u <= len(pair.U) and s_v <= len(pair.V) else None
 
-    Needs 1 <= s_u <= |U| and 1 <= s_v <= |V|.  The extremal sums come from
-    a partial selection per row, not a sort; ties do not change a sum.
+
+def _exhaustive_candidates(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_v: int) -> _Candidates:
+    """Candidates 2r and 2r + 1: the largest and smallest ``s_v``-completions of the r-th ``s_u``-subset of U.
+
+    Row r of ``weights`` holds each V position's number of neighbours in
+    subset r; the completion sums come from a partial selection per row,
+    not a sort, and ties do not change a sum.  A witness takes the V
+    positions that ``_extremal_completion`` picks.
     """
     nv = len(pair.V)
     biadjacency = np.array(
@@ -164,53 +161,17 @@ def _scan_subsets(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_v: int) -
     weights = indicator @ biadjacency
     largest = np.partition(weights, nv - s_v, axis=1)[:, nv - s_v:].sum(axis=1)
     smallest = np.partition(weights, s_v - 1, axis=1)[:, :s_v].sum(axis=1)
-    return _SubsetScan(pair, members, weights, largest, smallest, int(biadjacency.sum()), s_v)
+
+    def witness(c: int) -> VertexSetPair:
+        chosen_v = _extremal_completion(weights[c // 2].tolist(), s_v, largest=c % 2 == 0)
+        return VertexSetPair(tuple(pair.U[i] for i in members[c // 2]), tuple(pair.V[i] for i in chosen_v))
+
+    return _Candidates(np.stack([largest, smallest], axis=1).ravel(), int(biadjacency.sum()), s_u * s_v, witness)
 
 
 def _fits_exhaustive(pair: VertexSetPair) -> bool:
     """The size rule of every verdict: exhaustive when both sides are within the budget."""
     return len(pair.U) <= EXHAUSTIVE_PAIR_BUDGET and len(pair.V) <= EXHAUSTIVE_PAIR_BUDGET
-
-
-def check_regular_exhaustive(
-    graph: SimpleGraph, pair: VertexSetPair, epsilon: float, p: float
-) -> RegularityVerdict:
-    """Certify or refute (eps, p)-regularity by full enumeration.
-
-    Scans every subset of U of size exactly ceil(eps|U|); for each, the
-    extremal exact-size completions in V bound the deviation over all V'.
-    Returns the maximal-deviation witness when refuting: the first subset
-    (``combinations`` order) reaching it, with the largest completion
-    tried before the smallest.
-    """
-    if not pair.U or not pair.V:
-        return RegularityVerdict(CERTIFIED, None, Fraction(0))
-    nu, nv = len(pair.U), len(pair.V)
-    if not _fits_exhaustive(pair):
-        raise BudgetError(
-            f"exhaustive regularity check limited to {EXHAUSTIVE_PAIR_BUDGET}+"
-            f"{EXHAUSTIVE_PAIR_BUDGET} vertices (got {nu}+{nv}); use the sampled refuter"
-        )
-    s_u = subset_floor(epsilon, nu)
-    s_v = subset_floor(epsilon, nv)
-    if s_u > nu or s_v > nv:
-        # eps > 1: no subset is large enough, so nothing can deviate
-        return RegularityVerdict(CERTIFIED, None, Fraction(0))
-    scan = _scan_subsets(graph, pair, s_u, s_v)
-
-    # |edge_sum / (s_u s_v) - e / (nu nv)| scaled by s_u s_v nu nv: exact in int64
-    # (at most 16^4); column 0 is the largest completion, column 1 the smallest
-    sums = np.stack([scan.largest, scan.smallest], axis=1)
-    scaled = np.abs(sums * (nu * nv) - scan.edges * (s_u * s_v))
-    flat = int(np.argmax(scaled))
-    best = int(scaled.flat[flat])
-    best_dev = Fraction(best, s_u * s_v * nu * nv)
-    if leq_with_tolerance(best_dev, epsilon * p):
-        return RegularityVerdict(CERTIFIED, None, best_dev)
-    witness = scan.witness(flat // 2, largest=flat % 2 == 0) if best else None
-    if witness is not None and abs(pair_density(graph, witness) - pair_density(graph, pair)) != best_dev:
-        raise SoundnessError("exhaustive refutation witness does not reproduce its deviation")
-    return RegularityVerdict(REFUTED, witness, best_dev)
 
 
 def _candidate_pairs(
@@ -241,7 +202,7 @@ def _candidate_pairs(
         # the extremal completion on ``side`` of the seed positions in ``seed_side``
         seed_mask = bitmask_of(seed_side[i] for i in seed)
         weights = [(graph.adj[x] & seed_mask).bit_count() for x in side]
-        return _extremal_completion(weights, take, largest)[0]
+        return _extremal_completion(weights, take, largest)
 
     def pivot_seed(side: tuple[int, ...], other: tuple[int, ...], take: int) -> list[int]:
         row = graph.adj[side[int(gen.integers(len(side)))]]
@@ -278,29 +239,7 @@ def _candidate_pairs(
     return np.array(us, dtype=np.intp).reshape(-1, s_u), np.array(vs, dtype=np.intp).reshape(-1, s_v)
 
 
-@dataclass(frozen=True)
-class _SampledCounts:
-    """The sampled candidates of a pair with their edge counts, in candidate order.
-
-    Row c of ``us`` and ``vs`` holds candidate c's positions in ``pair.U``
-    and ``pair.V``; ``edges[c]`` is its e(U', V') and ``pair_edges`` is
-    e(U, V).
-    """
-
-    pair: VertexSetPair
-    us: np.ndarray
-    vs: np.ndarray
-    edges: np.ndarray
-    pair_edges: int
-
-    def candidate(self, row: int) -> VertexSetPair:
-        return VertexSetPair(
-            tuple(self.pair.U[i] for i in self.us[row].tolist()),
-            tuple(self.pair.V[i] for i in self.vs[row].tolist()),
-        )
-
-
-def _sampled_counts(
+def _sampled_candidates(
     graph: SimpleGraph,
     pair: VertexSetPair,
     s_u: int,
@@ -308,16 +247,71 @@ def _sampled_counts(
     trials: int,
     rng: RngStream,
     guided: bool,
-) -> _SampledCounts:
+) -> _Candidates:
     """The candidates of ``_candidate_pairs``, counted in one batch on a table of the U rows."""
     us, vs = _candidate_pairs(graph, pair, s_u, s_v, trials, rng, guided)
     table = rows_to_words([graph.adj[u] for u in pair.U], graph.n)
     v_side = np.array(pair.V, dtype=np.intp)
     words = set_words(v_side[vs], table.shape[1])
     pair_words = set_words(v_side[None], table.shape[1])
-    return _SampledCounts(
-        pair, us, vs, set_counts(table, us, words).sum(axis=1), int(np.bitwise_count(table & pair_words).sum())
+
+    def witness(c: int) -> VertexSetPair:
+        return VertexSetPair(tuple(pair.U[i] for i in us[c].tolist()), tuple(pair.V[i] for i in vs[c].tolist()))
+
+    return _Candidates(
+        set_counts(table, us, words).sum(axis=1), int(np.bitwise_count(table & pair_words).sum()), s_u * s_v, witness
     )
+
+
+def _decide_two_sided(
+    graph: SimpleGraph, pair: VertexSetPair, found: _Candidates, epsilon: float, p: float, unrefuted: str
+) -> RegularityVerdict:
+    """Refute with the first candidate of largest |d(U', V') - d(U, V)| if that is above eps * p."""
+    area = len(pair.U) * len(pair.V)
+    scaled = np.abs(found.edges * area - found.pair_edges * found.cells)
+    top = int(np.argmax(scaled))
+    deviation = Fraction(int(scaled[top]), found.cells * area)
+    if leq_with_tolerance(deviation, epsilon * p):
+        return RegularityVerdict(unrefuted, None, deviation)
+    witness = found.witness(top)
+    if abs(pair_density(graph, witness) - pair_density(graph, pair)) != deviation:
+        raise SoundnessError("refutation witness does not reproduce its deviation")
+    return RegularityVerdict(REFUTED, witness, deviation)
+
+
+def _decide_one_sided(graph: SimpleGraph, found: _Candidates, d: float, unrefuted: str) -> RegularityVerdict:
+    """Refute with the first candidate of fewest edges if its density falls short of d."""
+    bottom = int(np.argmin(found.edges))
+    shortfall = Fraction(d) - Fraction(int(found.edges[bottom]), found.cells)
+    if leq_with_tolerance(shortfall, 0.0):
+        return RegularityVerdict(unrefuted, None, Fraction(0))
+    witness = found.witness(bottom)
+    if Fraction(d) - pair_density(graph, witness) != shortfall:
+        raise SoundnessError("lower-regularity witness does not reproduce its shortfall")
+    return RegularityVerdict(REFUTED, witness, shortfall)
+
+
+def check_regular_exhaustive(
+    graph: SimpleGraph, pair: VertexSetPair, epsilon: float, p: float
+) -> RegularityVerdict:
+    """Certify or refute (eps, p)-regularity by full enumeration.
+
+    Scans every subset of U of size exactly ceil(eps|U|); for each, the
+    extremal exact-size completions in V bound the deviation over all V'.
+    Returns the maximal-deviation witness when refuting: the first subset
+    (``combinations`` order) reaching it, with the largest completion
+    tried before the smallest.  A pair with an empty side is certified
+    before the budget is checked.
+    """
+    sizes = _witness_sizes(pair, epsilon)
+    if pair.U and pair.V and not _fits_exhaustive(pair):
+        raise BudgetError(
+            f"exhaustive regularity check limited to {EXHAUSTIVE_PAIR_BUDGET}+"
+            f"{EXHAUSTIVE_PAIR_BUDGET} vertices (got {len(pair.U)}+{len(pair.V)}); use the sampled refuter"
+        )
+    if sizes is None:
+        return RegularityVerdict(CERTIFIED, None, Fraction(0))
+    return _decide_two_sided(graph, pair, _exhaustive_candidates(graph, pair, *sizes), epsilon, p, CERTIFIED)
 
 
 def refute_regular_sampled(
@@ -339,25 +333,11 @@ def refute_regular_sampled(
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    if not pair.U or not pair.V:
+    sizes = _witness_sizes(pair, epsilon)
+    if sizes is None:
         return RegularityVerdict(UNDECIDED, None, Fraction(0))
-    nu, nv = len(pair.U), len(pair.V)
-    s_u = subset_floor(epsilon, nu)
-    s_v = subset_floor(epsilon, nv)
-    if s_u > nu or s_v > nv:
-        # eps > 1: no subset is large enough to be a witness
-        return RegularityVerdict(UNDECIDED, None, Fraction(0))
-    found = _sampled_counts(graph, pair, s_u, s_v, trials, rng, guided)
-    # |e' / (s_u s_v) - e / (nu nv)| scaled by s_u s_v nu nv, exact in int64
-    scaled = np.abs(found.edges * (nu * nv) - found.pair_edges * (s_u * s_v))
-    top = int(np.argmax(scaled))
-    deviation = Fraction(int(scaled[top]), s_u * s_v * nu * nv)
-    if scaled[top] > 0 and not leq_with_tolerance(deviation, epsilon * p):
-        witness = found.candidate(top)
-        if abs(pair_density(graph, witness) - pair_density(graph, pair)) != deviation:
-            raise SoundnessError("refutation witness does not reproduce its deviation")
-        return RegularityVerdict(REFUTED, witness, deviation)
-    return RegularityVerdict(UNDECIDED, None, deviation)
+    found = _sampled_candidates(graph, pair, *sizes, trials, rng, guided)
+    return _decide_two_sided(graph, pair, found, epsilon, p, UNDECIDED)
 
 
 def pair_verdict(
@@ -398,36 +378,16 @@ def check_lower_regular(
     Follows the size rule of ``pair_verdict``: the exhaustive scan
     certifies or refutes within the budget; above it the guided sampled
     candidates, drawn from ``rng``, refute or leave the pair ``undecided``.
+    A pair with no subset pair large enough is certified at any size.
     ``deviation`` on refutation is the shortfall d - d(U', V'), re-derived
     from the witness before it is reported.
     """
-    if not pair.U or not pair.V:
+    sizes = _witness_sizes(pair, epsilon)
+    if sizes is None:
         return RegularityVerdict(CERTIFIED, None, Fraction(0))
-    nu, nv = len(pair.U), len(pair.V)
-    s_u = subset_floor(epsilon, nu)
-    s_v = subset_floor(epsilon, nv)
-    if s_u > nu or s_v > nv:
-        # eps > 1: no subset is large enough, so nothing can fall short
-        return RegularityVerdict(CERTIFIED, None, Fraction(0))
-
     if _fits_exhaustive(pair):
-        scan = _scan_subsets(graph, pair, s_u, s_v)
-        row = int(np.argmin(scan.smallest))
-        sparsest = Fraction(int(scan.smallest[row]), s_u * s_v)
-        witness = scan.witness(row, largest=False)
-        unrefuted = CERTIFIED
-    else:
-        if rng is None:
-            raise PreconditionError("a pair above the exhaustive budget needs an rng stream")
-        # guided candidates always include the four degree-sorted ones
-        found = _sampled_counts(graph, pair, s_u, s_v, trials, rng, guided=True)
-        row = int(np.argmin(found.edges))
-        sparsest = Fraction(int(found.edges[row]), s_u * s_v)
-        witness = found.candidate(row)
-        unrefuted = UNDECIDED
-    shortfall = Fraction(d) - sparsest
-    if leq_with_tolerance(shortfall, 0.0):
-        return RegularityVerdict(unrefuted, None, Fraction(0))
-    if Fraction(d) - pair_density(graph, witness) != shortfall:
-        raise SoundnessError("lower-regularity witness does not reproduce its shortfall")
-    return RegularityVerdict(REFUTED, witness, shortfall)
+        return _decide_one_sided(graph, _exhaustive_candidates(graph, pair, *sizes), d, CERTIFIED)
+    if rng is None:
+        raise PreconditionError("a pair above the exhaustive budget needs an rng stream")
+    # guided candidates always include the four degree-sorted ones
+    return _decide_one_sided(graph, _sampled_candidates(graph, pair, *sizes, trials, rng, guided=True), d, UNDECIDED)

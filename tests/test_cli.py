@@ -10,10 +10,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reglab
 from reglab import cli
 from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 from reglab.errors import SoundnessError
@@ -418,3 +423,11 @@ def test_soundness_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     argv = ["--seed", "1", "partition", "--graph", str(graph), "--eps", "0.3", "--p", "0.5"]
     assert main(argv) == EXIT_SOUNDNESS
     assert "soundness error" in capsys.readouterr().err
+
+
+def test_rho_with_a_zero_denominator_is_a_usage_error_without_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(reglab.__file__).parent.parent))
+    argv = ["--seed", "1", "experiment", "cliquedensity", "--rho", "1/0", "--trials", "1", "--N", "60"]
+    done = subprocess.run([sys.executable, "-m", "reglab.cli", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_USAGE
+    assert "--rho" in done.stderr and "Traceback" not in done.stderr

@@ -259,6 +259,33 @@ def test_eps_above_one_leaves_the_refuter_undecided_with_zero_deviation():
     g, pair = bipartite(n, n, [(u, u) for u in range(n)])
     assert as_triple(pair_verdict(g, pair, 1.5, 1.0, RngStream(4))) == (UNDECIDED, Fraction(0), None)
 
+def test_empty_side_is_certified_before_the_budget_is_checked():
+    # 0 + 20 vertices is above the budget, but with no U there is nothing to scan
+    g, pair = bipartite(0, 20, [])
+    assert as_triple(check_regular_exhaustive(g, pair, 0.25, 0.5)) == (CERTIFIED, Fraction(0), None)
+
+
+def test_eps_above_one_above_the_budget():
+    # no subset pair is large enough: the one-sided check certifies without an
+    # rng at any size, while the refuter and the policy only leave it undecided
+    g, pair = bipartite(20, 20, [(u, v) for u in range(20) for v in range(20) if (u + v) % 3])
+    assert as_triple(check_lower_regular(g, pair, 1.5, 0.9)) == (CERTIFIED, Fraction(0), None)
+    assert as_triple(refute_regular_sampled(g, pair, 1.5, 0.1, 8, RngStream(5))) == (UNDECIDED, Fraction(0), None)
+    assert as_triple(pair_verdict(g, pair, 1.5, 0.1, RngStream(5))) == (UNDECIDED, Fraction(0), None)
+
+
+def test_a_negative_threshold_refutes_even_a_zero_deviation_with_a_witness():
+    # eps * p < 0 admits no regular pair: both sources refute with a re-checked witness
+    for n in (4, EXHAUSTIVE_PAIR_BUDGET + 4):
+        g, pair = bipartite(n, n, [(u, v) for u in range(n) for v in range(n)])
+        for verdict in (
+            pair_verdict(g, pair, 0.25, -0.5, RngStream(6)),
+            refute_regular_sampled(g, pair, 0.25, -0.5, 4, RngStream(6), guided=False),
+        ):
+            assert verdict.status == REFUTED and verdict.deviation == 0
+            assert pair_density(g, verdict.witness) == 1
+
+
 def test_regular_pair_with_zero_deviation_certified():
     # complete pair: every completion has density exactly d
     g, pair = bipartite(5, 3, [(u, v) for u in range(5) for v in range(3)])

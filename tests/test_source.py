@@ -76,6 +76,31 @@ def test_one_search_kernel_and_one_import_direction():
     assert [name for name in imported if "embedding" in name.split(".")] == []
 
 
+def test_refutations_come_from_two_decisions_that_recount_their_witness():
+    """Only the two-sided and the one-sided decision of ``regularity`` construct a refuted verdict.
+
+    Each of them recounts its witness with ``pair_density``, so a new
+    candidate source reaches a refutation only through that re-check.
+    """
+    builders = {}
+    for path in SOURCES:
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)]
+            refutes = any(
+                isinstance(call.func, ast.Name) and call.func.id == "RegularityVerdict"
+                and call.args and isinstance(call.args[0], ast.Name) and call.args[0].id == "REFUTED"
+                for call in calls
+            )
+            if refutes:
+                recounts = any(isinstance(call.func, ast.Name) and call.func.id == "pair_density" for call in calls)
+                builders[f"{path.name}:{function.name}"] = recounts
+    assert len(builders) == 2
+    assert {name.split(":")[0] for name in builders} == {"regularity.py"}
+    assert all(builders.values())
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports and never reads (``from __future__`` is exempt)."""
     imported = {}
