@@ -8,13 +8,13 @@ value, an unreadable input path and malformed input JSON; 3 budget error;
 4 theorem-check failure in an experiment report; 5 soundness error, an
 internal cross-check that failed (a bug, never a property of the input).
 
-Checked ranges: every ``--eps`` and the experiment ``--eta`` lie in
-(0, 1]; ``--trials``, ``--refuter-trials``, the experiment ``--N``,
-``--k``, ``--n`` and ``--m`` and the ``gen class`` ``--n`` are >= 1; the
-``gen class`` ``--m``, the experiment ``--delta``, ``--d`` and
-``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
-``partition`` and ``clean`` ``--max-t`` is at least ``--t0``; the
-experiment ``--rho`` is an exact decimal or fraction with a nonzero
+Checked ranges: every ``--eps``, the experiment ``--eta`` and the
+``gen class`` ``--p`` lie in (0, 1]; ``--trials``, ``--refuter-trials``,
+the experiment ``--N``, ``--k``, ``--n`` and ``--m`` and the ``gen class``
+``--n`` are >= 1; the ``gen class`` ``--m``, the experiment ``--delta``,
+``--d`` and ``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are
+>= 0; the ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``;
+the experiment ``--rho`` is an exact decimal or fraction with a nonzero
 denominator.
 """
 
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     class_cmd.add_argument("--pattern", required=True, help="pattern JSON path")
     class_cmd.add_argument("--n", type=parse_positive_int, required=True, help="part size")
     class_cmd.add_argument("--m", type=parse_nonnegative_int, required=True, help="edges per pair")
-    class_cmd.add_argument("--p", type=parse_probability, required=True)
+    class_cmd.add_argument("--p", type=parse_unit_interval, required=True)
     class_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
     class_cmd.add_argument("--mode", choices=("raw", "rejection"), default="raw")
 

@@ -51,8 +51,10 @@ add up in a Python int.
 
 The level route has three callers: :func:`canonical_count` and
 :func:`constrained_count` (through the component product) and
-:func:`reglab.embedding.count_kcliques`, which runs it with a simple graph's
-rows on every edge of K_k and divides by k!.
+:func:`reglab.embedding.count_kcliques`, which runs it on K_k with a simple
+graph's rows cut to the neighbours above each vertex on every template edge
+(a, b) with a < b, and to those below it on (b, a), so each clique is
+counted once.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ orbit.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -214,10 +213,12 @@ def count_kcliques(graph: SimpleGraph, k: int) -> int:
     """Exact number of k-vertex cliques.
 
     From k = 3 on, the level route of :func:`reglab.counting.level_count`
-    counts the labelled copies of K_k with ``graph.adj`` on every template
-    edge.  Every vertex pair of K_k is a template edge and the host has no
-    loops, so each such map is injective, and each clique is counted k!
-    times: the division is exact.
+    counts the labelled copies of K_k whose images increase with the
+    template vertex: template edge (a, b) with a < b gets the forward rows
+    (each vertex's neighbours above it) and (b, a) the backward rows (its
+    neighbours below it).  Every vertex pair of K_k is a template edge, so
+    each clique is counted once, in its increasing labelling, whatever order
+    the plan places the template vertices in.
     """
     if k < 1:
         return 0
@@ -225,5 +226,7 @@ def count_kcliques(graph: SimpleGraph, k: int) -> int:
         return graph.n
     if k == 2:
         return graph.edge_count
-    rows = {(a, b): graph.adj for a in range(k) for b in range(k) if a != b}
-    return level_count(PatternGraph.complete(k), rows, graph.n) // math.factorial(k)
+    forward = [row >> (v + 1) << (v + 1) for v, row in enumerate(graph.adj)]
+    backward = [row & ((1 << v) - 1) for v, row in enumerate(graph.adj)]
+    rows = {(a, b): forward if a < b else backward for a in range(k) for b in range(k) if a != b}
+    return level_count(PatternGraph.complete(k), rows, graph.n)

@@ -27,6 +27,14 @@ class pairs, so they sum to C(t, 2).  From the cleaning, in edges:
 ``deleted_clean_refuted`` and ``deleted_clean_sparse`` (``CleanResult``'s
 deletions by cause); and ``clean_bound_inputs_hold``, whether the
 inequalities behind ``CleanResult.deletion_bound`` held.
+
+The runners share their graph work.  ``_side_labels`` labels a random
+permutation of the vertices (removal's bipartition, the (chi-1)-partitions
+of aes and turan); ``_partite_cut`` keeps the host edges across such a
+labelling and lists the interior ones in random order; ``_disjoint_copies``
+finds vertex-disjoint template copies until none is left (packing's factor
+cliques and its mop-up).  ``clique_factor`` takes its cliques from the
+search kernel of :mod:`reglab.embedding`.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -62,7 +70,9 @@ from .graphs import (
     edges_to_rows,
     induced_multipartite,
     iter_bits,
+    matrix_to_rows,
     min_degree,
+    rows_to_matrix,
 )
 from .partition import (
     CleanResult,
@@ -74,7 +84,7 @@ from .partition import (
 )
 from .patterns import chromatic_number, two_density
 from .randgraph import RngStream, gnp, sample_class
-from .regularity import CERTIFIED, REFUTED, UNDECIDED, pair_verdict
+from .regularity import CERTIFIED, EXHAUSTIVE_PAIR_BUDGET, REFUTED, UNDECIDED, pair_verdict
 
 REGULARITY_CAVEAT = (
     "regular means: not refuted by the sampled checker at the configured trial budget"
@@ -96,18 +106,7 @@ class ExperimentReport:
     schema: int = 1
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": self.schema,
-                "name": self.name,
-                "params": self.params,
-                "seed": self.seed,
-                "trials": self.trials,
-                "aggregate": self.aggregate,
-                "caveats": self.caveats,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_csv(self) -> str:
         keys: list[str] = []
@@ -264,6 +263,13 @@ def run_counting(
     return _run_trials("counting", args, one_trial, aggregate, caveats)
 
 
+def _side_labels(labels: list[int], stream: RngStream) -> list[int]:
+    """Vertex ``perm[i]`` labelled ``labels[i]``, for a vertex permutation ``perm`` drawn from ``stream``."""
+    side = np.empty(len(labels), dtype=np.int64)
+    side[stream.np_rng().permutation(len(labels))] = labels
+    return side.tolist()
+
+
 def _partite_cut(
     host: SimpleGraph, side: list[int], stream: RngStream
 ) -> tuple[SimpleGraph, tuple[np.ndarray, np.ndarray]]:
@@ -318,10 +324,7 @@ def _bipartite_plant(
     within budget.  Returns (subgraph, planted edges, labelled embeddings).
     """
     n = host.n
-    perm = [int(v) for v in stream.child(0).np_rng().permutation(n)]
-    side = [0] * n
-    for v in perm[: n // 2]:
-        side[v] = 1
+    side = _side_labels([1] * (n // 2) + [0] * (n - n // 2), stream.child(0))
     cut, (iu, iv) = _partite_cut(host, side, stream.child(1))
     adj = list(cut.adj)
     working = SimpleGraph(n, adj, cut.edge_count)
@@ -477,10 +480,13 @@ def _cluster_supported_count(
 def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None:
     """Partition of all cluster vertices into disjoint k-cliques, or None.
 
-    Exact backtracking with memoized dead states; ``None`` is an
-    exhaustively verified absence.  k must divide the vertex count.  Kept
-    apart from the search kernel: it is an exact cover of all vertices,
-    not a search for one copy.
+    Exact backtracking over covers with memoized dead states; ``None`` is
+    an exhaustively verified absence.  k must divide the vertex count.  The
+    cover is its own search, but its cliques come from the search kernel:
+    each step covers the lowest uncovered vertex v with a clique of
+    uncovered vertices through it, tried in lexicographic order.  v is the
+    least vertex of each such clique, so keeping the kernel's increasing
+    labellings keeps each clique once.
     """
     t = cluster.t
     if k < 2:
@@ -489,7 +495,8 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
         raise BudgetError(f"clique factor search limited to {CLIQUE_FACTOR_BUDGET} vertices")
     if t % k != 0:
         raise PreconditionError(f"k = {k} does not divide the cluster size t = {t}")
-    adj = cluster.to_simple_graph().adj
+    graph = cluster.to_simple_graph()
+    complete_k = PatternGraph.complete(k)
     dead: set[int] = set()
 
     def rec(uncovered: int, chosen: list[tuple[int, ...]]) -> bool:
@@ -497,30 +504,14 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
             return True
         if uncovered in dead:
             return False
-        v = (uncovered & -uncovered).bit_length() - 1
-        pool = adj[v] & uncovered
-
-        def extend(clique: list[int], cand: int) -> bool:
-            if len(clique) == k:
-                chosen.append(tuple(clique))
-                mask = bitmask_of(clique)
-                if rec(uncovered & ~mask, chosen):
+        low = uncovered & -uncovered
+        pool = graph.adj[low.bit_length() - 1] & uncovered
+        for clique in iter_embeddings(graph, complete_k, [low] + [pool] * (k - 1)):
+            if list(clique) == sorted(clique):
+                chosen.append(clique)
+                if rec(uncovered & ~bitmask_of(clique), chosen):
                     return True
                 chosen.pop()
-                return False
-            w = cand
-            while w:
-                low = w & -w
-                u = low.bit_length() - 1
-                w ^= low
-                clique.append(u)
-                if extend(clique, cand & adj[u] & ~((1 << (u + 1)) - 1)):
-                    return True
-                clique.pop()
-            return False
-
-        if extend([v], pool):
-            return True
         dead.add(uncovered)
         return False
 
@@ -530,13 +521,24 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
     return None
 
 
+def _disjoint_copies(graph: SimpleGraph, pattern: PatternGraph, masks: list[int]) -> list[tuple[int, ...]]:
+    """Vertex-disjoint copies of ``pattern`` under ``masks``, found one at a time until none is left.
+
+    Each copy found is removed from every mask before the next search.
+    """
+    copies = []
+    while (found := find_embedding(graph, pattern, candidate_masks=masks)) is not None:
+        copies.append(found)
+        used = bitmask_of(found)
+        masks = [mask & ~used for mask in masks]
+    return copies
+
+
 def _induced_on(graph: SimpleGraph, vertices: list[int]) -> tuple[SimpleGraph, list[int]]:
     """Induced subgraph with dense relabeling; returns (graph, original ids)."""
     order = sorted(vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    mask = bitmask_of(order)
-    edges = [(pos[v], pos[w]) for v in order for w in iter_bits(graph.adj[v] & mask) if w > v]
-    return SimpleGraph.from_edges(len(order), edges), order
+    block = rows_to_matrix([graph.adj[v] for v in order], graph.n, np.uint8)[:, order]
+    return SimpleGraph(len(order), matrix_to_rows(block), int(block.sum()) // 2), order
 
 
 def _pad_to_divisible(cluster: ClusterGraph, k: int) -> list[int]:
@@ -593,31 +595,16 @@ def packing_pipeline(
     if factor is None:
         record.update(stage_failed="clique_factor", inconclusive=True, coverage=0.0, success=False)
         return record
-    covered: list[tuple[int, ...]] = []
     complete_k = PatternGraph.complete(k)
-    uncovered_mask = (1 << graph.n) - 1
+    covered: list[tuple[int, ...]] = []
     for clique in factor:
-        class_lists = [part.classes[kept[c]] for c in clique]
-        masks = [bitmask_of(c) for c in class_lists]
-        while True:
-            found = find_embedding(cleaned.graph, complete_k, candidate_masks=masks)
-            if found is None:
-                break
-            covered.append(found)
-            for v in found:
-                uncovered_mask &= ~(1 << v)
-                for idx in range(k):
-                    masks[idx] &= ~(1 << v)
+        masks = [bitmask_of(part.classes[kept[c]]) for c in clique]
+        covered += _disjoint_copies(cleaned.graph, complete_k, masks)
     # mop-up: keep extracting disjoint cliques among the leftovers wherever
     # they sit, searching the input graph (the packing claim is about it,
     # not the cleaned working copy)
-    while True:
-        found = find_embedding(graph, complete_k, candidate_masks=[uncovered_mask] * k)
-        if found is None:
-            break
-        covered.append(found)
-        for v in found:
-            uncovered_mask &= ~(1 << v)
+    uncovered = ((1 << graph.n) - 1) & ~bitmask_of(v for found in covered for v in found)
+    covered += _disjoint_copies(graph, complete_k, [uncovered] * k)
     # verification: disjointness and cliquehood in the input graph
     seen: set[int] = set()
     for tup in covered:
@@ -721,8 +708,8 @@ def run_clique_density(
     if not 0.0 < p <= 1.0:
         raise PreconditionError(f"clique-density experiment needs p in (0, 1], got {p}")
     rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho)
-    if rho_frac > 1:
-        raise PreconditionError("relative density rho must be at most 1")
+    if not 0 <= rho_frac <= 1:
+        raise PreconditionError(f"relative density rho must lie in [0, 1], got {rho}")
     if rho_frac <= 1 - Fraction(1, k - 1):
         g_hat = Fraction(0)
     else:
@@ -865,10 +852,7 @@ def run_partite_stability(
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
-        perm = [int(v) for v in stream.child(1).np_rng().permutation(host_n)]
-        side = [0] * host_n
-        for pos, v in enumerate(perm):
-            side[v] = pos % parts
+        side = _side_labels([i % parts for i in range(host_n)], stream.child(1))
         cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         adj = list(cut.adj)
         sub = SimpleGraph(host_n, adj, cut.edge_count)
@@ -972,10 +956,7 @@ def run_turan(
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         required = math.ceil(fraction_required * host.edge_count)
-        perm = [int(v) for v in stream.child(1).np_rng().permutation(host_n)]
-        side = [0] * host_n
-        for pos, v in enumerate(perm):
-            side[v] = pos % (chi - 1)
+        side = _side_labels([i % (chi - 1) for i in range(host_n)], stream.child(1))
         cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         # the interior edges are new and distinct, so each adds one edge
         top_up = max(0, required - cut.edge_count)
@@ -1026,8 +1007,8 @@ def probe_copy_free_class(
     interval and the implied per-edge rate estimate^(1/m).
     """
     args = dict(locals())
-    if n > 12:
-        raise PreconditionError("exhaustive filtering is limited to n <= 12 per part")
+    if n > EXHAUSTIVE_PAIR_BUDGET:
+        raise PreconditionError(f"exhaustive filtering is limited to n <= {EXHAUSTIVE_PAIR_BUDGET} per part")
     if m > n * n:
         raise PreconditionError("m exceeds the n^2 slots per pair")
     p_scale = m / (n * n)

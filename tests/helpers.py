@@ -789,3 +789,42 @@ def reference_equalize_affinity(graph: SimpleGraph, atoms, n: int):
         masks[idx] |= 1 << v
         receivers = [i for i in range(t) if len(classes[i]) < targets[i]]
     return classes
+
+
+def reference_clique_factor(cluster, k: int):
+    """``experiments.clique_factor``'s exact cover with its own clique backtracker, without the precondition checks.
+
+    Covers the lowest uncovered vertex first, trying its cliques in
+    lexicographic order; returns the cliques in cover order, or None.
+    """
+    adj = cluster.to_simple_graph().adj
+    dead: set[int] = set()
+
+    def rec(uncovered: int, chosen: list) -> bool:
+        if uncovered == 0:
+            return True
+        if uncovered in dead:
+            return False
+        v = (uncovered & -uncovered).bit_length() - 1
+
+        def extend(clique: list[int], cand: int) -> bool:
+            if len(clique) == k:
+                chosen.append(tuple(clique))
+                if rec(uncovered & ~bitmask_of(clique), chosen):
+                    return True
+                chosen.pop()
+                return False
+            for u in iter_bits(cand):
+                clique.append(u)
+                if extend(clique, cand & adj[u] & ~((1 << (u + 1)) - 1)):
+                    return True
+                clique.pop()
+            return False
+
+        if extend([v], adj[v] & uncovered):
+            return True
+        dead.add(uncovered)
+        return False
+
+    chosen: list = []
+    return chosen if rec((1 << cluster.t) - 1, chosen) else None

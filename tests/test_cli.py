@@ -390,6 +390,11 @@ EXIT_CODES = {
         ["gen", "class", "--pattern", "{triangle}", "--n", "4", "--m", "-1", "--p", "0.5", "--eps", "0.5"],
         EXIT_USAGE,
     ),
+    "class_p_negative": (
+        ["gen", "class", "--pattern", "{triangle}", "--n", "4", "--m", "3", "--p", "-0.5", "--eps", "0.5",
+         "--mode", "rejection"],
+        EXIT_USAGE,
+    ),
     "class_m_zero_accepted": (
         ["gen", "class", "--pattern", "{triangle}", "--n", "1", "--m", "0", "--p", "0.5", "--eps", "0.5"],
         EXIT_OK,
@@ -431,3 +436,12 @@ def test_rho_with_a_zero_denominator_is_a_usage_error_without_a_traceback():
     done = subprocess.run([sys.executable, "-m", "reglab.cli", *argv], capture_output=True, text=True, env=env)
     assert done.returncode == EXIT_USAGE
     assert "--rho" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_negative_rho_is_a_usage_error_before_any_draw():
+    env = dict(os.environ, PYTHONPATH=str(Path(reglab.__file__).parent.parent))
+    argv = ["--seed", "1", "experiment", "cliquedensity", "--rho=-1/2", "--trials", "1", "--N", "60"]
+    done = subprocess.run([sys.executable, "-m", "reglab.cli", *argv], capture_output=True, text=True, env=env)
+    assert done.returncode == EXIT_USAGE
+    assert "rho" in done.stderr
+    assert "negative dimensions" not in done.stderr and "Traceback" not in done.stderr

@@ -169,9 +169,9 @@ def test_kcliques_match_networkx(graph):
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_kcliques_match_the_backtracker_on_random_hosts(k):
-    # the level route counts k! labelled copies per clique; the backtracker
-    # counts each clique once.  G(200, 0.5) with k = 5 is left out: the
-    # backtracker alone takes about a second on it.
+    # both count each clique once, the level route in its increasing
+    # labelling.  G(200, 0.5) with k = 5 is left out: the backtracker alone
+    # takes about a second on it.
     for n in (60, 130, 200):
         for density in (0.05, 0.2, 0.35, 0.5):
             if (n, density) == (200, 0.5) and k == 5:

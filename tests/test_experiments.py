@@ -2,8 +2,9 @@
 
 import inspect
 import json
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,24 +12,28 @@ from hypothesis import strategies as st
 
 from reglab import experiments
 from reglab.counting import gk_bruteforce
-from reglab.errors import SoundnessError
+from reglab.errors import BudgetError, PreconditionError, SoundnessError
 from reglab.embedding import count_embeddings, count_kcliques, find_embedding, iter_embeddings
 from reglab.experiments import (
+    CLIQUE_FACTOR_BUDGET,
     _break_surviving_copies,
     _cluster_supported_count,
     _pad_to_divisible,
     _partite_cut,
     _template_free,
+    clique_factor,
     packing_pipeline,
 )
 from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, bitmask_of, iter_bits
 from reglab.partition import ClusterGraph, evaluate_partition, trim_min_degree
 from reglab.randgraph import RngStream, gnp
+from reglab.regularity import EXHAUSTIVE_PAIR_BUDGET
 
 from helpers import (
     cluster_graphs,
     patterns,
     reference_break_surviving_copies,
+    reference_clique_factor,
     reference_constant_trim,
     reference_fallback_pad,
     reference_host_peel,
@@ -269,7 +274,67 @@ def test_packing_pipeline_rejects_a_reused_vertex(monkeypatch):
         packing_pipeline(SimpleGraph.complete(36), 3, 0.25, 1.0, RngStream(1), t0=12)
 
 
+@st.composite
+def factor_instances(draw, max_t):
+    """A k in {2, 3, 4} and a unit-weight cluster on a multiple of k, at most ``max_t``, vertices."""
+    k = draw(st.integers(2, 4))
+    t = k * draw(st.integers(0, max_t // k))
+    density = draw(st.sampled_from([0.3, 0.6, 0.85, 1.0]))
+    coin = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return unit_cluster(t, [e for e in combinations(range(t), 2) if coin.random() < density]), k
+
+
+def has_clique_factor(cluster: ClusterGraph, uncovered: frozenset, k: int) -> bool:
+    """Brute force: whether ``uncovered`` splits into k-cliques of ``cluster``."""
+    if not uncovered:
+        return True
+    v, *rest = sorted(uncovered)
+    return any(
+        all(cluster.has_edge(a, b) for a, b in combinations((v, *others), 2))
+        and has_clique_factor(cluster, uncovered - {v, *others}, k)
+        for others in combinations(rest, k - 1)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_instances(max_t=24))
+def test_clique_factor_matches_the_reference_enumerator(instance):
+    cluster, k = instance
+    assert clique_factor(cluster, k) == reference_clique_factor(cluster, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_instances(max_t=9))
+def test_clique_factor_is_a_partition_into_cliques_or_none_exactly_when_none_exists(instance):
+    cluster, k = instance
+    factor = clique_factor(cluster, k)
+    assert (factor is not None) == has_clique_factor(cluster, frozenset(range(cluster.t)), k)
+    if factor is not None:
+        assert sorted(v for clique in factor for v in clique) == list(range(cluster.t))
+        assert all(len(clique) == k for clique in factor)
+        assert all(cluster.has_edge(a, b) for clique in factor for a, b in combinations(clique, 2))
+
+
+def test_clique_factor_preconditions():
+    with pytest.raises(PreconditionError, match="k must be >= 2"):
+        clique_factor(complete_cluster(4), 1)
+    with pytest.raises(BudgetError):
+        clique_factor(complete_cluster(CLIQUE_FACTOR_BUDGET + 1), 3)
+    with pytest.raises(PreconditionError, match="does not divide"):
+        clique_factor(complete_cluster(7), 3)
+
+
 K3 = PatternGraph.complete(3)
+
+
+def test_class_probe_part_size_limit_is_the_exhaustive_pair_budget():
+    # parts of 16 are judged exhaustively, so the probe takes them; 17 is refused
+    assert EXHAUSTIVE_PAIR_BUDGET == 16
+    report = experiments.probe_copy_free_class(K3, 16, 200, 0.75, 1, RngStream(1))
+    assert report.aggregate["regular_samples"] == 1
+    with pytest.raises(PreconditionError, match="n <= 16"):
+        experiments.probe_copy_free_class(K3, 17, 200, 0.75, 1, RngStream(1))
+
 
 #: runner -> keyword arguments of a tiny run, each with a non-default keyword
 SKELETON_RUNS = {
