@@ -81,8 +81,9 @@ EXACT_FLOAT_LIMIT = 2**53
 class CountResult:
     """An exact count plus its natural normalizations.
 
-    ``expected`` is prod(m_ij / n^2) * n^k computed from the instance's own
-    pair edge counts; ``ratio`` is count / expected when that is positive.
+    ``expected`` is prod(m_ij / n^2) * n^k, where m_ij is the popcount of
+    the instance's own rows of pair ij (the rows the count walked, for a
+    constrained count); ``ratio`` is count / expected when that is positive.
     """
 
     count: int
@@ -136,10 +137,11 @@ def search_plan(pattern: PatternGraph, pinned: tuple[int, ...] = ()) -> SearchPl
     return SearchPlan(order, back)
 
 
-def _result(pattern: PatternGraph, n: int, count: int, pair_counts: dict[tuple[int, int], int]) -> CountResult:
+def _result(pattern: PatternGraph, n: int, count: int, rows: dict[tuple[int, int], list[int]]) -> CountResult:
+    """``count`` with its normalizations; each pair's edge count is the popcount of its rows in ``rows``."""
     expected = Fraction(n) ** pattern.k
     for e in pattern.sorted_edges():
-        expected *= Fraction(pair_counts[e], n * n)
+        expected *= Fraction(sum(row.bit_count() for row in rows[e]), n * n)
     normalized = Fraction(count, n**pattern.k)
     ratio = float(Fraction(count) / expected) if expected > 0 else None
     return CountResult(count=count, normalized=normalized, expected=expected, ratio=ratio)
@@ -294,19 +296,18 @@ def _unpinned_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]
 def canonical_count(graph: MultipartiteGraph) -> CountResult:
     """Exact number of canonical copies of the template in ``graph``."""
     count = _unpinned_count(graph.pattern, graph.rows, graph.part_size)
-    return _result(graph.pattern, graph.part_size, count, graph.pair_edge_counts)
+    return _result(graph.pattern, graph.part_size, count, graph.rows)
 
 
 def _effective_rows(
     graph: MultipartiteGraph, sub_pattern: PatternGraph, overlay: MultipartiteGraph
-) -> tuple[dict[tuple[int, int], list[int]], dict[tuple[int, int], int]]:
+) -> dict[tuple[int, int], list[int]]:
     """Rows of ``graph`` with sub-pattern edges restricted to ``overlay`` as well."""
     if overlay.part_size != graph.part_size or overlay.k != graph.k:
         raise PreconditionError("overlay graph must share part count and part size")
     if not set(sub_pattern.edges) <= set(graph.pattern.edges):
         raise PreconditionError("sub-pattern edges must be a subset of the template's")
     rows = dict(graph.rows)
-    counts = dict(graph.pair_edge_counts)
     for i, j in sub_pattern.sorted_edges():
         if (i, j) not in overlay.rows:
             raise PreconditionError(f"overlay missing pair {(i + 1, j + 1)}")
@@ -314,17 +315,16 @@ def _effective_rows(
         rev = [a & b for a, b in zip(graph.rows[(j, i)], overlay.rows[(j, i)])]
         rows[(i, j)] = fwd
         rows[(j, i)] = rev
-        counts[(i, j)] = sum(r.bit_count() for r in fwd)
-    return rows, counts
+    return rows
 
 
 def constrained_count(
     graph: MultipartiteGraph, sub_pattern: PatternGraph, overlay: MultipartiteGraph
 ) -> CountResult:
     """Canonical copies whose sub-pattern edges additionally lie in ``overlay``."""
-    rows, counts = _effective_rows(graph, sub_pattern, overlay)
+    rows = _effective_rows(graph, sub_pattern, overlay)
     count = _unpinned_count(graph.pattern, rows, graph.part_size)
-    return _result(graph.pattern, graph.part_size, count, counts)
+    return _result(graph.pattern, graph.part_size, count, rows)
 
 
 def gk_bruteforce(k: int, rho: Fraction | float, n: int) -> Fraction:

@@ -67,12 +67,12 @@ from .graphs import (
     SimpleGraph,
     _peel_low_degree,
     bitmask_of,
-    edges_to_rows,
     induced_multipartite,
     iter_bits,
     matrix_to_rows,
     min_degree,
     rows_to_matrix,
+    symmetric_rows,
 )
 from .partition import (
     CleanResult,
@@ -282,14 +282,9 @@ def _partite_cut(
     """
     cut = host.keep_edges_between(side)
     rest = [row ^ kept for row, kept in zip(host.adj, cut.adj)]
-    u, v = SimpleGraph(host.n, rest, host.edge_count - cut.edge_count).edge_arrays()
+    u, v = SimpleGraph(host.n, rest).edge_arrays()
     order = stream.np_rng().permutation(len(u))
     return cut, (u[order], v[order])
-
-
-def _rows_of_edges(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
-    """Adjacency rows of ``n`` vertices holding the edges (u[i], v[i])."""
-    return edges_to_rows(n, n, np.concatenate([u, v]), np.concatenate([v, u]))
 
 
 def _template_free(graph: SimpleGraph, pattern: PatternGraph) -> bool:
@@ -327,7 +322,7 @@ def _bipartite_plant(
     side = _side_labels([1] * (n // 2) + [0] * (n - n // 2), stream.child(0))
     cut, (iu, iv) = _partite_cut(host, side, stream.child(1))
     adj = list(cut.adj)
-    working = SimpleGraph(n, adj, cut.edge_count)
+    working = SimpleGraph(n, adj)
     planted = 0
     labelled = count_embeddings(working, pattern)  # 0 for odd-cycle-containing templates
     for u, v in zip(map(int, iu), map(int, iv)):
@@ -340,7 +335,6 @@ def _bipartite_plant(
             break
         labelled += gained
         planted += 1
-    working.edge_count += planted
     return working, planted, labelled
 
 
@@ -381,9 +375,10 @@ def run_removal(
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         sub, planted, labelled = _bipartite_plant(host, pattern, labelled_budget, stream.child(1))
+        sub_edges = sub.edge_count
         record: dict = {
             "host_edges": host.edge_count,
-            "subgraph_edges": sub.edge_count,
+            "subgraph_edges": sub_edges,
             "planted_interior_edges": planted,
             "copies_before": labelled // aut,
             "copies_within_budget": labelled <= labelled_budget,
@@ -397,7 +392,7 @@ def run_removal(
         )
         working, per_copy = _break_surviving_copies(cleaned.graph, pattern)
         record["deleted_per_copy"] = per_copy
-        total_deleted = sub.edge_count - working.edge_count
+        total_deleted = sub_edges - working.edge_count
         if total_deleted != cleaned.deleted_total + per_copy:
             raise SoundnessError(
                 f"deletion accounting mismatch: {total_deleted} deleted, "
@@ -437,7 +432,7 @@ def _break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph) -> tuple[
     """
     edges = pattern.sorted_edges()
     first_a, first_b = edges[0]
-    working = SimpleGraph(graph.n, list(graph.adj), graph.edge_count)
+    working = SimpleGraph(graph.n, list(graph.adj))
     adj = working.adj
     deleted = 0
     for emb in iter_embeddings(working, pattern):
@@ -446,7 +441,6 @@ def _break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph) -> tuple[
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             deleted += 1
-    working.edge_count -= deleted
     return working, deleted
 
 
@@ -538,7 +532,7 @@ def _induced_on(graph: SimpleGraph, vertices: list[int]) -> tuple[SimpleGraph, l
     """Induced subgraph with dense relabeling; returns (graph, original ids)."""
     order = sorted(vertices)
     block = rows_to_matrix([graph.adj[v] for v in order], graph.n, np.uint8)[:, order]
-    return SimpleGraph(len(order), matrix_to_rows(block), int(block.sum()) // 2), order
+    return SimpleGraph(len(order), matrix_to_rows(block)), order
 
 
 def _pad_to_divisible(cluster: ClusterGraph, k: int) -> list[int]:
@@ -577,7 +571,6 @@ def packing_pipeline(
     trim = trim_min_degree(cleaned.cluster, k, beta)
     if trim.success:
         record["trim_removed"] = len(trim.removed)
-        cluster = trim.subgraph
         kept = list(trim.kept)
     else:
         # the degree threshold (1 - 1/k) t + k is unreachable for small t
@@ -590,7 +583,7 @@ def packing_pipeline(
         if not kept:
             record.update(stage_failed="trim", inconclusive=True, coverage=0.0, success=False)
             return record
-        cluster = cleaned.cluster.induced(kept)
+    cluster = cleaned.cluster.induced(kept)
     factor = clique_factor(cluster, k)
     if factor is None:
         record.update(stage_failed="clique_factor", inconclusive=True, coverage=0.0, success=False)
@@ -725,8 +718,9 @@ def run_clique_density(
         else:
             u, v = host.edge_arrays()
             picks = stream.child(1).np_rng().choice(len(u), size=m_target, replace=False)
-            sub = SimpleGraph(host.n, _rows_of_edges(host.n, u[picks], v[picks]), m_target)
-        achieved_rho = float(sub.edge_count / (p * host_n * (host_n - 1) / 2))
+            sub = SimpleGraph(host.n, symmetric_rows(host.n, u[picks], v[picks]))
+        sub_edges = sub.edge_count
+        achieved_rho = float(sub_edges / (p * host_n * (host_n - 1) / 2))
         part, cleaned, stage = _regularize(
             sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
         )
@@ -741,7 +735,7 @@ def run_clique_density(
         true_count = count_kcliques(sub, k)
         return {
             **stage,
-            "subgraph_edges": sub.edge_count,
+            "subgraph_edges": sub_edges,
             "achieved_rho": achieved_rho,
             "weighted_clique_sum": float(weighted_sum),
             "cluster_estimate": float(estimate),
@@ -855,7 +849,7 @@ def run_partite_stability(
         side = _side_labels([i % parts for i in range(host_n)], stream.child(1))
         cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         adj = list(cut.adj)
-        sub = SimpleGraph(host_n, adj, cut.edge_count)
+        sub = SimpleGraph(host_n, adj)
         budget_edges = int(perturb_fraction * len(iu))
         added = 0
         for u, v in zip(map(int, iu), map(int, iv)):
@@ -868,7 +862,6 @@ def run_partite_stability(
                 adj[v] &= ~(1 << u)
             else:
                 added += 1
-        sub.edge_count += added
         record: dict = {
             "subgraph_edges": sub.edge_count,
             "min_degree": min_degree(sub),
@@ -955,20 +948,21 @@ def run_turan(
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
-        required = math.ceil(fraction_required * host.edge_count)
+        host_edges = host.edge_count
+        required = math.ceil(fraction_required * host_edges)
         side = _side_labels([i % (chi - 1) for i in range(host_n)], stream.child(1))
         cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         # the interior edges are new and distinct, so each adds one edge
         top_up = max(0, required - cut.edge_count)
-        iu, iv = iu[:top_up], iv[:top_up]
-        top_rows = _rows_of_edges(host_n, iu, iv)
-        sub = SimpleGraph(host_n, [a | b for a, b in zip(cut.adj, top_rows)], cut.edge_count + len(iu))
+        top_rows = symmetric_rows(host_n, iu[:top_up], iv[:top_up])
+        sub = SimpleGraph(host_n, [a | b for a, b in zip(cut.adj, top_rows)])
+        sub_edges = sub.edge_count
         found = find_embedding(sub, pattern)
         return {
-            "host_edges": host.edge_count,
-            "subgraph_edges": sub.edge_count,
+            "host_edges": host_edges,
+            "subgraph_edges": sub_edges,
             "required_edges": required,
-            "at_threshold": bool(sub.edge_count >= required),
+            "at_threshold": bool(sub_edges >= required),
             "found": found is not None,
             "witness": list(found) if found else None,
             "strategy": "partite-plus-interior-topup",
@@ -1007,6 +1001,8 @@ def probe_copy_free_class(
     interval and the implied per-edge rate estimate^(1/m).
     """
     args = dict(locals())
+    if m < 1:
+        raise PreconditionError(f"m must be at least 1 (the per-edge rate is estimate^(1/m)), got m = {m}")
     if n > EXHAUSTIVE_PAIR_BUDGET:
         raise PreconditionError(f"exhaustive filtering is limited to n <= {EXHAUSTIVE_PAIR_BUDGET} per part")
     if m > n * n:

@@ -12,6 +12,9 @@ work on ``_CODEC_BLOCK_ROWS`` rows at a time, so their working memory is
 bounded by one block of rows, never an n x n array.  Edge-list text and
 multipartite JSON are read and written through them.
 
+No edge count is stored beside the rows: :attr:`SimpleGraph.edge_count`
+and :meth:`MultipartiteGraph.edge_count` popcount the rows on every read.
+
 Densities are exact :class:`fractions.Fraction` values throughout;
 probabilities are floats and only enter comparisons through documented
 tolerance helpers.
@@ -185,6 +188,14 @@ def edges_to_rows(n_rows: int, width: int, r: np.ndarray, c: np.ndarray) -> list
     return rows
 
 
+def symmetric_rows(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """Adjacency rows of ``n`` vertices holding the edges (u[i], v[i]) in both directions.
+
+    Endpoints must lie in ``[0, n)``; a repeated edge sets its bits once.
+    """
+    return edges_to_rows(n, n, np.concatenate([u, v]), np.concatenate([v, u]))
+
+
 def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray]:
     """The two endpoint columns of a sequence of integer pairs, as int64 arrays.
 
@@ -298,17 +309,22 @@ class SimpleGraph:
 
     Instances are immutable by convention: all operations build new graphs.
     The exception is a working graph in :mod:`reglab.experiments` whose
-    owner edits ``adj`` and ``edge_count`` in place: the plant loops re-add
-    edges, and the removal experiment searches live rows while it breaks
-    copies.
+    owner edits ``adj`` in place: the plant loops re-add edges, and the
+    removal experiment searches live rows while it breaks copies.  The rows
+    are the only state; :attr:`edge_count` is recounted from them, so an
+    owner edits ``adj`` only.
     """
 
-    __slots__ = ("n", "adj", "edge_count")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: list[int], edge_count: int):
+    def __init__(self, n: int, adj: list[int]):
         self.n = n
         self.adj = adj
-        self.edge_count = edge_count
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges, the popcount of the rows halved; read it once where it is needed twice."""
+        return sum(row.bit_count() for row in self.adj) // 2
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "SimpleGraph":
@@ -325,8 +341,7 @@ class SimpleGraph:
             if a == b:
                 raise PreconditionError(f"loop at vertex {a}")
             raise PreconditionError(f"edge ({a}, {b}) out of range for n={n}")
-        adj = [fwd | rev for fwd, rev in zip(edges_to_rows(n, n, u, v), edges_to_rows(n, n, v, u))]
-        return SimpleGraph(n, adj, sum(row.bit_count() for row in adj) // 2)
+        return SimpleGraph(n, symmetric_rows(n, u, v))
 
     @staticmethod
     def empty(n: int) -> "SimpleGraph":
@@ -335,8 +350,7 @@ class SimpleGraph:
     @staticmethod
     def complete(n: int) -> "SimpleGraph":
         full = (1 << n) - 1
-        adj = [full ^ (1 << v) for v in range(n)]
-        return SimpleGraph(n, adj, n * (n - 1) // 2)
+        return SimpleGraph(n, [full ^ (1 << v) for v in range(n)])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -377,8 +391,7 @@ class SimpleGraph:
         label_masks: dict[int, int] = {}
         for v, g in enumerate(groups):
             label_masks[g] = label_masks.get(g, 0) | (1 << v)
-        adj = [row & ~label_masks[g] for row, g in zip(self.adj, groups)]
-        return SimpleGraph(self.n, adj, sum(row.bit_count() for row in adj) // 2)
+        return SimpleGraph(self.n, [row & ~label_masks[g] for row, g in zip(self.adj, groups)])
 
     def to_edge_list(self) -> str:
         """The graph as edge-list text.
@@ -505,16 +518,14 @@ def _peel_low_degree(
     return alive, removed, True
 
 
-def standalone_pair(
-    n: int, fwd: Sequence[int], rev: Sequence[int], edge_count: int
-) -> tuple[SimpleGraph, VertexSetPair]:
+def standalone_pair(n: int, fwd: Sequence[int], rev: Sequence[int]) -> tuple[SimpleGraph, VertexSetPair]:
     """A bipartite pair of two n-vertex sides as a 2n-vertex graph, with U = 0..n-1 and V = n..2n-1.
 
     ``fwd[u]`` and ``rev[v]`` are the local n-bit rows of the two sides:
     the V-neighbours of u and the U-neighbours of v.
     """
     adj = [row << n for row in fwd] + list(rev)
-    return SimpleGraph(2 * n, adj, edge_count), VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
+    return SimpleGraph(2 * n, adj), VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
 
 
 class MultipartiteGraph:
@@ -522,24 +533,18 @@ class MultipartiteGraph:
 
     Edges exist only between parts ``i`` and ``j`` with ``ij`` an edge of the
     pattern.  Adjacency per pair is stored as local bitset rows in both
-    directions.
+    directions; the rows are the only state, and pair edge counts are
+    recounted from them.
     """
 
-    __slots__ = ("pattern", "part_size", "rows", "pair_edge_counts")
+    __slots__ = ("pattern", "part_size", "rows")
 
-    def __init__(
-        self,
-        pattern: PatternGraph,
-        part_size: int,
-        rows: dict[tuple[int, int], list[int]],
-        pair_edge_counts: dict[tuple[int, int], int],
-    ):
+    def __init__(self, pattern: PatternGraph, part_size: int, rows: dict[tuple[int, int], list[int]]):
         # rows[(i, j)][u] = bitset over part-j local indices adjacent to local u of part i,
         # present for both orientations of every pattern edge.
         self.pattern = pattern
         self.part_size = part_size
         self.rows = rows
-        self.pair_edge_counts = pair_edge_counts
 
     @staticmethod
     def from_pair_edges(
@@ -552,7 +557,6 @@ class MultipartiteGraph:
         if n <= 0:
             raise PreconditionError("part size must be positive")
         rows: dict[tuple[int, int], list[int]] = {}
-        counts: dict[tuple[int, int], int] = {}
         for i, j in pattern.sorted_edges():
             u, v = _edge_columns(pair_edges.get((i, j), ()))  # u in part i, v in part j
             bad = _first((u < 0) | (u >= n) | (v < 0) | (v >= n))
@@ -560,22 +564,19 @@ class MultipartiteGraph:
                 raise PreconditionError(f"local edge ({int(u[bad])}, {int(v[bad])}) out of range for n={n}")
             rows[(i, j)] = edges_to_rows(n, n, u, v)
             rows[(j, i)] = edges_to_rows(n, n, v, u)
-            counts[(i, j)] = sum(row.bit_count() for row in rows[(i, j)])
         unknown = set(pair_edges) - set(pattern.sorted_edges())
         if unknown:
             raise PreconditionError(f"edges supplied for non-pattern pairs: {sorted(unknown)}")
-        return MultipartiteGraph(pattern, n, rows, counts)
+        return MultipartiteGraph(pattern, n, rows)
 
     @staticmethod
     def complete_blowup(pattern: PatternGraph, part_size: int) -> "MultipartiteGraph":
         full = (1 << part_size) - 1
         rows = {}
-        counts = {}
         for i, j in pattern.sorted_edges():
             rows[(i, j)] = [full] * part_size
             rows[(j, i)] = [full] * part_size
-            counts[(i, j)] = part_size * part_size
-        return MultipartiteGraph(pattern, part_size, rows, counts)
+        return MultipartiteGraph(pattern, part_size, rows)
 
     @property
     def k(self) -> int:
@@ -587,7 +588,8 @@ class MultipartiteGraph:
             yield from zip(us.tolist(), vs.tolist())
 
     def edge_count(self, i: int, j: int) -> int:
-        return self.pair_edge_counts[(min(i, j), max(i, j))]
+        """Number of edges of pair {i, j}, the popcount of its rows."""
+        return sum(row.bit_count() for row in self.rows[(min(i, j), max(i, j))])
 
     def has_pair_edge(self, i: int, j: int, u: int, v: int) -> bool:
         return bool(self.rows[(i, j)][u] >> v & 1)
@@ -595,7 +597,7 @@ class MultipartiteGraph:
     def pair_subgraph(self, i: int, j: int) -> tuple[SimpleGraph, VertexSetPair]:
         """The bipartite pair {i, j} as a standalone graph plus its sides (``standalone_pair``)."""
         a, b = min(i, j), max(i, j)
-        return standalone_pair(self.part_size, self.rows[(a, b)], self.rows[(b, a)], self.pair_edge_counts[(a, b)])
+        return standalone_pair(self.part_size, self.rows[(a, b)], self.rows[(b, a)])
 
     def to_json(self) -> str:
         pairs = {}
@@ -654,10 +656,8 @@ def induced_multipartite(
     class_lists = [sorted(c) for c in classes]
 
     rows: dict[tuple[int, int], list[int]] = {}
-    counts: dict[tuple[int, int], int] = {}
     for i, j in pattern.sorted_edges():
         block = rows_to_matrix([graph.adj[u] for u in class_lists[i]], graph.n, np.uint8)[:, class_lists[j]]
         rows[(i, j)] = matrix_to_rows(block)
         rows[(j, i)] = matrix_to_rows(block.T)
-        counts[(i, j)] = int(block.sum())
-    return MultipartiteGraph(pattern, n, rows, counts)
+    return MultipartiteGraph(pattern, n, rows)

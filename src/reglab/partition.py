@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -75,14 +75,15 @@ from .regularity import REFUTED, RegularityVerdict, pair_verdict
 
 @dataclass(frozen=True)
 class PairInfo:
-    density: Fraction
+    """A pair's edge count and verdict; its density is the count over the product of the class sizes."""
+
     edges: int
     verdict: RegularityVerdict
 
 
 @dataclass
 class Partition:
-    """An equipartition with per-pair densities and regularity verdicts."""
+    """An equipartition with per-pair edge counts and regularity verdicts."""
 
     classes: list[list[int]]
     pair_info: dict[tuple[int, int], PairInfo]
@@ -110,7 +111,7 @@ class Partition:
         n = sum(len(c) for c in self.classes)
         pairs = {
             f"{i}-{j}": {
-                "density": str(info.density),
+                "density": str(Fraction(info.edges, len(self.classes[i]) * len(self.classes[j]))),
                 "edges": info.edges,
                 "status": info.verdict.status,
                 "witness_u": list(info.verdict.witness.U) if info.verdict.witness else None,
@@ -134,46 +135,52 @@ class Partition:
 
 @dataclass(frozen=True)
 class ClusterGraph:
-    """Graph on partition classes: unweighted surviving pairs plus pair weights."""
+    """Graph on partition classes whose edges are the weighted pairs (i, j), i < j.
+
+    Every key of ``weights`` is a cluster edge, whatever its weight, and
+    no other pair is.
+    """
 
     t: int
-    edges: frozenset[tuple[int, int]]
-    weights: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    weights: dict[tuple[int, int], Fraction]
 
     def __post_init__(self):
-        for i, j in self.edges:
+        for i, j in self.weights:
             if not 0 <= i < j < self.t:
                 raise PreconditionError(f"bad cluster edge ({i}, {j})")
-            if (i, j) not in self.weights:
-                raise PreconditionError(f"cluster edge ({i}, {j}) missing from weighted support")
         for w in self.weights.values():
             if not 0 <= w <= 1:
                 raise PreconditionError("cluster weights must lie in [0, 1]")
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.weights)
 
     def weight(self, i: int, j: int) -> Fraction:
         return self.weights.get((min(i, j), max(i, j)), Fraction(0))
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return (min(i, j), max(i, j)) in self.weights
 
     def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
+        return sum(1 for i, j in self.weights if v in (i, j))
 
     def to_simple_graph(self) -> SimpleGraph:
-        """The unweighted cluster graph (one isolated vertex when t = 0)."""
-        return SimpleGraph.from_edges(max(self.t, 1), self.edges)
+        """The unweighted cluster graph on t vertices."""
+        adj = [0] * self.t
+        for i, j in self.weights:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return SimpleGraph(self.t, adj)
 
     def induced(self, keep: list[int]) -> "ClusterGraph":
         """Relabelled induced subgraph on the kept class indices (sorted order)."""
         keep_sorted = sorted(keep)
         pos = {v: idx for idx, v in enumerate(keep_sorted)}
-        edges = frozenset(
-            (pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos
-        )
         weights = {
             (pos[i], pos[j]): w for (i, j), w in self.weights.items() if i in pos and j in pos
         }
-        return ClusterGraph(len(keep_sorted), edges, weights)
+        return ClusterGraph(len(keep_sorted), weights)
 
     def to_json(self) -> str:
         matrix = [["0"] * self.t for _ in range(self.t)]
@@ -255,7 +262,7 @@ def evaluate_partition(
     refuter_trials: int = 32,
     rounds: int = 0,
 ) -> Partition:
-    """Attach pair densities, verdicts, and energy to the given classes."""
+    """Attach pair edge counts, verdicts, and energy to the given classes."""
     padded = _padded(classes, graph.n)
     counts = _class_counts(_row_table(graph), padded)
     # e(V_i, V_j) sums the counts of V_i's rows; the padding row n adds zero
@@ -265,10 +272,9 @@ def evaluate_partition(
     for i in range(t):
         for j in range(i + 1, t):
             e = edges[i][j]
-            density = Fraction(e, len(classes[i]) * len(classes[j]))
             pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
             verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
-            pair_info[(i, j)] = PairInfo(density=density, edges=e, verdict=verdict)
+            pair_info[(i, j)] = PairInfo(edges=e, verdict=verdict)
     energy = partition_energy(edges, [len(c) for c in classes], graph.n, p)
     return Partition(
         classes=[sorted(c) for c in classes],
@@ -611,7 +617,8 @@ def clean_partition(
     The surviving pairs become the cluster edges, weighted by
     min(e / (p |Vi||Vj|), 1).  Deletions are checked against the bound
     (D/t + 2 D eps + d) * p n^2 / 2 whenever its ingredient inequalities
-    hold on this instance.
+    hold on this instance, and always against the edges the cleaned graph
+    lost, recounted from the rows of both graphs.
     """
     if not 0.0 < p <= 1.0:
         raise PreconditionError(f"p must be in (0, 1], got {p}")
@@ -627,7 +634,6 @@ def clean_partition(
     within = sum(inside)
     refuted_edges = 0
     sparse_edges = 0
-    surviving: set[tuple[int, int]] = set()
     weights: dict[tuple[int, int], Fraction] = {}
     per_pair_cap = uniformity_frac * p_frac * Fraction(n, t) ** 2
     failed: list[str] = []
@@ -650,14 +656,13 @@ def clean_partition(
         elif Fraction(info.edges) < d_frac * p_frac * size:
             sparse_edges += info.edges
         else:
-            surviving.add((i, j))
             weights[(i, j)] = min(Fraction(info.edges) / (p_frac * size), Fraction(1))
 
     if refuted_count > epsilon * t * t:
         failed.append(f"refuted pairs: {refuted_count} > eps t^2 = {epsilon * t * t:.3f}")
 
     survive_mask = [0] * t
-    for i, j in surviving:
+    for i, j in weights:
         survive_mask[i] |= masks[j]
         survive_mask[j] |= masks[i]
     membership = part.membership(n)
@@ -666,7 +671,7 @@ def clean_partition(
         cls = membership[v]
         if cls >= 0:
             adj[v] = graph.adj[v] & survive_mask[cls]
-    cleaned = SimpleGraph(n, adj, sum(row.bit_count() for row in adj) // 2)
+    cleaned = SimpleGraph(n, adj)
 
     bound = (
         (uniformity_frac / t + 2 * uniformity_frac * Fraction(epsilon) + d_frac)
@@ -681,16 +686,13 @@ def clean_partition(
             f"deletion bound violated with all ingredient inequalities holding: "
             f"{deleted} > {float(bound):.3f}"
         )
-    if graph.edge_count - cleaned.edge_count != deleted:
-        raise SoundnessError(
-            f"cleaning removed {graph.edge_count - cleaned.edge_count} edges "
-            f"but accounted for {deleted}"
-        )
+    removed = graph.edge_count - cleaned.edge_count
+    if removed != deleted:
+        raise SoundnessError(f"cleaning removed {removed} edges but accounted for {deleted}")
 
-    cluster = ClusterGraph(t, frozenset(surviving), weights)
     return CleanResult(
         graph=cleaned,
-        cluster=cluster,
+        cluster=ClusterGraph(t, weights),
         deleted_within=within,
         deleted_refuted=refuted_edges,
         deleted_sparse=sparse_edges,
@@ -705,7 +707,6 @@ class TrimResult:
     """Greedy min-degree trim outcome; failure is data, not an exception."""
 
     success: bool
-    subgraph: ClusterGraph | None
     kept: tuple[int, ...]
     removed: tuple[int, ...]
 
@@ -733,6 +734,5 @@ def trim_min_degree(cluster: ClusterGraph, k: int, beta: float) -> TrimResult:
         alive, padded, _ = _peel_low_degree(graph, lambda size: math.inf if size % k else 0, limit, alive)
         removed += padded
         if len(padded) < limit:
-            kept = tuple(iter_bits(alive))
-            return TrimResult(True, cluster.induced(list(kept)), kept, tuple(removed))
-    return TrimResult(False, None, tuple(iter_bits(alive)), tuple(removed))
+            return TrimResult(True, tuple(iter_bits(alive)), tuple(removed))
+    return TrimResult(False, tuple(iter_bits(alive)), tuple(removed))

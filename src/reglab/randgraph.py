@@ -157,18 +157,16 @@ def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
         return SimpleGraph.complete(n)
     gen = rng.np_rng()
     packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    edges = 0
     for start in range(0, n - 1, _GNP_BLOCK_ROWS):
         stop = min(start + _GNP_BLOCK_ROWS, n - 1)
         block = np.zeros((stop - start, n), dtype=bool)
         for u in range(start, stop):
             block[u - start, u + 1 :] = gen.random(n - 1 - u) < p
-        edges += int(np.count_nonzero(block))
         packed[start:stop] |= np.packbits(block, axis=1, bitorder="little")
         # mirror: bit u of row v for every edge uv of the block, u < v
         mirror = np.packbits(np.ascontiguousarray(block.T), axis=1, bitorder="little")
         packed[:, start // 8 : start // 8 + mirror.shape[1]] |= mirror
-    return SimpleGraph(n, packed_to_rows(packed), edges)
+    return SimpleGraph(n, packed_to_rows(packed))
 
 
 def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int]]:
@@ -202,7 +200,6 @@ def sample_class(
         raise PreconditionError(f"unknown mode {mode!r}")
 
     rows: dict[tuple[int, int], list[int]] = {}
-    counts: dict[tuple[int, int], int] = {}
     for pair_index, (i, j) in enumerate(pattern.sorted_edges()):
         pair_stream = rng.child(pair_index)
         attempt = 0
@@ -211,7 +208,7 @@ def sample_class(
             fwd, rev = random_bipartite_rows(n, m, gen)
             if mode == "raw":
                 break
-            pair_graph, sides = standalone_pair(n, fwd, rev, m)
+            pair_graph, sides = standalone_pair(n, fwd, rev)
             verdict = pair_verdict(
                 pair_graph, sides, epsilon, p, pair_stream.child(attempt, 1), trials=32, guided=True
             )
@@ -227,5 +224,4 @@ def sample_class(
                 )
         rows[(i, j)] = fwd
         rows[(j, i)] = rev
-        counts[(i, j)] = m
-    return MultipartiteGraph(pattern, n, rows, counts)
+    return MultipartiteGraph(pattern, n, rows)

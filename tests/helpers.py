@@ -48,7 +48,7 @@ def graph_from_bool_matrix(matrix) -> SimpleGraph:
         raise PreconditionError("adjacency matrix is not symmetric")
     packed = np.packbits(m, axis=1, bitorder="little")
     adj = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-    return SimpleGraph(n, adj, int(m.sum()) // 2)
+    return SimpleGraph(n, adj)
 
 
 def bool_matrix(graph: SimpleGraph) -> np.ndarray:
@@ -72,22 +72,19 @@ def reference_from_edges(n: int, edges) -> SimpleGraph:
     if n <= 0:
         raise PreconditionError("vertex count must be positive")
     adj = [0] * n
-    count = 0
     for u, v in edges:
         if u == v:
             raise PreconditionError(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
-        if not adj[u] >> v & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            count += 1
-    return SimpleGraph(n, adj, count)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return SimpleGraph(n, adj)
 
 
 def reference_from_pair_edges(pattern: PatternGraph, n: int, pair_edges) -> MultipartiteGraph:
     """``MultipartiteGraph.from_pair_edges`` one edge at a time, with its checks in input order."""
-    rows, counts = {}, {}
+    rows = {}
     for i, j in pattern.sorted_edges():
         fwd, rev = [0] * n, [0] * n
         for u, v in pair_edges.get((i, j), ()):
@@ -96,8 +93,7 @@ def reference_from_pair_edges(pattern: PatternGraph, n: int, pair_edges) -> Mult
             fwd[u] |= 1 << v
             rev[v] |= 1 << u
         rows[(i, j)], rows[(j, i)] = fwd, rev
-        counts[(i, j)] = sum(row.bit_count() for row in fwd)
-    return MultipartiteGraph(pattern, n, rows, counts)
+    return MultipartiteGraph(pattern, n, rows)
 
 
 def reference_gnp(n: int, p: float, rng) -> SimpleGraph:
@@ -119,15 +115,14 @@ def reference_induced_multipartite(graph: SimpleGraph, classes, pattern: Pattern
     n = len(classes[0])
     class_lists = [sorted(c) for c in classes]
     matrix = bool_matrix(graph)
-    rows, counts = {}, {}
+    rows = {}
     for i, j in pattern.sorted_edges():
         block = matrix[np.ix_(class_lists[i], class_lists[j])]
         packed = np.packbits(block, axis=1, bitorder="little")
         rows[(i, j)] = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
         packed_t = np.packbits(block.T, axis=1, bitorder="little")
         rows[(j, i)] = [int.from_bytes(packed_t[v].tobytes(), "little") for v in range(n)]
-        counts[(i, j)] = int(block.sum())
-    return MultipartiteGraph(pattern, n, rows, counts)
+    return MultipartiteGraph(pattern, n, rows)
 
 
 def naive_m2(pattern: PatternGraph) -> Fraction:
@@ -448,7 +443,7 @@ def cluster_graphs(draw, min_t=0, max_t=14):
     t = draw(st.integers(min_t, max_t))
     slots = list(combinations(range(t), 2))
     edges = draw(st.lists(st.sampled_from(slots), max_size=len(slots), unique=True)) if slots else []
-    return ClusterGraph(t, frozenset(edges), {e: Fraction(1) for e in edges})
+    return ClusterGraph(t, {e: Fraction(1) for e in edges})
 
 
 # The four greedy degree peels as they were written before they shared one
@@ -611,15 +606,13 @@ def reference_reduced_weighted_graph(graph: SimpleGraph, part, p: float):
     masks = [bitmask_of(c) for c in classes]
     p_frac = Fraction(p)
     weights = {}
-    edges = set()
     for i in range(t):
         for j in range(i + 1, t):
             e = graph.edges_between(masks[i], masks[j])
             w = min(Fraction(e) / (p_frac * len(classes[i]) * len(classes[j])), Fraction(1))
             if w > 0:
                 weights[(i, j)] = w
-                edges.add((i, j))
-    return ClusterGraph(t, frozenset(edges), weights)
+    return ClusterGraph(t, weights)
 
 
 # --- one partition refinement round, vertex by vertex -------------------------------

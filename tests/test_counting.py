@@ -346,18 +346,35 @@ def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
         assert constrained_count(blowup, pattern, blowup).count == 3**4
 
 
-def test_float_limit_routes_to_the_backtracker():
+def test_float_limit_routes_to_the_backtracker(monkeypatch):
+    """At n^k >= 2^53 the count leaves the matrix route for the level route.
+
+    The name is older than the level route: these counts once fell back to
+    a backtracker, which the level route replaced.
+    """
+    routed = []
+    level_count = counting.level_count
+
+    def recording(pattern, rows, n):
+        routed.append((pattern.k, n))
+        return level_count(pattern, rows, n)
+
+    monkeypatch.setattr(counting, "level_count", recording)
     # 2^52 copies are counted by elimination, 2^53 tuples are not: the
     # pair-by-pair perfect matchings leave 2 copies of any path either way
     below, at = PatternGraph.path(52), PatternGraph.path(53)
     assert 2**52 < EXACT_FLOAT_LIMIT <= 2**53
     assert matrix_count(below, identity_blocks(below, 2).rows, 2) == 2
     assert matrix_count(at, identity_blocks(at, 2).rows, 2) is None
+    assert canonical_count(identity_blocks(below, 2)).count == 2
+    assert routed == []
     assert canonical_count(identity_blocks(at, 2)).count == 2
+    assert routed == [(53, 2)]
     c4 = PatternGraph.cycle(4)
     wide = identity_blocks(c4, 2**14)  # n^k = 2^56
     assert matrix_count(c4, wide.rows, 2**14) is None
     assert canonical_count(wide).count == 2**14
+    assert routed == [(53, 2), (4, 2**14)]
 
 
 def test_matrix_route_exact_just_below_the_float_limit():

@@ -25,7 +25,7 @@ from reglab.experiments import (
     packing_pipeline,
 )
 from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, bitmask_of, iter_bits
-from reglab.partition import ClusterGraph, evaluate_partition, trim_min_degree
+from reglab.partition import ClusterGraph, Partition, TrimResult, evaluate_partition, trim_min_degree
 from reglab.randgraph import RngStream, gnp
 from reglab.regularity import EXHAUSTIVE_PAIR_BUDGET
 
@@ -43,8 +43,7 @@ from helpers import (
 
 
 def unit_cluster(t: int, edges) -> ClusterGraph:
-    edges = frozenset(edges)
-    return ClusterGraph(t, edges, {e: Fraction(1) for e in edges})
+    return ClusterGraph(t, {e: Fraction(1) for e in edges})
 
 
 def complete_cluster(t: int) -> ClusterGraph:
@@ -55,10 +54,6 @@ def assert_trim_matches_reference(cluster: ClusterGraph, k: int, beta: float):
     expected = reference_trim_min_degree(cluster, k, beta)
     result = trim_min_degree(cluster, k, beta)
     assert (result.success, result.kept, result.removed) == expected
-    if result.success:
-        assert result.subgraph == cluster.induced(list(result.kept))
-    else:
-        assert result.subgraph is None
 
 
 def unbounded_removals(cluster: ClusterGraph, k: int) -> int:
@@ -327,6 +322,30 @@ def test_clique_factor_preconditions():
 K3 = PatternGraph.complete(3)
 
 
+def test_empty_cluster_graph_has_no_vertices_and_no_copies():
+    # no placeholder vertex: the t = 0 cluster graph has 0 vertices
+    empty = ClusterGraph(0, {})
+    graph = empty.to_simple_graph()
+    assert (graph.n, graph.adj, graph.edge_count) == (0, [], 0)
+    part = Partition(classes=[], pair_info={}, energy=Fraction(0), epsilon=0.3, p=0.5)
+    for k in (2, 3, 4):
+        for beta in (0.0, 0.3, 1.0):
+            assert trim_min_degree(empty, k, beta) == TrimResult(True, (), ())
+        assert clique_factor(empty, k) == []
+    for pattern in (K3, PatternGraph.path(2), PatternGraph.cycle(4)):
+        assert _cluster_supported_count(SimpleGraph.complete(4), part, empty, pattern) == 0
+
+
+def test_class_probe_rejects_m_below_one_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the probe drew a sample")
+
+    monkeypatch.setattr(experiments, "sample_class", no_draw)
+    for m in (0, -1):
+        with pytest.raises(PreconditionError, match=f"m = {m}"):
+            experiments.probe_copy_free_class(K3, 8, m, 0.75, 1, RngStream(1))
+
+
 def test_class_probe_part_size_limit_is_the_exhaustive_pair_budget():
     # parts of 16 are judged exhaustively, so the probe takes them; 17 is refused
     assert EXHAUSTIVE_PAIR_BUDGET == 16
@@ -456,7 +475,7 @@ def test_template_free_decision_matches_the_search_on_a_cut_and_a_planted_triang
     cut, _ = _partite_cut(host, side, RngStream(34))
     # a same-side pair with exactly one common neighbour closes one triangle
     u, w = next((a, b) for a in range(0, n, 2) for b in range(a + 2, n, 2) if (cut.adj[a] & cut.adj[b]).bit_count() == 1)
-    planted = SimpleGraph(n, list(cut.adj), cut.edge_count + 1)
+    planted = SimpleGraph(n, list(cut.adj))
     planted.adj[u] |= 1 << w
     planted.adj[w] |= 1 << u
     assert count_kcliques(cut, 3) == 0 and count_kcliques(planted, 3) == 1

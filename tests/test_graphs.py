@@ -1,12 +1,14 @@
 """Graph core: densities, construction invariants, formats."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglab.embedding import count_kcliques
 from reglab.errors import PreconditionError
 from reglab.graphs import (
     MultipartiteGraph,
@@ -26,7 +28,7 @@ from reglab.graphs import (
     set_words,
 )
 from reglab import graphs
-from reglab.randgraph import RngStream, gnp
+from reglab.randgraph import RngStream, gnp, sample_class
 
 from helpers import (
     bool_matrix,
@@ -156,7 +158,7 @@ def test_induced_multipartite_examples():
     tri = induced_multipartite(g, [[0], [1], [2]], k3)
     assert tri.edge_count(0, 1) == tri.edge_count(0, 2) == tri.edge_count(1, 2) == 1
     empty = induced_multipartite(SimpleGraph.empty(3), [[0], [1], [2]], k3)
-    assert sum(empty.pair_edge_counts.values()) == 0
+    assert all(empty.edge_count(i, j) == 0 for i, j in k3.sorted_edges())
 
 
 def test_induced_multipartite_matches_manual_extraction():
@@ -197,7 +199,6 @@ def test_induced_multipartite_matches_whole_matrix_extraction(pattern, seed):
     want = reference_induced_multipartite(host, classes, pattern)
     assert got.part_size == want.part_size == size
     assert got.rows == want.rows
-    assert got.pair_edge_counts == want.pair_edge_counts
 
 
 def test_induced_multipartite_validation():
@@ -218,6 +219,43 @@ def test_multipartite_json_round_trip():
     assert again.pattern.edges == mg.pattern.edges
     for i, j in p3.sorted_edges():
         assert set(again.pair_edges(i, j)) == set(mg.pair_edges(i, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(simple_graphs(max_n=12), st.data())
+def test_edge_count_follows_in_place_row_edits(graph, data):
+    """An owner edits ``adj`` only; the edge count is recounted from the rows after any mix of edits."""
+    slots = list(combinations(range(graph.n), 2))
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(slots), st.booleans()), max_size=30)) if slots else []
+    for (u, v), add in edits:
+        if add:
+            graph.adj[u] |= 1 << v
+            graph.adj[v] |= 1 << u
+        else:
+            graph.adj[u] &= ~(1 << v)
+            graph.adj[v] &= ~(1 << u)
+    brute = sum(1 for u, v in slots if graph.adj[u] >> v & 1)
+    assert graph.edge_count == brute == count_kcliques(graph, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_multipartite_edge_count_is_the_popcount_of_both_orientations(seed):
+    pattern = PatternGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    n = 3 + 2 * seed
+    gen = RngStream(60 + seed).np_rng()
+    pair_edges = {e: gen.integers(0, n, (3 * n, 2)).tolist() for e in pattern.sorted_edges()}
+    host = gnp(4 * n, 0.4, RngStream(70 + seed))
+    built = [
+        MultipartiteGraph.from_pair_edges(pattern, n, pair_edges),
+        induced_multipartite(host, [list(range(c * n, (c + 1) * n)) for c in range(4)], pattern),
+        sample_class(pattern, n, 2 * n, 0.5, 0.5, RngStream(80 + seed)),
+    ]
+    for graph in built:
+        for i, j in pattern.sorted_edges():
+            fwd, rev = (sum(map(int.bit_count, graph.rows[key])) for key in ((i, j), (j, i)))
+            assert graph.edge_count(i, j) == graph.edge_count(j, i) == fwd == rev == len(list(graph.pair_edges(i, j)))
+    assert all(built[0].edge_count(i, j) == len(set(map(tuple, pair_edges[(i, j)]))) for i, j in pattern.sorted_edges())
+    assert all(built[2].edge_count(i, j) == 2 * n for i, j in pattern.sorted_edges())
 
 
 def test_multipartite_rejects_foreign_pairs():
@@ -345,7 +383,7 @@ def test_from_pair_edges_matches_per_edge_reference(pattern, data):
             pair_edges[(i, j)] = data.draw(drawn_pairs(st.just(n), loops=True))[1]
     got = MultipartiteGraph.from_pair_edges(pattern, n, pair_edges)
     want = reference_from_pair_edges(pattern, n, pair_edges)
-    assert got.rows == want.rows and got.pair_edge_counts == want.pair_edge_counts
+    assert got.rows == want.rows
     for i, j in pattern.sorted_edges():
         assert list(got.pair_edges(i, j)) == sorted(set(map(tuple, pair_edges.get((i, j), []))))
 

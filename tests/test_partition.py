@@ -25,6 +25,7 @@ from reglab.partition import (
 from reglab.randgraph import RngStream, gnp
 
 from helpers import (
+    cluster_graphs,
     graph_from_bool_matrix,
     reference_equalize_affinity,
     reference_otsu_cut,
@@ -196,47 +197,53 @@ def test_reduced_weighted_graph_formula():
 
 
 def full_cluster(t: int) -> ClusterGraph:
-    edges = frozenset((i, j) for i in range(t) for j in range(i + 1, t))
-    return ClusterGraph(t, edges, {e: Fraction(1) for e in edges})
+    return ClusterGraph(t, {(i, j): Fraction(1) for i in range(t) for j in range(i + 1, t)})
 
 
 def test_trim_no_deletions_on_complete():
     result = trim_min_degree(full_cluster(12), 3, 0.5)
     assert result.success
     assert result.removed == ()
-    assert result.subgraph.t == 12
+    assert len(result.kept) == 12
 
 
 def test_trim_removes_isolated_vertex_first():
     base = full_cluster(12)
-    edges = frozenset((i + 1, j + 1) for i, j in base.edges)
-    cluster = ClusterGraph(13, edges, {e: Fraction(1) for e in edges})  # vertex 0 isolated
+    cluster = ClusterGraph(13, {(i + 1, j + 1): Fraction(1) for i, j in base.edges})  # vertex 0 isolated
     result = trim_min_degree(cluster, 3, 0.5)
     assert result.success
     assert result.removed[0] == 0
-    assert result.subgraph.t == 12
+    assert len(result.kept) == 12
 
 
 def test_trim_star_fails():
-    edges = frozenset((0, i) for i in range(1, 10))
-    star = ClusterGraph(10, edges, {e: Fraction(1) for e in edges})
+    star = ClusterGraph(10, {(0, i): Fraction(1) for i in range(1, 10)})
     result = trim_min_degree(star, 3, 0.3)
     assert not result.success
-    assert result.subgraph is None
 
 
 def test_trim_pads_to_divisibility():
     result = trim_min_degree(full_cluster(13), 3, 0.5)
     assert result.success
-    assert result.subgraph.t == 12
+    assert len(result.kept) == 12
     assert len(result.removed) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(cluster_graphs(max_t=10), st.data())
+def test_induced_cluster_edges_are_its_weight_keys(cluster, data):
+    keep = data.draw(st.lists(st.integers(0, max(cluster.t - 1, 0)), unique=True)) if cluster.t else []
+    sub = cluster.induced(keep)
+    assert sub.edges == set(sub.weights)
+    pos = {v: idx for idx, v in enumerate(sorted(keep))}
+    assert sub.edges == {(pos[i], pos[j]) for i, j in cluster.edges if i in pos and j in pos}
 
 
 def test_cluster_graph_validation():
     with pytest.raises(PreconditionError):
-        ClusterGraph(3, frozenset({(0, 1)}), {})
+        ClusterGraph(3, {(0, 3): Fraction(1)})
     with pytest.raises(PreconditionError):
-        ClusterGraph(3, frozenset({(0, 1)}), {(0, 1): Fraction(3, 2)})
+        ClusterGraph(3, {(0, 1): Fraction(3, 2)})
 
 
 def fraction_otsu_cut(counts: list[int]) -> int:

@@ -125,3 +125,21 @@ def test_package_modules_import_no_unused_name():
                 unused[f"{path.parent.name}/{path.name}"] = found
     assert len(TESTS) > 1
     assert unused == {}
+
+
+def test_edge_counts_are_recounted_never_stored():
+    """Edge counts come from the rows they count: no module assigns an ``edge_count`` attribute or names ``pair_edge_counts``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and any(
+                isinstance(part, ast.Attribute) and part.attr == "edge_count"
+                for target in targets
+                for part in ast.walk(target)
+            ):
+                found.append(f"{path.name}:{node.lineno} assigns edge_count")
+        if "pair_edge_counts" in _names(tree):
+            found.append(f"{path.name} names pair_edge_counts")
+    assert found == []
