@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.graph, encoding="utf-8") as handle:
                 graph = SimpleGraph.from_edge_list(handle.read())
             part = sparse_regular_partition(graph, args.eps, args.p, args.t0, args.max_t, RngStream(seed))
-            result = clean_partition(graph, part, args.eps, args.p, args.d, args.uniformity)
+            result = clean_partition(graph, part, args.d, args.uniformity)
             payload = {
                 "deleted_within": result.deleted_within,
                 "deleted_refuted": result.deleted_refuted,

@@ -2,12 +2,17 @@
 
 Embeddings are injective vertex maps realizing every template edge; host
 edges not demanded by the template are allowed (subgraph containment, not
-induced).  The kernel walks the template's :func:`reglab.counting.search_plan`
-depth first.  A position's candidates are its mask minus the hosts already
-used, intersected with the ``adj`` rows of its placed neighbours' images,
-tried in increasing order.  :func:`count_embeddings` takes a popcount at the
-last position; :func:`find_embedding`, :func:`iter_embeddings` and
-:func:`automorphisms` share one generator of full assignments in search order.
+induced).  One prologue, :func:`_plan_and_masks`, gives the template's
+:func:`reglab.counting.search_plan` and each position's candidate mask.  A
+pin is a one-vertex mask: template vertex v pinned to host h gets
+``mask & (1 << h)``, and the plan places pinned vertices first.  Two walks
+then go depth first over the plan from position 0 with every host free.  A
+position's candidates are its mask minus the hosts already used,
+intersected with the ``adj`` rows of its placed neighbours' images, tried in
+increasing order.  :func:`count_embeddings` takes a popcount at the last
+position; :func:`find_embedding`, :func:`iter_embeddings` and
+:func:`automorphisms` share one generator of full assignments in search
+order, which takes no pins.
 
 :func:`count_kcliques` is the exception: it takes the level route of
 :func:`reglab.counting.level_count`, which extends all partial copies one
@@ -37,48 +42,30 @@ from .counting import level_count, search_plan
 from .graphs import PatternGraph, SimpleGraph, iter_bits
 
 
-def _place_pins(
+def _plan_and_masks(
     graph: SimpleGraph,
     pattern: PatternGraph,
     masks: Sequence[int] | None,
-    pinned: dict[int, int] | None,
+    pinned: dict[int, int],
 ):
-    """Plan, per-position candidate masks and the state after the pins; ``None`` if a pin fails.
-
-    Each pin is checked exactly like a search step: it must lie in the
-    candidate set its position would have.
-    """
-    pinned = pinned or {}
+    """The search plan, ``pinned`` template vertices first, and each position's candidate mask."""
     plan = search_plan(pattern, tuple(pinned))
     full = (1 << graph.n) - 1
-    cands = [masks[v] if masks else full for v in plan.order]
-    assignment = [0] * pattern.k
-    free = -1
-    for t in range(len(pinned)):
-        host = pinned[plan.order[t]]
-        cand = cands[t] & free
-        for s in plan.back[t]:
-            cand &= graph.adj[assignment[s]]
-        if not cand >> host & 1:
-            return None
-        assignment[t] = host
-        free ^= 1 << host
-    return plan, cands, assignment, free
+    cands = []
+    for v in plan.order:
+        mask = masks[v] if masks else full
+        cands.append(mask & (1 << pinned[v]) if v in pinned else mask)
+    return plan, cands
 
 
 def _embeddings(
-    graph: SimpleGraph,
-    pattern: PatternGraph,
-    masks: Sequence[int] | None,
-    pinned: dict[int, int] | None,
+    graph: SimpleGraph, pattern: PatternGraph, masks: Sequence[int] | None
 ) -> Iterator[tuple[int, ...]]:
-    """Every embedding extending ``pinned``, as host vertices indexed by template vertex, in search order."""
-    state = _place_pins(graph, pattern, masks, pinned)
-    if state is None:
-        return
-    plan, cands, assignment, free = state
+    """Every embedding, as host vertices indexed by template vertex, in search order."""
+    plan, cands = _plan_and_masks(graph, pattern, masks, {})
     adj = graph.adj
     k = pattern.k
+    assignment = [0] * k
 
     def rec(t: int, free: int) -> Iterator[tuple[int, ...]]:
         if t == k:
@@ -96,21 +83,19 @@ def _embeddings(
             assignment[t] = v
             yield from rec(t + 1, free ^ (1 << v))
 
-    yield from rec(len(pinned or ()), free)
+    yield from rec(0, -1)
 
 
 def find_embedding(
     graph: SimpleGraph,
     pattern: PatternGraph,
     candidate_masks: list[int] | None = None,
-    fixed: dict[int, int] | None = None,
 ) -> tuple[int, ...] | None:
-    """First embedding found, as host vertices indexed by template vertex.
+    """First embedding found, as host vertices indexed by template vertex, or ``None``.
 
-    ``candidate_masks[i]`` restricts template vertex i to a host subset;
-    ``fixed`` pins template vertices to specific hosts.
+    ``candidate_masks[i]`` restricts template vertex i to a host subset.
     """
-    return next(_embeddings(graph, pattern, candidate_masks, fixed), None)
+    return next(_embeddings(graph, pattern, candidate_masks), None)
 
 
 def count_embeddings(
@@ -121,15 +106,13 @@ def count_embeddings(
 ) -> int:
     """Number of labelled embeddings (injective maps realizing all template edges).
 
-    Same arguments as :func:`find_embedding`.
+    ``candidate_masks[i]`` restricts template vertex i to a host subset;
+    ``fixed`` pins template vertices to hosts, each pin a one-vertex mask.
     """
-    state = _place_pins(graph, pattern, candidate_masks, fixed)
-    if state is None:
-        return 0
-    plan, cands, assignment, free = state
+    plan, cands = _plan_and_masks(graph, pattern, candidate_masks, fixed or {})
     adj = graph.adj
-    start = len(fixed or ())
     last = pattern.k - 1
+    assignment = [0] * pattern.k
 
     def rec(t: int, free: int) -> int:
         cand = cands[t] & free
@@ -145,9 +128,7 @@ def count_embeddings(
             total += rec(t + 1, free ^ (1 << v))
         return total
 
-    if start == pattern.k:
-        return 1
-    return rec(start, free)
+    return rec(0, -1)
 
 
 def iter_embeddings(
@@ -156,7 +137,7 @@ def iter_embeddings(
     candidate_masks: list[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every labelled embedding (host tuple indexed by template vertex)."""
-    yield from _embeddings(graph, pattern, candidate_masks, None)
+    yield from _embeddings(graph, pattern, candidate_masks)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +148,7 @@ def automorphisms(pattern: PatternGraph) -> tuple[tuple[int, ...], ...]:
     injectively into themselves, hence onto them, so it also keeps every
     non-edge and is an automorphism.
     """
-    return tuple(_embeddings(SimpleGraph.from_edges(pattern.k, pattern.edges), pattern, None, None))
+    return tuple(_embeddings(SimpleGraph.from_edges(pattern.k, pattern.edges), pattern, None))
 
 
 def automorphism_count(pattern: PatternGraph) -> int:

@@ -156,7 +156,7 @@ def _regularize(
 ) -> tuple[Partition, CleanResult, dict]:
     """Partition ``graph`` from ``stream``, clean it, and the flat stage record of both."""
     part = sparse_regular_partition(graph, epsilon, p, t0, max_t, stream, refuter_trials=refuter_trials)
-    cleaned = clean_partition(graph, part, epsilon, p, d, uniformity)
+    cleaned = clean_partition(graph, part, d, uniformity)
     verdicts = Counter(info.verdict.status for info in part.pair_info.values())
     stage = {
         "partition_t": part.t,

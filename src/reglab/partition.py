@@ -511,6 +511,10 @@ def _equalize_affinity(table: np.ndarray, atoms: list[list[int]], n: int) -> lis
     return [np.flatnonzero(member == idx).tolist() for idx in range(t)]
 
 
+#: Refinement rounds :func:`sparse_regular_partition` runs at most.
+MAX_ROUNDS = 12
+
+
 def sparse_regular_partition(
     graph: SimpleGraph,
     epsilon: float,
@@ -519,7 +523,6 @@ def sparse_regular_partition(
     max_t: int,
     rng: RngStream,
     refuter_trials: int = 32,
-    max_rounds: int = 12,
 ) -> Partition:
     """Equipartition with at most eps * t^2 refuted pairs, by iterated refinement.
 
@@ -546,7 +549,7 @@ def sparse_regular_partition(
     previous_energy: Fraction | None = None
 
     table = _row_table(graph)
-    for round_index in range(max_rounds):
+    for round_index in range(MAX_ROUNDS):
         part = evaluate_partition(
             graph,
             classes,
@@ -607,12 +610,12 @@ class CleanResult:
 def clean_partition(
     graph: SimpleGraph,
     part: Partition,
-    epsilon: float,
-    p: float,
     d: float,
     uniformity: float,
 ) -> CleanResult:
     """Drop within-class edges, refuted pairs, and pairs with fewer than d*p*|Vi||Vj| edges.
+
+    eps and p are the ones ``part`` was judged with.
 
     The surviving pairs become the cluster edges, weighted by
     min(e / (p |Vi||Vj|), 1).  Deletions are checked against the bound
@@ -620,6 +623,7 @@ def clean_partition(
     hold on this instance, and always against the edges the cleaned graph
     lost, recounted from the rows of both graphs.
     """
+    epsilon, p = part.epsilon, part.p
     if not 0.0 < p <= 1.0:
         raise PreconditionError(f"p must be in (0, 1], got {p}")
     classes = part.classes

@@ -68,6 +68,7 @@ from .graphs import (
     bitmask_of,
     leq_with_tolerance,
     pair_density,
+    rows_to_matrix,
     rows_to_words,
     set_counts,
     set_words,
@@ -154,9 +155,8 @@ def _exhaustive_candidates(graph: SimpleGraph, pair: VertexSetPair, s_u: int, s_
     positions that ``_extremal_completion`` picks.
     """
     nv = len(pair.V)
-    biadjacency = np.array(
-        [[row >> v & 1 for v in pair.V] for row in (graph.adj[u] for u in pair.U)], dtype=np.int64
-    )
+    u_rows = rows_to_matrix([graph.adj[u] for u in pair.U], graph.n, np.uint8)
+    biadjacency = u_rows[:, list(pair.V)].astype(np.int64)
     members, indicator = _subset_rows(len(pair.U), s_u)
     weights = indicator @ biadjacency
     largest = np.partition(weights, nv - s_v, axis=1)[:, nv - s_v:].sum(axis=1)

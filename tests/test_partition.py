@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reglab.partition import (
     ClusterGraph,
+    Partition,
     _equalize_affinity,
     _otsu_cuts,
     _row_table,
@@ -130,7 +131,7 @@ def test_partition_json_fields():
 def test_clean_keeps_dense_unrefuted_pairs():
     g = gnp(240, 0.5, RngStream(60).child(0))
     part = sparse_regular_partition(g, 0.3, 0.5, t0=4, max_t=8, rng=RngStream(60).child(1))
-    result = clean_partition(g, part, 0.3, 0.5, 0.05, 2.0)
+    result = clean_partition(g, part, 0.05, 2.0)
     # only within-class edges go
     assert result.deleted_refuted == 0
     assert result.deleted_sparse == 0
@@ -143,7 +144,7 @@ def test_clean_keeps_dense_unrefuted_pairs():
 def test_clean_drops_everything_when_threshold_high():
     g = gnp(80, 0.2, RngStream(61).child(0))
     part = sparse_regular_partition(g, 0.3, 0.2, t0=4, max_t=8, rng=RngStream(61).child(1))
-    result = clean_partition(g, part, 0.3, 0.2, 10.0, 2.0)  # d p n^2 above every count
+    result = clean_partition(g, part, 10.0, 2.0)  # d p n^2 above every count
     assert result.graph.edge_count == 0
     assert len(result.cluster.edges) == 0
 
@@ -151,16 +152,16 @@ def test_clean_drops_everything_when_threshold_high():
 @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
 def test_clean_rejects_p_outside_unit_interval(p):
     k22 = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    part = evaluate_partition(k22, [[0, 1], [2, 3]], 0.5, 0.5, RngStream(1))
+    part = Partition(classes=[[0, 1], [2, 3]], pair_info={}, energy=Fraction(0), epsilon=0.5, p=p)
     with pytest.raises(PreconditionError, match="p must be in"):
-        clean_partition(k22, part, 0.5, p, 0.1, 2.0)
+        clean_partition(k22, part, 0.1, 2.0)
 
 
 def test_clean_deletion_bound_measured():
     for seed in range(5):
         g = gnp(300, 0.2, RngStream(62).child(seed, 0))
         part = sparse_regular_partition(g, 0.25, 0.2, t0=4, max_t=16, rng=RngStream(62).child(seed, 1))
-        result = clean_partition(g, part, 0.25, 0.2, 0.05, 2.0)
+        result = clean_partition(g, part, 0.05, 2.0)
         if result.bound_inputs_hold:
             assert Fraction(result.deleted_total) <= result.deletion_bound
 
@@ -176,18 +177,18 @@ def test_reduced_weighted_graph_formula():
     quarters = [inside[:24], inside[24:], outside[:24], outside[24:]]
     cases = [
         # epsilon 1 leaves no proper witness, so the matching pair survives unrefuted
-        (matching, evaluate_partition(matching, halves, 1.0, 0.5, RngStream(63)), 0.5),
-        (matching, evaluate_partition(matching, halves, 0.5, 0.5, RngStream(63)), 0.5),
+        (matching, evaluate_partition(matching, halves, 1.0, 0.5, RngStream(63))),
+        (matching, evaluate_partition(matching, halves, 0.5, 0.5, RngStream(63))),
         # e / (p |Vi||Vj|) = 2, so the min saturates at weight 1
-        (saturated, evaluate_partition(saturated, [[0, 1], [2, 3]], 0.5, 0.5, RngStream(64)), 0.5),
+        (saturated, evaluate_partition(saturated, [[0, 1], [2, 3]], 0.5, 0.5, RngStream(64))),
         # pairs inside a block saturate, pairs across it are light or sparse
-        (blocks, evaluate_partition(blocks, quarters, 0.5, 0.3, RngStream(66)), 0.3),
+        (blocks, evaluate_partition(blocks, quarters, 0.5, 0.3, RngStream(66))),
     ]
     for d in (0.0, 0.05, 0.25):
         weights = []
-        for graph, part, p in cases:
-            cleaned = clean_partition(graph, part, part.epsilon, p, d, 2.0)
-            reference = reference_reduced_weighted_graph(cleaned.graph, part, p)
+        for graph, part in cases:
+            cleaned = clean_partition(graph, part, d, 2.0)
+            reference = reference_reduced_weighted_graph(cleaned.graph, part, part.p)
             pairs = [(i, j) for i in range(part.t) for j in range(part.t) if i != j]
             assert [cleaned.cluster.weight(i, j) for i, j in pairs] == [reference.weight(i, j) for i, j in pairs]
             weights.append(sorted({cleaned.cluster.weight(i, j) for i, j in pairs}))

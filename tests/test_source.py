@@ -143,3 +143,38 @@ def test_edge_counts_are_recounted_never_stored():
         if "pair_edge_counts" in _names(tree):
             found.append(f"{path.name} names pair_edge_counts")
     assert found == []
+
+
+def _own_nodes(function: ast.AST):
+    """The nodes of ``function``'s body, not descending into the functions it defines."""
+    for child in ast.iter_child_nodes(function):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def test_one_candidate_step_per_walk_in_the_search_kernel():
+    """Exactly two functions of ``embedding.py``, its two walks, intersect a candidate set with host ``adj`` rows.
+
+    Pins are one-vertex candidate masks, so no pin placement repeats the step.
+    """
+    path = Path(reglab.__file__).parent / "embedding.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    steppers = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = prefix + child.name
+                if any(
+                    isinstance(own, ast.AugAssign) and isinstance(own.op, ast.BitAnd)
+                    and isinstance(own.value, ast.Subscript) and "adj" in _names(own.value.value)
+                    for own in _own_nodes(child)
+                ):
+                    steppers.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    assert steppers == ["_embeddings.rec", "count_embeddings.rec"]
