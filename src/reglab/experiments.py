@@ -53,11 +53,11 @@ import numpy as np
 from .counting import canonical_count, gk_bruteforce
 from .embedding import (
     automorphism_count,
-    automorphisms,
     count_embeddings,
     count_embeddings_through_edge,
     count_kcliques,
     find_embedding,
+    iter_copies,
     iter_embeddings,
 )
 from .errors import BudgetError, PreconditionError, RejectionBudgetError, SoundnessError
@@ -421,14 +421,16 @@ def run_removal(
 def _break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph) -> tuple[SimpleGraph, int]:
     """Delete one edge from each copy of the template; returns the new graph and the deletion count.
 
-    The copies come in search order, and each copy whose edges are all still
-    present loses the image of its first template edge.  The search runs on
-    the rows it deletes from.  Edges are only removed, so a copy the live
-    rows prune had already lost an edge; a search over a snapshot of the
-    input rows would reach it later and reject it at the all-edges check.
-    That check stays, for copies whose candidate sets were taken before one
-    of their edges went.  So the same copies are broken, in the same order,
-    as when a snapshot is enumerated.
+    Each embedding yielded loses the image of its first template edge.  The
+    search runs on the rows it deletes from and resumes on them after each
+    yield (the :mod:`reglab.embedding` docstring gives the rule).  So it
+    yields exactly the embeddings that a search over a snapshot of the
+    input rows would reach with all their edges still present, in the same
+    order: one yield per deletion, and the same copies broken as by a loop
+    over the snapshot.  The all-edges check stays as a guard on that rule.
+    The copy-once walk would not shorten this loop: the live rows already
+    prune the other labellings of a broken copy, which all use the deleted
+    edge.
     """
     edges = pattern.sorted_edges()
     first_a, first_b = edges[0]
@@ -459,15 +461,13 @@ def _cluster_supported_count(
     in Aut(H) (the :mod:`reglab.embedding` docstring gives the bijection).
     Assignments are injective, so ``assign o s == assign`` only for the
     identity and each orbit has exactly |Aut(H)| members: the sum is
-    |Aut(H)| times the sum over the lexicographically least member of each
-    orbit.
+    |Aut(H)| times the sum over one member of each orbit, and ``iter_copies``
+    of the unmasked cluster graph yields exactly one.
     """
     masks = [bitmask_of(c) for c in part.classes]
-    auts = automorphisms(pattern)
-    return len(auts) * sum(
+    return automorphism_count(pattern) * sum(
         count_embeddings(graph, pattern, candidate_masks=[masks[c] for c in assign])
-        for assign in iter_embeddings(cluster.to_simple_graph(), pattern)
-        if all(assign <= tuple(assign[x] for x in perm) for perm in auts)
+        for assign in iter_copies(cluster.to_simple_graph(), pattern)
     )
 
 
@@ -479,8 +479,8 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
     cover is its own search, but its cliques come from the search kernel:
     each step covers the lowest uncovered vertex v with a clique of
     uncovered vertices through it, tried in lexicographic order.  v is the
-    least vertex of each such clique, so keeping the kernel's increasing
-    labellings keeps each clique once.
+    least vertex of each such clique, so the kernel's copy-once walk, which
+    gives K_k only its increasing labellings, yields each clique once.
     """
     t = cluster.t
     if k < 2:
@@ -500,12 +500,11 @@ def clique_factor(cluster: ClusterGraph, k: int) -> list[tuple[int, ...]] | None
             return False
         low = uncovered & -uncovered
         pool = graph.adj[low.bit_length() - 1] & uncovered
-        for clique in iter_embeddings(graph, complete_k, [low] + [pool] * (k - 1)):
-            if list(clique) == sorted(clique):
-                chosen.append(clique)
-                if rec(uncovered & ~bitmask_of(clique), chosen):
-                    return True
-                chosen.pop()
+        for clique in iter_copies(graph, complete_k, [low] + [pool] * (k - 1)):
+            chosen.append(clique)
+            if rec(uncovered & ~bitmask_of(clique), chosen):
+                return True
+            chosen.pop()
         dead.add(uncovered)
         return False
 

@@ -253,6 +253,12 @@ def partition_energy(edges: Sequence[Sequence[int]], sizes: Sequence[int], n: in
     return sum(Fraction(s2, size) for size, s2 in squares.items()) / (n * n * Fraction(p) ** 2)
 
 
+def _check_p(p: float) -> None:
+    """Raise ``PreconditionError`` unless 0 < p <= 1."""
+    if not 0.0 < p <= 1.0:
+        raise PreconditionError(f"p must be in (0, 1], got {p}")
+
+
 def evaluate_partition(
     graph: SimpleGraph,
     classes: list[list[int]],
@@ -263,6 +269,7 @@ def evaluate_partition(
     rounds: int = 0,
 ) -> Partition:
     """Attach pair edge counts, verdicts, and energy to the given classes."""
+    _check_p(p)
     padded = _padded(classes, graph.n)
     counts = _class_counts(_row_table(graph), padded)
     # e(V_i, V_j) sums the counts of V_i's rows; the padding row n adds zero
@@ -540,8 +547,7 @@ def sparse_regular_partition(
         raise PreconditionError(f"max_t = {max_t} is below t0 = {t0}")
     if graph.n < t0:
         raise PreconditionError(f"graph has {graph.n} vertices, fewer than t0 = {t0}")
-    if not 0.0 < p <= 1.0:
-        raise PreconditionError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
 
     perm = [int(v) for v in rng.child(0).np_rng().permutation(graph.n)]
     classes = equipartition_classes(perm, t0)
@@ -624,8 +630,7 @@ def clean_partition(
     lost, recounted from the rows of both graphs.
     """
     epsilon, p = part.epsilon, part.p
-    if not 0.0 < p <= 1.0:
-        raise PreconditionError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
     classes = part.classes
     t = len(classes)
     n = graph.n

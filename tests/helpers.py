@@ -529,14 +529,19 @@ def reference_host_peel(graph, target: float, max_removals: int):
     return sorted(alive), removed, achieved
 
 
+def reference_automorphisms(pattern: PatternGraph) -> list[tuple[int, ...]]:
+    """Aut(H) by a scan of all k! permutations."""
+    edges = set(pattern.edges)
+    return [
+        perm
+        for perm in permutations(range(pattern.k))
+        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges for a, b in edges)
+    ]
+
+
 def reference_automorphism_count(pattern: PatternGraph) -> int:
     """|Aut(H)| by a scan of all k! permutations, as ``embedding.automorphism_count`` once computed it."""
-    edges = set(pattern.edges)
-    total = 0
-    for perm in permutations(range(pattern.k)):
-        if all((min(perm[a], perm[b]), max(perm[a], perm[b])) in edges for a, b in edges):
-            total += 1
-    return total
+    return len(reference_automorphisms(pattern))
 
 
 def reference_count_through_edge(graph: SimpleGraph, pattern: PatternGraph, u: int, v: int) -> int:
@@ -578,16 +583,70 @@ def reference_count_kcliques(graph: SimpleGraph, k: int) -> int:
     return total
 
 
-def reference_break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph):
-    """The removal experiment's per-copy loop over a snapshot of the rows: returns ``(adj, deletions)``."""
-    from reglab.embedding import iter_embeddings
+def reference_embeddings(graph: SimpleGraph, pattern: PatternGraph, masks=None) -> list[tuple[int, ...]]:
+    """Every embedding in search order, by the recursive walk that the kernel's enumeration loop replaced.
 
+    Each position's candidates are its mask minus the used hosts,
+    intersected with the rows of its placed neighbours' images as they are
+    when the position is entered, and tried in increasing order.
+    """
+    from reglab.counting import search_plan
+
+    plan = search_plan(pattern, ())
+    full = (1 << graph.n) - 1
+    cands = [masks[v] if masks else full for v in plan.order]
+    adj = graph.adj
+    assignment = [0] * pattern.k
+    found = []
+
+    def rec(t: int, free: int) -> None:
+        if t == pattern.k:
+            result = [0] * pattern.k
+            for pos, v in enumerate(plan.order):
+                result[v] = assignment[pos]
+            found.append(tuple(result))
+            return
+        cand = cands[t] & free
+        for s in plan.back[t]:
+            cand &= adj[assignment[s]]
+        for v in iter_bits(cand):
+            assignment[t] = v
+            rec(t + 1, free ^ (1 << v))
+
+    rec(0, -1)
+    return found
+
+
+def reference_orbit_least(pattern: PatternGraph, embeddings) -> list[tuple[int, ...]]:
+    """The embeddings least in plan order among their Aut(H) orbit {f o s}, in their given order."""
+    from reglab.counting import search_plan
+
+    order = search_plan(pattern, ()).order
+    auts = reference_automorphisms(pattern)
+
+    def key(emb):
+        return tuple(emb[v] for v in order)
+
+    return [
+        emb for emb in embeddings
+        if all(key(emb) <= key(tuple(emb[perm[v]] for v in range(pattern.k))) for perm in auts)
+    ]
+
+
+def reference_break_surviving_copies(graph: SimpleGraph, pattern: PatternGraph, edge_of=None):
+    """The removal experiment's per-copy loop over a snapshot of the rows: returns ``(adj, deletions)``.
+
+    Each embedding of the snapshot enumeration whose edges are all still
+    present loses the image of template edge ``edge_of(emb)``, by default
+    the first template edge.
+    """
+    edges = pattern.sorted_edges()
     adj = list(graph.adj)
     deleted = 0
-    first_a, first_b = pattern.sorted_edges()[0]
-    for emb in iter_embeddings(graph, pattern):
-        if all(adj[emb[x]] >> emb[y] & 1 for x, y in pattern.sorted_edges()):
-            u, v = emb[first_a], emb[first_b]
+    for emb in reference_embeddings(graph, pattern):
+        if all(adj[emb[x]] >> emb[y] & 1 for x, y in edges):
+            a, b = edge_of(emb) if edge_of else edges[0]
+            u, v = emb[a], emb[b]
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
             deleted += 1

@@ -1,6 +1,7 @@
 """Subgraph search (the backtracking kernel) against networkx."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,21 +9,27 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from reglab import counting, embedding
 from reglab.embedding import (
+    automorphism_count,
     count_embeddings,
     count_embeddings_through_edge,
     count_kcliques,
     find_embedding,
+    iter_copies,
     iter_embeddings,
 )
-from reglab.graphs import PatternGraph, SimpleGraph
+from reglab.graphs import PatternGraph, SimpleGraph, bitmask_of
 from reglab.randgraph import RngStream, gnp
 
 from helpers import (
     ASYMMETRIC6,
+    graph_from_bool_matrix,
     patterns,
     reference_automorphism_count,
+    reference_break_surviving_copies,
     reference_count_kcliques,
     reference_count_through_edge,
+    reference_embeddings,
+    reference_orbit_least,
     simple_graphs,
 )
 
@@ -197,3 +204,86 @@ def test_plan_built_once_per_template_and_pins(monkeypatch):
         count_embeddings_through_edge(graph, pattern, 0, 1)
     assert len(calls) == len(set(calls)) == 1 + len(embedding.edge_orbits(pattern))
     counting.search_plan.cache_clear()
+
+
+#: Templates with nontrivial automorphism groups: K3, K4, C4, C5, K1,3 and 2K2.
+SYMMETRIC_TEMPLATES = {
+    "K3": PatternGraph.complete(3),
+    "K4": PatternGraph.complete(4),
+    "C4": PatternGraph.cycle(4),
+    "C5": PatternGraph.cycle(5),
+    "K1,3": PatternGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+    "2K2": PatternGraph.from_edges(4, [(0, 1), (2, 3)]),
+}
+
+#: About this many labelled copies are expected in a drawn host, so the recursive oracle stays quick.
+LABELLED_BUDGET = 2000
+
+
+@st.composite
+def symmetric_instances(draw, with_masks=False):
+    """A symmetric template, a random host of up to 200 vertices (rows of up to four words) and masks or None."""
+    pattern = draw(st.sampled_from(list(SYMMETRIC_TEMPLATES.values())))
+    n = draw(st.integers(pattern.k, 200))
+    scale = draw(st.floats(0.3, 1.5))
+    density = min(0.9, scale * (LABELLED_BUDGET / n**pattern.k) ** (1 / pattern.edge_count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    graph = graph_from_bool_matrix(upper | upper.T)
+    masks = None
+    if with_masks and draw(st.booleans()):
+        masks = [bitmask_of(np.flatnonzero(rng.random(n) < 0.8).tolist()) for _ in range(pattern.k)]
+    return graph, pattern, masks
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_instances(with_masks=True))
+def test_loop_walk_yields_the_recursive_walks_sequence(instance):
+    graph, pattern, masks = instance
+    expected = reference_embeddings(graph, pattern, masks)
+    assert list(iter_embeddings(graph, pattern, masks)) == expected
+    assert find_embedding(graph, pattern, masks) == (expected[0] if expected else None)
+    assert count_embeddings(graph, pattern, masks) == len(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_instances(with_masks=True))
+def test_copies_are_the_labellings_least_in_plan_order_among_their_orbit(instance):
+    graph, pattern, masks = instance
+    labelled = reference_embeddings(graph, pattern, masks)
+    copies = list(iter_copies(graph, pattern, masks))
+    assert copies == reference_orbit_least(pattern, labelled)
+    if masks is None:
+        assert len(labelled) == automorphism_count(pattern) * len(copies) == count_embeddings(graph, pattern)
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_instances(), st.booleans())
+def test_a_deleting_consumer_gets_the_snapshot_breakers_rows_and_one_yield_per_deletion(instance, first_edge):
+    """Deleting an edge of each copy while iterating: the first template edge, or one that depends on the copy."""
+    graph, pattern, _ = instance
+    edges = pattern.sorted_edges()
+
+    def edge_of(emb):
+        return edges[0] if first_edge else edges[sum(emb) % len(edges)]
+
+    expected_adj, expected_deleted = reference_break_surviving_copies(graph, pattern, edge_of)
+    working = SimpleGraph(graph.n, list(graph.adj))
+    adj = working.adj
+    yields = 0
+    for emb in iter_embeddings(working, pattern):
+        yields += 1
+        assert all(adj[emb[x]] >> emb[y] & 1 for x, y in edges)
+        a, b = edge_of(emb)
+        adj[emb[a]] &= ~(1 << emb[b])
+        adj[emb[b]] &= ~(1 << emb[a])
+    assert adj == expected_adj
+    assert yields == expected_deleted
+
+
+@pytest.mark.parametrize("pattern", SYMMETRIC_TEMPLATES.values(), ids=SYMMETRIC_TEMPLATES.keys())
+def test_automorphism_count_matches_networkx(pattern):
+    template = nx.Graph()
+    template.add_nodes_from(range(pattern.k))
+    template.add_edges_from(pattern.edges)
+    assert automorphism_count(pattern) == sum(1 for _ in GraphMatcher(template, template).isomorphisms_iter())

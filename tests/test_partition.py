@@ -157,6 +157,18 @@ def test_clean_rejects_p_outside_unit_interval(p):
         clean_partition(k22, part, 0.1, 2.0)
 
 
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+def test_evaluate_rejects_p_outside_unit_interval_before_any_verdict(p, monkeypatch):
+    import reglab.partition
+
+    judged = []
+    monkeypatch.setattr(reglab.partition, "pair_verdict", lambda *args, **kwargs: judged.append(args))
+    k22 = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(PreconditionError, match="p must be in"):
+        evaluate_partition(k22, [[0, 1], [2, 3]], 0.5, p, RngStream(1))
+    assert judged == []
+
+
 def test_clean_deletion_bound_measured():
     for seed in range(5):
         g = gnp(300, 0.2, RngStream(62).child(seed, 0))

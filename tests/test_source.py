@@ -154,9 +154,11 @@ def _own_nodes(function: ast.AST):
 
 
 def test_one_candidate_step_per_walk_in_the_search_kernel():
-    """Exactly two functions of ``embedding.py``, its two walks, intersect a candidate set with host ``adj`` rows.
+    """Exactly two functions of ``embedding.py``, its two walks, intersect a candidate set with host rows.
 
-    Pins are one-vertex candidate masks, so no pin placement repeats the step.
+    A host row is read from ``adj``, or from the enumeration walk's
+    ``rows``, which holds the ``adj`` rows of its placed hosts.  Pins are
+    one-vertex candidate masks, so no pin placement repeats the step.
     """
     path = Path(reglab.__file__).parent / "embedding.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -168,7 +170,7 @@ def test_one_candidate_step_per_walk_in_the_search_kernel():
                 name = prefix + child.name
                 if any(
                     isinstance(own, ast.AugAssign) and isinstance(own.op, ast.BitAnd)
-                    and isinstance(own.value, ast.Subscript) and "adj" in _names(own.value.value)
+                    and isinstance(own.value, ast.Subscript) and {"adj", "rows"} & _names(own.value.value)
                     for own in _own_nodes(child)
                 ):
                     steppers.append(name)
@@ -177,4 +179,4 @@ def test_one_candidate_step_per_walk_in_the_search_kernel():
                 visit(child, prefix)
 
     visit(tree, "")
-    assert steppers == ["_embeddings.rec", "count_embeddings.rec"]
+    assert steppers == ["_embeddings", "count_embeddings"]
