@@ -8,14 +8,12 @@ value, an unreadable input path and malformed input JSON; 3 budget error;
 4 theorem-check failure in an experiment report; 5 soundness error, an
 internal cross-check that failed (a bug, never a property of the input).
 
-Checked ranges: every ``--eps``, the experiment ``--eta`` and the
-``gen class`` ``--p`` lie in (0, 1]; ``--trials``, ``--refuter-trials``,
-the experiment ``--N``, ``--k``, ``--n`` and ``--m`` and the ``gen class``
-``--n`` are >= 1; the ``gen class`` ``--m``, the experiment ``--delta``,
-``--d`` and ``--gamma`` and the ``clean`` ``--d`` and ``--uniformity`` are
->= 0; the ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``;
-the experiment ``--rho`` is an exact decimal or fraction with a nonzero
-denominator.
+Checked ranges: every ``--eps`` and the ``gen class`` ``--p`` lie in (0, 1];
+``--refuter-trials`` and the ``gen class`` ``--n`` are >= 1; the ``gen class``
+``--m`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
+``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.  Each
+``experiment <name>`` flag states its meaning and range in ``EXPERIMENTS``
+and in ``reglab experiment <name> --help``.
 """
 
 from __future__ import annotations
@@ -106,6 +104,40 @@ def _load_pattern(path: str) -> PatternGraph:
         return PatternGraph.from_json(handle.read())
 
 
+#: Experiment flags, each as (option, runner keyword, parse type with its range, default, help).
+PATTERN = ("--pattern", "pattern", str, None, "template JSON path (default: a triangle)")
+HOST_N = ("--N", "host_n", parse_positive_int, 800, "vertices of the host G(N, p), >= 1")
+HOST_P = ("--p", "p", parse_unit_interval, 0.1, "edge probability of the host G(N, p), in (0, 1]")
+TRIALS = ("--trials", "trials", parse_positive_int, 10, "independent trials, >= 1")
+CLIQUE_K = ("--k", "k", parse_positive_int, 3, "clique size k, >= 1")
+GAMMA = ("--gamma", "gamma", parse_nonnegative, 0.25, "slack gamma of the min-degree premise, >= 0")
+ETA = ("--eta", "eta", parse_unit_interval, 0.3, "class size ceil(eta N) as a fraction of N, in (0, 1]")
+FLOOR_D = ("--d", "d", parse_nonnegative, 0.25, "skip trials with a pair below d p n^2 edges, >= 0")
+RATIO_DELTA = ("--delta", "delta", parse_nonnegative, 0.15, "allowed deviation of the count ratio from 1, >= 0")
+EPSILON = ("--eps", "epsilon", parse_unit_interval, 0.25, "regularity parameter eps, in (0, 1]")
+BUDGET_DELTA = ("--delta", "delta", parse_nonnegative, 0.15, "deletion budget delta p N^2, >= 0")
+COPY_EPS = ("--eps", "eps_copies", parse_unit_interval, 0.25,
+            "copy fraction: the subgraph has at most eps p^e(H) N^v(H) copies, in (0, 1]")
+RHO = ("--rho", "rho", parse_fraction, "0.9", "relative density rho, an exact decimal or fraction in [0, 1]")
+CLIQUE_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "slack below g_hat(rho) in the clique bound, in (0, 1]")
+TURAN_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "edge fraction slack above the Turan fraction, in (0, 1]")
+PART_N = ("--n", "n", parse_positive_int, 6, "part size n, >= 1")
+PAIR_M = ("--m", "m", parse_positive_int, 12, "edges per template pair m, >= 1")
+CLASS_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "regularity parameter eps, in (0, 1]")
+
+#: experiment -> (name of its runner in ``reglab.experiments``, the flags it reads).  The
+#: runner is looked up by name when it is called, so a wrapper patched onto the module runs.
+EXPERIMENTS = {
+    "counting": ("run_counting", (PATTERN, HOST_N, HOST_P, ETA, FLOOR_D, RATIO_DELTA, EPSILON, TRIALS)),
+    "removal": ("run_removal", (PATTERN, HOST_N, HOST_P, BUDGET_DELTA, COPY_EPS, TRIALS)),
+    "cliquedensity": ("run_clique_density", (CLIQUE_K, HOST_N, HOST_P, RHO, CLIQUE_EPS, TRIALS)),
+    "packing": ("run_packing", (CLIQUE_K, HOST_N, HOST_P, GAMMA, TRIALS)),
+    "aes": ("run_partite_stability", (PATTERN, HOST_N, HOST_P, GAMMA, TRIALS)),
+    "turan": ("run_turan", (PATTERN, HOST_N, HOST_P, TURAN_EPS, TRIALS)),
+    "classprobe": ("probe_copy_free_class", (PATTERN, PART_N, PAIR_M, CLASS_EPS, TRIALS)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reglab")
     parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: REGLAB_SEED)")
@@ -156,54 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     sched_cmd.add_argument("--ratio", type=parse_probability, required=True)
 
     exp_cmd = sub.add_parser("experiment", help="run a named experiment")
-    exp_cmd.add_argument("name", choices=(
-        "counting", "removal", "cliquedensity", "packing", "aes", "turan", "classprobe",
-    ))
-    exp_cmd.add_argument("--pattern", default=None, help="pattern JSON path (defaults to a triangle)")
-    exp_cmd.add_argument("--N", type=parse_positive_int, default=800)
-    exp_cmd.add_argument("--n", type=parse_positive_int, default=6, help="part size (classprobe)")
-    exp_cmd.add_argument("--m", type=parse_positive_int, default=12, help="edges per pair (classprobe)")
-    exp_cmd.add_argument("--p", type=parse_probability, default=0.1)
-    exp_cmd.add_argument("--eps", type=parse_unit_interval, default=0.25)
-    exp_cmd.add_argument("--delta", type=parse_nonnegative, default=0.15)
-    exp_cmd.add_argument("--d", type=parse_nonnegative, default=0.25)
-    exp_cmd.add_argument("--eta", type=parse_unit_interval, default=0.3)
-    exp_cmd.add_argument("--gamma", type=parse_nonnegative, default=0.25)
-    exp_cmd.add_argument("--rho", type=parse_fraction, default="0.9")
-    exp_cmd.add_argument("--k", type=parse_positive_int, default=3)
-    exp_cmd.add_argument("--trials", type=parse_positive_int, default=10)
+    exp_sub = exp_cmd.add_subparsers(dest="name", required=True)
+    for name, (_, flags) in EXPERIMENTS.items():
+        # no abbreviations: removal would otherwise read --d as its --delta
+        name_cmd = exp_sub.add_parser(name, allow_abbrev=False)
+        for option, keyword, parse, default, text in flags:
+            name_cmd.add_argument(option, dest=keyword, type=parse, default=default, help=text)
 
     return parser
-
-
-def _run_experiment(args, rng: RngStream):
-    pattern = _load_pattern(args.pattern) if args.pattern else PatternGraph.complete(3)
-    name = args.name
-    if name == "counting":
-        return experiments.run_counting(
-            pattern, args.N, args.p, args.eta, args.d, args.delta, args.trials, rng, epsilon=args.eps
-        )
-    if name == "removal":
-        return experiments.run_removal(
-            pattern, args.N, args.p, args.delta, args.eps, rng, trials=args.trials
-        )
-    if name == "cliquedensity":
-        return experiments.run_clique_density(
-            args.k, args.N, args.p, args.rho, args.eps, rng, trials=args.trials
-        )
-    if name == "packing":
-        return experiments.run_packing(args.k, args.N, args.p, args.gamma, rng, trials=args.trials)
-    if name == "aes":
-        return experiments.run_partite_stability(
-            pattern, args.N, args.p, args.gamma, rng, trials=args.trials
-        )
-    if name == "turan":
-        return experiments.run_turan(pattern, args.N, args.p, args.eps, rng, trials=args.trials)
-    if name == "classprobe":
-        return experiments.probe_copy_free_class(
-            pattern, args.n, args.m, args.eps, args.trials, rng
-        )
-    raise PreconditionError(f"unknown experiment {name!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -268,8 +260,13 @@ def main(argv: list[str] | None = None) -> int:
             }
             _write_out(args, json.dumps(payload) + "\n")
         elif args.command == "experiment":
-            seed = _seed_from(args)
-            report = _run_experiment(args, RngStream(seed))
+            rng = RngStream(_seed_from(args))
+            runner, flags = EXPERIMENTS[args.name]
+            kwargs = {keyword: getattr(args, keyword) for _, keyword, *_ in flags}
+            if "pattern" in kwargs:
+                path = kwargs["pattern"]
+                kwargs["pattern"] = _load_pattern(path) if path else PatternGraph.complete(3)
+            report = getattr(experiments, runner)(**kwargs, rng=rng)
             text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
             _write_out(args, text)
             if not report.aggregate.get("passed", True):

@@ -127,7 +127,7 @@ class SearchPlan:
 
 
 @lru_cache(maxsize=None)
-def search_plan(pattern: PatternGraph, pinned: tuple[int, ...] = ()) -> SearchPlan:
+def search_plan(pattern: PatternGraph, pinned: tuple[int, ...]) -> SearchPlan:
     """The cached plan for ``pattern`` with the ``pinned`` vertices placed first, in order."""
     order = tuple(greedy_order(pattern, pinned))
     back = tuple(
@@ -224,7 +224,7 @@ def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n
     for every template.  A frontier of partial copies holds one numpy column
     of host indices per placed position.
     """
-    plan = search_plan(pattern)
+    plan = search_plan(pattern, ())
     last = pattern.k - 1
     tables = {
         (s, t): rows_to_words(rows[(plan.order[s], v)], n)

@@ -345,7 +345,7 @@ def run_removal(
     delta: float,
     eps_copies: float,
     rng: RngStream,
-    trials: int = 20,
+    trials: int,
     t0: int = 8,
     max_t: int = 32,
     epsilon: float = 0.3,
@@ -624,7 +624,7 @@ def run_packing(
     p: float,
     gamma: float,
     rng: RngStream,
-    trials: int = 10,
+    trials: int,
     pass_fraction: float = 0.8,
     **pipeline_kwargs,
 ) -> ExperimentReport:
@@ -676,7 +676,7 @@ def run_clique_density(
     rho: float | Fraction,
     eps: float,
     rng: RngStream,
-    trials: int = 5,
+    trials: int,
     oracle_n: int = 6,
     t0: int = 6,
     max_t: int = 24,
@@ -815,7 +815,7 @@ def run_partite_stability(
     p: float,
     gamma: float,
     rng: RngStream,
-    trials: int = 10,
+    trials: int,
     perturb_fraction: float = 0.0,
     t0: int = 6,
     max_t: int = 20,
@@ -930,7 +930,7 @@ def run_turan(
     p: float,
     eps: float,
     rng: RngStream,
-    trials: int = 10,
+    trials: int,
 ) -> ExperimentReport:
     """Subgraphs above the Turan fraction contain the template.
 

@@ -1,7 +1,7 @@
-"""Golden reports of ``reglab experiment`` at tiny sizes, and the exit-code table.
+"""Golden reports of ``reglab experiment`` at tiny sizes, the flags each experiment reads, and the exit-code table.
 
-Every golden case passes all experiment parameters explicitly, so a change
-of a CLI default does not change what it runs.  Each case runs twice: both
+Every golden case passes all the flags its experiment reads explicitly, so a
+change of a CLI default does not change what it runs.  Each case runs twice: both
 reports must be byte-identical and match the recorded digest.
 """
 
@@ -13,23 +13,36 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reglab
-from reglab import cli
+from reglab import cli, experiments
 from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 from reglab.errors import SoundnessError
-from reglab.graphs import SimpleGraph
+from reglab.experiments import ExperimentReport
+from reglab.graphs import PatternGraph, SimpleGraph
+from reglab.randgraph import RngStream
 
 TRIANGLE = '{"k": 3, "edges": [[1, 2], [1, 3], [2, 3]]}\n'
 
-PARAMS = [
-    "--N", "60", "--n", "6", "--m", "12", "--p", "0.3", "--eps", "0.25", "--delta", "0.15",
-    "--d", "0.25", "--eta", "0.3", "--gamma", "0.25", "--rho", "0.9", "--k", "3", "--trials", "2",
-]
+#: experiment -> argv of its golden case: every flag it reads, "{pattern}" the triangle's path
+GOLDEN_ARGV = {
+    "counting": [
+        "--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--eta", "0.3", "--d", "0.25", "--delta", "0.15",
+        "--eps", "0.25", "--trials", "2",
+    ],
+    "removal": [
+        "--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--delta", "0.15", "--eps", "0.25", "--trials", "2",
+    ],
+    "cliquedensity": ["--k", "3", "--N", "60", "--p", "0.3", "--rho", "0.9", "--eps", "0.25", "--trials", "2"],
+    "packing": ["--k", "3", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2"],
+    "aes": ["--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2"],
+    "turan": ["--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--eps", "0.25", "--trials", "2"],
+}
 
 #: experiment -> (exit code, sha256 of the JSON report)
 GOLDEN = {
@@ -47,8 +60,8 @@ def run_golden(name: str, tmp_path, run: int, fmt: str = "json") -> tuple[int, b
     pattern = tmp_path / "triangle.json"
     pattern.write_text(TRIANGLE, encoding="utf-8")
     out = tmp_path / f"{name}-{run}.{fmt}"
-    argv = ["--seed", "1", "--format", fmt, "--out", str(out), "experiment", name,
-            "--pattern", str(pattern), *PARAMS]
+    params = [arg.format(pattern=pattern) for arg in GOLDEN_ARGV[name]]
+    argv = ["--seed", "1", "--format", fmt, "--out", str(out), "experiment", name, *params]
     return main(argv), out.read_bytes()
 
 
@@ -72,6 +85,90 @@ def test_csv_report_has_one_row_per_trial_under_the_json_trial_keys(tmp_path):
     assert rows[0] == ["trial"] + sorted(set().union(*trials))
     assert [row[0] for row in rows[1:]] == [str(index) for index in range(len(trials))]
     assert len(trials) == 2
+
+
+#: experiment -> (its runner in ``reglab.experiments``, each flag it reads -> the runner keyword it sets)
+READ_FLAGS = {
+    "counting": ("run_counting", {
+        "--pattern": "pattern", "--N": "host_n", "--p": "p", "--eta": "eta", "--d": "d", "--delta": "delta",
+        "--eps": "epsilon", "--trials": "trials",
+    }),
+    "removal": ("run_removal", {
+        "--pattern": "pattern", "--N": "host_n", "--p": "p", "--delta": "delta", "--eps": "eps_copies",
+        "--trials": "trials",
+    }),
+    "cliquedensity": ("run_clique_density", {
+        "--k": "k", "--N": "host_n", "--p": "p", "--rho": "rho", "--eps": "eps", "--trials": "trials",
+    }),
+    "packing": ("run_packing", {"--k": "k", "--N": "host_n", "--p": "p", "--gamma": "gamma", "--trials": "trials"}),
+    "aes": ("run_partite_stability", {
+        "--pattern": "pattern", "--N": "host_n", "--p": "p", "--gamma": "gamma", "--trials": "trials",
+    }),
+    "turan": ("run_turan", {"--pattern": "pattern", "--N": "host_n", "--p": "p", "--eps": "eps", "--trials": "trials"}),
+    "classprobe": ("probe_copy_free_class", {
+        "--pattern": "pattern", "--n": "n", "--m": "m", "--eps": "eps", "--trials": "trials",
+    }),
+}
+
+C5 = '{"k": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}\n'
+
+#: experiment flag -> (argv value, the value the runner receives), none of them a default
+FLAG_VALUES = {
+    "--pattern": ("{pattern}", PatternGraph.from_json(C5)),
+    "--N": ("61", 61),
+    "--n": ("7", 7),
+    "--m": ("13", 13),
+    "--p": ("0.35", 0.35),
+    "--eps": ("0.45", 0.45),
+    "--delta": ("0.17", 0.17),
+    "--d": ("0.27", 0.27),
+    "--eta": ("0.31", 0.31),
+    "--gamma": ("0.29", 0.29),
+    "--rho": ("7/8", Fraction(7, 8)),
+    "--k": ("4", 4),
+    "--trials": ("3", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_FLAGS))
+def test_experiment_accepts_exactly_the_flags_its_runner_reads(name, tmp_path, monkeypatch):
+    """Each read flag reaches its runner keyword; any other experiment flag exits 2 before the runner."""
+    assert sum(len(flags) for _, flags in READ_FLAGS.values()) == 40
+    runner, flags = READ_FLAGS[name]
+    calls = []
+
+    def recording_runner(*args, **kwargs):
+        calls.append(kwargs)
+        return ExperimentReport(name, {}, 1, [], {}, [])
+
+    monkeypatch.setattr(experiments, runner, recording_runner)
+    pattern = tmp_path / "c5.json"
+    pattern.write_text(C5, encoding="utf-8")
+    head = ["--seed", "1", "--out", str(tmp_path / "out.json"), "experiment", name]
+    argv = [arg.format(pattern=pattern) for flag in flags for arg in (flag, FLAG_VALUES[flag][0])]
+    assert main(head + argv) == EXIT_OK
+    rng = calls[0].pop("rng")
+    assert isinstance(rng, RngStream)
+    assert calls == [{keyword: FLAG_VALUES[flag][1] for flag, keyword in flags.items()}]
+    for flag in sorted(set(FLAG_VALUES) - set(flags)):
+        value = FLAG_VALUES[flag][0].format(pattern=pattern)
+        assert main(head + argv + [flag, value]) == EXIT_USAGE, flag
+    assert len(calls) == 1
+
+
+def test_cli_looks_up_the_runner_when_it_calls_it(tmp_path, monkeypatch):
+    """A wrapper patched onto ``reglab.experiments`` after import is the runner that runs."""
+    calls = []
+    real = experiments.run_turan
+
+    def recording_turan(**kwargs):
+        calls.append(sorted(kwargs))
+        return real(**kwargs)
+
+    monkeypatch.setattr(experiments, "run_turan", recording_turan)
+    code, report = run_golden("turan", tmp_path, 0)
+    assert calls == [["eps", "host_n", "p", "pattern", "rng", "trials"]]
+    assert (code, hashlib.sha256(report).hexdigest()) == GOLDEN["turan"]
 
 
 #: Stage fields of ``experiments._regularize`` that no trial record carried before it.
@@ -354,6 +451,7 @@ EXIT_CODES = {
         ["experiment", "removal", "--pattern", "{edgeless_pattern}", "--N", "30", "--trials", "1"], EXIT_USAGE,
     ),
     "cliquedensity_p_zero": (["experiment", "cliquedensity", "--N", "30", "--p", "0", "--trials", "1"], EXIT_USAGE),
+    "turan_p_zero": (["experiment", "turan", "--N", "30", "--p", "0", "--trials", "1"], EXIT_USAGE),
     "counting_N_zero": (["experiment", "counting", "--N", "0", "--trials", "1"], EXIT_USAGE),
     "eta_zero": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "0"], EXIT_USAGE),
     "eta_above_one": (["experiment", "counting", "--N", "30", "--trials", "1", "--eta", "1.5"], EXIT_USAGE),

@@ -199,9 +199,12 @@ def test_plan_built_once_per_template_and_pins(monkeypatch):
     counting.search_plan.cache_clear()
     graph = SimpleGraph.complete(6)
     pattern = PatternGraph.cycle(4)
+    rows = {(a, b): graph.adj for edge in pattern.edges for a, b in (edge, edge[::-1])}
     for _ in range(3):
         assert count_embeddings(graph, pattern) == 6 * 5 * 4 * 3
         count_embeddings_through_edge(graph, pattern, 0, 1)
+        # the level route counts homomorphisms: the closed 4-walks of K6, 5^4 + 5
+        assert counting.level_count(pattern, rows, graph.n) == 630
     assert len(calls) == len(set(calls)) == 1 + len(embedding.edge_orbits(pattern))
     counting.search_plan.cache_clear()
 
