@@ -10,8 +10,8 @@ internal cross-check that failed (a bug, never a property of the input).
 
 Checked ranges: every ``--eps`` and the ``gen class`` ``--p`` lie in (0, 1];
 ``--refuter-trials`` and the ``gen class`` ``--n`` are >= 1; the ``gen class``
-``--m`` and the ``clean`` ``--d`` and ``--uniformity`` are >= 0; the
-``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.  Each
+``--m`` is >= 0; the ``clean`` ``--d`` and ``--uniformity`` are finite and
+>= 0; the ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.  Each
 ``experiment <name>`` flag states its meaning and range in ``EXPERIMENTS``
 and in ``reglab experiment <name> --help``.
 """
@@ -19,7 +19,9 @@ and in ``reglab experiment <name> --help``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -61,10 +63,18 @@ def parse_unit_interval(text: str) -> float:
 
 
 def parse_nonnegative(text: str) -> float:
-    """A number >= 0 (NaN rejected), such as a tolerance or a density floor."""
+    """A finite number >= 0 (NaN and infinity rejected), such as a tolerance or a density floor."""
     value = parse_probability(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
+def parse_closed_unit_interval(text: str) -> float:
+    """A number in [0, 1], such as a slack gamma that is vacuous above 1."""
+    value = parse_probability(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return value
 
 
@@ -110,7 +120,7 @@ HOST_N = ("--N", "host_n", parse_positive_int, 800, "vertices of the host G(N, p
 HOST_P = ("--p", "p", parse_unit_interval, 0.1, "edge probability of the host G(N, p), in (0, 1]")
 TRIALS = ("--trials", "trials", parse_positive_int, 10, "independent trials, >= 1")
 CLIQUE_K = ("--k", "k", parse_positive_int, 3, "clique size k, >= 1")
-GAMMA = ("--gamma", "gamma", parse_nonnegative, 0.25, "slack gamma of the min-degree premise, >= 0")
+GAMMA = ("--gamma", "gamma", parse_closed_unit_interval, 0.25, "slack gamma of the min-degree premise, in [0, 1]")
 ETA = ("--eta", "eta", parse_unit_interval, 0.3, "class size ceil(eta N) as a fraction of N, in (0, 1]")
 FLOOR_D = ("--d", "d", parse_nonnegative, 0.25, "skip trials with a pair below d p n^2 edges, >= 0")
 RATIO_DELTA = ("--delta", "delta", parse_nonnegative, 0.15, "allowed deviation of the count ratio from 1, >= 0")
@@ -198,10 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``: built on its first call, not at import, and reused by every later call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

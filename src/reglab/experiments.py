@@ -697,6 +697,8 @@ def run_clique_density(
     args = dict(locals())
     if k not in (3, 4):
         raise PreconditionError("desk-scale clique-density experiment supports k in {3, 4}")
+    if host_n < 2:
+        raise PreconditionError(f"clique-density experiment needs N >= 2 for an edge slot, got {host_n}")
     if not 0.0 < p <= 1.0:
         raise PreconditionError(f"clique-density experiment needs p in (0, 1], got {p}")
     rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho)

@@ -1,12 +1,28 @@
-"""Golden reports of ``reglab experiment`` at tiny sizes, the flags each experiment reads, and the exit-code table.
+"""CLI outputs pinned as golden files, the flags each experiment reads, and the exit-code table.
 
-Every golden case passes all the flags its experiment reads explicitly, so a
-change of a CLI default does not change what it runs.  Each case runs twice: both
-reports must be byte-identical and match the recorded digest.
+Golden files.  ``GOLDEN_CASES`` names each file under ``tests/golden/`` with the argv
+that writes it and the exit code that argv returns.  The test runs each case twice
+with ``--seed 1``; both runs must return the code and write exactly what the file
+holds.  Every experiment case passes all the flags its experiment reads explicitly,
+so a change of a CLI default does not change what it runs.
+
+- Storage: a ``.json`` golden holds the output pretty-printed,
+  ``json.dumps(obj, indent=1)`` plus a newline, so ``git diff`` shows each changed
+  value on its own line.  Any other golden (edge list, CSV, bare ``m2`` value) holds
+  the output byte for byte.
+- Comparison: exact bytes.  A JSON output must equal the golden re-serialised
+  compactly, ``json.dumps(json.loads(golden)) + "\\n"``; ``json.loads`` keeps key
+  order and float reprs round-trip, so this is the same check as a digest of the
+  output.
+- Update: on a mismatch the test fails with a unified diff of the golden against
+  the new output in the golden's form, which it writes to pytest's ``tmp_path`` and
+  names.  Copying that file over the golden accepts the change; a change that moves
+  a golden says why in CHANGES.md.  A new case is one ``GOLDEN_CASES`` row: its
+  first run fails with every line added and writes the file to copy.
 """
 
 import csv
-import hashlib
+import difflib
 import io
 import json
 import math
@@ -14,6 +30,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -28,63 +45,239 @@ from reglab.graphs import PatternGraph, SimpleGraph
 from reglab.randgraph import RngStream
 
 TRIANGLE = '{"k": 3, "edges": [[1, 2], [1, 3], [2, 3]]}\n'
+C5 = '{"k": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}\n'
 
-#: experiment -> argv of its golden case: every flag it reads, "{pattern}" the triangle's path
-GOLDEN_ARGV = {
-    "counting": [
-        "--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--eta", "0.3", "--d", "0.25", "--delta", "0.15",
+
+def multipartite(k: int, edges, n: int) -> str:
+    """Multipartite JSON of the template on ``k`` vertices with 0-based ``edges`` (i, j), i < j, on parts of ``n``.
+
+    Pair (i, j) joins u and v iff (u (i+2) + v (j+3) + i j) mod 5 < 3.
+    """
+    edges = list(edges)
+    pairs = {
+        f"{i + 1}-{j + 1}": [[u, v] for u in range(n) for v in range(n) if (u * (i + 2) + v * (j + 3) + i * j) % 5 < 3]
+        for i, j in edges
+    }
+    pattern = {"k": k, "edges": [[i + 1, j + 1] for i, j in edges]}
+    return json.dumps({"pattern": pattern, "part_size": n, "pairs": pairs}) + "\n"
+
+
+def multipartite_k2(pairs: str) -> str:
+    """Multipartite JSON of one 2-vertex pair with part size 2 and the given ``pairs`` entry."""
+    return f'{{"pattern": {{"k": 2, "edges": [[1, 2]]}}, "part_size": 2, "pairs": {{"1-2": {pairs}}}}}\n'
+
+
+def planted_blocks(n: int, blocks: int, p_in: float, p_out: float, seed: int) -> SimpleGraph:
+    """A planted-block host: vertex labels and edges drawn from ``np.random.default_rng(seed)``."""
+    gen = np.random.default_rng(seed)
+    labels = gen.permutation(np.arange(n) % blocks)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    u, v = np.nonzero(np.triu(gen.random((n, n)) < prob, 1))
+    return SimpleGraph.from_edges(n, zip(u.tolist(), v.tolist()))
+
+
+#: placeholder -> text of the input file that it names in GOLDEN_CASES and EXIT_CODES
+INPUT_FILES = {
+    "triangle": TRIANGLE,
+    "c5": C5,
+    "graph": SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list(),
+    # both part sizes leave padding bits in the packed rows, and both clique counts
+    # span several frontier chunks; C4 takes the matrix route, cliques the level route
+    "k3_parts_70": multipartite(3, combinations(range(3), 2), 70),
+    "k4_parts_37": multipartite(4, combinations(range(4), 2), 37),
+    "c4_parts_37": multipartite(4, [(0, 1), (1, 2), (2, 3), (0, 3)], 37),
+    # refined with classes of at most 12 vertices through four rounds, so every
+    # verdict is an exhaustive scan
+    "blocks_exhaustive": planted_blocks(120, 4, 0.3, 0.05, 120).to_edge_list(),
+    # refined with classes of 34-67 vertices through three rounds of sampled refutation
+    "blocks_sampled": planted_blocks(200, 3, 0.7, 0.1, 200).to_edge_list(),
+    "bad_pattern": '{"k": 3}\n',
+    "edgeless_pattern": '{"k": 3, "edges": []}\n',
+    "bad_multipartite": multipartite_k2('[["a", 1]]'),
+    "float_multipartite": multipartite_k2("[[0.5, 1]]"),
+    "integral_float_multipartite": multipartite_k2("[[0, 1], [1.0, 0]]"),
+    "string_multipartite": multipartite_k2('[[0, 1], ["1", "0"]]'),
+    "short_edge_line": "vertices 3\nedge 1\n",
+    "bare_vertices": "vertices\nedge 0 1\n",
+    "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
+    "second_vertices": "vertices 3\nedge 0 1\nvertices 4\n",
+    "non_integer_field": "vertices 8\nedge 0 x\n",
+}
+
+
+def run_cli(template: list[str], tmp_path: Path, out: Path) -> int:
+    """Exit code of ``reglab --seed 1 --out <out>`` on ``template``.
+
+    ``{dir}`` in ``template`` is ``tmp_path``; any other ``{name}`` is the path of a
+    file, written under ``tmp_path``, that holds ``INPUT_FILES[name]``.
+    """
+    paths = {"dir": tmp_path}
+    for name, text in INPUT_FILES.items():
+        if any("{" + name + "}" in arg for arg in template):
+            paths[name] = tmp_path / f"{name}.input"
+            paths[name].write_text(text, encoding="utf-8")
+    return main(["--seed", "1", "--out", str(out)] + [arg.format(**paths) for arg in template])
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: golden file under GOLDEN_DIR -> (argv after ``--seed 1 --out``, exit code)
+GOLDEN_CASES = {
+    "counting.json": ([
+        "experiment", "counting", "--pattern", "{triangle}", "--N", "60", "--p", "0.3", "--eta", "0.3", "--d", "0.25",
+        "--delta", "0.15", "--eps", "0.25", "--trials", "2",
+    ], EXIT_OK),
+    "removal.json": ([
+        "experiment", "removal", "--pattern", "{triangle}", "--N", "60", "--p", "0.3", "--delta", "0.15",
         "--eps", "0.25", "--trials", "2",
-    ],
-    "removal": [
-        "--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--delta", "0.15", "--eps", "0.25", "--trials", "2",
-    ],
-    "cliquedensity": ["--k", "3", "--N", "60", "--p", "0.3", "--rho", "0.9", "--eps", "0.25", "--trials", "2"],
-    "packing": ["--k", "3", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2"],
-    "aes": ["--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2"],
-    "turan": ["--pattern", "{pattern}", "--N", "60", "--p", "0.3", "--eps", "0.25", "--trials", "2"],
+    ], EXIT_CHECK_FAILED),
+    "cliquedensity.json": ([
+        "experiment", "cliquedensity", "--k", "3", "--N", "60", "--p", "0.3", "--rho", "0.9", "--eps", "0.25",
+        "--trials", "2",
+    ], EXIT_OK),
+    "packing.json": (
+        ["experiment", "packing", "--k", "3", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2"],
+        EXIT_CHECK_FAILED,
+    ),
+    # a passing pipeline: the trim succeeds without the fallback, and coverage reaches (1 - gamma) N
+    "packing_passing.json": (
+        ["experiment", "packing", "--k", "3", "--N", "1600", "--p", "0.1", "--gamma", "0.25", "--trials", "1"],
+        EXIT_OK,
+    ),
+    "aes.json": ([
+        "experiment", "aes", "--pattern", "{triangle}", "--N", "60", "--p", "0.3", "--gamma", "0.25", "--trials", "2",
+    ], EXIT_CHECK_FAILED),
+    "turan.json": ([
+        "experiment", "turan", "--pattern", "{triangle}", "--N", "60", "--p", "0.3", "--eps", "0.25", "--trials", "2",
+    ], EXIT_OK),
+    "turan.csv": ([
+        "--format", "csv", "experiment", "turan", "--pattern", "{triangle}", "--N", "60", "--p", "0.3",
+        "--eps", "0.25", "--trials", "2",
+    ], EXIT_OK),
+    "classprobe.json": ([
+        "experiment", "classprobe", "--pattern", "{triangle}", "--n", "8", "--m", "16", "--eps", "0.75",
+        "--trials", "10",
+    ], EXIT_OK),
+    # the rejection cases take the exhaustive (n <= 16) and the guided sampled verdict route
+    "class_rejection_exhaustive.json": ([
+        "gen", "class", "--pattern", "{triangle}", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.75",
+        "--mode", "rejection",
+    ], EXIT_OK),
+    "class_rejection_exhaustive_redraws.json": ([
+        "gen", "class", "--pattern", "{triangle}", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.625",
+        "--mode", "rejection",
+    ], EXIT_OK),
+    "class_rejection_sampled_redraws.json": ([
+        "gen", "class", "--pattern", "{triangle}", "--n", "17", "--m", "72", "--p", "0.3", "--eps", "0.5",
+        "--mode", "rejection",
+    ], EXIT_OK),
+    "class_raw.json": ([
+        "gen", "class", "--pattern", "{triangle}", "--n", "17", "--m", "72", "--p", "0.3", "--eps", "0.5",
+        "--mode", "raw",
+    ], EXIT_OK),
+    # written by the dense single-draw sampler, ``helpers.reference_gnp``, too
+    "gnp.edges": (["gen", "gnp", "--n", "300", "--p", "0.05"], EXIT_OK),
+    "count_K3.json": (["count", "--graph", "{k3_parts_70}"], EXIT_OK),
+    "count_K4.json": (["count", "--graph", "{k4_parts_37}"], EXIT_OK),
+    "count_C4.json": (["count", "--graph", "{c4_parts_37}"], EXIT_OK),
+    "partition_exhaustive.json": ([
+        "partition", "--graph", "{blocks_exhaustive}", "--eps", "0.3", "--p", "0.1", "--t0", "10", "--max-t", "40",
+    ], EXIT_OK),
+    "clean_exhaustive.json": ([
+        "clean", "--graph", "{blocks_exhaustive}", "--eps", "0.3", "--p", "0.1", "--t0", "10", "--max-t", "40",
+        "--d", "0.25", "--uniformity", "2",
+    ], EXIT_OK),
+    "partition_sampled.json": ([
+        "partition", "--graph", "{blocks_sampled}", "--eps", "0.15", "--p", "0.5", "--t0", "3", "--max-t", "12",
+    ], EXIT_OK),
+    "clean_sampled.json": ([
+        "clean", "--graph", "{blocks_sampled}", "--eps", "0.15", "--p", "0.5", "--t0", "3", "--max-t", "12",
+        "--d", "0.25", "--uniformity", "2",
+    ], EXIT_OK),
+    "m2_C5.txt": (["m2", "--pattern", "{c5}"], EXIT_OK),
+    "m2_C5_report.json": (["m2", "--pattern", "{c5}", "--report"], EXIT_OK),
+    "schedule.json": (["schedule", "--p", "0.1", "--rounds", "4", "--ratio", "2"], EXIT_OK),
 }
 
-#: experiment -> (exit code, sha256 of the JSON report)
-GOLDEN = {
-    "turan": (EXIT_OK, "d2b66056c443a336770b372f069b294562d3090e58d82dee1928e095d3143351"),
-    "aes": (EXIT_CHECK_FAILED, "5dbb69d7c8282225040da51a2764218bd3bbdac6a4b1e2b1e9525ecf513ba0fa"),
-    "removal": (EXIT_CHECK_FAILED, "a6fac29f5d028ab29e97bbb53825a2d7f090e35bcf81a753da1ef84ef6c005be"),
-    "packing": (EXIT_CHECK_FAILED, "8b8e5ce7c9f3a47ed9d3f937bd67e3e8830f2e09f99e029a8efc041a4fa25c17"),
-    "cliquedensity": (EXIT_OK, "094c231ec4f7c140f052d278be0e143f25b6ae5b723bdfefa2f2b46437650167"),
-    "counting": (EXIT_OK, "88c10b33b40047a0e3b462b47648ca8b1e42ce17b4326a2256c2eb2d972ad8d9"),
-}
+
+def run_case(case: str, tmp_path: Path, run: int = 0) -> tuple[int, bytes]:
+    """Exit code and output of one run of golden case ``case``."""
+    out = tmp_path / f"run{run}-{case}"
+    return run_cli(GOLDEN_CASES[case][0], tmp_path, out), out.read_bytes()
 
 
-def run_golden(name: str, tmp_path, run: int, fmt: str = "json") -> tuple[int, bytes]:
-    """Exit code and report (JSON unless ``fmt`` says otherwise) of one golden run of experiment ``name``."""
-    pattern = tmp_path / "triangle.json"
-    pattern.write_text(TRIANGLE, encoding="utf-8")
-    out = tmp_path / f"{name}-{run}.{fmt}"
-    params = [arg.format(pattern=pattern) for arg in GOLDEN_ARGV[name]]
-    argv = ["--seed", "1", "--format", fmt, "--out", str(out), "experiment", name, *params]
-    return main(argv), out.read_bytes()
+def stored_form(output: bytes, suffix: str) -> str:
+    """An output as a golden file of that suffix holds it: indented JSON for ``.json``, else its text."""
+    text = output.decode("utf-8")
+    return json.dumps(json.loads(text), indent=1) + "\n" if suffix == ".json" else text
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_experiment_report_is_golden_and_rerun_identical(name, tmp_path):
-    expected_code, expected_digest = GOLDEN[name]
-    digests = []
+def pinned_output(golden: Path) -> bytes:
+    """The output a golden file pins: its JSON re-serialised compactly for ``.json``, else its bytes."""
+    if golden.suffix == ".json":
+        return (json.dumps(json.loads(golden.read_bytes())) + "\n").encode()
+    return golden.read_bytes()
+
+
+def assert_golden(output: bytes, golden: Path, tmp_path: Path) -> None:
+    """Pass if ``output`` is what ``golden`` pins; else write it to ``tmp_path`` and fail with a diff."""
+    if golden.exists() and output == pinned_output(golden):
+        return
+    new = tmp_path / golden.name
+    stored = stored_form(output, golden.suffix)
+    new.write_text(stored, encoding="utf-8")
+    old = golden.read_text(encoding="utf-8").splitlines(keepends=True) if golden.exists() else []
+    diff = "".join(difflib.unified_diff(old, stored.splitlines(keepends=True), str(golden), str(new)))
+    pytest.fail(
+        f"{diff or 'no line differs: the output is not the compact json.dumps form of its golden'}\n"
+        f"new output written to {new}; copy it over {golden} to accept it",
+        pytrace=False,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_output_is_golden_and_rerun_identical(case, tmp_path):
     for run in range(2):
-        code, report = run_golden(name, tmp_path, run)
-        assert code == expected_code
-        digests.append(hashlib.sha256(report).hexdigest())
-    assert digests == [expected_digest, expected_digest]
+        code, output = run_case(case, tmp_path, run)
+        assert_golden(output, GOLDEN_DIR / case, tmp_path)
+        assert code == GOLDEN_CASES[case][1]
 
 
-def test_csv_report_has_one_row_per_trial_under_the_json_trial_keys(tmp_path):
-    runs = [run_golden("turan", tmp_path, run, "csv") for run in range(2)]
-    assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
-    _, report = run_golden("turan", tmp_path, 2)
-    trials = json.loads(report)["trials"]
-    rows = list(csv.reader(io.StringIO(runs[0][1].decode("utf-8"))))
+def test_a_changed_golden_value_fails_with_a_diff_of_its_line(tmp_path):
+    golden = GOLDEN_DIR / "turan.json"
+    text = golden.read_text(encoding="utf-8")
+    output = pinned_output(golden)
+    assert_golden(output, golden, tmp_path)
+    changed = tmp_path / "changed" / golden.name
+    changed.parent.mkdir()
+    changed.write_text(text.replace('  "N": 60,\n', '  "N": 61,\n', 1), encoding="utf-8")
+    assert changed.read_text(encoding="utf-8") != text
+    with pytest.raises(pytest.fail.Exception) as failure:
+        assert_golden(output, changed, tmp_path)
+    message = str(failure.value)
+    assert '\n-  "N": 61,\n' in message and '\n+  "N": 60,\n' in message
+    assert str(tmp_path / golden.name) in message
+    assert (tmp_path / golden.name).read_text(encoding="utf-8") == text
+
+
+def test_csv_report_has_one_row_per_trial_under_the_json_trial_keys():
+    assert GOLDEN_CASES["turan.csv"] == (["--format", "csv", *GOLDEN_CASES["turan.json"][0]], EXIT_OK)
+    trials = json.loads((GOLDEN_DIR / "turan.json").read_bytes())["trials"]
+    rows = list(csv.reader(io.StringIO((GOLDEN_DIR / "turan.csv").read_text(encoding="utf-8"))))
     assert rows[0] == ["trial"] + sorted(set().union(*trials))
     assert [row[0] for row in rows[1:]] == [str(index) for index in range(len(trials))]
     assert len(trials) == 2
+
+
+@pytest.mark.parametrize("name", ["aes", "cliquedensity", "packing", "removal"])
+def test_regularize_stage_counts_add_up(name):
+    """In the golden report, verdicts cover every class pair once; cleaning's deletions are the sum of their causes."""
+    for record in json.loads((GOLDEN_DIR / f"{name}.json").read_bytes())["trials"]:
+        pairs = record["pairs_certified"] + record["pairs_refuted"] + record["pairs_undecided"]
+        assert pairs == math.comb(record["partition_t"], 2)
+        causes = record["deleted_clean_within"] + record["deleted_clean_refuted"] + record["deleted_clean_sparse"]
+        assert record["deleted_clean"] == causes
+        assert "stage_failed" in record or record["inconclusive"] == (not record["partition_converged"])
 
 
 #: experiment -> (its runner in ``reglab.experiments``, each flag it reads -> the runner keyword it sets)
@@ -109,8 +302,6 @@ READ_FLAGS = {
         "--pattern": "pattern", "--n": "n", "--m": "m", "--eps": "eps", "--trials": "trials",
     }),
 }
-
-C5 = '{"k": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}\n'
 
 #: experiment flag -> (argv value, the value the runner receives), none of them a default
 FLAG_VALUES = {
@@ -156,6 +347,8 @@ def test_experiment_accepts_exactly_the_flags_its_runner_reads(name, tmp_path, m
     assert len(calls) == 1
 
 
+
+
 def test_cli_looks_up_the_runner_when_it_calls_it(tmp_path, monkeypatch):
     """A wrapper patched onto ``reglab.experiments`` after import is the runner that runs."""
     calls = []
@@ -166,214 +359,26 @@ def test_cli_looks_up_the_runner_when_it_calls_it(tmp_path, monkeypatch):
         return real(**kwargs)
 
     monkeypatch.setattr(experiments, "run_turan", recording_turan)
-    code, report = run_golden("turan", tmp_path, 0)
+    code, output = run_case("turan.json", tmp_path)
     assert calls == [["eps", "host_n", "p", "pattern", "rng", "trials"]]
-    assert (code, hashlib.sha256(report).hexdigest()) == GOLDEN["turan"]
+    assert code == EXIT_OK
+    assert_golden(output, GOLDEN_DIR / "turan.json", tmp_path)
 
 
-#: Stage fields of ``experiments._regularize`` that no trial record carried before it.
-STAGE_KEYS = (
-    "pairs_certified", "pairs_refuted", "pairs_undecided", "deleted_clean_within", "deleted_clean_refuted",
-    "deleted_clean_sparse", "clean_bound_inputs_hold",
-)
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """The first ``main`` call builds the parser; later calls reuse it."""
+    builds = []
+    real = cli.build_parser
 
-#: experiment -> the keys its trial records gained with the regularize stage
-ADDED_RECORD_KEYS = {
-    "aes": STAGE_KEYS + ("partition_converged",),
-    "removal": STAGE_KEYS + ("copies_within_budget",),
-    "packing": STAGE_KEYS,
-    "cliquedensity": STAGE_KEYS + ("partition_converged", "inconclusive", "deleted_clean"),
-}
+    def counting_build():
+        builds.append(1)
+        return real()
 
-#: experiment -> sha256 of its golden report when its trial records lacked ADDED_RECORD_KEYS
-NARROW_RECORDS_GOLDEN = {
-    "aes": "bbc4af08eb7ca8e2a7751cdcbb927df794aae76444180bd7c71ee3e2715babf0",
-    "removal": "6c2cde2cfd0f58450d61a2c3d070d64fc7dc67f569154a0ee3782af2779ac1a5",
-    "packing": "44a49d8935885aa2c02ecd806f5b7361fc057813b52f9dccd7b81809002f781b",
-    "cliquedensity": "064893e2c67a09385f7e472e3c0db5edb65f94800c0cc43cf88ef3268fcef0ef",
-}
-
-
-def narrow_records(obj: dict, name: str) -> None:
-    """Delete the keys the regularize stage added from every trial record of a parsed report."""
-    for record in obj["trials"]:
-        for key in ADDED_RECORD_KEYS[name]:
-            del record[key]
-
-
-def digest(obj: dict) -> str:
-    """sha256 of a parsed report serialised as ``reglab`` writes it."""
-    return hashlib.sha256((json.dumps(obj, sort_keys=True) + "\n").encode()).hexdigest()
-
-
-@pytest.mark.parametrize("name", sorted(NARROW_RECORDS_GOLDEN))
-def test_regularize_stage_only_adds_record_keys(name, tmp_path):
-    """Without the added record keys the report is the one written before, byte for byte."""
-    _, report = run_golden(name, tmp_path, 0)
-    obj = json.loads(report)
-    narrow_records(obj, name)
-    assert digest(obj) == NARROW_RECORDS_GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(ADDED_RECORD_KEYS))
-def test_regularize_stage_counts_add_up(name, tmp_path):
-    """Verdicts cover every class pair once; cleaning's deletions are the sum of their causes."""
-    _, report = run_golden(name, tmp_path, 0)
-    for record in json.loads(report)["trials"]:
-        pairs = record["pairs_certified"] + record["pairs_refuted"] + record["pairs_undecided"]
-        assert pairs == math.comb(record["partition_t"], 2)
-        causes = record["deleted_clean_within"] + record["deleted_clean_refuted"] + record["deleted_clean_sparse"]
-        assert record["deleted_clean"] == causes
-        assert "stage_failed" in record or record["inconclusive"] == (not record["partition_converged"])
-
-
-#: Runner arguments that the aes and cliquedensity params once left out.
-ADDED_PARAMS = ("t0", "max_t", "epsilon", "d", "uniformity", "refuter_trials")
-
-#: experiment -> sha256 of its golden report when its params lacked ADDED_PARAMS and its
-#: trial records lacked ADDED_RECORD_KEYS
-NARROW_PARAMS_GOLDEN = {
-    "aes": "8455bfe5ea3ed13aa146b44315e9e847187e4d902210009eb671387ce1a44dfa",
-    "cliquedensity": "6a3046845a81c46f257ac8754315569619485e103983129e7f6a22ad4dfb9501",
-}
-
-
-@pytest.mark.parametrize("name", sorted(NARROW_PARAMS_GOLDEN))
-def test_full_params_only_add_the_left_out_arguments(name, tmp_path):
-    """Without the added params and record keys the report is the one written before, byte for byte."""
-    _, report = run_golden(name, tmp_path, 0)
-    obj = json.loads(report)
-    narrow_records(obj, name)
-    for key in ADDED_PARAMS:
-        del obj["params"][key]
-    assert digest(obj) == NARROW_PARAMS_GOLDEN[name]
-
-
-#: case -> (argv after the triangle --pattern, exit code, sha256 of the output); the
-#: rejection cases take the exhaustive (n <= 16) and the guided sampled verdict route
-ROUTE_GOLDEN = {
-    "class_rejection_exhaustive": (
-        ["gen", "class", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.75", "--mode", "rejection"],
-        EXIT_OK, "766b4a24862bbe6f84561d15c6d7c0f4bed8ced6c35dd957f7249c309235d32b",
-    ),
-    "class_rejection_exhaustive_redraws": (
-        ["gen", "class", "--n", "8", "--m", "16", "--p", "0.25", "--eps", "0.625", "--mode", "rejection"],
-        EXIT_OK, "399de2210b0fa6d416686570651f6dcaa0ffc25a8105c5170b7c402f26a4131e",
-    ),
-    "class_rejection_sampled_redraws": (
-        ["gen", "class", "--n", "17", "--m", "72", "--p", "0.3", "--eps", "0.5", "--mode", "rejection"],
-        EXIT_OK, "b8e5f235cfb2fb1caaf9b218c1a9b882bfe3a43e45b2f9e4c2c15666e233062e",
-    ),
-    "classprobe": (
-        ["experiment", "classprobe", "--n", "8", "--m", "16", "--eps", "0.75", "--trials", "10"],
-        EXIT_OK, "2b92daa762e362320e294f2dbde998ab4037f421e5ef1d7c2ec9734e8e8a2370",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ROUTE_GOLDEN))
-def test_verdict_route_output_is_golden_and_rerun_identical(name, tmp_path):
-    pattern = tmp_path / "triangle.json"
-    pattern.write_text(TRIANGLE, encoding="utf-8")
-    args, expected_code, expected_digest = ROUTE_GOLDEN[name]
-    command, rest = args[:2], args[2:]
-    digests = []
-    for run in range(2):
-        out = tmp_path / f"{name}-{run}.json"
-        argv = ["--seed", "1", "--format", "json", "--out", str(out), *command, "--pattern", str(pattern), *rest]
-        assert main(argv) == expected_code
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [expected_digest, expected_digest]
-
-
-#: sha256 of ``--seed 1 gen gnp --n 300 --p 0.05``, as the dense single-draw
-#: sampler (``helpers.reference_gnp``) writes it
-GNP_GOLDEN = "bdeb4c36c294047acf44f4698f159c7ec43e0b887ab385a52c9e1084f833e1a6"
-
-
-def test_gnp_edge_list_is_golden_and_rerun_identical(tmp_path):
-    digests = []
-    for run in range(2):
-        out = tmp_path / f"gnp-{run}.edges"
-        assert main(["--seed", "1", "--out", str(out), "gen", "gnp", "--n", "300", "--p", "0.05"]) == EXIT_OK
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [GNP_GOLDEN, GNP_GOLDEN]
-
-
-def multipartite_clique(k: int, n: int) -> str:
-    """Multipartite JSON of K_k on parts of ``n``: pair (i, j) joins u and v iff (u (i+2) + v (j+3) + i j) mod 5 < 3."""
-    pairs = {
-        f"{i + 1}-{j + 1}": [[u, v] for u in range(n) for v in range(n) if (u * (i + 2) + v * (j + 3) + i * j) % 5 < 3]
-        for i in range(k)
-        for j in range(i + 1, k)
-    }
-    edges = [[i + 1, j + 1] for i in range(k) for j in range(i + 1, k)]
-    return json.dumps({"pattern": {"k": k, "edges": edges}, "part_size": n, "pairs": pairs}) + "\n"
-
-
-#: (k, part size) -> sha256 of ``reglab count`` on ``multipartite_clique(k, n)``;
-#: both part sizes leave padding bits in the packed rows and both counts span
-#: several frontier chunks
-COUNT_GOLDEN = {
-    (3, 70): "e6655b53ddf73cb210a493b18b323676c57d2655bef83f318a2a0643e7d252f8",
-    (4, 37): "832dd82593a100b2193b31eb2c1ba4e8b3e9c870ca0e619a0420c7fb5a2c3a16",
-}
-
-
-@pytest.mark.parametrize("k, n", sorted(COUNT_GOLDEN), ids=["K3", "K4"])
-def test_clique_count_is_golden_and_rerun_identical(k, n, tmp_path):
-    graph = tmp_path / f"k{k}.json"
-    graph.write_text(multipartite_clique(k, n), encoding="utf-8")
-    digests = []
-    for run in range(2):
-        out = tmp_path / f"count-{run}.json"
-        assert main(["--seed", "1", "--out", str(out), "count", "--graph", str(graph)]) == EXIT_OK
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [COUNT_GOLDEN[(k, n)]] * 2
-
-
-def planted_blocks(n: int, blocks: int, p_in: float, p_out: float, seed: int) -> SimpleGraph:
-    """A planted-block host: vertex labels and edges drawn from ``np.random.default_rng(seed)``."""
-    gen = np.random.default_rng(seed)
-    labels = gen.permutation(np.arange(n) % blocks)
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    u, v = np.nonzero(np.triu(gen.random((n, n)) < prob, 1))
-    return SimpleGraph.from_edges(n, zip(u.tolist(), v.tolist()))
-
-
-#: case -> (planted_blocks arguments, refinement arguments); "exhaustive" refines
-#: classes of at most 12 vertices through four rounds, so every verdict is an
-#: exhaustive scan, and "sampled" refines classes of 34-67 vertices through
-#: three rounds of sampled refutation
-REFINE_CASES = {
-    "exhaustive": ((120, 4, 0.3, 0.05, 120), ["--eps", "0.3", "--p", "0.1", "--t0", "10", "--max-t", "40"]),
-    "sampled": ((200, 3, 0.7, 0.1, 200), ["--eps", "0.15", "--p", "0.5", "--t0", "3", "--max-t", "12"]),
-}
-
-#: (case, command) -> (exit code, sha256 of the output)
-REFINE_GOLDEN = {
-    ("exhaustive", "partition"): (EXIT_OK, "db6fde75dea97e5c9b6fcca81552de752f5d51d7e30e22e3fcb9f9186da67823"),
-    ("exhaustive", "clean"): (EXIT_OK, "c55e72eaac79bb43c7fb919cd355fec33281be0bd12e0e70dadb71f484c6c296"),
-    ("sampled", "partition"): (EXIT_OK, "eef7824b52ce7741b5995f5addef61e49fef8d39e1d5dfec6b86d15af828ee0d"),
-    ("sampled", "clean"): (EXIT_OK, "efc049b77e235bdce1f56e5aaec24e54b71e6e006ed1b672cc324972e8c37231"),
-}
-
-
-@pytest.mark.parametrize("case, command", sorted(REFINE_GOLDEN))
-def test_refinement_output_is_golden_and_rerun_identical(case, command, tmp_path):
-    host_args, args = REFINE_CASES[case]
-    graph = tmp_path / "host.edges"
-    graph.write_text(planted_blocks(*host_args).to_edge_list(), encoding="utf-8")
-    if command == "clean":
-        args = args + ["--d", "0.25", "--uniformity", "2"]
-    expected_code, expected_digest = REFINE_GOLDEN[(case, command)]
-    digests = []
-    for run in range(2):
-        out = tmp_path / f"{command}-{run}.json"
-        argv = ["--seed", "1", "--format", "json", "--out", str(out), command, "--graph", str(graph), *args]
-        assert main(argv) == expected_code
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [expected_digest, expected_digest]
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(GOLDEN_CASES["schedule.json"][0], tmp_path, tmp_path / "schedule.json") == EXIT_OK
+    assert builds == [1]
 
 
 def test_counting_runs_on_its_defaults(tmp_path):
@@ -381,28 +386,7 @@ def test_counting_runs_on_its_defaults(tmp_path):
     assert main(["--seed", "1", "--out", str(out), "experiment", "counting", "--trials", "1"]) == EXIT_OK
 
 
-def multipartite_k2(pairs: str) -> str:
-    """Multipartite JSON of one 2-vertex pair with part size 2 and the given ``pairs`` entry."""
-    return f'{{"pattern": {{"k": 2, "edges": [[1, 2]]}}, "part_size": 2, "pairs": {{"1-2": {pairs}}}}}\n'
-
-
-#: placeholder -> text of the input file that it names in EXIT_CODES
-INPUT_FILES = {
-    "triangle": TRIANGLE,
-    "bad_pattern": '{"k": 3}\n',
-    "edgeless_pattern": '{"k": 3, "edges": []}\n',
-    "bad_multipartite": multipartite_k2('[["a", 1]]'),
-    "float_multipartite": multipartite_k2("[[0.5, 1]]"),
-    "integral_float_multipartite": multipartite_k2("[[0, 1], [1.0, 0]]"),
-    "string_multipartite": multipartite_k2('[[0, 1], ["1", "0"]]'),
-    "short_edge_line": "vertices 3\nedge 1\n",
-    "bare_vertices": "vertices\nedge 0 1\n",
-    "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
-    "second_vertices": "vertices 3\nedge 0 1\nvertices 4\n",
-    "non_integer_field": "vertices 8\nedge 0 x\n",
-}
-
-#: case -> (argv with {dir}, {graph} and INPUT_FILES placeholders, exit code)
+#: case -> (argv with {dir} and INPUT_FILES placeholders, exit code)
 EXIT_CODES = {
     "graph_is_directory": (["partition", "--graph", "{dir}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
     "graph_missing": (["partition", "--graph", "{dir}/absent.edges", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE),
@@ -500,20 +484,26 @@ EXIT_CODES = {
     "max_t_equal_to_t0_accepted": (
         ["partition", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--t0", "2", "--max-t", "2"], EXIT_OK,
     ),
+    "removal_delta_inf": (["experiment", "removal", "--N", "30", "--trials", "1", "--delta", "inf"], EXIT_USAGE),
+    "counting_d_inf": (["experiment", "counting", "--N", "30", "--trials", "1", "--d", "inf"], EXIT_USAGE),
+    "clean_d_inf": (["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "inf"], EXIT_USAGE),
+    "clean_uniformity_inf": (
+        ["clean", "--graph", "{graph}", "--eps", "0.3", "--p", "0.5", "--d", "0.25", "--uniformity", "inf"],
+        EXIT_USAGE,
+    ),
+    "aes_gamma_inf": (["experiment", "aes", "--N", "30", "--trials", "1", "--gamma", "inf"], EXIT_USAGE),
+    "packing_gamma_inf": (["experiment", "packing", "--N", "30", "--trials", "1", "--gamma", "inf"], EXIT_USAGE),
+    "packing_gamma_above_one": (
+        ["experiment", "packing", "--N", "30", "--trials", "1", "--gamma", "1e308"], EXIT_USAGE,
+    ),
+    "cliquedensity_N_one": (["experiment", "cliquedensity", "--N", "1", "--trials", "1"], EXIT_USAGE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
 def test_exit_code_table(case, tmp_path):
-    graph = tmp_path / "path.edges"
-    graph.write_text(SimpleGraph.from_edges(8, [(i, i + 1) for i in range(7)]).to_edge_list())
-    paths = {"dir": tmp_path, "graph": graph}
-    for name, text in INPUT_FILES.items():
-        paths[name] = tmp_path / f"{name}.input"
-        paths[name].write_text(text, encoding="utf-8")
     template, expected = EXIT_CODES[case]
-    argv = ["--seed", "1", "--out", str(tmp_path / "out.txt")] + [arg.format(**paths) for arg in template]
-    assert main(argv) == expected
+    assert run_cli(template, tmp_path, tmp_path / "out.txt") == expected
 
 
 def test_soundness_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
