@@ -8,12 +8,16 @@ value, an unreadable input path and malformed input JSON; 3 budget error;
 4 theorem-check failure in an experiment report; 5 soundness error, an
 internal cross-check that failed (a bug, never a property of the input).
 
-Checked ranges: every ``--eps`` and the ``gen class`` ``--p`` lie in (0, 1];
-``--refuter-trials`` and the ``gen class`` ``--n`` are >= 1; the ``gen class``
-``--m`` is >= 0; the ``clean`` ``--d`` and ``--uniformity`` are finite and
->= 0; the ``partition`` and ``clean`` ``--max-t`` is at least ``--t0``.  Each
-``experiment <name>`` flag states its meaning and range in ``EXPERIMENTS``
-and in ``reglab experiment <name> --help``.
+Checked ranges (``ranged``, with the ``Range`` values of ``experiments``):
+the ``gen class``, ``partition`` and ``clean`` ``--eps`` and the ``gen
+class`` ``--p`` lie in (0, 1]; ``--refuter-trials`` and the ``gen class``
+``--n`` are >= 1; the ``gen class`` ``--m`` is >= 0; the ``clean`` ``--d``
+and ``--uniformity`` are finite and >= 0; the ``partition`` and ``clean``
+``--max-t`` is at least ``--t0``.  ``experiment <name>`` declares nothing
+here: its options, meanings, ranges and defaults are the parameter rows of
+``reglab.experiments.EXPERIMENTS`` (see ``reglab experiment <name>
+--help``).  An option's text is parsed by its declared type; the runner
+checks the record first, so an out-of-range value exits 2 before any draw.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -33,6 +36,7 @@ from .graphs import MultipartiteGraph, PatternGraph, SimpleGraph
 from .partition import clean_partition, sparse_regular_partition
 from .randgraph import RngStream, exposure_schedule, gnp, sample_class
 from . import experiments
+from .experiments import AT_LEAST_0, AT_LEAST_1, NONNEGATIVE, UNIT, Range
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,42 +58,16 @@ def parse_probability(text: str) -> float:
     return float(parse_fraction(text)) if "/" in text else float(text)
 
 
-def parse_unit_interval(text: str) -> float:
-    """A number in (0, 1], such as the regularity parameter eps or the class fraction eta."""
-    value = parse_probability(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
+def ranged(parse, allowed: Range):
+    """An argparse type: the value that ``parse`` reads from the text, required to lie in ``allowed``."""
 
+    def parse_in_range(text: str):
+        value = parse(text)
+        if not allowed.holds(value):
+            raise argparse.ArgumentTypeError(f"must be {allowed.text}, got {text}")
+        return value
 
-def parse_nonnegative(text: str) -> float:
-    """A finite number >= 0 (NaN and infinity rejected), such as a tolerance or a density floor."""
-    value = parse_probability(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
-    return value
-
-
-def parse_closed_unit_interval(text: str) -> float:
-    """A number in [0, 1], such as a slack gamma that is vacuous above 1."""
-    value = parse_probability(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def parse_positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def parse_nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+    return parse_in_range
 
 
 def _seed_from(args) -> int:
@@ -109,43 +87,17 @@ def _write_out(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_pattern(path: str) -> PatternGraph:
-    with open(path, encoding="utf-8") as handle:
-        return PatternGraph.from_json(handle.read())
+def parse_template(path: str) -> PatternGraph:
+    """The template in the JSON file at ``path``; an unreadable or malformed file is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return PatternGraph.from_json(handle.read())
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-#: Experiment flags, each as (option, runner keyword, parse type with its range, default, help).
-PATTERN = ("--pattern", "pattern", str, None, "template JSON path (default: a triangle)")
-HOST_N = ("--N", "host_n", parse_positive_int, 800, "vertices of the host G(N, p), >= 1")
-HOST_P = ("--p", "p", parse_unit_interval, 0.1, "edge probability of the host G(N, p), in (0, 1]")
-TRIALS = ("--trials", "trials", parse_positive_int, 10, "independent trials, >= 1")
-CLIQUE_K = ("--k", "k", parse_positive_int, 3, "clique size k, >= 1")
-GAMMA = ("--gamma", "gamma", parse_closed_unit_interval, 0.25, "slack gamma of the min-degree premise, in [0, 1]")
-ETA = ("--eta", "eta", parse_unit_interval, 0.3, "class size ceil(eta N) as a fraction of N, in (0, 1]")
-FLOOR_D = ("--d", "d", parse_nonnegative, 0.25, "skip trials with a pair below d p n^2 edges, >= 0")
-RATIO_DELTA = ("--delta", "delta", parse_nonnegative, 0.15, "allowed deviation of the count ratio from 1, >= 0")
-EPSILON = ("--eps", "epsilon", parse_unit_interval, 0.25, "regularity parameter eps, in (0, 1]")
-BUDGET_DELTA = ("--delta", "delta", parse_nonnegative, 0.15, "deletion budget delta p N^2, >= 0")
-COPY_EPS = ("--eps", "eps_copies", parse_unit_interval, 0.25,
-            "copy fraction: the subgraph has at most eps p^e(H) N^v(H) copies, in (0, 1]")
-RHO = ("--rho", "rho", parse_fraction, "0.9", "relative density rho, an exact decimal or fraction in [0, 1]")
-CLIQUE_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "slack below g_hat(rho) in the clique bound, in (0, 1]")
-TURAN_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "edge fraction slack above the Turan fraction, in (0, 1]")
-PART_N = ("--n", "n", parse_positive_int, 6, "part size n, >= 1")
-PAIR_M = ("--m", "m", parse_positive_int, 12, "edges per template pair m, >= 1")
-CLASS_EPS = ("--eps", "eps", parse_unit_interval, 0.25, "regularity parameter eps, in (0, 1]")
-
-#: experiment -> (name of its runner in ``reglab.experiments``, the flags it reads).  The
-#: runner is looked up by name when it is called, so a wrapper patched onto the module runs.
-EXPERIMENTS = {
-    "counting": ("run_counting", (PATTERN, HOST_N, HOST_P, ETA, FLOOR_D, RATIO_DELTA, EPSILON, TRIALS)),
-    "removal": ("run_removal", (PATTERN, HOST_N, HOST_P, BUDGET_DELTA, COPY_EPS, TRIALS)),
-    "cliquedensity": ("run_clique_density", (CLIQUE_K, HOST_N, HOST_P, RHO, CLIQUE_EPS, TRIALS)),
-    "packing": ("run_packing", (CLIQUE_K, HOST_N, HOST_P, GAMMA, TRIALS)),
-    "aes": ("run_partite_stability", (PATTERN, HOST_N, HOST_P, GAMMA, TRIALS)),
-    "turan": ("run_turan", (PATTERN, HOST_N, HOST_P, TURAN_EPS, TRIALS)),
-    "classprobe": ("probe_copy_free_class", (PATTERN, PART_N, PAIR_M, CLASS_EPS, TRIALS)),
-}
+#: declared parameter type -> how an ``experiment`` option parses its text
+EXPERIMENT_PARSE = {int: int, float: parse_probability, Fraction: parse_fraction, PatternGraph: parse_template}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,27 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
     gnp_cmd.add_argument("--n", type=int, required=True)
     gnp_cmd.add_argument("--p", type=parse_probability, required=True)
     class_cmd = gen_sub.add_parser("class")
-    class_cmd.add_argument("--pattern", required=True, help="pattern JSON path")
-    class_cmd.add_argument("--n", type=parse_positive_int, required=True, help="part size")
-    class_cmd.add_argument("--m", type=parse_nonnegative_int, required=True, help="edges per pair")
-    class_cmd.add_argument("--p", type=parse_unit_interval, required=True)
-    class_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
+    class_cmd.add_argument("--pattern", type=parse_template, required=True, help="pattern JSON path")
+    class_cmd.add_argument("--n", type=ranged(int, AT_LEAST_1), required=True, help="part size")
+    class_cmd.add_argument("--m", type=ranged(int, AT_LEAST_0), required=True, help="edges per pair")
+    class_cmd.add_argument("--p", type=ranged(parse_probability, UNIT), required=True)
+    class_cmd.add_argument("--eps", type=ranged(parse_probability, UNIT), required=True)
     class_cmd.add_argument("--mode", choices=("raw", "rejection"), default="raw")
 
     part_cmd = sub.add_parser("partition", help="sparse regular partition of an edge-list graph")
     part_cmd.add_argument("--graph", required=True, help="edge-list path")
-    part_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
+    part_cmd.add_argument("--eps", type=ranged(parse_probability, UNIT), required=True)
     part_cmd.add_argument("--p", type=parse_probability, required=True)
     part_cmd.add_argument("--t0", type=int, default=4)
     part_cmd.add_argument("--max-t", type=int, default=64)
-    part_cmd.add_argument("--refuter-trials", type=parse_positive_int, default=32)
+    part_cmd.add_argument("--refuter-trials", type=ranged(int, AT_LEAST_1), default=32)
 
     clean_cmd = sub.add_parser("clean", help="partition then clean; prints cleaned stats and cluster")
     clean_cmd.add_argument("--graph", required=True)
-    clean_cmd.add_argument("--eps", type=parse_unit_interval, required=True)
+    clean_cmd.add_argument("--eps", type=ranged(parse_probability, UNIT), required=True)
     clean_cmd.add_argument("--p", type=parse_probability, required=True)
-    clean_cmd.add_argument("--d", type=parse_nonnegative, required=True)
-    clean_cmd.add_argument("--uniformity", type=parse_nonnegative, default=2.0)
+    clean_cmd.add_argument("--d", type=ranged(parse_probability, NONNEGATIVE), required=True)
+    clean_cmd.add_argument("--uniformity", type=ranged(parse_probability, NONNEGATIVE), default=2.0)
     clean_cmd.add_argument("--t0", type=int, default=4)
     clean_cmd.add_argument("--max-t", type=int, default=64)
 
@@ -189,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     count_cmd.add_argument("--graph", required=True, help="multipartite JSON path")
 
     m2_cmd = sub.add_parser("m2", help="2-density of a pattern")
-    m2_cmd.add_argument("--pattern", required=True)
+    m2_cmd.add_argument("--pattern", type=parse_template, required=True)
     m2_cmd.add_argument("--report", action="store_true", help="full JSON report instead of the bare value")
 
     sched_cmd = sub.add_parser("schedule", help="multi-round exposure schedule")
@@ -199,11 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp_cmd = sub.add_parser("experiment", help="run a named experiment")
     exp_sub = exp_cmd.add_subparsers(dest="name", required=True)
-    for name, (_, flags) in EXPERIMENTS.items():
+    for name, record in experiments.EXPERIMENTS.items():
         # no abbreviations: removal would otherwise read --d as its --delta
         name_cmd = exp_sub.add_parser(name, allow_abbrev=False)
-        for option, keyword, parse, default, text in flags:
-            name_cmd.add_argument(option, dest=keyword, type=parse, default=default, help=text)
+        for row in record.declared():
+            if row.option:
+                # suppressed: an option left out keeps the record's declared default
+                name_cmd.add_argument(
+                    row.option, dest=row.name, type=EXPERIMENT_PARSE[row.kind], default=argparse.SUPPRESS, help=row.help
+                )
 
     return parser
 
@@ -227,8 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                 graph = gnp(args.n, args.p, rng)
                 _write_out(args, graph.to_edge_list())
             else:
-                pattern = _load_pattern(args.pattern)
-                sample = sample_class(pattern, args.n, args.m, args.p, args.eps, rng, mode=args.mode)
+                sample = sample_class(args.pattern, args.n, args.m, args.p, args.eps, rng, mode=args.mode)
                 _write_out(args, sample.to_json() + "\n")
         elif args.command == "partition":
             seed = _seed_from(args)
@@ -261,8 +216,7 @@ def main(argv: list[str] | None = None) -> int:
                 graph = MultipartiteGraph.from_json(handle.read())
             _write_out(args, canonical_count(graph).to_json() + "\n")
         elif args.command == "m2":
-            pattern = _load_pattern(args.pattern)
-            report = two_density(pattern)
+            report = two_density(args.pattern)
             _write_out(args, (report.to_json() if args.report else str(report.m2)) + "\n")
         elif args.command == "schedule":
             schedule = exposure_schedule(args.p, args.rounds, args.ratio)
@@ -275,13 +229,9 @@ def main(argv: list[str] | None = None) -> int:
             }
             _write_out(args, json.dumps(payload) + "\n")
         elif args.command == "experiment":
-            rng = RngStream(_seed_from(args))
-            runner, flags = EXPERIMENTS[args.name]
-            kwargs = {keyword: getattr(args, keyword) for _, keyword, *_ in flags}
-            if "pattern" in kwargs:
-                path = kwargs["pattern"]
-                kwargs["pattern"] = _load_pattern(path) if path else PatternGraph.complete(3)
-            report = getattr(experiments, runner)(**kwargs, rng=rng)
+            record = experiments.EXPERIMENTS[args.name]
+            given = {row.name: getattr(args, row.name) for row in record.declared() if hasattr(args, row.name)}
+            report = getattr(experiments, record.runner)(record(**given), RngStream(_seed_from(args)))
             text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
             _write_out(args, text)
             if not report.aggregate.get("passed", True):

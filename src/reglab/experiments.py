@@ -8,12 +8,22 @@ trial index, deletion budgets are compared in rational arithmetic, and
 "regular" always means "not refuted by the configured sampled checker",
 which the caveats repeat explicitly.
 
-Every runner reports through one skeleton, ``_run_trials``: trial i draws
-from ``rng.child(i)``, and the report's params are the runner's arguments,
-so a report can be rerun from its own params.  The params drop ``rng``
-(its master seed is the report's ``seed``), name ``host_n`` ``N``, write a
-template as its parsed JSON and a ``Fraction`` as its string; a runner may
-add derived entries, as ``cliquedensity`` adds ``g_hat``.
+Each experiment declares its parameters once, as ``Param`` rows from
+which ``_record`` builds its record, a named tuple (``EXPERIMENTS``).  A row
+gives a parameter's runner keyword, type, default, meaning, ``Range``,
+report key and, for the 40 values that the CLI sets, its option; the CLI
+builds ``reglab experiment <name>`` from the rows.  Shared rows are written
+once (``HOST_N``, ``_regularization``'s six values of ``_regularize``, ...).
+A runner's first step is its record's ``check`` of every declared range and
+every cross-field condition, so an out-of-range value fails before any
+draw, from the CLI and from a library caller alike.
+
+Every runner takes its record and a stream and reports through one
+skeleton, ``_run_trials``: trial i draws from ``rng.child(i)``, and the
+report's params are the record (``Params.report``: each value under its
+report key, a template as its JSON, a ``Fraction`` as its string), so a
+report can be rerun from its own params and seed.  A runner may add
+derived entries, as ``cliquedensity`` adds ``g_hat``.
 
 removal, packing, cliquedensity and aes start from one stage,
 ``_regularize``: ``sparse_regular_partition`` then ``clean_partition`` on
@@ -43,10 +53,12 @@ import csv
 import io
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -123,40 +135,198 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _run_trials(name: str, args: dict, one_trial, aggregate, caveats: list[str]) -> ExperimentReport:
-    """The report of ``one_trial(rng.child(i))`` for each i < trials, with params from ``args``.
+class Range(NamedTuple):
+    """The values a parameter may take: ``text`` names them, ``holds`` decides one."""
 
-    ``args`` is the runner's arguments by name; ``aggregate`` maps the trial
-    records to the report's aggregate.
+    text: str
+    holds: Callable[[Any], bool]
+
+
+AT_LEAST_0 = Range(">= 0", lambda v: v >= 0)
+AT_LEAST_1 = Range(">= 1", lambda v: v >= 1)
+AT_LEAST_2 = Range(">= 2", lambda v: v >= 2)
+NONNEGATIVE = Range("finite and >= 0", lambda v: 0 <= v < math.inf)
+UNIT = Range("in (0, 1]", lambda v: 0 < v <= 1)
+CLOSED_UNIT = Range("in [0, 1]", lambda v: 0 <= v <= 1)
+WITH_EDGES = Range("a template with edges", lambda h: h.edge_count > 0)
+
+
+class Param(NamedTuple):
+    """A declared parameter: runner keyword, type, default, meaning, range, CLI option (None: hidden), report key."""
+
+    name: str
+    kind: type
+    default: Any
+    meaning: str
+    range: Range | None = None
+    option: str | None = None
+    key: str | None = None
+
+    @property
+    def help(self) -> str:
+        return f"{self.meaning}, {self.range.text}" if self.range else self.meaning
+
+
+class Params:
+    """Base of the immutable parameter records that ``_record`` builds; a runner's first step is ``check``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def declared(cls) -> tuple[Param, ...]:
+        """The record's parameters, in field order."""
+        return cls.rows
+
+    def check(self) -> None:
+        """Raise ``PreconditionError`` unless every declared range and every ``requires`` condition holds."""
+        for row in self.declared():
+            value = getattr(self, row.name)
+            if row.range and not row.range.holds(value):
+                label = f"{row.name} ({row.option})" if row.option else row.name
+                shown = value.to_json() if isinstance(value, PatternGraph) else value
+                raise PreconditionError(f"{label} must be {row.range.text}, got {shown}")
+        for statement, holds in self.requires().items():
+            if not holds:
+                raise PreconditionError(f"need {statement}")
+
+    def report(self) -> dict:
+        """The report's params: each value under its report key, a template as its JSON, a Fraction as its string."""
+        out = {}
+        for row in self.declared():
+            value = getattr(self, row.name)
+            if isinstance(value, PatternGraph):
+                value = json.loads(value.to_json())
+            elif isinstance(value, Fraction):
+                value = str(value)
+            out[row.key or row.name] = value
+        return out
+
+
+def _record(name: str, experiment: str, runner: str, rows: tuple[Param, ...], requires=lambda params: {}) -> type:
+    """The record class of ``experiment``: a named tuple with a field per row, in row order.
+
+    ``requires`` maps a record to its cross-field conditions, each statement with whether it holds.
+    ``runner`` names the runner in this module: looked up when called, a wrapper patched onto it runs.
     """
-    rng = args["rng"]
-    records = [one_trial(rng.child(index)) for index in range(args["trials"])]
-    params = {}
-    for key, value in args.items():
-        if key == "rng":
-            continue
-        if isinstance(value, PatternGraph):
-            value = json.loads(value.to_json())
-        elif isinstance(value, Fraction):
-            value = str(value)
-        params["N" if key == "host_n" else key] = value
-    return ExperimentReport(name, params, rng.master_seed, records, aggregate(records), caveats)
+    values = namedtuple(name, [row.name for row in rows], defaults=[row.default for row in rows])
+    namespace = {"__slots__": (), "rows": rows, "experiment": experiment, "runner": runner, "requires": requires}
+    return type(name, (values, Params), namespace)
 
 
-def _regularize(
-    graph: SimpleGraph,
-    epsilon: float,
-    p: float,
-    t0: int,
-    max_t: int,
-    d: float,
-    uniformity: float,
-    refuter_trials: int,
-    stream: RngStream,
-) -> tuple[Partition, CleanResult, dict]:
-    """Partition ``graph`` from ``stream``, clean it, and the flat stage record of both."""
-    part = sparse_regular_partition(graph, epsilon, p, t0, max_t, stream, refuter_trials=refuter_trials)
-    cleaned = clean_partition(graph, part, d, uniformity)
+TEMPLATE = Param(
+    "pattern", PatternGraph, PatternGraph.complete(3), "template JSON path (default: a triangle)", WITH_EDGES,
+    "--pattern",
+)
+HOST_N = Param("host_n", int, 800, "vertices of the host G(N, p)", AT_LEAST_1, "--N", "N")
+HOST_P = Param("p", float, 0.1, "edge probability of the host G(N, p)", UNIT, "--p")
+GAMMA = Param("gamma", float, 0.25, "slack gamma of the min-degree premise", CLOSED_UNIT, "--gamma")
+TRIALS = Param("trials", int, 10, "independent trials", AT_LEAST_1, "--trials")
+PASS_FRACTION = Param("pass_fraction", float, 0.9, "least fraction of successful trials that passes", CLOSED_UNIT)
+
+
+def _regularization(t0: int, max_t: int, d: float) -> tuple[Param, ...]:
+    """The six values that ``_regularize`` reads, with an experiment's own t0, max_t and d."""
+    return (
+        Param("t0", int, t0, "classes of the initial equipartition", AT_LEAST_1),
+        Param("max_t", int, max_t, "class budget of the refinement", AT_LEAST_1),
+        Param("epsilon", float, 0.3, "regularity parameter eps of the partition", UNIT),
+        Param("d", float, d, "cleaning drops pairs below d p |Vi||Vj| edges", NONNEGATIVE),
+        Param("uniformity", float, 2.0, "upper-uniformity constant D of the cleaning bound", NONNEGATIVE),
+        Param("refuter_trials", int, 24, "sampled refuter trials per class pair", AT_LEAST_1),
+    )
+
+
+def _t0_fits(params, vertices: str, n: int) -> dict[str, bool]:
+    """The regularization's conditions: max_t >= t0, and ``n`` vertices, named ``vertices``, fill t0 classes."""
+    return {
+        f"max_t = {params.max_t} >= t0 = {params.t0}": params.max_t >= params.t0,
+        f"{vertices} = {n} >= t0 = {params.t0}": n >= params.t0,
+    }
+
+
+def _classes_fit(params) -> dict[str, bool]:
+    used = params.pattern.k * math.ceil(params.eta * params.host_n)
+    return {f"k * ceil(eta N) = {used} <= N = {params.host_n}": used <= params.host_n}
+
+
+def _peel_limit(params) -> int:
+    """Most host vertices that packing's min-degree peel removes."""
+    return int(params.gamma * params.host_n / 4)
+
+
+CountingParams = _record("CountingParams", "counting", "run_counting", (
+    TEMPLATE, HOST_N, HOST_P,
+    Param("eta", float, 0.3, "class size ceil(eta N) as a fraction of N", UNIT, "--eta"),
+    Param("d", float, 0.25, "skip trials with a pair below d p n^2 edges", NONNEGATIVE, "--d"),
+    Param("delta", float, 0.15, "allowed deviation of the count ratio from 1", NONNEGATIVE, "--delta"),
+    Param("epsilon", float, 0.25, "regularity parameter eps", UNIT, "--eps"),
+    TRIALS,
+    Param("refuter_trials", int, 32, "sampled refuter trials per pair", AT_LEAST_1),
+    Param("pass_fraction", float, 0.9, "least in-band fraction of the effective trials that passes", CLOSED_UNIT),
+), _classes_fit)
+RemovalParams = _record("RemovalParams", "removal", "run_removal", (
+    TEMPLATE, HOST_N, HOST_P,
+    Param("delta", float, 0.15, "deletion budget delta p N^2", NONNEGATIVE, "--delta"),
+    Param("eps_copies", float, 0.25, "copy fraction: the subgraph has at most eps p^e(H) N^v(H) copies", UNIT, "--eps"),
+    TRIALS, *_regularization(t0=8, max_t=32, d=0.25), PASS_FRACTION,
+), lambda params: _t0_fits(params, "N", params.host_n))
+CliqueDensityParams = _record("CliqueDensityParams", "cliquedensity", "run_clique_density", (
+    Param("k", int, 3, "clique size k", Range("in {3, 4}", lambda v: v in (3, 4)), "--k"),
+    HOST_N._replace(range=AT_LEAST_2), HOST_P,
+    Param("rho", Fraction, Fraction(9, 10), "relative density rho, an exact decimal or fraction", CLOSED_UNIT, "--rho"),
+    Param("eps", float, 0.25, "slack below g_hat(rho) in the clique bound", UNIT, "--eps"),
+    TRIALS,
+    Param("oracle_n", int, 6, "vertices of the exact search for g_hat"),
+    *_regularization(t0=6, max_t=24, d=0.05),
+), lambda params: {
+    **_t0_fits(params, "N", params.host_n),
+    f"k = {params.k} <= oracle_n = {params.oracle_n}": params.k <= params.oracle_n,
+})
+PackingParams = _record("PackingParams", "packing", "run_packing", (
+    Param("k", int, 3, "clique size k", AT_LEAST_2, "--k"),
+    HOST_N, HOST_P, GAMMA, TRIALS, *_regularization(t0=12, max_t=32, d=0.15), PASS_FRACTION._replace(default=0.8),
+), lambda params: _t0_fits(params, "N - floor(gamma N / 4)", params.host_n - _peel_limit(params)))
+AesParams = _record("AesParams", "aes", "run_partite_stability", (
+    TEMPLATE._replace(range=Range("a template of chromatic number >= 3", lambda h: chromatic_number(h) >= 3)),
+    HOST_N, HOST_P, GAMMA, TRIALS,
+    Param("perturb_fraction", float, 0.0, "fraction of the interior edges re-added while template-free", CLOSED_UNIT),
+    *_regularization(t0=6, max_t=20, d=0.15), PASS_FRACTION._replace(default=0.8),
+), lambda params: _t0_fits(params, "N", params.host_n))
+TuranParams = _record("TuranParams", "turan", "run_turan", (
+    TEMPLATE, HOST_N, HOST_P,
+    Param("eps", float, 0.25, "edge fraction slack above the Turan fraction", UNIT, "--eps"),
+    TRIALS,
+))
+ClassProbeParams = _record("ClassProbeParams", "classprobe", "probe_copy_free_class", (
+    TEMPLATE._replace(range=None),
+    Param("n", int, 6, "part size n",
+          Range(f"in [1, {EXHAUSTIVE_PAIR_BUDGET}]", lambda v: 1 <= v <= EXHAUSTIVE_PAIR_BUDGET), "--n"),
+    Param("m", int, 12, "edges per template pair m", AT_LEAST_1, "--m"),
+    Param("eps", float, 0.25, "regularity parameter eps", UNIT, "--eps"),
+    TRIALS,
+), lambda params: {f"m = {params.m} <= n^2 = {params.n ** 2}": params.m <= params.n ** 2})
+
+#: experiment -> its parameter record
+EXPERIMENTS = {record.experiment: record for record in (
+    CountingParams, RemovalParams, CliqueDensityParams, PackingParams, AesParams, TuranParams, ClassProbeParams
+)}
+
+
+def _run_trials(params: Params, rng: RngStream, one_trial, aggregate, caveats: list[str]) -> ExperimentReport:
+    """The report of ``one_trial(rng.child(i))`` for each i < ``params.trials``, with ``params`` as its params.
+
+    ``aggregate`` maps the trial records to the report's aggregate.
+    """
+    records = [one_trial(rng.child(index)) for index in range(params.trials)]
+    return ExperimentReport(params.experiment, params.report(), rng.master_seed, records, aggregate(records), caveats)
+
+
+def _regularize(graph: SimpleGraph, params: Params, stream: RngStream) -> tuple[Partition, CleanResult, dict]:
+    """Partition ``graph`` from ``stream`` and clean it as ``params`` declare, and the flat stage record of both."""
+    part = sparse_regular_partition(
+        graph, params.epsilon, params.p, params.t0, params.max_t, stream, refuter_trials=params.refuter_trials
+    )
+    cleaned = clean_partition(graph, part, params.d, params.uniformity)
     verdicts = Counter(info.verdict.status for info in part.pair_info.values())
     stage = {
         "partition_t": part.t,
@@ -186,19 +356,7 @@ def _pair_verdicts(
     return out
 
 
-def run_counting(
-    pattern: PatternGraph,
-    host_n: int,
-    p: float,
-    eta: float,
-    d: float,
-    delta: float,
-    trials: int,
-    rng: RngStream,
-    epsilon: float = 0.25,
-    refuter_trials: int = 32,
-    pass_fraction: float = 0.9,
-) -> ExperimentReport:
+def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
     """Canonical-count concentration in random multipartite slices of a random host.
 
     Per trial: sample the host, pick disjoint classes of size ceil(eta * N),
@@ -207,13 +365,10 @@ def run_counting(
     Trials where some pair has fewer than d * p * n^2 edges are skipped
     (below the density floor the statement does not apply).
     """
-    args = dict(locals())
-    if pattern.edge_count == 0:
-        raise PreconditionError("counting experiment needs a template with edges")
+    params.check()
+    pattern, host_n, p, delta = params.pattern, params.host_n, params.p, params.delta
     k = pattern.k
-    n = math.ceil(eta * host_n)
-    if k * n > host_n:
-        raise PreconditionError(f"need k * ceil(eta N) = {k * n} <= N = {host_n}")
+    n = math.ceil(params.eta * host_n)
     caveats = [REGULARITY_CAVEAT]
     m2 = two_density(pattern).m2
     threshold = host_n ** (-1.0 / float(m2))
@@ -222,7 +377,7 @@ def run_counting(
             f"p = {p} is below N^(-1/m2) = {threshold:.6f}; the counting statement "
             "is only expected to hold above that scale"
         )
-    floor = Fraction(d) * Fraction(p) * n * n
+    floor = Fraction(params.d) * Fraction(p) * n * n
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
@@ -235,7 +390,7 @@ def run_counting(
         if thin:
             record.update(skipped=True, skip_reason=f"pairs below d p n^2: {thin}", in_band=None)
             return record
-        statuses = _pair_verdicts(slice_graph, epsilon, p, refuter_trials, stream.child(2))
+        statuses = _pair_verdicts(slice_graph, params.epsilon, p, params.refuter_trials, stream.child(2))
         result = canonical_count(slice_graph)
         in_band = result.ratio is not None and abs(result.ratio - 1.0) <= delta
         record.update(
@@ -256,11 +411,11 @@ def run_counting(
             "effective_trials": len(effective),
             "in_band": band,
             "band_fraction": fraction,
-            "passed": bool(effective) and fraction >= pass_fraction,
+            "passed": bool(effective) and fraction >= params.pass_fraction,
             "p_threshold": threshold,
         }
 
-    return _run_trials("counting", args, one_trial, aggregate, caveats)
+    return _run_trials(params, rng, one_trial, aggregate, caveats)
 
 
 def _side_labels(labels: list[int], stream: RngStream) -> list[int]:
@@ -338,22 +493,7 @@ def _bipartite_plant(
     return working, planted, labelled
 
 
-def run_removal(
-    pattern: PatternGraph,
-    host_n: int,
-    p: float,
-    delta: float,
-    eps_copies: float,
-    rng: RngStream,
-    trials: int,
-    t0: int = 8,
-    max_t: int = 32,
-    epsilon: float = 0.3,
-    d: float = 0.25,
-    uniformity: float = 2.0,
-    refuter_trials: int = 24,
-    pass_fraction: float = 0.9,
-) -> ExperimentReport:
+def run_removal(params: RemovalParams, rng: RngStream) -> ExperimentReport:
     """Few-copies subgraphs become template-free after bounded deletions.
 
     Per trial: build a subgraph of the random host with at most
@@ -364,13 +504,12 @@ def run_removal(
     The output must be exactly template-free, verified by independent
     search, with total deletions at most delta * p * N^2.
     """
-    args = dict(locals())
-    if pattern.edge_count == 0:
-        raise PreconditionError("removal experiment needs a template with edges")
+    params.check()
+    pattern, host_n, p = params.pattern, params.host_n, params.p
     aut = automorphism_count(pattern)
-    copy_budget = Fraction(eps_copies) * Fraction(p) ** pattern.edge_count * host_n**pattern.k
+    copy_budget = Fraction(params.eps_copies) * Fraction(p) ** pattern.edge_count * host_n**pattern.k
     labelled_budget = int(copy_budget * aut)
-    deletion_budget = Fraction(delta) * Fraction(p) * host_n * host_n
+    deletion_budget = Fraction(params.delta) * Fraction(p) * host_n * host_n
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
@@ -383,9 +522,7 @@ def run_removal(
             "copies_before": labelled // aut,
             "copies_within_budget": labelled <= labelled_budget,
         }
-        part, cleaned, stage = _regularize(
-            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
-        )
+        part, cleaned, stage = _regularize(sub, params, stream.child(2))
         record.update(stage)
         record["cluster_supported_copies"] = _cluster_supported_count(
             cleaned.graph, part, cleaned.cluster, pattern
@@ -406,10 +543,10 @@ def run_removal(
         return record
 
     return _run_trials(
-        "removal",
-        args,
+        params,
+        rng,
         one_trial,
-        lambda records: _success_aggregate(records, pass_fraction),
+        lambda records: _success_aggregate(records, params.pass_fraction),
         [
             REGULARITY_CAVEAT,
             "surviving copies after cleaning are removed one edge per copy; "
@@ -539,32 +676,17 @@ def _pad_to_divisible(cluster: ClusterGraph, k: int) -> list[int]:
     return sorted(sorted(range(cluster.t), key=lambda v: (cluster.degree(v), v))[cluster.t % k :])
 
 
-def packing_pipeline(
-    graph: SimpleGraph,
-    k: int,
-    gamma: float,
-    p: float,
-    rng: RngStream,
-    host_n: int | None = None,
-    t0: int = 12,
-    max_t: int = 32,
-    epsilon: float = 0.3,
-    d: float = 0.15,
-    uniformity: float = 2.0,
-    refuter_trials: int = 24,
-) -> dict:
+def packing_pipeline(graph: SimpleGraph, params: PackingParams, rng: RngStream) -> dict:
     """Partition -> clean -> trim -> cluster factor -> greedy clique extraction.
 
     ``graph`` is the min-degree subgraph under test; coverage is measured
-    against ``host_n`` (the ambient vertex count) so peeled vertices count
-    as uncovered.  Returns the trial record; a stage that cannot proceed
-    marks the trial inconclusive with the stage named.
+    against ``params.host_n`` (the ambient vertex count) so peeled vertices
+    count as uncovered.  Returns the trial record; a stage that cannot
+    proceed marks the trial inconclusive with the stage named.
     """
-    ambient = host_n if host_n is not None else graph.n
+    k, gamma, ambient = params.k, params.gamma, params.host_n
     record: dict = {"subgraph_n": graph.n, "subgraph_edges": graph.edge_count}
-    part, cleaned, stage = _regularize(
-        graph, epsilon, p, t0, max_t, d, uniformity, refuter_trials, rng.child(0)
-    )
+    part, cleaned, stage = _regularize(graph, params, rng.child(0))
     record.update(stage)
     beta = min(gamma / 2.0, 1.0 / (2 * k))
     trim = trim_min_degree(cleaned.cluster, k, beta)
@@ -618,16 +740,7 @@ def packing_pipeline(
     return record
 
 
-def run_packing(
-    k: int,
-    host_n: int,
-    p: float,
-    gamma: float,
-    rng: RngStream,
-    trials: int,
-    pass_fraction: float = 0.8,
-    **pipeline_kwargs,
-) -> ExperimentReport:
+def run_packing(params: PackingParams, rng: RngStream) -> ExperimentReport:
     """Near-spanning clique packings of high-min-degree subgraphs of a random host.
 
     Per trial: peel low-degree vertices toward min degree
@@ -636,14 +749,14 @@ def run_packing(
     which the record carries), then run the packing pipeline and require
     coverage of at least (1 - gamma) N ambient vertices.
     """
-    args = dict(locals())
-    args.update(args.pop("pipeline_kwargs"))
-    target = (1 - 1 / k + gamma) * p * host_n
+    params.check()
+    host_n, p = params.host_n, params.p
+    target = (1 - 1 / params.k + params.gamma) * p * host_n
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
         alive, removed, target_met = _peel_low_degree(
-            host, lambda size: target, limit=int(gamma * host_n / 4)
+            host, lambda size: target, limit=_peel_limit(params)
         )
         sub, _ = _induced_on(host, list(iter_bits(alive)))
         record = {
@@ -651,17 +764,14 @@ def run_packing(
             "min_degree_target": target,
             "min_degree_target_met": bool(target_met),
         }
-        inner = packing_pipeline(
-            sub, k, gamma, p, stream.child(1), host_n=host_n, **pipeline_kwargs
-        )
-        record.update(inner)
+        record.update(packing_pipeline(sub, params, stream.child(1)))
         return record
 
     return _run_trials(
-        "packing",
-        args,
+        params,
+        rng,
         one_trial,
-        lambda records: _success_aggregate(records, pass_fraction),
+        lambda records: _success_aggregate(records, params.pass_fraction),
         [
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved target flag",
@@ -669,22 +779,7 @@ def run_packing(
     )
 
 
-def run_clique_density(
-    k: int,
-    host_n: int,
-    p: float,
-    rho: float | Fraction,
-    eps: float,
-    rng: RngStream,
-    trials: int,
-    oracle_n: int = 6,
-    t0: int = 6,
-    max_t: int = 24,
-    epsilon: float = 0.3,
-    d: float = 0.05,
-    uniformity: float = 2.0,
-    refuter_trials: int = 24,
-) -> ExperimentReport:
+def run_clique_density(params: CliqueDensityParams, rng: RngStream) -> ExperimentReport:
     """Clique counts of relative-density-rho subgraphs versus the dense minimum.
 
     Per trial: keep a uniform random rho-fraction of the host's edges,
@@ -694,22 +789,13 @@ def run_clique_density(
     (g_hat(rho) - eps) p^C(k,2) C(N, k), where g_hat comes from the exact
     small-n minimum extended by zero below the (k-1)-partite threshold.
     """
-    args = dict(locals())
-    if k not in (3, 4):
-        raise PreconditionError("desk-scale clique-density experiment supports k in {3, 4}")
-    if host_n < 2:
-        raise PreconditionError(f"clique-density experiment needs N >= 2 for an edge slot, got {host_n}")
-    if not 0.0 < p <= 1.0:
-        raise PreconditionError(f"clique-density experiment needs p in (0, 1], got {p}")
-    rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho)
-    if not 0 <= rho_frac <= 1:
-        raise PreconditionError(f"relative density rho must lie in [0, 1], got {rho}")
+    params.check()
+    k, host_n, p, rho_frac = params.k, params.host_n, params.p, Fraction(params.rho)
     if rho_frac <= 1 - Fraction(1, k - 1):
         g_hat = Fraction(0)
     else:
-        g_hat = gk_bruteforce(k, rho_frac, oracle_n)
-    args["g_hat"] = g_hat
-    bound = (g_hat - Fraction(eps)) * Fraction(p) ** math.comb(k, 2) * math.comb(host_n, k)
+        g_hat = gk_bruteforce(k, rho_frac, params.oracle_n)
+    bound = (g_hat - Fraction(params.eps)) * Fraction(p) ** math.comb(k, 2) * math.comb(host_n, k)
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
@@ -722,9 +808,7 @@ def run_clique_density(
             sub = SimpleGraph(host.n, symmetric_rows(host.n, u[picks], v[picks]))
         sub_edges = sub.edge_count
         achieved_rho = float(sub_edges / (p * host_n * (host_n - 1) / 2))
-        part, cleaned, stage = _regularize(
-            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(2)
-        )
+        part, cleaned, stage = _regularize(sub, params, stream.child(2))
         cluster = cleaned.cluster
         t = cluster.t
         weighted_sum = Fraction(0)
@@ -750,17 +834,19 @@ def run_clique_density(
         meets = sum(1 for r in records if r["count_meets_bound"])
         return {"count_meets_bound": meets, "passed": meets == len(records)}
 
-    return _run_trials(
-        "cliquedensity",
-        args,
+    report = _run_trials(
+        params,
+        rng,
         one_trial,
         aggregate,
         [
             REGULARITY_CAVEAT,
-            f"g_hat evaluated by exact search at n = {oracle_n}, extended by the "
+            f"g_hat evaluated by exact search at n = {params.oracle_n}, extended by the "
             "classical zero region below 1 - 1/(k-1)",
         ],
     )
+    report.params["g_hat"] = str(g_hat)
+    return report
 
 
 def _min_deletion_partition(
@@ -811,22 +897,7 @@ def _min_deletion_partition(
     return best_assign, int(best_cost)
 
 
-def run_partite_stability(
-    pattern: PatternGraph,
-    host_n: int,
-    p: float,
-    gamma: float,
-    rng: RngStream,
-    trials: int,
-    perturb_fraction: float = 0.0,
-    t0: int = 6,
-    max_t: int = 20,
-    epsilon: float = 0.3,
-    d: float = 0.15,
-    uniformity: float = 2.0,
-    refuter_trials: int = 24,
-    pass_fraction: float = 0.8,
-) -> ExperimentReport:
+def run_partite_stability(params: AesParams, rng: RngStream) -> ExperimentReport:
     """Template-free min-degree subgraphs become (chi-1)-partite after small deletions.
 
     Per trial: intersect the host with a random balanced (chi-1)-partite
@@ -838,11 +909,10 @@ def run_partite_stability(
     cluster copy of the template are counted exactly; a positive count for
     a template-free input raises a soundness error.
     """
-    args = dict(locals())
+    params.check()
+    pattern, host_n, p, gamma = params.pattern, params.host_n, params.p, params.gamma
     chi = chromatic_number(pattern)
     parts = chi - 1
-    if parts < 2:
-        raise PreconditionError("template must have chromatic number at least 3")
     budget = Fraction(gamma) * Fraction(p) * host_n * host_n
 
     def one_trial(stream: RngStream) -> dict:
@@ -851,7 +921,7 @@ def run_partite_stability(
         cut, (iu, iv) = _partite_cut(host, side, stream.child(2))
         adj = list(cut.adj)
         sub = SimpleGraph(host_n, adj)
-        budget_edges = int(perturb_fraction * len(iu))
+        budget_edges = int(params.perturb_fraction * len(iu))
         added = 0
         for u, v in zip(map(int, iu), map(int, iv)):
             if added >= budget_edges:
@@ -869,9 +939,7 @@ def run_partite_stability(
             "premise_min_degree": (1 - 3 / (3 * chi - 4) + gamma) * p * host_n,
         }
         record["premise_met"] = record["min_degree"] >= record["premise_min_degree"]
-        part, cleaned, stage = _regularize(
-            sub, epsilon, p, t0, max_t, d, uniformity, refuter_trials, stream.child(3)
-        )
+        part, cleaned, stage = _regularize(sub, params, stream.child(3))
         record.update(stage)
 
         cluster = cleaned.cluster
@@ -915,10 +983,10 @@ def run_partite_stability(
         return record
 
     return _run_trials(
-        "aes",
-        args,
+        params,
+        rng,
         one_trial,
-        lambda records: _success_aggregate(records, pass_fraction),
+        lambda records: _success_aggregate(records, params.pass_fraction),
         [
             REGULARITY_CAVEAT,
             "min-degree premise is best-effort at desk scale; records carry the achieved value",
@@ -926,14 +994,7 @@ def run_partite_stability(
     )
 
 
-def run_turan(
-    pattern: PatternGraph,
-    host_n: int,
-    p: float,
-    eps: float,
-    rng: RngStream,
-    trials: int,
-) -> ExperimentReport:
+def run_turan(params: TuranParams, rng: RngStream) -> ExperimentReport:
     """Subgraphs above the Turan fraction contain the template.
 
     The quantifier over all subgraphs is untestable; per trial this draws a
@@ -941,11 +1002,10 @@ def run_turan(
     topped up with random interior edges to reach the threshold fraction)
     and searches for the template exactly.
     """
-    args = dict(locals())
-    if pattern.edge_count == 0:
-        raise PreconditionError("turan experiment needs a template with edges")
+    params.check()
+    pattern, host_n, p = params.pattern, params.host_n, params.p
     chi = chromatic_number(pattern)
-    fraction_required = 1 - 1 / (chi - 1) + eps
+    fraction_required = 1 - 1 / (chi - 1) + params.eps
 
     def one_trial(stream: RngStream) -> dict:
         host = gnp(host_n, p, stream.child(0))
@@ -974,8 +1034,8 @@ def run_turan(
         return {"found": found, "found_fraction": found / len(records) if records else 0.0}
 
     return _run_trials(
-        "turan",
-        args,
+        params,
+        rng,
         one_trial,
         aggregate,
         [
@@ -985,14 +1045,7 @@ def run_turan(
     )
 
 
-def probe_copy_free_class(
-    pattern: PatternGraph,
-    n: int,
-    m: int,
-    eps: float,
-    trials: int,
-    rng: RngStream,
-) -> ExperimentReport:
+def probe_copy_free_class(params: ClassProbeParams, rng: RngStream) -> ExperimentReport:
     """Estimate how often regular m-edge members of the product class miss the template.
 
     Samples uniform members (independent uniform m-edge bipartite graphs per
@@ -1001,13 +1054,8 @@ def probe_copy_free_class(
     regular member contains no canonical copy.  Reports a Wilson 95 percent
     interval and the implied per-edge rate estimate^(1/m).
     """
-    args = dict(locals())
-    if m < 1:
-        raise PreconditionError(f"m must be at least 1 (the per-edge rate is estimate^(1/m)), got m = {m}")
-    if n > EXHAUSTIVE_PAIR_BUDGET:
-        raise PreconditionError(f"exhaustive filtering is limited to n <= {EXHAUSTIVE_PAIR_BUDGET} per part")
-    if m > n * n:
-        raise PreconditionError("m exceeds the n^2 slots per pair")
+    params.check()
+    pattern, n, m, eps = params.pattern, params.n, params.m, params.eps
     p_scale = m / (n * n)
 
     def one_trial(stream: RngStream) -> dict:
@@ -1028,7 +1076,7 @@ def probe_copy_free_class(
         regular_records = [r for r in records if r["regular"]]
         if not regular_records:
             raise RejectionBudgetError(
-                f"no regular samples among {trials} draws at eps = {eps}", acceptance_rate=0.0
+                f"no regular samples among {params.trials} draws at eps = {eps}", acceptance_rate=0.0
             )
         bad = sum(1 for r in regular_records if r["copy_free"])
         total = len(regular_records)
@@ -1040,7 +1088,7 @@ def probe_copy_free_class(
         lo, hi = max(0.0, centre - half), min(1.0, centre + half)
         return {
             "regular_samples": total,
-            "acceptance_rate": total / trials,
+            "acceptance_rate": total / params.trials,
             "copy_free": bad,
             "estimate": estimate,
             "wilson_95": [lo, hi],
@@ -1049,8 +1097,8 @@ def probe_copy_free_class(
         }
 
     return _run_trials(
-        "classprobe",
-        args,
+        params,
+        rng,
         one_trial,
         aggregate,
         [

@@ -27,6 +27,20 @@ def patterns(draw, min_k=2, max_k=6, require_edge=True):
     return PatternGraph.from_edges(k, edges)
 
 
+#: declared parameter type of ``reglab.experiments`` -> values of that type
+PARAM_VALUES = {
+    int: st.integers(-10**6, 10**6),
+    float: st.floats(),
+    Fraction: st.fractions(),
+    PatternGraph: patterns(max_k=5, require_edge=False),
+}
+
+
+def out_of_range(kind: type, declared_range) -> st.SearchStrategy:
+    """Values of the declared type ``kind`` outside ``declared_range``."""
+    return PARAM_VALUES[kind].filter(lambda value: not declared_range.holds(value))
+
+
 #: A 6-vertex template with trivial automorphism group (none has fewer vertices).
 ASYMMETRIC6 = PatternGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 5)])
 

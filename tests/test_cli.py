@@ -21,6 +21,7 @@ so a change of a CLI default does not change what it runs.
   first run fails with every line added and writes the file to copy.
 """
 
+import contextlib
 import csv
 import difflib
 import io
@@ -29,12 +30,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglab
 from reglab import cli, experiments
@@ -43,6 +48,8 @@ from reglab.errors import SoundnessError
 from reglab.experiments import ExperimentReport
 from reglab.graphs import PatternGraph, SimpleGraph
 from reglab.randgraph import RngStream
+
+from helpers import out_of_range
 
 TRIANGLE = '{"k": 3, "edges": [[1, 2], [1, 3], [2, 3]]}\n'
 C5 = '{"k": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}\n'
@@ -243,6 +250,31 @@ def test_output_is_golden_and_rerun_identical(case, tmp_path):
         assert code == GOLDEN_CASES[case][1]
 
 
+def record_from_params(record, params: dict):
+    """The ``record`` whose every declared parameter is read back from report params under its report key."""
+    values = {}
+    for row in record.declared():
+        value = params[row.key or row.name]
+        if row.kind is PatternGraph:
+            value = PatternGraph.from_json(json.dumps(value))
+        elif row.kind is Fraction:
+            value = Fraction(value)
+        values[row.name] = value
+    return record(**values)
+
+
+@pytest.mark.parametrize(
+    "case", sorted(case for case, (argv, _) in GOLDEN_CASES.items() if argv[0] == "experiment" and ".json" in case)
+)
+def test_a_report_reruns_from_its_own_params(case):
+    """The record read back from a golden report's params, run from the report's seed, writes the golden again."""
+    golden = json.loads((GOLDEN_DIR / case).read_bytes())
+    record = experiments.EXPERIMENTS[golden["name"]]
+    params = record_from_params(record, {key: value for key, value in golden["params"].items() if key != "g_hat"})
+    report = getattr(experiments, record.runner)(params, RngStream(golden["seed"]))
+    assert (report.to_json() + "\n").encode() == pinned_output(GOLDEN_DIR / case)
+
+
 def test_a_changed_golden_value_fails_with_a_diff_of_its_line(tmp_path):
     golden = GOLDEN_DIR / "turan.json"
     text = golden.read_text(encoding="utf-8")
@@ -328,8 +360,9 @@ def test_experiment_accepts_exactly_the_flags_its_runner_reads(name, tmp_path, m
     runner, flags = READ_FLAGS[name]
     calls = []
 
-    def recording_runner(*args, **kwargs):
-        calls.append(kwargs)
+    def recording_runner(params, rng):
+        values = {row.name: (getattr(params, row.name), row.default) for row in params.declared()}
+        calls.append({name: value for name, (value, default) in values.items() if value != default} | {"rng": rng})
         return ExperimentReport(name, {}, 1, [], {}, [])
 
     monkeypatch.setattr(experiments, runner, recording_runner)
@@ -354,13 +387,13 @@ def test_cli_looks_up_the_runner_when_it_calls_it(tmp_path, monkeypatch):
     calls = []
     real = experiments.run_turan
 
-    def recording_turan(**kwargs):
-        calls.append(sorted(kwargs))
-        return real(**kwargs)
+    def recording_turan(params, rng):
+        calls.append(params)
+        return real(params, rng)
 
     monkeypatch.setattr(experiments, "run_turan", recording_turan)
     code, output = run_case("turan.json", tmp_path)
-    assert calls == [["eps", "host_n", "p", "pattern", "rng", "trials"]]
+    assert calls == [experiments.TuranParams(PatternGraph.complete(3), host_n=60, p=0.3, eps=0.25, trials=2)]
     assert code == EXIT_OK
     assert_golden(output, GOLDEN_DIR / "turan.json", tmp_path)
 
@@ -497,13 +530,66 @@ EXIT_CODES = {
         ["experiment", "packing", "--N", "30", "--trials", "1", "--gamma", "1e308"], EXIT_USAGE,
     ),
     "cliquedensity_N_one": (["experiment", "cliquedensity", "--N", "1", "--trials", "1"], EXIT_USAGE),
+    "packing_k_one": (["experiment", "packing", "--N", "30", "--k", "1", "--trials", "1"], EXIT_USAGE),
+    # N below the t0 classes of the first partition: removal's 8, aes's and cliquedensity's 6
+    "removal_N_below_t0": (["experiment", "removal", "--N", "7", "--trials", "1"], EXIT_USAGE),
+    "aes_N_below_t0": (["experiment", "aes", "--N", "5", "--trials", "1"], EXIT_USAGE),
+    "cliquedensity_N_below_t0": (["experiment", "cliquedensity", "--N", "5", "--trials", "1"], EXIT_USAGE),
 }
 
 
+def record_draws(monkeypatch) -> list[str]:
+    """The names of the host and class samplers that ``reglab.experiments`` calls from now on, one per call."""
+    draws = []
+    for sampler in ("gnp", "sample_class"):
+        real = getattr(experiments, sampler)
+
+        def recording(*args, sampler=sampler, real=real, **kwargs):
+            draws.append(sampler)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, sampler, recording)
+    return draws
+
+
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
-def test_exit_code_table(case, tmp_path):
+def test_exit_code_table(case, tmp_path, monkeypatch):
+    """Each case exits with its code; a usage error comes before any host or class draw."""
     template, expected = EXIT_CODES[case]
+    draws = record_draws(monkeypatch)
     assert run_cli(template, tmp_path, tmp_path / "out.txt") == expected
+    assert expected != EXIT_USAGE or draws == []
+
+
+#: (experiment, declared parameter) of each experiment option with a declared range
+RANGED_OPTIONS = [
+    (name, row)
+    for name, record in experiments.EXPERIMENTS.items()
+    for row in record.declared()
+    if row.option and row.range
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_out_of_range_option_exits_2_naming_it_before_any_draw(data):
+    """Any value outside an option's declared range exits 2 with the option and its keyword in stderr."""
+    name, row = data.draw(st.sampled_from(RANGED_OPTIONS))
+    value = data.draw(out_of_range(row.kind, row.range))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a host or class sample was drawn")
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(experiments, "gnp", no_draw), \
+            mock.patch.object(experiments, "sample_class", no_draw), contextlib.redirect_stderr(err):
+        text = repr(value) if row.kind is float else str(value)
+        if row.kind is PatternGraph:
+            text = Path(tmp, "template.json")
+            text.write_text(value.to_json(), encoding="utf-8")
+        code = main(["--seed", "1", "--out", str(Path(tmp, "out.json")), "experiment", name, f"{row.option}={text}"])
+    assert code == EXIT_USAGE
+    assert row.option in err.getvalue() and row.name in err.getvalue()
 
 
 def test_soundness_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,21 +1,23 @@
 """Experiment building blocks: the degree peels, cluster-supported counts, and the packing pipeline."""
 
-import inspect
-import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import experiments
-from reglab.counting import gk_bruteforce
 from reglab.errors import BudgetError, PreconditionError, SoundnessError
 from reglab.embedding import count_embeddings, count_kcliques, find_embedding, iter_embeddings
 from reglab.experiments import (
     CLIQUE_FACTOR_BUDGET,
+    AesParams,
+    ClassProbeParams,
+    PackingParams,
+    RemovalParams,
     _break_surviving_copies,
     _cluster_supported_count,
     _pad_to_divisible,
@@ -31,6 +33,7 @@ from reglab.regularity import EXHAUSTIVE_PAIR_BUDGET
 
 from helpers import (
     cluster_graphs,
+    out_of_range,
     patterns,
     reference_break_surviving_copies,
     reference_clique_factor,
@@ -247,7 +250,7 @@ def spy_on_find_embedding(monkeypatch) -> list[tuple[bool, tuple[int, ...]]]:
 )
 def test_packing_pipeline_extracts_verified_cliques(graph, p, trimmed, monkeypatch):
     found = spy_on_find_embedding(monkeypatch)
-    record = packing_pipeline(graph, 3, 0.25, p, RngStream(1), t0=12)
+    record = packing_pipeline(graph, PackingParams(k=3, host_n=graph.n, p=p, gamma=0.25), RngStream(1))
     assert "stage_failed" not in record
     assert record.get("trim_fallback", False) is not trimmed
     cliques = [clique for _, clique in found]
@@ -266,7 +269,7 @@ def test_packing_pipeline_rejects_a_reused_vertex(monkeypatch):
     answers = iter([(0, 1, 2), (0, 3, 4)])
     monkeypatch.setattr(experiments, "find_embedding", lambda *args, **kwargs: next(answers, None))
     with pytest.raises(SoundnessError, match="reuses a vertex"):
-        packing_pipeline(SimpleGraph.complete(36), 3, 0.25, 1.0, RngStream(1), t0=12)
+        packing_pipeline(SimpleGraph.complete(36), PackingParams(k=3, host_n=36, p=1.0, gamma=0.25), RngStream(1))
 
 
 @st.composite
@@ -342,70 +345,42 @@ def test_class_probe_rejects_m_below_one_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(experiments, "sample_class", no_draw)
     for m in (0, -1):
-        with pytest.raises(PreconditionError, match=f"m = {m}"):
-            experiments.probe_copy_free_class(K3, 8, m, 0.75, 1, RngStream(1))
+        with pytest.raises(PreconditionError, match=rf"m \(--m\) must be >= 1, got {m}"):
+            experiments.probe_copy_free_class(ClassProbeParams(K3, 8, m, 0.75, 1), RngStream(1))
 
 
 def test_class_probe_part_size_limit_is_the_exhaustive_pair_budget():
     # parts of 16 are judged exhaustively, so the probe takes them; 17 is refused
     assert EXHAUSTIVE_PAIR_BUDGET == 16
-    report = experiments.probe_copy_free_class(K3, 16, 200, 0.75, 1, RngStream(1))
+    report = experiments.probe_copy_free_class(ClassProbeParams(K3, 16, 200, 0.75, 1), RngStream(1))
     assert report.aggregate["regular_samples"] == 1
-    with pytest.raises(PreconditionError, match="n <= 16"):
-        experiments.probe_copy_free_class(K3, 17, 200, 0.75, 1, RngStream(1))
+    with pytest.raises(PreconditionError, match=r"n \(--n\) must be in \[1, 16\], got 17"):
+        experiments.probe_copy_free_class(ClassProbeParams(K3, 17, 200, 0.75, 1), RngStream(1))
 
 
-#: runner -> keyword arguments of a tiny run, each with a non-default keyword
-SKELETON_RUNS = {
-    "counting": (experiments.run_counting, dict(
-        pattern=K3, host_n=60, p=0.3, eta=0.3, d=0.25, delta=0.15, trials=1, rng=RngStream(1), refuter_trials=8,
-    )),
-    "removal": (experiments.run_removal, dict(
-        pattern=K3, host_n=60, p=0.3, delta=0.15, eps_copies=0.25, rng=RngStream(1), trials=1, t0=4,
-    )),
-    "packing": (experiments.run_packing, dict(k=3, host_n=60, p=0.3, gamma=0.25, rng=RngStream(1), trials=1, t0=6)),
-    "cliquedensity": (experiments.run_clique_density, dict(
-        k=3, host_n=40, p=0.3, rho=Fraction(9, 10), eps=0.25, rng=RngStream(1), trials=1, oracle_n=5,
-    )),
-    "aes": (experiments.run_partite_stability, dict(
-        pattern=K3, host_n=60, p=0.3, gamma=0.25, rng=RngStream(1), trials=1, perturb_fraction=0.1,
-    )),
-    "turan": (experiments.run_turan, dict(pattern=K3, host_n=60, p=0.3, eps=0.25, rng=RngStream(1), trials=2)),
-    "classprobe": (experiments.probe_copy_free_class, dict(
-        pattern=K3, n=8, m=16, eps=0.75, trials=2, rng=RngStream(1),
-    )),
-}
+#: (record, declared parameter) of every parameter with a declared range, hidden ones included
+RANGED_PARAMS = [(record, row) for record in experiments.EXPERIMENTS.values() for row in record.declared() if row.range]
 
 
-@pytest.mark.parametrize("name", sorted(SKELETON_RUNS))
-def test_report_params_are_the_runner_arguments(name):
-    """Params drop rng, name host_n N, write a template as its JSON and a Fraction as its string."""
-    runner, kwargs = SKELETON_RUNS[name]
-    bound = inspect.signature(runner).bind(**kwargs)
-    bound.apply_defaults()
-    arguments = dict(bound.arguments)
-    arguments.update(arguments.pop("pipeline_kwargs", {}))
-    expected = {}
-    for key, value in arguments.items():
-        if key == "rng":
-            continue
-        if isinstance(value, PatternGraph):
-            value = json.loads(value.to_json())
-        elif isinstance(value, Fraction):
-            value = str(value)
-        expected["N" if key == "host_n" else key] = value
-    report = runner(**kwargs)
-    derived = {}
-    if name == "cliquedensity":
-        derived["g_hat"] = str(gk_bruteforce(3, kwargs["rho"], kwargs["oracle_n"]))
-    assert report.params == {**expected, **derived}
-    assert (report.name, report.seed, len(report.trials)) == (name, 1, kwargs["trials"])
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_runner_rejects_an_out_of_range_value_naming_it_before_any_draw(data):
+    """Library callers get the CLI's check, of every declared range, flagged or hidden."""
+    record, row = data.draw(st.sampled_from(RANGED_PARAMS))
+    params = record(**{row.name: data.draw(out_of_range(row.kind, row.range))})
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a host or class sample was drawn")
+
+    with mock.patch.object(experiments, "gnp", no_draw), mock.patch.object(experiments, "sample_class", no_draw):
+        with pytest.raises(PreconditionError, match=rf"^{row.name}\b"):
+            getattr(experiments, record.runner)(params, RngStream(1))
 
 
 def test_removal_flags_a_cut_above_the_copy_budget():
     """A bipartite template: the random cut alone holds more copies than the budget admits."""
     report = experiments.run_removal(
-        PatternGraph.cycle(4), 120, 0.15, 0.15, 0.01, RngStream(1), trials=1, t0=4, max_t=8
+        RemovalParams(PatternGraph.cycle(4), 120, 0.15, 0.15, 0.01, trials=1, t0=4, max_t=8), RngStream(1)
     )
     record = report.trials[0]
     copy_budget = Fraction(0.01) * Fraction(0.15) ** 4 * 120**4
@@ -438,7 +413,7 @@ def test_aes_reads_the_cleaned_graph_pair_counts_from_the_partition(monkeypatch)
     monkeypatch.setattr(experiments, "_peel_low_degree", recording_peel)
     monkeypatch.setattr(experiments, "_min_deletion_partition", recording_min_deletion)
     record = experiments.run_partite_stability(
-        K3, 140, 0.5, 0.25, RngStream(3), trials=1, perturb_fraction=0.1
+        AesParams(K3, 140, 0.5, 0.25, trials=1, perturb_fraction=0.1), RngStream(3)
     ).trials[0]
     graph, cluster = seen["cleaned"].graph, seen["cleaned"].cluster
     masks = [bitmask_of(c) for c in seen["part"].classes]

@@ -1,9 +1,11 @@
 """Guards over the package source itself."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import reglab
+from reglab import cli, experiments
 
 SOURCES = sorted(Path(reglab.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -180,3 +182,41 @@ def test_one_candidate_step_per_walk_in_the_search_kernel():
 
     visit(tree, "")
     assert steppers == ["_embeddings", "count_embeddings"]
+
+
+def _subcommands(parser: argparse.ArgumentParser, path: tuple = ()):
+    """Each subcommand's name path, such as ``("experiment", "aes")``, with its parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield path + (name,), sub
+                yield from _subcommands(sub, path + (name,))
+
+
+def test_cli_declares_no_experiment_parameter():
+    """Every ``experiment`` option comes from the declarations in ``experiments.EXPERIMENTS``.
+
+    ``cli.py`` names no experiment option or field that no other command
+    has, and each ``experiment <name>`` option is a declared one with its
+    help and no default of its own (argparse's ``SUPPRESS``), so the
+    record's declared default holds.
+    """
+    commands = dict(_subcommands(cli.build_parser()))
+    other = {
+        name
+        for path, sub in commands.items()
+        if path[0] != "experiment"
+        for action in sub._actions
+        for name in (action.dest, *action.option_strings)
+    }
+    declared = set()
+    options = 0
+    for name, record in experiments.EXPERIMENTS.items():
+        declared |= {name for row in record.declared() for name in (row.name, row.option) if name}
+        actions = commands["experiment", name]._actions
+        built = {(a.option_strings[0], a.dest, a.default, a.help) for a in actions if a.dest != "help"}
+        assert built == {(row.option, row.name, argparse.SUPPRESS, row.help) for row in record.declared() if row.option}
+        options += len(built)
+    assert options == 40
+    path = Path(cli.__file__)
+    assert (_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) & declared) - other == set()
