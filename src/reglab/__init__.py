@@ -24,7 +24,7 @@ from .partition import (
     sparse_regular_partition,
     trim_min_degree,
 )
-from .patterns import DensityReport, chromatic_number, is_strictly_balanced, two_density
+from .patterns import DensityReport, chromatic_number, two_density
 from .randgraph import ExposureSchedule, RngStream, exposure_schedule, gnp, sample_class
 from .regularity import RegularityVerdict, check_lower_regular, pair_verdict
 
@@ -53,7 +53,6 @@ __all__ = [
     "gk_bruteforce",
     "gnp",
     "induced_multipartite",
-    "is_strictly_balanced",
     "min_degree",
     "pair_density",
     "pair_verdict",

@@ -16,8 +16,8 @@ and ``--uniformity`` are finite and >= 0; the ``partition`` and ``clean``
 ``--max-t`` is at least ``--t0``.  ``experiment <name>`` declares nothing
 here: its options, meanings, ranges and defaults are the parameter rows of
 ``reglab.experiments.EXPERIMENTS`` (see ``reglab experiment <name>
---help``).  An option's text is parsed by its declared type; the runner
-checks the record first, so an out-of-range value exits 2 before any draw.
+--help``).  An option's text is parsed by its declared type; the record
+checks itself when built, so an out-of-range value exits 2 before any draw.
 """
 
 from __future__ import annotations

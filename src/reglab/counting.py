@@ -64,14 +64,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
 from .graphs import MultipartiteGraph, PatternGraph, rows_to_matrix, rows_to_words
-from . import smallgraphs
 
-GK_BUDGET = 9
+GK_BUDGET = 7
 
 #: float64 represents every integer below this exactly.
 EXACT_FLOAT_LIMIT = 2**53
@@ -330,11 +330,12 @@ def constrained_count(
 def gk_bruteforce(k: int, rho: Fraction | float, n: int) -> Fraction:
     """Minimum K_k density over n-vertex graphs with edge density at least rho.
 
-    Exhausts non-isomorphic graphs with exactly ceil(rho * C(n, 2)) edges
+    Exhausts the labelled graphs with exactly ceil(rho * C(n, 2)) edges
     (adding edges never lowers the clique count, so the minimum over "at
-    least" is attained there) and normalizes the minimum count by C(n, k).
-    When the required edge count is above half the slots, the complements
-    are enumerated instead.
+    least" is attained there; the labelled minimum is the minimum over
+    isomorphism classes) and normalizes the minimum count by C(n, k).  Each
+    vertex pair is a bit, each k-subset the mask of its clique's pairs, and
+    a graph's count is the number of masks its edge mask contains.
     """
     if n > GK_BUDGET:
         raise BudgetError(f"clique-minimum oracle limited to {GK_BUDGET} vertices, got {n}")
@@ -343,14 +344,12 @@ def gk_bruteforce(k: int, rho: Fraction | float, n: int) -> Fraction:
     rho_frac = rho if isinstance(rho, Fraction) else Fraction(rho)
     if rho_frac > 1:
         raise PreconditionError(f"density rho must be at most 1, got {rho}")
-    total_slots = n * (n - 1) // 2
-    m0 = max(0, math.ceil(rho_frac * total_slots))
-    if m0 <= total_slots // 2:
-        reps = smallgraphs.nonisomorphic_graphs(n, m0)
-        best = min(smallgraphs.clique_count(n, adj, k) for adj in reps)
-    else:
-        reps = smallgraphs.nonisomorphic_graphs(n, total_slots - m0)
-        best = min(
-            smallgraphs.clique_count(n, smallgraphs.complement(n, adj), k) for adj in reps
-        )
-    return Fraction(best, math.comb(n, k))
+    bits = {pair: 1 << bit for bit, pair in enumerate(combinations(range(n), 2))}
+    cliques = [sum(bits[pair] for pair in combinations(subset, 2)) for subset in combinations(range(n), k)]
+    best = len(cliques)
+    for chosen in combinations(bits.values(), max(0, math.ceil(rho_frac * len(bits)))):
+        edges = sum(chosen)
+        best = min(best, sum(clique & edges == clique for clique in cliques))
+        if best == 0:
+            break
+    return Fraction(best, len(cliques))

@@ -14,9 +14,9 @@ gives a parameter's runner keyword, type, default, meaning, ``Range``,
 report key and, for the 40 values that the CLI sets, its option; the CLI
 builds ``reglab experiment <name>`` from the rows.  Shared rows are written
 once (``HOST_N``, ``_regularization``'s six values of ``_regularize``, ...).
-A runner's first step is its record's ``check`` of every declared range and
-every cross-field condition, so an out-of-range value fails before any
-draw, from the CLI and from a library caller alike.
+A record checks every declared range and every cross-field condition when
+it is built (``_replace`` included), so an out-of-range value fails before
+any draw, from the CLI and from a library caller alike.
 
 Every runner takes its record and a stream and reports through one
 skeleton, ``_run_trials``: trial i draws from ``rng.child(i)``, and the
@@ -62,7 +62,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .counting import canonical_count, gk_bruteforce
+from .counting import GK_BUDGET, canonical_count, gk_bruteforce
 from .embedding import (
     automorphism_count,
     count_embeddings,
@@ -168,9 +168,19 @@ class Param(NamedTuple):
 
 
 class Params:
-    """Base of the immutable parameter records that ``_record`` builds; a runner's first step is ``check``."""
+    """Base of the immutable parameter records that ``_record`` builds; each record is checked when built."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._make(super().__new__(cls, *args, **kwargs))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The named tuple's ``_make`` (which ``_replace`` calls too), then ``check``."""
+        record = super()._make(iterable)
+        record.check()
+        return record
 
     @classmethod
     def declared(cls) -> tuple[Param, ...]:
@@ -210,7 +220,7 @@ def _record(name: str, experiment: str, runner: str, rows: tuple[Param, ...], re
     """
     values = namedtuple(name, [row.name for row in rows], defaults=[row.default for row in rows])
     namespace = {"__slots__": (), "rows": rows, "experiment": experiment, "runner": runner, "requires": requires}
-    return type(name, (values, Params), namespace)
+    return type(name, (Params, values), namespace)
 
 
 TEMPLATE = Param(
@@ -276,7 +286,8 @@ CliqueDensityParams = _record("CliqueDensityParams", "cliquedensity", "run_cliqu
     Param("rho", Fraction, Fraction(9, 10), "relative density rho, an exact decimal or fraction", CLOSED_UNIT, "--rho"),
     Param("eps", float, 0.25, "slack below g_hat(rho) in the clique bound", UNIT, "--eps"),
     TRIALS,
-    Param("oracle_n", int, 6, "vertices of the exact search for g_hat"),
+    Param("oracle_n", int, 6, "vertices of the exact search for g_hat",
+          Range(f"in [2, {GK_BUDGET}]", lambda v: 2 <= v <= GK_BUDGET)),
     *_regularization(t0=6, max_t=24, d=0.05),
 ), lambda params: {
     **_t0_fits(params, "N", params.host_n),
@@ -365,7 +376,6 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
     Trials where some pair has fewer than d * p * n^2 edges are skipped
     (below the density floor the statement does not apply).
     """
-    params.check()
     pattern, host_n, p, delta = params.pattern, params.host_n, params.p, params.delta
     k = pattern.k
     n = math.ceil(params.eta * host_n)
@@ -504,7 +514,6 @@ def run_removal(params: RemovalParams, rng: RngStream) -> ExperimentReport:
     The output must be exactly template-free, verified by independent
     search, with total deletions at most delta * p * N^2.
     """
-    params.check()
     pattern, host_n, p = params.pattern, params.host_n, params.p
     aut = automorphism_count(pattern)
     copy_budget = Fraction(params.eps_copies) * Fraction(p) ** pattern.edge_count * host_n**pattern.k
@@ -749,7 +758,6 @@ def run_packing(params: PackingParams, rng: RngStream) -> ExperimentReport:
     which the record carries), then run the packing pipeline and require
     coverage of at least (1 - gamma) N ambient vertices.
     """
-    params.check()
     host_n, p = params.host_n, params.p
     target = (1 - 1 / params.k + params.gamma) * p * host_n
 
@@ -789,7 +797,6 @@ def run_clique_density(params: CliqueDensityParams, rng: RngStream) -> Experimen
     (g_hat(rho) - eps) p^C(k,2) C(N, k), where g_hat comes from the exact
     small-n minimum extended by zero below the (k-1)-partite threshold.
     """
-    params.check()
     k, host_n, p, rho_frac = params.k, params.host_n, params.p, Fraction(params.rho)
     if rho_frac <= 1 - Fraction(1, k - 1):
         g_hat = Fraction(0)
@@ -909,7 +916,6 @@ def run_partite_stability(params: AesParams, rng: RngStream) -> ExperimentReport
     cluster copy of the template are counted exactly; a positive count for
     a template-free input raises a soundness error.
     """
-    params.check()
     pattern, host_n, p, gamma = params.pattern, params.host_n, params.p, params.gamma
     chi = chromatic_number(pattern)
     parts = chi - 1
@@ -1002,7 +1008,6 @@ def run_turan(params: TuranParams, rng: RngStream) -> ExperimentReport:
     topped up with random interior edges to reach the threshold fraction)
     and searches for the template exactly.
     """
-    params.check()
     pattern, host_n, p = params.pattern, params.host_n, params.p
     chi = chromatic_number(pattern)
     fraction_required = 1 - 1 / (chi - 1) + params.eps
@@ -1054,7 +1059,6 @@ def probe_copy_free_class(params: ClassProbeParams, rng: RngStream) -> Experimen
     regular member contains no canonical copy.  Reports a Wilson 95 percent
     interval and the implied per-edge rate estimate^(1/m).
     """
-    params.check()
     pattern, n, m, eps = params.pattern, params.n, params.m, params.eps
     p_scale = m / (n * n)
 

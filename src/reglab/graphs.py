@@ -569,15 +569,6 @@ class MultipartiteGraph:
             raise PreconditionError(f"edges supplied for non-pattern pairs: {sorted(unknown)}")
         return MultipartiteGraph(pattern, n, rows)
 
-    @staticmethod
-    def complete_blowup(pattern: PatternGraph, part_size: int) -> "MultipartiteGraph":
-        full = (1 << part_size) - 1
-        rows = {}
-        for i, j in pattern.sorted_edges():
-            rows[(i, j)] = [full] * part_size
-            rows[(j, i)] = [full] * part_size
-        return MultipartiteGraph(pattern, part_size, rows)
-
     @property
     def k(self) -> int:
         return self.pattern.k
@@ -590,9 +581,6 @@ class MultipartiteGraph:
     def edge_count(self, i: int, j: int) -> int:
         """Number of edges of pair {i, j}, the popcount of its rows."""
         return sum(row.bit_count() for row in self.rows[(min(i, j), max(i, j))])
-
-    def has_pair_edge(self, i: int, j: int, u: int, v: int) -> bool:
-        return bool(self.rows[(i, j)][u] >> v & 1)
 
     def pair_subgraph(self, i: int, j: int) -> tuple[SimpleGraph, VertexSetPair]:
         """The bipartite pair {i, j} as a standalone graph plus its sides (``standalone_pair``)."""

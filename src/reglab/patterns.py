@@ -95,11 +95,6 @@ def two_density(pattern: PatternGraph) -> DensityReport:
     )
 
 
-def is_strictly_balanced(pattern: PatternGraph) -> bool:
-    """True iff every proper subgraph has strictly smaller 2-density."""
-    return two_density(pattern).strictly_balanced
-
-
 def chromatic_number(pattern: PatternGraph) -> int:
     """Exact chromatic number by branch and bound over colourings."""
     if pattern.k > CHROMATIC_BUDGET:

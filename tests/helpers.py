@@ -182,7 +182,7 @@ def naive_canonical_count(multipartite) -> int:
     total = 0
     for tup in product(range(n), repeat=k):
         if all(
-            multipartite.has_pair_edge(i, j, tup[i], tup[j])
+            multipartite.rows[(i, j)][tup[i]] >> tup[j] & 1
             for i, j in multipartite.pattern.sorted_edges()
         ):
             total += 1
@@ -196,10 +196,10 @@ def naive_constrained_count(graph, sub_pattern, overlay) -> int:
     for tup in product(range(n), repeat=graph.k):
         ok = True
         for i, j in graph.pattern.sorted_edges():
-            if not graph.has_pair_edge(i, j, tup[i], tup[j]):
+            if not graph.rows[(i, j)][tup[i]] >> tup[j] & 1:
                 ok = False
                 break
-            if (i, j) in sub_edges and not overlay.has_pair_edge(i, j, tup[i], tup[j]):
+            if (i, j) in sub_edges and not overlay.rows[(i, j)][tup[i]] >> tup[j] & 1:
                 ok = False
                 break
         if ok:

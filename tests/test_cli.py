@@ -345,7 +345,7 @@ FLAG_VALUES = {
     "--eps": ("0.45", 0.45),
     "--delta": ("0.17", 0.17),
     "--d": ("0.27", 0.27),
-    "--eta": ("0.31", 0.31),
+    "--eta": ("0.19", 0.19),
     "--gamma": ("0.29", 0.29),
     "--rho": ("7/8", Fraction(7, 8)),
     "--k": ("4", 4),

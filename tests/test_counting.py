@@ -1,8 +1,10 @@
 """Canonical counting kernels against brute-force oracles."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,16 @@ from reglab.counting import (
 )
 from reglab.embedding import automorphism_count
 from reglab.errors import BudgetError, PreconditionError
-from reglab.graphs import MultipartiteGraph, PatternGraph
+from reglab.graphs import MultipartiteGraph, PatternGraph, SimpleGraph, induced_multipartite
 from reglab.randgraph import RngStream
-from reglab import smallgraphs
 
 from helpers import blowup_embedding_count, naive_canonical_count, naive_constrained_count, patterns
+
+
+def complete_blowup(pattern: PatternGraph, n: int) -> MultipartiteGraph:
+    """Every edge between the parts of each template edge, taken from a complete host."""
+    k = pattern.k
+    return induced_multipartite(SimpleGraph.complete(k * n), [range(i * n, (i + 1) * n) for i in range(k)], pattern)
 
 
 def random_multipartite(pattern: PatternGraph, n: int, density: float, stream: RngStream):
@@ -47,7 +54,7 @@ def random_sub_multipartite(graph: MultipartiteGraph, keep: float, stream: RngSt
 
 def test_complete_blowup_count():
     for k in (2, 3, 4):
-        blowup = MultipartiteGraph.complete_blowup(PatternGraph.complete(k), 2)
+        blowup = complete_blowup(PatternGraph.complete(k), 2)
         assert canonical_count(blowup).count == 2**k
 
 
@@ -113,7 +120,7 @@ def test_count_monotone_in_edges():
 
 def test_count_result_normalizations():
     k3 = PatternGraph.complete(3)
-    blowup = MultipartiteGraph.complete_blowup(k3, 3)
+    blowup = complete_blowup(k3, 3)
     result = canonical_count(blowup)
     assert result.count == 27
     assert result.normalized == 1
@@ -341,7 +348,7 @@ def test_components_of_k4_and_k3_are_counted_apart():
 def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
     forbid_backtracker(monkeypatch)
     for pattern in (PatternGraph.cycle(4), PatternGraph.path(4), PatternGraph.from_edges(4, DIAMOND)):
-        blowup = MultipartiteGraph.complete_blowup(pattern, 3)
+        blowup = complete_blowup(pattern, 3)
         assert canonical_count(blowup).count == 3**4
         assert constrained_count(blowup, pattern, blowup).count == 3**4
 
@@ -381,7 +388,7 @@ def test_matrix_route_exact_just_below_the_float_limit():
     # 3^33 lies between 2^52 and 2^53, where float64 still holds every integer
     for pattern in (PatternGraph.path(33), PatternGraph.cycle(33)):
         assert 2**52 < 3**33 < EXACT_FLOAT_LIMIT
-        assert matrix_count(pattern, MultipartiteGraph.complete_blowup(pattern, 3).rows, 3) == 3**33
+        assert matrix_count(pattern, complete_blowup(pattern, 3).rows, 3) == 3**33
 
 
 def test_elimination_steps_order():
@@ -421,28 +428,50 @@ def test_gk_regression_constant():
 
 
 def test_gk_small_cross_check():
-    # direct check against full labelled enumeration at n = 5
-    import math
-    from itertools import combinations as comb
-
-    slots = list(comb(range(5), 2))
+    # direct check against full labelled enumeration at n = 5, triangles counted by networkx
+    slots = list(combinations(range(5), 2))
     for rho_num in (6, 7, 8):
         rho = Fraction(rho_num, 10)
         m0 = math.ceil(rho * len(slots))
         best = None
-        for edges in comb(slots, m0):
-            adj = [0] * 5
-            for a, b in edges:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            count = smallgraphs.clique_count(5, tuple(adj), 3)
+        for edges in combinations(slots, m0):
+            graph = nx.Graph(edges)
+            count = sum(nx.triangles(graph).values()) // 3
             best = count if best is None else min(best, count)
         assert gk_bruteforce(3, rho, 5) == Fraction(best, 10)
 
 
+#: (k, n) -> least number of k-cliques among n-vertex graphs with m edges, for m = 0..C(n, 2);
+#: the values of an independent isomorph-free enumeration over unlabelled graphs
+GK_MINIMUM_COUNTS = {
+    (3, 3): [0, 0, 0, 1],
+    (3, 4): [0, 0, 0, 0, 0, 2, 4],
+    (3, 5): [0] * 7 + [2, 4, 7, 10],
+    (3, 6): [0] * 10 + [3, 6, 8, 12, 16, 20],
+    (3, 7): [0] * 13 + [3, 6, 9, 12, 16, 20, 25, 30, 35],
+    (4, 4): [0] * 6 + [1],
+    (4, 5): [0] * 9 + [2, 5],
+    (4, 6): [0] * 13 + [4, 9, 15],
+    (4, 7): [0] * 17 + [4, 8, 16, 25, 35],
+}
+
+
+@pytest.mark.parametrize("k, n", sorted(GK_MINIMUM_COUNTS))
+def test_gk_minimum_counts_table(k, n):
+    slots = math.comb(n, 2)
+    counts = [gk_bruteforce(k, Fraction(m, slots), n) * math.comb(n, k) for m in range(slots + 1)]
+    assert counts == GK_MINIMUM_COUNTS[(k, n)]
+
+
 def test_gk_budget_and_preconditions():
-    with pytest.raises(BudgetError):
-        gk_bruteforce(3, Fraction(1, 2), 10)
+    assert counting.GK_BUDGET == 7
+    for n in (8, 10):
+        with pytest.raises(BudgetError):
+            gk_bruteforce(3, Fraction(1, 2), n)
+    with pytest.raises(BudgetError):  # the budget is checked first
+        gk_bruteforce(9, Fraction(2), 8)
+    with pytest.raises(PreconditionError, match="k <= n"):  # then k, then rho
+        gk_bruteforce(8, Fraction(2), 7)
     with pytest.raises(PreconditionError):
         gk_bruteforce(3, Fraction(11, 10), 6)
     with pytest.raises(PreconditionError):

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import experiments
+from reglab.counting import GK_BUDGET
 from reglab.errors import BudgetError, PreconditionError, SoundnessError
 from reglab.embedding import count_embeddings, count_kcliques, find_embedding, iter_embeddings
 from reglab.experiments import (
     CLIQUE_FACTOR_BUDGET,
     AesParams,
     ClassProbeParams,
+    CliqueDensityParams,
     PackingParams,
     RemovalParams,
     _break_surviving_copies,
@@ -367,14 +369,30 @@ RANGED_PARAMS = [(record, row) for record in experiments.EXPERIMENTS.values() fo
 def test_a_runner_rejects_an_out_of_range_value_naming_it_before_any_draw(data):
     """Library callers get the CLI's check, of every declared range, flagged or hidden."""
     record, row = data.draw(st.sampled_from(RANGED_PARAMS))
-    params = record(**{row.name: data.draw(out_of_range(row.kind, row.range))})
+    value = data.draw(out_of_range(row.kind, row.range))
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a host or class sample was drawn")
 
     with mock.patch.object(experiments, "gnp", no_draw), mock.patch.object(experiments, "sample_class", no_draw):
         with pytest.raises(PreconditionError, match=rf"^{row.name}\b"):
-            getattr(experiments, record.runner)(params, RngStream(1))
+            getattr(experiments, record.runner)(record(**{row.name: value}), RngStream(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_replace_with_an_out_of_range_value_raises_naming_it(data):
+    """``_replace`` builds its record through the same check as the constructor."""
+    record, row = data.draw(st.sampled_from(RANGED_PARAMS))
+    value = data.draw(out_of_range(row.kind, row.range))
+    with pytest.raises(PreconditionError, match=rf"^{row.name}\b"):
+        record()._replace(**{row.name: value})
+
+
+def test_clique_density_oracle_n_is_a_size_the_oracle_serves():
+    assert CliqueDensityParams(oracle_n=GK_BUDGET).oracle_n == GK_BUDGET == 7
+    with pytest.raises(PreconditionError, match=r"^oracle_n must be in \[2, 7\], got 8$"):
+        CliqueDensityParams(oracle_n=GK_BUDGET + 1)
 
 
 def test_removal_flags_a_cut_above_the_copy_budget():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from reglab.errors import BudgetError, PreconditionError
 from reglab.graphs import PatternGraph
-from reglab.patterns import chromatic_number, is_strictly_balanced, two_density
+from reglab.patterns import chromatic_number, two_density
 
 from helpers import naive_m2, naive_strictly_balanced, patterns
 
@@ -40,10 +40,10 @@ def test_two_density_convention_subset():
 
 
 def test_strictly_balanced_examples():
-    assert is_strictly_balanced(PatternGraph.complete(3))
-    assert is_strictly_balanced(PatternGraph.cycle(5))
+    assert two_density(PatternGraph.complete(3)).strictly_balanced
+    assert two_density(PatternGraph.cycle(5)).strictly_balanced
     pendant = PatternGraph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert not is_strictly_balanced(pendant)
+    assert not two_density(pendant).strictly_balanced
 
 
 def test_chromatic_examples():
@@ -88,7 +88,7 @@ def test_degree_two_forces_m2_at_least_one(pattern):
 @settings(max_examples=25, deadline=None)
 @given(patterns(max_k=5))
 def test_strict_balance_matches_literal_definition(pattern):
-    assert is_strictly_balanced(pattern) == naive_strictly_balanced(pattern)
+    assert two_density(pattern).strictly_balanced == naive_strictly_balanced(pattern)
 
 
 @settings(max_examples=40, deadline=None)

@@ -220,3 +220,85 @@ def test_cli_declares_no_experiment_parameter():
     assert options == 40
     path = Path(cli.__file__)
     assert (_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) & declared) - other == set()
+
+
+#: functions and methods of the package that no other place in it names, each with its reason
+UNREFERENCED_ALLOWED = {
+    "regularity.check_lower_regular": "reserved for the one-sided regularity work of ROADMAP item 5",
+    "counting.constrained_count": "reserved for the overlay counts of ROADMAP item 5",
+    "graphs.SimpleGraph.edges_between": "the oracle of the pair-density tests",
+    "graphs.PatternGraph.cycle": "the tests' template constructor",
+}
+
+
+def _references(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each name, attribute and string constant in a module that is not a docstring, with its node."""
+    docstrings = {
+        id(scope.body[0].value)
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and scope.body and isinstance(scope.body[0], ast.Expr)
+        and isinstance(scope.body[0].value, ast.Constant) and isinstance(scope.body[0].value.value, str)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            found.append((node.value, node))
+    return found
+
+
+def _definitions(node: ast.AST, prefix: str):
+    """Each function and method under ``node``, nested ones too, with its dotted name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, prefix + child.name + ".")
+        elif isinstance(child, ast.ClassDef):
+            yield from _definitions(child, prefix + child.name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def unreferenced_functions(sources) -> list[str]:
+    """Functions and methods that nothing in ``sources`` names outside their own body.
+
+    ``__init__.py`` only re-exports, so its imports and ``__all__`` do not count; dunder methods are
+    called by the language, not by name.
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sources}
+    references = {}
+    for module, tree in trees.items():
+        if module != "__init__":
+            for name, node in _references(tree):
+                references.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for qualname, function in _definitions(tree, f"{module}."):
+            if function.name.startswith("__") and function.name.endswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(function)}
+            if all(id(node) in inside for node in references.get(function.name, [])):
+                found.append(qualname)
+    return sorted(found)
+
+
+def test_every_function_is_referenced_from_elsewhere_in_the_package(tmp_path):
+    """A public helper that nothing in the package calls goes; the few kept ones say why."""
+    assert unreferenced_functions(SOURCES) == sorted(UNREFERENCED_ALLOWED)
+    # a helper nothing calls fails the guard, even when the package re-exports it
+    patterns = Path(reglab.__file__).parent / "patterns.py"
+    (tmp_path / "patterns.py").write_text(
+        patterns.read_text(encoding="utf-8")
+        + "\n\ndef is_strictly_balanced(pattern):\n    return two_density(pattern).strictly_balanced\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from .patterns import is_strictly_balanced\n\n__all__ = ['is_strictly_balanced']\n", encoding="utf-8"
+    )
+    restored = [tmp_path / "__init__.py", tmp_path / "patterns.py"]
+    restored += [path for path in SOURCES if path.name not in ("__init__.py", "patterns.py")]
+    assert unreferenced_functions(restored) == sorted([*UNREFERENCED_ALLOWED, "patterns.is_strictly_balanced"])
