@@ -11,7 +11,7 @@ A :class:`SearchPlan` orders the template vertices by greedy maximum
 back-degree (pinned vertices first) and lists, per position, the earlier
 positions it must be adjacent to; it is built once per (template, pinned
 vertices) and cached.  The level route below walks it, and so does the
-backtracking kernel of :mod:`reglab.embedding`, which this module does
+subgraph-search kernel of :mod:`reglab.embedding`, which this module does
 not import.
 
 Unpinned canonical counts (:func:`canonical_count`, :func:`constrained_count`)

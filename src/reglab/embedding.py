@@ -1,4 +1,7 @@
-"""Exact subgraph search on host graphs: the package's one backtracking kernel.
+"""Exact subgraph search on host graphs: the package's subgraph-search kernel.
+
+Two searches lie outside it: the part-assignment search ``graphs.min_monochromatic_partition``
+and ``experiments.clique_factor``'s exact cover, which takes its cliques from here.
 
 Embeddings are injective vertex maps realizing every template edge; host
 edges not demanded by the template are allowed (subgraph containment, not

@@ -44,7 +44,8 @@ of aes and turan); ``_partite_cut`` keeps the host edges across such a
 labelling and lists the interior ones in random order; ``_disjoint_copies``
 finds vertex-disjoint template copies until none is left (packing's factor
 cliques and its mop-up).  ``clique_factor`` takes its cliques from the
-search kernel of :mod:`reglab.embedding`.
+search kernel of :mod:`reglab.embedding`; the aes lift's minimum-deletion
+partition is ``graphs.min_monochromatic_partition``, which also gives chi.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .graphs import (
     iter_bits,
     matrix_to_rows,
     min_degree,
+    min_monochromatic_partition,
     rows_to_matrix,
     symmetric_rows,
 )
@@ -856,54 +858,6 @@ def run_clique_density(params: CliqueDensityParams, rng: RngStream) -> Experimen
     return report
 
 
-def _min_deletion_partition(
-    cluster: ClusterGraph, weights: dict[tuple[int, int], int], parts: int
-) -> tuple[list[int], int]:
-    """Minimum-weight monochromatic assignment of cluster vertices into parts.
-
-    Branch and bound over part assignments with an admissible remaining-cost
-    bound; weights are the sparse edge counts carried by each cluster pair.
-    """
-    t = cluster.t
-    order = sorted(range(t), key=lambda v: (-sum(weights.get((min(v, u), max(v, u)), 0) for u in range(t)), v))
-    best_cost = math.inf
-    best_assign: list[int] = [0] * t
-    assign = [-1] * t
-
-    def mono_cost(v: int, part: int) -> int:
-        total = 0
-        for u in range(t):
-            if assign[u] == part and u != v:
-                total += weights.get((min(u, v), max(u, v)), 0)
-        return total
-
-    def lower_bound(position: int, cost: int) -> float:
-        extra = 0
-        for rest in order[position:]:
-            extra += min(mono_cost(rest, part) for part in range(parts))
-        return cost + extra
-
-    def rec(position: int, cost: int, used_parts: int):
-        nonlocal best_cost, best_assign
-        if cost >= best_cost:
-            return
-        if position == t:
-            best_cost = cost
-            best_assign = list(assign)
-            return
-        v = order[position]
-        if lower_bound(position, cost) >= best_cost:
-            return
-        for part in range(min(used_parts + 1, parts)):
-            delta = mono_cost(v, part)
-            assign[v] = part
-            rec(position + 1, cost + delta, max(used_parts, part + 1))
-            assign[v] = -1
-
-    rec(0, 0, 0)
-    return best_assign, int(best_cost)
-
-
 def run_partite_stability(params: AesParams, rng: RngStream) -> ExperimentReport:
     """Template-free min-degree subgraphs become (chi-1)-partite after small deletions.
 
@@ -975,7 +929,7 @@ def run_partite_stability(params: AesParams, rng: RngStream) -> ExperimentReport
         # survive_mask[i] contains masks[j]), so the pair's edges in the cleaned
         # graph are exactly part.pair_info[(i, j)].edges
         pair_weights = {(a, b): part.pair_info[(kept[a], kept[b])].edges for a, b in sorted(sub_cluster.edges)}
-        assignment, lift_deleted = _min_deletion_partition(sub_cluster, pair_weights, parts)
+        assignment, lift_deleted = min_monochromatic_partition(sub_cluster.t, pair_weights, parts, math.inf)
         removed_set = set(removed)
         trim_deleted = sum(
             part.pair_info[(a, b)].edges for a, b in cluster.edges if a in removed_set or b in removed_set

@@ -518,6 +518,49 @@ def _peel_low_degree(
     return alive, removed, True
 
 
+def min_monochromatic_partition(
+    n: int, weights: dict[tuple[int, int], int], parts: int, below: float
+) -> tuple[list[int] | None, float]:
+    """The least-weight assignment of vertices ``0..n-1`` to ``parts`` parts, if it weighs less than ``below``.
+
+    The package's one part-assignment search, for the aes lift and ``patterns.chromatic_number``.  An
+    assignment weighs the sum of ``weights[(u, v)]``, u < v, over its monochromatic pairs.  Branch and
+    bound: vertices go in decreasing weighted degree, then index, and each opens at most one new part;
+    a branch is cut once its cost plus each unplaced vertex's cheapest part reaches the incumbent, which
+    starts at ``below``.  Returns ``(assignment, weight)``, or ``(None, below)`` if nothing weighs less.
+    """
+    order = sorted(range(n), key=lambda v: (-sum(weights.get((min(v, u), max(v, u)), 0) for u in range(n)), v))
+    best_cost = below
+    best_assign: list[int] | None = None
+    assign = [-1] * n
+
+    def mono_cost(v: int, part: int) -> int:
+        return sum(weights.get((min(u, v), max(u, v)), 0) for u in range(n) if assign[u] == part and u != v)
+
+    def lower_bound(position: int, cost: int) -> int:
+        return cost + sum(min(mono_cost(rest, part) for part in range(parts)) for rest in order[position:])
+
+    def rec(position: int, cost: int, used_parts: int):
+        nonlocal best_cost, best_assign
+        if cost >= best_cost:
+            return
+        if position == n:
+            best_cost = cost
+            best_assign = list(assign)
+            return
+        v = order[position]
+        if lower_bound(position, cost) >= best_cost:
+            return
+        for part in range(min(used_parts + 1, parts)):
+            delta = mono_cost(v, part)
+            assign[v] = part
+            rec(position + 1, cost + delta, max(used_parts, part + 1))
+            assign[v] = -1
+
+    rec(0, 0, 0)
+    return best_assign, best_cost
+
+
 def standalone_pair(n: int, fwd: Sequence[int], rev: Sequence[int]) -> tuple[SimpleGraph, VertexSetPair]:
     """A bipartite pair of two n-vertex sides as a 2n-vertex graph, with U = 0..n-1 and V = n..2n-1.
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetError, PreconditionError
-from .graphs import PatternGraph
+from .graphs import PatternGraph, min_monochromatic_partition
 
 CHROMATIC_BUDGET = 16
 
@@ -96,41 +96,22 @@ def two_density(pattern: PatternGraph) -> DensityReport:
 
 
 def chromatic_number(pattern: PatternGraph) -> int:
-    """Exact chromatic number by branch and bound over colourings."""
+    """Exact chromatic number: the least c, from the greedy clique bound up, with c parts free of template edges.
+
+    The parts come from :func:`reglab.graphs.min_monochromatic_partition`, with unit edge weights and ``below`` 1.
+    """
     if pattern.k > CHROMATIC_BUDGET:
         raise BudgetError(
             f"chromatic number search budget is {CHROMATIC_BUDGET} vertices, got {pattern.k}"
         )
     if pattern.edge_count == 0:
         return 1
-    neigh = [pattern.neighbors(v) for v in range(pattern.k)]
-    order = sorted(range(pattern.k), key=lambda v: -len(neigh[v]))
-
-    def colourable(num_colours: int) -> bool:
-        colours: dict[int, int] = {}
-
-        def place(idx: int, used: int) -> bool:
-            if idx == len(order):
-                return True
-            v = order[idx]
-            banned = {colours[u] for u in neigh[v] if u in colours}
-            # allowing at most one brand-new colour kills permutation symmetry
-            for c in range(min(used + 1, num_colours)):
-                if c in banned:
-                    continue
-                colours[v] = c
-                if place(idx + 1, max(used, c + 1)):
-                    return True
-                del colours[v]
-            return False
-
-        return place(0, 0)
-
-    lower = max(2, _greedy_clique(pattern))
-    for c in range(lower, pattern.k + 1):
-        if colourable(c):
-            return c
-    return pattern.k
+    unit = dict.fromkeys(pattern.edges, 1)
+    return next(
+        c
+        for c in range(max(2, _greedy_clique(pattern)), pattern.k + 1)
+        if min_monochromatic_partition(pattern.k, unit, c, 1)[0] is not None
+    )
 
 
 def _greedy_clique(pattern: PatternGraph) -> int:

@@ -43,11 +43,11 @@ from hypothesis import strategies as st
 
 import reglab
 from reglab import cli, experiments
-from reglab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
+from reglab.cli import EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_OK, EXIT_SOUNDNESS, EXIT_USAGE, main
 from reglab.errors import SoundnessError
 from reglab.experiments import ExperimentReport
 from reglab.graphs import PatternGraph, SimpleGraph
-from reglab.randgraph import RngStream
+from reglab.randgraph import RngStream, gnp
 
 from helpers import out_of_range
 
@@ -98,6 +98,8 @@ INPUT_FILES = {
     "blocks_exhaustive": planted_blocks(120, 4, 0.3, 0.05, 120).to_edge_list(),
     # refined with classes of 34-67 vertices through three rounds of sampled refutation
     "blocks_sampled": planted_blocks(200, 3, 0.7, 0.1, 200).to_edge_list(),
+    # cleaning keeps six cluster pairs whole with its bound inputs holding, so the report carries pair weights
+    "gnp_64": gnp(64, 0.5, RngStream(7)).to_edge_list(),
     "bad_pattern": '{"k": 3}\n',
     "edgeless_pattern": '{"k": 3, "edges": []}\n',
     "bad_multipartite": multipartite_k2('[["a", 1]]'),
@@ -112,8 +114,8 @@ INPUT_FILES = {
 }
 
 
-def run_cli(template: list[str], tmp_path: Path, out: Path) -> int:
-    """Exit code of ``reglab --seed 1 --out <out>`` on ``template``.
+def run_cli(template: list[str], tmp_path: Path, out: Path | None, seed: int | None = 1) -> int:
+    """Exit code of ``reglab --seed <seed> --out <out>`` on ``template``; a ``None`` leaves its flag out.
 
     ``{dir}`` in ``template`` is ``tmp_path``; any other ``{name}`` is the path of a
     file, written under ``tmp_path``, that holds ``INPUT_FILES[name]``.
@@ -123,7 +125,8 @@ def run_cli(template: list[str], tmp_path: Path, out: Path) -> int:
         if any("{" + name + "}" in arg for arg in template):
             paths[name] = tmp_path / f"{name}.input"
             paths[name].write_text(text, encoding="utf-8")
-    return main(["--seed", "1", "--out", str(out)] + [arg.format(**paths) for arg in template])
+    head = ([] if seed is None else ["--seed", str(seed)]) + ([] if out is None else ["--out", str(out)])
+    return main(head + [arg.format(**paths) for arg in template])
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -199,6 +202,10 @@ GOLDEN_CASES = {
     ], EXIT_OK),
     "clean_sampled.json": ([
         "clean", "--graph", "{blocks_sampled}", "--eps", "0.15", "--p", "0.5", "--t0", "3", "--max-t", "12",
+        "--d", "0.25", "--uniformity", "2",
+    ], EXIT_OK),
+    "clean_kept_pairs.json": ([
+        "clean", "--graph", "{gnp_64}", "--eps", "0.6", "--p", "0.5", "--t0", "4", "--max-t", "8",
         "--d", "0.25", "--uniformity", "2",
     ], EXIT_OK),
     "m2_C5.txt": (["m2", "--pattern", "{c5}"], EXIT_OK),
@@ -535,7 +542,13 @@ EXIT_CODES = {
     "removal_N_below_t0": (["experiment", "removal", "--N", "7", "--trials", "1"], EXIT_USAGE),
     "aes_N_below_t0": (["experiment", "aes", "--N", "5", "--trials", "1"], EXIT_USAGE),
     "cliquedensity_N_below_t0": (["experiment", "cliquedensity", "--N", "5", "--trials", "1"], EXIT_USAGE),
+    # no regular sample among its 10 draws at eps = 0.25 (ROADMAP item 10)
+    "classprobe_defaults": (["experiment", "classprobe"], EXIT_BUDGET),
+    "no_seed": (["experiment", "turan", "--N", "30", "--trials", "1"], EXIT_USAGE),
 }
+
+#: EXIT_CODES cases run without ``--seed``; every case runs with ``REGLAB_SEED`` unset
+UNSEEDED = {"no_seed"}
 
 
 def record_draws(monkeypatch) -> list[str]:
@@ -556,9 +569,25 @@ def record_draws(monkeypatch) -> list[str]:
 def test_exit_code_table(case, tmp_path, monkeypatch):
     """Each case exits with its code; a usage error comes before any host or class draw."""
     template, expected = EXIT_CODES[case]
+    monkeypatch.delenv("REGLAB_SEED", raising=False)
     draws = record_draws(monkeypatch)
-    assert run_cli(template, tmp_path, tmp_path / "out.txt") == expected
+    assert run_cli(template, tmp_path, tmp_path / "out.txt", seed=None if case in UNSEEDED else 1) == expected
     assert expected != EXIT_USAGE or draws == []
+
+
+def test_reglab_seed_stands_in_for_the_seed_flag(tmp_path, monkeypatch):
+    """Without ``--seed``, ``REGLAB_SEED=1`` writes the bytes that ``--seed 1`` writes."""
+    monkeypatch.setenv("REGLAB_SEED", "1")
+    template, code = GOLDEN_CASES["turan.json"]
+    assert run_cli(template, tmp_path, tmp_path / "out.json", seed=None) == code
+    assert_golden((tmp_path / "out.json").read_bytes(), GOLDEN_DIR / "turan.json", tmp_path)
+
+
+def test_without_out_the_output_goes_to_stdout(tmp_path, capsys):
+    """Without ``--out``, the bytes that ``--out`` writes go to stdout."""
+    template, code = GOLDEN_CASES["turan.json"]
+    assert run_cli(template, tmp_path, None) == code
+    assert_golden(capsys.readouterr().out.encode(), GOLDEN_DIR / "turan.json", tmp_path)
 
 
 #: (experiment, declared parameter) of each experiment option with a declared range

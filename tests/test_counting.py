@@ -353,12 +353,8 @@ def test_treewidth_two_templates_skip_the_backtracker(monkeypatch):
         assert constrained_count(blowup, pattern, blowup).count == 3**4
 
 
-def test_float_limit_routes_to_the_backtracker(monkeypatch):
-    """At n^k >= 2^53 the count leaves the matrix route for the level route.
-
-    The name is older than the level route: these counts once fell back to
-    a backtracker, which the level route replaced.
-    """
+def test_float_limit_routes_to_the_level_route(monkeypatch):
+    """At n^k >= 2^53 the count leaves the matrix route for the level route."""
     routed = []
     level_count = counting.level_count
 

@@ -1,5 +1,6 @@
 """Experiment building blocks: the degree peels, cluster-supported counts, and the packing pipeline."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -18,6 +19,7 @@ from reglab.experiments import (
     AesParams,
     ClassProbeParams,
     CliqueDensityParams,
+    CountingParams,
     PackingParams,
     RemovalParams,
     _break_surviving_copies,
@@ -412,7 +414,7 @@ def test_aes_reads_the_cleaned_graph_pair_counts_from_the_partition(monkeypatch)
     cleaned graph's edge counts between the classes; at this seed the trim drops one of six clusters."""
     seen = {}
     regularize, peel, min_deletion = (
-        experiments._regularize, experiments._peel_low_degree, experiments._min_deletion_partition
+        experiments._regularize, experiments._peel_low_degree, experiments.min_monochromatic_partition
     )
 
     def recording_regularize(*args):
@@ -423,13 +425,13 @@ def test_aes_reads_the_cleaned_graph_pair_counts_from_the_partition(monkeypatch)
         seen["alive"], seen["removed"], met = peel(*args)
         return seen["alive"], seen["removed"], met
 
-    def recording_min_deletion(cluster, weights, parts):
+    def recording_min_deletion(n, weights, parts, below):
         seen["weights"] = weights
-        return min_deletion(cluster, weights, parts)
+        return min_deletion(n, weights, parts, below)
 
     monkeypatch.setattr(experiments, "_regularize", recording_regularize)
     monkeypatch.setattr(experiments, "_peel_low_degree", recording_peel)
-    monkeypatch.setattr(experiments, "_min_deletion_partition", recording_min_deletion)
+    monkeypatch.setattr(experiments, "min_monochromatic_partition", recording_min_deletion)
     record = experiments.run_partite_stability(
         AesParams(K3, 140, 0.5, 0.25, trials=1, perturb_fraction=0.1), RngStream(3)
     ).trials[0]
@@ -476,3 +478,74 @@ def test_template_free_decision_matches_the_search_on_a_cut_and_a_planted_triang
         for pattern in (PatternGraph.complete(3), PatternGraph.complete(4), PatternGraph.cycle(5), PatternGraph.cycle(4)):
             assert _template_free(graph, pattern) == (find_embedding(graph, pattern) is None)
         assert _template_free(graph, PatternGraph.complete(3)) == free
+
+
+def test_counting_skips_a_trial_below_the_density_floor_and_flags_p_below_the_threshold():
+    """At d = 10 every pair of the slice lies below d p n^2, so the trial is skipped before any verdict; at
+    p = 0.05 < N^(-1/m2(K3)) = 60^(-1/2) the report says the statement is only expected above that scale."""
+    skipped = experiments.run_counting(CountingParams(K3, 60, 0.3, d=10, trials=1), RngStream(1))
+    assert skipped.trials == [{
+        "edges": '{"1-2": 91, "1-3": 97, "2-3": 107}',
+        "skipped": True,
+        "skip_reason": "pairs below d p n^2: ['1-2', '1-3', '2-3']",
+        "in_band": None,
+    }]
+    assert skipped.aggregate["effective_trials"] == 0 and skipped.aggregate["passed"] is False
+    assert len(skipped.caveats) == 1
+    sparse = experiments.run_counting(CountingParams(K3, 60, 0.05, trials=1), RngStream(1))
+    assert sparse.caveats[1] == (
+        f"p = 0.05 is below N^(-1/m2) = {60 ** -0.5:.6f}; the counting statement is only expected to hold above"
+        " that scale"
+    )
+    record = sparse.trials[0]
+    assert record["skipped"] is False and record["in_band"] is False
+    assert (record["count"], record["expected"], record["refuted_pairs"]) == ("1", "391/486", 3)
+
+
+def test_aes_perturbation_re_adds_interior_edges_that_close_no_copy(monkeypatch):
+    """With perturb_fraction 0.2 the subgraph is the f = 0 cut plus int(0.2 * interior) interior edges,
+    each accepted because it closes no triangle; the cut's own streams are the same at both fractions."""
+    subgraphs = []
+    regularize = experiments._regularize
+
+    def recording_regularize(graph, *args):
+        subgraphs.append(graph)
+        return regularize(graph, *args)
+
+    monkeypatch.setattr(experiments, "_regularize", recording_regularize)
+    records = [
+        experiments.run_partite_stability(
+            AesParams(K3, 200, 0.05, trials=1, perturb_fraction=fraction), RngStream(3)
+        ).trials[0]
+        for fraction in (0.0, 0.2)
+    ]
+    assert [record["subgraph_edges"] for record in records] == [469, 563]
+    cut, perturbed = subgraphs
+    assert all(row & ~big == 0 for row, big in zip(cut.adj, perturbed.adj))
+    interior = gnp(200, 0.05, RngStream(3).child(0).child(0)).edge_count - cut.edge_count
+    assert perturbed.edge_count - cut.edge_count == int(0.2 * interior) == 94
+    assert count_kcliques(cut, 3) == count_kcliques(perturbed, 3) == 0
+    assert records[1]["cluster_template_free"] is True
+
+
+def test_clique_density_zero_region_skips_the_oracle_and_rho_one_keeps_the_host(monkeypatch):
+    """At rho <= 1 - 1/(k-1) g_hat is 0 without the oracle, so the bound is -eps p^3 C(N, 3); at rho = 1
+    on a host with at most p C(N, 2) edges the subgraph is the host itself."""
+
+    def no_oracle(*args):
+        raise AssertionError("gk_bruteforce called in the zero region")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "gk_bruteforce", no_oracle)
+        zero = experiments.run_clique_density(CliqueDensityParams(3, 60, 0.3, Fraction(1, 2), trials=1), RngStream(1))
+    assert zero.params["g_hat"] == "0"
+    record = zero.trials[0]
+    assert record["bound"] == float(-Fraction(0.25) * Fraction(0.3) ** 3 * math.comb(60, 3)) < 0
+    assert record["subgraph_edges"] == 266 and record["count_meets_bound"] and record["estimate_meets_bound"]
+    whole = experiments.run_clique_density(CliqueDensityParams(3, 60, 0.3, Fraction(1), trials=1), RngStream(1))
+    host = gnp(60, 0.3, RngStream(1).child(0).child(0))
+    assert host.edge_count == 519 <= math.ceil(0.3 * 60 * 59 / 2)
+    record = whole.trials[0]
+    assert whole.params["g_hat"] == "1"
+    assert record["subgraph_edges"] == host.edge_count
+    assert record["true_count"] == count_kcliques(host, 3) == 846

@@ -1,7 +1,8 @@
 """Graph core: densities, construction invariants, formats."""
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from reglab.graphs import (
     induced_multipartite,
     matrix_to_rows,
     min_degree,
+    min_monochromatic_partition,
     pair_density,
     rows_to_edges,
     rows_to_matrix,
@@ -430,3 +432,28 @@ def test_edge_entries_must_be_integer_pairs(entry):
         SimpleGraph.from_edges(3, [[0, 1], entry])
     with pytest.raises((TypeError, ValueError)):
         MultipartiteGraph.from_pair_edges(PatternGraph.complete(2), 3, {(0, 1): [[0, 1], entry]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_min_monochromatic_partition_is_the_brute_force_least_weight(data):
+    """The least weight over all parts^n assignments, with an assignment of that weight; with a finite
+    ``below``, no assignment exactly when that least weight is at least ``below``."""
+    n = data.draw(st.integers(0, 7), label="n")
+    parts = data.draw(st.integers(1, 3), label="parts")
+    pairs = list(combinations(range(n), 2))
+    weights = data.draw(st.dictionaries(st.sampled_from(pairs), st.integers(0, 4)) if pairs else st.just({}))
+
+    def weight(assignment) -> int:
+        return sum(w for (u, v), w in weights.items() if assignment[u] == assignment[v])
+
+    least = min(weight(assignment) for assignment in product(range(parts), repeat=n))
+    assignment, found = min_monochromatic_partition(n, weights, parts, math.inf)
+    assert len(assignment) == n and set(assignment) <= set(range(parts))
+    assert found == weight(assignment) == least
+    below = data.draw(st.integers(0, least + 2), label="below")
+    assignment, found = min_monochromatic_partition(n, weights, parts, below)
+    if least >= below:
+        assert (assignment, found) == (None, below)
+    else:
+        assert found == weight(assignment) == least

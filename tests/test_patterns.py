@@ -1,15 +1,17 @@
 """2-density, balance classification, chromatic number."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from reglab.errors import BudgetError, PreconditionError
 from reglab.graphs import PatternGraph
 from reglab.patterns import chromatic_number, two_density
 
-from helpers import naive_m2, naive_strictly_balanced, patterns
+from helpers import naive_m2, naive_strictly_balanced, patterns, time_limit
 
 
 def test_two_density_known_values():
@@ -51,6 +53,33 @@ def test_chromatic_examples():
     assert chromatic_number(PatternGraph.cycle(5)) == 3
     assert chromatic_number(PatternGraph.path(4)) == 2
     assert chromatic_number(PatternGraph.cycle(6)) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns(max_k=7, require_edge=False))
+@example(PatternGraph.complete(7))
+def test_chromatic_number_is_the_least_c_with_a_proper_colouring(pattern):
+    """chi is the least c for which one of the c^k colourings leaves no template edge inside a colour."""
+
+    def colourable(c: int) -> bool:
+        colourings = product(range(c), repeat=pattern.k)
+        return any(all(colour[a] != colour[b] for a, b in pattern.edges) for colour in colourings)
+
+    assert chromatic_number(pattern) == next(c for c in range(1, pattern.k + 1) if colourable(c))
+
+
+def test_chromatic_number_of_16_vertex_templates_takes_under_half_a_second():
+    """K16 and three random 16-vertex templates, of density 0.3, 0.5 and 0.8, within the search budget."""
+    rng = random.Random(16)
+    templates = [PatternGraph.complete(16)] + [
+        PatternGraph.from_edges(16, [e for e in combinations(range(16), 2) if rng.random() < density])
+        for density in (0.3, 0.5, 0.8)
+    ]
+    found = []
+    for template in templates:
+        with time_limit(0.5):
+            found.append(chromatic_number(template))
+    assert found == [16, 4, 5, 8]
 
 
 def test_chromatic_budget():

@@ -302,3 +302,29 @@ def test_every_function_is_referenced_from_elsewhere_in_the_package(tmp_path):
     restored = [tmp_path / "__init__.py", tmp_path / "patterns.py"]
     restored += [path for path in SOURCES if path.name not in ("__init__.py", "patterns.py")]
     assert unreferenced_functions(restored) == sorted([*UNREFERENCED_ALLOWED, "patterns.is_strictly_balanced"])
+
+
+def recursive_nested_functions(sources) -> list[str]:
+    """Functions defined inside a function that call themselves by name, as dotted names."""
+    found = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qualname, function in _definitions(tree, f"{path.stem}."):
+            for name, inner in _definitions(function, qualname + "."):
+                if any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == inner.name
+                    for call in ast.walk(inner)
+                ):
+                    found.add(name)
+    return sorted(found)
+
+
+def test_private_backtrackers_are_the_listed_three():
+    """The package's recursive searches outside the subgraph-search kernel: the level route's frontier walk,
+    the clique factor's exact cover and the one part-assignment search.  A new private backtracker joins this
+    list on purpose."""
+    assert recursive_nested_functions(SOURCES) == [
+        "counting.level_count.extend",
+        "experiments.clique_factor.rec",
+        "graphs.min_monochromatic_partition.rec",
+    ]
