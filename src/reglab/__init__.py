@@ -26,7 +26,7 @@ from .partition import (
 )
 from .patterns import DensityReport, chromatic_number, two_density
 from .randgraph import ExposureSchedule, RngStream, exposure_schedule, gnp, sample_class
-from .regularity import RegularityVerdict, check_lower_regular, pair_verdict
+from .regularity import RegularityVerdict, check_lower_regular, pair_verdict, pair_verdicts
 
 __all__ = [
     "BudgetError",
@@ -56,6 +56,7 @@ __all__ = [
     "min_degree",
     "pair_density",
     "pair_verdict",
+    "pair_verdicts",
     "sample_class",
     "sparse_regular_partition",
     "trim_min_degree",

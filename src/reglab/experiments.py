@@ -376,7 +376,9 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
     extract the pattern-shaped multipartite subgraph, check pair regularity,
     and compare the exact canonical count against prod(m_ij / n^2) * n^k.
     Trials where some pair has fewer than d * p * n^2 edges are skipped
-    (below the density floor the statement does not apply).
+    (below the density floor the statement does not apply); when every
+    trial is skipped nothing was tested, and the run raises a
+    ``RejectionBudgetError`` instead of reporting a failed check.
     """
     pattern, host_n, p, delta = params.pattern, params.host_n, params.p, params.delta
     k = pattern.k
@@ -417,13 +419,19 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
 
     def aggregate(records: list[dict]) -> dict:
         effective = [r for r in records if not r["skipped"]]
+        if not effective:
+            raise RejectionBudgetError(
+                f"none of the {params.trials} draws has every pair at or above the d p n^2 = "
+                f"{float(floor):.6g} edge floor",
+                acceptance_rate=0.0,
+            )
         band = sum(1 for r in effective if r["in_band"])
-        fraction = band / len(effective) if effective else 0.0
+        fraction = band / len(effective)
         return {
             "effective_trials": len(effective),
             "in_band": band,
             "band_fraction": fraction,
-            "passed": bool(effective) and fraction >= params.pass_fraction,
+            "passed": fraction >= params.pass_fraction,
             "p_threshold": threshold,
         }
 

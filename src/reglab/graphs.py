@@ -222,9 +222,14 @@ def _first(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
+def tolerance_limit(threshold: float) -> Fraction:
+    """The largest exact rational that counts as at most ``threshold``: the threshold plus the declared slack."""
+    return Fraction(threshold) + COMPARISON_TOLERANCE
+
+
 def leq_with_tolerance(value: Fraction, threshold: float) -> bool:
     """Exact-rational ``value <= threshold`` with the declared boundary slack."""
-    return value <= Fraction(threshold) + COMPARISON_TOLERANCE
+    return value <= tolerance_limit(threshold)
 
 
 @dataclass(frozen=True)

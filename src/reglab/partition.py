@@ -70,7 +70,7 @@ from .graphs import (
     set_words,
 )
 from .randgraph import RngStream
-from .regularity import REFUTED, RegularityVerdict, pair_verdict
+from .regularity import REFUTED, RegularityVerdict, pair_verdicts
 
 
 @dataclass(frozen=True)
@@ -268,20 +268,29 @@ def evaluate_partition(
     refuter_trials: int = 32,
     rounds: int = 0,
 ) -> Partition:
-    """Attach pair edge counts, verdicts, and energy to the given classes."""
+    """Attach pair edge counts, verdicts, and energy to the given classes.
+
+    Every class pair is judged in one ``regularity.pair_verdicts`` call, so
+    the exhaustive pairs of the round are scanned in blocks of one shape;
+    pair (i, j) above the budget is refuted from its own stream
+    ``rng.child(rounds, i, j)``.
+    """
     _check_p(p)
     padded = _padded(classes, graph.n)
     counts = _class_counts(_row_table(graph), padded)
     # e(V_i, V_j) sums the counts of V_i's rows; the padding row n adds zero
     edges = np.vstack([counts, np.zeros(len(classes), dtype=np.int64)])[padded].sum(axis=1).tolist()
     t = len(classes)
-    pair_info = {}
-    for i in range(t):
-        for j in range(i + 1, t):
-            e = edges[i][j]
-            pair = VertexSetPair(tuple(classes[i]), tuple(classes[j]))
-            verdict = pair_verdict(graph, pair, epsilon, p, rng.child(rounds, i, j), refuter_trials)
-            pair_info[(i, j)] = PairInfo(edges=e, verdict=verdict)
+    keys = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    verdicts = pair_verdicts(
+        graph,
+        [VertexSetPair(tuple(classes[i]), tuple(classes[j])) for i, j in keys],
+        epsilon,
+        p,
+        [rng.child(rounds, i, j) for i, j in keys],
+        refuter_trials,
+    )
+    pair_info = {(i, j): PairInfo(edges=edges[i][j], verdict=verdict) for (i, j), verdict in zip(keys, verdicts)}
     energy = partition_energy(edges, [len(c) for c in classes], graph.n, p)
     return Partition(
         classes=[sorted(c) for c in classes],
@@ -538,8 +547,8 @@ def sparse_regular_partition(
     witnesses and re-equalizes; refinement stops with ``converged=False``
     when the class budget ``max_t``, the round budget, or an energy
     stagnation is hit, returning the best partition seen.  Pairs are
-    judged by ``regularity.pair_verdict``, with unguided refuter candidates
-    above the exhaustive budget.
+    judged by ``regularity.pair_verdicts``, once per round, with unguided
+    refuter candidates above the exhaustive budget.
     """
     if t0 < 1:
         raise PreconditionError("t0 must be >= 1")

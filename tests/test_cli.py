@@ -544,6 +544,11 @@ EXIT_CODES = {
     "cliquedensity_N_below_t0": (["experiment", "cliquedensity", "--N", "5", "--trials", "1"], EXIT_USAGE),
     # no regular sample among its 10 draws at eps = 0.25 (ROADMAP item 10)
     "classprobe_defaults": (["experiment", "classprobe"], EXIT_BUDGET),
+    # every trial has a pair below d p n^2, so nothing is tested
+    "counting_every_trial_below_the_floor": (
+        ["experiment", "counting", "--pattern", "{triangle}", "--N", "60", "--p", "0.3", "--d", "10", "--trials", "1"],
+        EXIT_BUDGET,
+    ),
     "no_seed": (["experiment", "turan", "--N", "30", "--trials", "1"], EXIT_USAGE),
 }
 

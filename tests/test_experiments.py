@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from reglab import experiments
 from reglab.counting import GK_BUDGET
-from reglab.errors import BudgetError, PreconditionError, SoundnessError
+from reglab.errors import BudgetError, PreconditionError, RejectionBudgetError, SoundnessError
 from reglab.embedding import count_embeddings, count_kcliques, find_embedding, iter_embeddings
 from reglab.experiments import (
     CLIQUE_FACTOR_BUDGET,
@@ -481,17 +481,22 @@ def test_template_free_decision_matches_the_search_on_a_cut_and_a_planted_triang
 
 
 def test_counting_skips_a_trial_below_the_density_floor_and_flags_p_below_the_threshold():
-    """At d = 10 every pair of the slice lies below d p n^2, so the trial is skipped before any verdict; at
-    p = 0.05 < N^(-1/m2(K3)) = 60^(-1/2) the report says the statement is only expected above that scale."""
-    skipped = experiments.run_counting(CountingParams(K3, 60, 0.3, d=10, trials=1), RngStream(1))
-    assert skipped.trials == [{
+    """At d = 1 the first three slices have a pair below d p n^2 = 97.2 edges, so those trials are skipped
+    before any verdict and the fourth is the one effective trial; at d = 10 every trial is skipped, nothing
+    is tested, and the run raises a budget error instead of reporting a failed check.  At p = 0.05 <
+    N^(-1/m2(K3)) = 60^(-1/2) the report says the statement is only expected above that scale."""
+    mixed = experiments.run_counting(CountingParams(K3, 60, 0.3, d=1, trials=4), RngStream(1))
+    assert mixed.trials[0] == {
         "edges": '{"1-2": 91, "1-3": 97, "2-3": 107}',
         "skipped": True,
-        "skip_reason": "pairs below d p n^2: ['1-2', '1-3', '2-3']",
+        "skip_reason": "pairs below d p n^2: ['1-2', '1-3']",
         "in_band": None,
-    }]
-    assert skipped.aggregate["effective_trials"] == 0 and skipped.aggregate["passed"] is False
-    assert len(skipped.caveats) == 1
+    }
+    assert [record["skipped"] for record in mixed.trials] == [True, True, True, False]
+    assert mixed.aggregate["effective_trials"] == 1 and mixed.aggregate["passed"] is True
+    assert len(mixed.caveats) == 1
+    with pytest.raises(RejectionBudgetError, match=r"^none of the 1 draws has every pair at or above the d p n\^2 = 972 "):
+        experiments.run_counting(CountingParams(K3, 60, 0.3, d=10, trials=1), RngStream(1))
     sparse = experiments.run_counting(CountingParams(K3, 60, 0.05, trials=1), RngStream(1))
     assert sparse.caveats[1] == (
         f"p = 0.05 is below N^(-1/m2) = {60 ** -0.5:.6f}; the counting statement is only expected to hold above"

@@ -24,6 +24,7 @@ from reglab.partition import (
     trim_min_degree,
 )
 from reglab.randgraph import RngStream, gnp
+from reglab.regularity import CERTIFIED
 
 from helpers import (
     cluster_graphs,
@@ -157,16 +158,37 @@ def test_clean_rejects_p_outside_unit_interval(p):
         clean_partition(k22, part, 0.1, 2.0)
 
 
-@pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
-def test_evaluate_rejects_p_outside_unit_interval_before_any_verdict(p, monkeypatch):
+def record_verdict_policy(monkeypatch) -> list:
+    """Record each call of the verdict policy that ``evaluate_partition`` calls, and pass it on."""
     import reglab.partition
 
     judged = []
-    monkeypatch.setattr(reglab.partition, "pair_verdict", lambda *args, **kwargs: judged.append(args))
-    k22 = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    real = reglab.partition.pair_verdicts
+
+    def recording(*args, **kwargs):
+        judged.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reglab.partition, "pair_verdicts", recording)
+    return judged
+
+
+K22 = SimpleGraph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+def test_evaluate_rejects_p_outside_unit_interval_before_any_verdict(p, monkeypatch):
+    judged = record_verdict_policy(monkeypatch)
     with pytest.raises(PreconditionError, match="p must be in"):
-        evaluate_partition(k22, [[0, 1], [2, 3]], 0.5, p, RngStream(1))
+        evaluate_partition(K22, [[0, 1], [2, 3]], 0.5, p, RngStream(1))
     assert judged == []
+
+
+def test_evaluate_reaches_the_recorded_verdict_policy_once_with_a_valid_p(monkeypatch):
+    # the control of the test above: the patched name is the one evaluate_partition calls
+    judged = record_verdict_policy(monkeypatch)
+    part = evaluate_partition(K22, [[0, 1], [2, 3]], 0.5, 0.5, RngStream(1))
+    assert len(judged) == 1 and part.pair_info[(0, 1)].verdict.status == CERTIFIED
 
 
 def test_clean_deletion_bound_measured():

@@ -1,6 +1,9 @@
 """Pair regularity checking and refutation."""
 
+import math
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from hypothesis import strategies as st
 from reglab import regularity
 from reglab.errors import BudgetError, PreconditionError, SoundnessError
 from reglab.graphs import SimpleGraph, VertexSetPair, pair_density
-from reglab.randgraph import RngStream
+from reglab.partition import evaluate_partition
+from reglab.randgraph import RngStream, gnp
 from reglab.regularity import (
     CERTIFIED,
     EXHAUSTIVE_PAIR_BUDGET,
@@ -18,6 +22,7 @@ from reglab.regularity import (
     check_lower_regular,
     check_regular_exhaustive,
     pair_verdict,
+    pair_verdicts,
     refute_regular_sampled,
     subset_floor,
 )
@@ -398,3 +403,64 @@ def test_shared_sampled_loop_matches_the_separate_loops(shapes, layout, data, de
             assert got == loop_check_lower_regular_exhaustive(g, pair, epsilon, d)
         else:
             assert got == loop_check_lower_regular_sampled(g, pair, epsilon, d, trials, RngStream(seed, (2,)))
+
+
+#: class sizes of a graph of at most 48 vertices: one class above the budget, and three or four classes
+#: within it of at least two sizes, so the exhaustive pairs fall into at least two shape groups
+CLASS_SIZES = st.tuples(
+    st.integers(EXHAUSTIVE_PAIR_BUDGET + 1, 20),
+    st.lists(st.integers(1, 7), min_size=3, max_size=4).filter(lambda sizes: len(set(sizes)) > 1),
+)
+
+
+@pytest.mark.parametrize(
+    "block_entries", [regularity.SCAN_BLOCK_ENTRIES, 1], ids=["shared_blocks", "one_pair_per_block"]
+)
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=CLASS_SIZES,
+    density=st.sampled_from([0.1, 0.4, 0.8]),
+    epsilon=st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.5]),
+    p=st.sampled_from([0.05, 0.3, 1.0]),
+    guided=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_pair_verdicts_is_pair_verdict_on_each_pair(block_entries, sizes, density, epsilon, p, guided, seed):
+    # every class pair, plus pairs with an empty side within and above the budget, in one call; the
+    # pairs with the big class take the sampled route on their own streams
+    gen = RngStream(seed).np_rng()
+    sizes = [sizes[0], *sizes[1]]
+    n = sum(sizes)
+    order = [int(v) for v in gen.permutation(n)]
+    g = SimpleGraph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n) if gen.random() < density])
+    ends = list(accumulate(sizes, initial=0))
+    classes = [tuple(order[a:b]) for a, b in zip(ends, ends[1:])]
+    pairs = [VertexSetPair(classes[i], classes[j]) for i, j in combinations(range(len(classes)), 2)]
+    pairs += [VertexSetPair((), classes[-1]), VertexSetPair(classes[1], ()), VertexSetPair((), classes[0])]
+    shapes = {(len(pair.U), len(pair.V)) for pair in pairs if pair.U and pair.V}
+    assert len({shape for shape in shapes if max(shape) <= EXHAUSTIVE_PAIR_BUDGET}) >= 2
+    assert any(max(shape) > EXHAUSTIVE_PAIR_BUDGET for shape in shapes)
+    rngs = [RngStream(seed, (1, index)) for index in range(len(pairs))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularity, "SCAN_BLOCK_ENTRIES", block_entries)
+        got = [as_triple(verdict) for verdict in pair_verdicts(g, pairs, epsilon, p, rngs, 4, guided)]
+    assert got == [as_triple(pair_verdict(g, pair, epsilon, p, rng, 4, guided)) for pair, rng in zip(pairs, rngs)]
+
+
+def test_one_partition_round_holds_one_scan_block_at_a_time():
+    # 20 classes of 16 vertices at eps = 0.5: each of the 190 pairs scans C(16, 8) = 12,870 subsets, one
+    # pair per block.  The block's weights, their sorted copy and the round's own arrays stay within three
+    # blocks; a scan that kept every block's weights until the end of the round would hold 190.
+    t, size = 20, 16
+    block_bytes = 8 * max(regularity.SCAN_BLOCK_ENTRIES, math.comb(size, size // 2) * size)
+    g = gnp(t * size, 0.5, RngStream(91))
+    classes = [list(range(i * size, (i + 1) * size)) for i in range(t)]
+    regularity._subset_rows(size, size // 2)  # the cached subset matrix is not part of a block
+    tracemalloc.start()
+    try:
+        part = evaluate_partition(g, classes, 0.5, 0.5, RngStream(92))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(part.pair_info) == 190
+    assert peak <= 3 * block_bytes
