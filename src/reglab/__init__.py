@@ -26,7 +26,7 @@ from .partition import (
 )
 from .patterns import DensityReport, chromatic_number, two_density
 from .randgraph import ExposureSchedule, RngStream, exposure_schedule, gnp, sample_class
-from .regularity import RegularityVerdict, check_lower_regular, pair_verdict, pair_verdicts
+from .regularity import RegularityVerdict, check_lower_regular, pair_verdict
 
 __all__ = [
     "BudgetError",
@@ -56,7 +56,6 @@ __all__ = [
     "min_degree",
     "pair_density",
     "pair_verdict",
-    "pair_verdicts",
     "sample_class",
     "sparse_regular_partition",
     "trim_min_degree",

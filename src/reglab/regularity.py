@@ -433,7 +433,6 @@ def pair_verdicts(
     p: float,
     rngs: Sequence[RngStream | None],
     trials: int = 32,
-    guided: bool = False,
 ) -> list[RegularityVerdict]:
     """``pair_verdict`` of each pair of ``graph``, with ``rngs[i]`` the stream of ``pairs[i]``.
 
@@ -449,7 +448,7 @@ def pair_verdicts(
         if sizes is not None and _fits_exhaustive(pair):
             groups.setdefault((len(pair.U), len(pair.V), *sizes), []).append(index)
         else:
-            verdicts[index] = pair_verdict(graph, pair, epsilon, p, rngs[index], trials, guided)
+            verdicts[index] = pair_verdict(graph, pair, epsilon, p, rngs[index], trials)
     if groups:
         limit = tolerance_limit(epsilon * p)
         for (_, _, s_u, s_v), indices in groups.items():

@@ -422,10 +422,9 @@ CLASS_SIZES = st.tuples(
     density=st.sampled_from([0.1, 0.4, 0.8]),
     epsilon=st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.5]),
     p=st.sampled_from([0.05, 0.3, 1.0]),
-    guided=st.booleans(),
     seed=st.integers(0, 10_000),
 )
-def test_pair_verdicts_is_pair_verdict_on_each_pair(block_entries, sizes, density, epsilon, p, guided, seed):
+def test_pair_verdicts_is_pair_verdict_on_each_pair(block_entries, sizes, density, epsilon, p, seed):
     # every class pair, plus pairs with an empty side within and above the budget, in one call; the
     # pairs with the big class take the sampled route on their own streams
     gen = RngStream(seed).np_rng()
@@ -443,8 +442,8 @@ def test_pair_verdicts_is_pair_verdict_on_each_pair(block_entries, sizes, densit
     rngs = [RngStream(seed, (1, index)) for index in range(len(pairs))]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regularity, "SCAN_BLOCK_ENTRIES", block_entries)
-        got = [as_triple(verdict) for verdict in pair_verdicts(g, pairs, epsilon, p, rngs, 4, guided)]
-    assert got == [as_triple(pair_verdict(g, pair, epsilon, p, rng, 4, guided)) for pair, rng in zip(pairs, rngs)]
+        got = [as_triple(verdict) for verdict in pair_verdicts(g, pairs, epsilon, p, rngs, 4)]
+    assert got == [as_triple(pair_verdict(g, pair, epsilon, p, rng, 4)) for pair, rng in zip(pairs, rngs)]
 
 
 def test_one_partition_round_holds_one_scan_block_at_a_time():
