@@ -12,6 +12,17 @@ work on ``_CODEC_BLOCK_ROWS`` rows at a time, so their working memory is
 bounded by one block of rows, never an n x n array.  Edge-list text and
 multipartite JSON are read and written through them.
 
+The two readers take text in the exact layout that the writers emit in
+bulk: its endpoints become two numpy integer columns, read a block of
+``_RECORD_BLOCK_CHARS`` characters at a time, and no Python object is
+built per edge.  That layout is ASCII, with every endpoint in canonical
+decimal (digits only, no leading zero, at most 18 digits); an edge list
+is ``vertices N`` then one ``edge u v`` line per edge, every line ending
+in a newline, and multipartite JSON is ``json.dumps`` output, whose edge
+arrays are ``[u, v]`` records joined by ``, ``.  Every other text takes the
+general reader, so both routes accept the same texts, build the same
+graphs and raise the same errors.
+
 No edge count is stored beside the rows: :attr:`SimpleGraph.edge_count`
 and :meth:`MultipartiteGraph.edge_count` popcount the rows on every read.
 
@@ -23,9 +34,11 @@ tolerance helpers.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from json.scanner import py_make_scanner
 from operator import index
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -183,7 +196,7 @@ def edges_to_rows(n_rows: int, width: int, r: np.ndarray, c: np.ndarray) -> list
         start = b * _CODEC_BLOCK_ROWS
         stop = min(start + _CODEC_BLOCK_ROWS, n_rows)
         block = np.zeros((stop - start) * width, dtype=bool)
-        block[(r[picked] - start) * width + c[picked]] = True
+        block[(r[picked].astype(np.intp, copy=False) - start) * width + c[picked]] = True  # int32 input must not overflow
         rows[start:stop] = matrix_to_rows(block.reshape(stop - start, width))
     return rows
 
@@ -215,6 +228,103 @@ def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray]:
     except OverflowError:
         raise ValueError("edge endpoint outside the 64-bit integer range") from None
     return flat[0::2], flat[1::2]
+
+
+#: Characters of record text the bulk reader converts at once; bounds its temporaries.
+_RECORD_BLOCK_CHARS = 1 << 16
+
+
+def _record_block(chunk: str, prefix: str, middle: str, gap: str, last: str) -> np.ndarray | None:
+    """The m x 2 endpoint records of ``chunk``, or None unless it is exactly records in the bulk layout.
+
+    The layout is ``prefix u middle v`` m >= 1 times, joined by ``gap`` and
+    followed by ``last``, with every u and v in canonical decimal: ASCII
+    digits, no leading zero, at most 18 of them.  The literals hold no
+    digit.  The records are int32 when every value fits, else int64.
+    """
+    if not chunk.isascii():
+        return None
+    data = chunk.encode("ascii")
+    codes = np.frombuffer(data, dtype=np.uint8)
+    digit = codes - 48 < 10  # a byte below "0" wraps above 9
+    runs = np.flatnonzero(np.diff(digit, prepend=False, append=False)).reshape(-1, 2)
+    starts, ends = runs[:, 0], runs[:, 1]  # the digit runs u0, v0, u1, v1, ...
+    m, odd = divmod(len(runs), 2)
+    if m == 0 or odd:
+        return None
+    between = starts[1:] - ends[:-1]
+    lengths = ends - starts
+    # with the literals' total length below, these lengths also fix the prefix's
+    if (
+        len(codes) - ends[-1] != len(last)
+        or (between[0::2] != len(middle)).any()
+        or (between[1::2] != len(gap)).any()
+        or lengths.max() > 18
+        or ((codes[starts] == 48) & (lengths > 1)).any()
+    ):
+        return None
+    literals = prefix + (middle + gap) * (m - 1) + middle + last
+    if data.translate(None, b"0123456789") != literals.encode("ascii"):
+        return None
+    value = np.zeros(len(starts), dtype=np.int64)
+    for k in range(int(lengths.max())):
+        value = np.where(lengths > k, value * 10 + codes[np.minimum(starts + k, len(codes) - 1)] - 48, value)
+    return value.reshape(m, 2).astype(np.int32 if value.max() < 2**31 else np.int64)
+
+
+def _read_records(text: str, start: int, stop: int, prefix: str, middle: str, tail: str, last: str) -> np.ndarray | None:
+    """The m x 2 endpoint records of ``text[start:stop]``, or None unless the span is in the bulk layout.
+
+    The span is m >= 0 records ``prefix u middle v``, each followed by
+    ``tail`` except the last, which is followed by ``last``; the endpoints
+    are canonical decimals (:func:`_record_block`).  The span is read a
+    block of at least ``_RECORD_BLOCK_CHARS`` characters at a time, cut
+    where a tail meets the next prefix, so beside one block's temporaries
+    only the records themselves are held, twice while they are joined.
+    """
+    gap = tail + prefix
+    blocks = [np.empty((0, 2), dtype=np.int32)]
+    while start < stop:
+        cut = text.find(gap, min(start + _RECORD_BLOCK_CHARS, stop), stop)
+        end, closing = (stop, last) if cut < 0 else (cut + len(tail), tail)
+        block = _record_block(text[start:end], prefix, middle, gap, closing)
+        if block is None:
+            return None
+        blocks.append(block)
+        start = end
+    return np.concatenate(blocks)
+
+
+def _decode_records(text: str):
+    """``json.loads(text)`` with every array an m x 2 records array, or None.
+
+    Each array must be ``[]`` or ``[u, v]`` records joined by ``, `` with
+    canonical decimal endpoints, the layout of ``json.dumps``; any other
+    array, a decoding error or a non-ASCII text gives None.  The scanner is
+    ``json``'s own Python scanner with :func:`_read_records` as its array
+    parser, so strings, keys and numbers outside the records are read as
+    ``json.loads`` reads them.
+    """
+    if not text.isascii():  # the Python scanner reads any Unicode digit, json.loads only ASCII ones
+        return None
+
+    def parse_array(s_and_end, scan_once):
+        s, end = s_and_end
+        if s.startswith("]", end):
+            return np.empty((0, 2), dtype=np.int32), end + 1
+        stop = s.find("]]", end) + 2
+        records = _read_records(s, end, stop, "[", ", ", "], ", "]]") if stop > end else None
+        if records is None:
+            raise ValueError("not an array of [u, v] records")
+        return records, stop
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = py_make_scanner(decoder)
+    try:
+        return decoder.decode(text)
+    except (RecursionError, ValueError):
+        return None
 
 
 def _first(bad: np.ndarray) -> int | None:
@@ -302,11 +412,14 @@ class PatternGraph:
 
 def _pattern_fields(obj) -> tuple[int, list[tuple[int, int]]]:
     """``k`` and the 0-indexed edges of a parsed pattern object; raises on a missing key or wrong type."""
-    return int(obj["k"]), [(index(a) - 1, index(b) - 1) for a, b in obj["edges"]]
+    return index(obj["k"]), [(index(a) - 1, index(b) - 1) for a, b in obj["edges"]]
 
 
 #: Keyword of each edge-list line -> the number of fields of the line.
 _EDGE_LIST_FIELDS = {"vertices": 2, "edge": 3}
+
+#: The first line of an edge list in the bulk layout: a positive vertex count in canonical decimal.
+_EDGE_LIST_HEADER = re.compile(r"vertices ([1-9][0-9]{0,17})\n")
 
 
 class SimpleGraph:
@@ -339,7 +452,11 @@ class SimpleGraph:
         """
         if n <= 0:
             raise PreconditionError("vertex count must be positive")
-        u, v = _edge_columns(edges)
+        return SimpleGraph._from_columns(n, *_edge_columns(edges))
+
+    @staticmethod
+    def _from_columns(n: int, u: np.ndarray, v: np.ndarray) -> "SimpleGraph":
+        """The graph on ``n`` >= 1 vertices with the edges (u[i], v[i]); the first loop or out-of-range edge is reported."""
         bad = _first((u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n))
         if bad is not None:
             a, b = int(u[bad]), int(v[bad])
@@ -422,7 +539,19 @@ class SimpleGraph:
         Exactly one ``vertices <n>`` line is required, every line must have
         the field count of its keyword, and every field after the keyword
         must be an integer.
+
+        Text in the bulk layout is read into endpoint columns without a
+        Python object per edge: a first line ``vertices <n>`` with n >= 1,
+        then only ``edge <u> <v>`` lines, single spaces, every line ending
+        in ``\\n``, every number in canonical decimal (no sign, no leading
+        zero, at most 18 digits).  :meth:`to_edge_list` writes that layout.
+        Every other text, comments and tabs included, takes the general
+        line-by-line reader; both give the same graph or the same error.
         """
+        head = _EDGE_LIST_HEADER.match(text)
+        records = head and _read_records(text, head.end(), len(text), "edge ", " ", "\n", "\n")
+        if records is not None:
+            return SimpleGraph._from_columns(int(head[1]), *records.T)
         n = None
         edges = []
         for raw in text.splitlines():
@@ -601,12 +730,26 @@ class MultipartiteGraph:
         pair_edges: dict[tuple[int, int], Iterable[tuple[int, int]]],
     ) -> "MultipartiteGraph":
         """Build from local-index edge lists keyed by pattern edge (i < j)."""
+        return MultipartiteGraph._from_columns(pattern, part_size, pair_edges, _edge_columns)
+
+    @staticmethod
+    def _from_columns(
+        pattern: PatternGraph,
+        part_size: int,
+        pair_edges: dict,
+        columns: Callable[..., tuple[np.ndarray, np.ndarray]],
+    ) -> "MultipartiteGraph":
+        """Build from each pair's ``columns(pair_edges[(i, j)])``, the endpoint columns of its edges.
+
+        Pairs are converted and range-checked one at a time in pattern-edge
+        order, so the first fault in that order is reported.
+        """
         n = part_size
         if n <= 0:
             raise PreconditionError("part size must be positive")
         rows: dict[tuple[int, int], list[int]] = {}
         for i, j in pattern.sorted_edges():
-            u, v = _edge_columns(pair_edges.get((i, j), ()))  # u in part i, v in part j
+            u, v = columns(pair_edges.get((i, j), ()))  # u in part i, v in part j
             bad = _first((u < 0) | (u >= n) | (v < 0) | (v >= n))
             if bad is not None:
                 raise PreconditionError(f"local edge ({int(u[bad])}, {int(v[bad])}) out of range for n={n}")
@@ -649,21 +792,43 @@ class MultipartiteGraph:
 
     @staticmethod
     def from_json(text: str) -> "MultipartiteGraph":
-        """Parse the ``to_json`` layout: pattern, part size, and local edges per "i-j" pair."""
+        """Parse the ``to_json`` layout: pattern, part size, and local edges per "i-j" pair.
+
+        ``k`` and ``part_size`` must be integers, as every endpoint must;
+        a float or a string is rejected, not truncated or parsed.
+
+        ASCII text whose every array is ``[]`` or ``[u, v]`` records joined
+        by ``, ``, with canonical decimal endpoints (no sign, no leading
+        zero, at most 18 digits), is read in bulk: each array becomes
+        endpoint columns without a Python object per edge.  ``json.dumps``
+        and :meth:`to_json` write that layout.  Any other text, and any
+        text whose bulk reading fails, takes the general ``json.loads``
+        route, so both give the same graph or the same error.
+        """
+        decoded = _decode_records(text)
+        if decoded is not None:
+            try:
+                return MultipartiteGraph._from_columns(*_multipartite_fields(decoded), np.transpose)
+            except Exception:  # any failure: the general route below raises it in its own words
+                pass
         try:
-            obj = json.loads(text)
-            pattern = PatternGraph.from_edges(*_pattern_fields(obj["pattern"]))
-            pair_edges = {}
-            for key, arr in obj["pairs"].items():
-                i_s, j_s = key.split("-")
-                pair_edges[(int(i_s) - 1, int(j_s) - 1)] = arr
             # from_pair_edges unpacks and range-checks every [u, v]; a wrong
             # shape or type surfaces there as a TypeError or ValueError
-            return MultipartiteGraph.from_pair_edges(pattern, int(obj["part_size"]), pair_edges)
+            return MultipartiteGraph.from_pair_edges(*_multipartite_fields(json.loads(text)))
         except PreconditionError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed multipartite JSON: {exc!r}") from exc
+
+
+def _multipartite_fields(obj) -> tuple[PatternGraph, int, dict]:
+    """The pattern, part size and pair edges keyed by (i, j) of a decoded ``to_json`` object; raises on a missing key or wrong type."""
+    pattern = PatternGraph.from_edges(*_pattern_fields(obj["pattern"]))
+    pair_edges = {}
+    for key, arr in obj["pairs"].items():
+        i_s, j_s = key.split("-")
+        pair_edges[(int(i_s) - 1, int(j_s) - 1)] = arr
+    return pattern, index(obj["part_size"]), pair_edges
 
 
 def induced_multipartite(

@@ -106,6 +106,10 @@ INPUT_FILES = {
     "float_multipartite": multipartite_k2("[[0.5, 1]]"),
     "integral_float_multipartite": multipartite_k2("[[0, 1], [1.0, 0]]"),
     "string_multipartite": multipartite_k2('[[0, 1], ["1", "0"]]'),
+    # each count read with int() would be truncated or parsed, and the file read as a graph
+    "float_part_size": multipartite_k2("[[0, 1]]").replace('"part_size": 2', '"part_size": 2.5'),
+    "string_part_size": multipartite_k2("[[0, 1]]").replace('"part_size": 2', '"part_size": "2"'),
+    "float_k_pattern": '{"k": 2.5, "edges": [[1, 2]]}\n',
     "short_edge_line": "vertices 3\nedge 1\n",
     "bare_vertices": "vertices\nedge 0 1\n",
     "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
@@ -438,6 +442,9 @@ EXIT_CODES = {
     "multipartite_float_entry": (["count", "--graph", "{float_multipartite}"], EXIT_USAGE),
     "multipartite_integral_float_entry": (["count", "--graph", "{integral_float_multipartite}"], EXIT_USAGE),
     "multipartite_string_entry": (["count", "--graph", "{string_multipartite}"], EXIT_USAGE),
+    "multipartite_float_part_size": (["count", "--graph", "{float_part_size}"], EXIT_USAGE),
+    "multipartite_string_part_size": (["count", "--graph", "{string_part_size}"], EXIT_USAGE),
+    "pattern_float_k": (["m2", "--pattern", "{float_k_pattern}"], EXIT_USAGE),
     "edge_list_short_edge_line": (
         ["partition", "--graph", "{short_edge_line}", "--eps", "0.3", "--p", "0.5"], EXIT_USAGE,
     ),

@@ -1,12 +1,15 @@
 """Graph core: densities, construction invariants, formats."""
 
+import json
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab.embedding import count_kcliques
@@ -457,3 +460,211 @@ def test_min_monochromatic_partition_is_the_brute_force_least_weight(data):
         assert (assignment, found) == (None, below)
     else:
         assert found == weight(assignment) == least
+
+
+@pytest.mark.parametrize("read, text", [
+    (PatternGraph.from_json, '{"k": 3.5, "edges": [[1, 2]]}'),
+    (PatternGraph.from_json, '{"k": "3", "edges": [[1, 2]]}'),
+    (MultipartiteGraph.from_json, '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": 3.9, "pairs": {"1-2": []}}'),
+    (MultipartiteGraph.from_json, '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": "3", "pairs": {"1-2": []}}'),
+    (MultipartiteGraph.from_json, '{"pattern": {"k": 2.7, "edges": [[1, 2]]}, "part_size": 3, "pairs": {"1-2": []}}'),
+], ids=["pattern_float_k", "pattern_string_k", "float_part_size", "string_part_size", "multipartite_float_k"])
+def test_counts_in_json_must_be_integers(read, text):
+    """``k`` and ``part_size`` are read like edge endpoints: a float or a string is rejected, not truncated or parsed."""
+    with pytest.raises(PreconditionError, match="malformed"):
+        read(text)
+
+
+def graph_state(graph) -> tuple:
+    """Everything a simple or multipartite graph holds."""
+    if isinstance(graph, SimpleGraph):
+        return graph.n, graph.adj
+    return graph.pattern, graph.part_size, graph.rows
+
+
+def read_outcome(read, text):
+    """What ``read`` gives on ``text``: the graph's state, or the type and message of what it raised."""
+    try:
+        return "graph", graph_state(read(text))
+    except Exception as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def general_outcome(read, text):
+    """:func:`read_outcome` with the bulk route switched off: what the general reader alone gives."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_read_records", lambda *args: None)
+        patch.setattr(graphs, "_decode_records", lambda text: None)
+        return read_outcome(read, text)
+
+
+def refuse(*args):
+    raise AssertionError("the general route ran")
+
+
+#: Block sizes of the bulk reader under test: records cut at every gap, at some, and not at all.
+RECORD_BLOCKS = [1, 7, 64, graphs._RECORD_BLOCK_CHARS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(simple_graphs(max_n=40), st.sampled_from(RECORD_BLOCKS))
+def test_written_edge_lists_take_the_bulk_route(graph, block):
+    """``to_edge_list`` text is read in bulk, at any block size, to the graph that wrote it."""
+    text = graph.to_edge_list()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_RECORD_BLOCK_CHARS", block)
+        patch.setattr(SimpleGraph, "from_edges", staticmethod(refuse))  # where the general route ends
+        assert SimpleGraph.from_edge_list(text) == graph
+
+
+@st.composite
+def multipartite_graphs(draw, max_k=4, max_n=12):
+    """A multipartite graph on a drawn pattern, some of whose pairs may be empty."""
+    pattern = draw(patterns(max_k=max_k))
+    n = draw(st.integers(1, max_n))
+    local = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pair_edges = {key: draw(st.lists(local, max_size=3 * n)) for key in pattern.sorted_edges()}
+    return MultipartiteGraph.from_pair_edges(pattern, n, pair_edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multipartite_graphs(), st.sampled_from(RECORD_BLOCKS))
+@example(MultipartiteGraph.from_pair_edges(PatternGraph.path(3), 2, {(0, 1): [(1, 0)]}), 1)  # pair "2-3": []
+def test_written_multipartite_json_takes_the_bulk_route(graph, block):
+    """``to_json`` text, empty pairs ``[]`` included, is read in bulk, at any block size, to the graph that wrote it."""
+    text = graph.to_json()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_RECORD_BLOCK_CHARS", block)
+        patch.setattr(graphs.json, "loads", refuse)  # where the general route starts
+        patch.setattr(MultipartiteGraph, "from_pair_edges", staticmethod(refuse))
+        assert graph_state(MultipartiteGraph.from_json(text)) == graph_state(graph)
+
+
+#: Characters that mutations insert or write: the layout's own, signs, blanks, a dot and a non-ASCII digit.
+MUTATION_CHARS = "0123456789 \n\t\r#[],:-+.e\"٣"
+
+
+@st.composite
+def mutated(draw, text: str, kinds: list[str]):
+    """``text`` with one drawn mutation of a kind in ``kinds``."""
+    kind = draw(st.sampled_from(kinds))
+    numbers = [match.span() for match in re.finditer(r"[0-9]+", text)]
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    if kind in ("delete", "replace") and text:
+        at = min(at, len(text) - 1)
+        return text[:at] + (char if kind == "replace" else "") + text[at + 1:]
+    if kind in ("leading zero", "sign", "long") and numbers:
+        start, end = draw(st.sampled_from(numbers))
+        if kind == "long":
+            return text[:start] + draw(st.sampled_from(["1" + "0" * 17, "1" + "0" * 18, "9" * 19])) + text[end:]
+        return text[:start] + draw(st.sampled_from(["0", "-", "+"] if kind == "sign" else ["0"])) + text[start:]
+    if kind == "tab":
+        return text.replace(" ", "\t", 1)
+    if kind == "comment":
+        line_end = text.find("\n", at)
+        return text + "# comment\n" if line_end < 0 else text[:line_end] + "  # comment" + text[line_end:]
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "no final newline":
+        return text.removesuffix("\n")
+    if kind == "indent":
+        return json.dumps(json.loads(text), indent=1)
+    return text
+
+
+COMMON_MUTATIONS = ["insert", "delete", "replace", "leading zero", "sign", "long", "tab"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(simple_graphs(max_n=12), st.sampled_from(RECORD_BLOCKS), st.data())
+def test_mutated_edge_lists_read_as_the_general_reader_reads_them(graph, block, data):
+    """Text one edit away from the bulk layout gives the general reader's graph, or its error word for word."""
+    text = data.draw(mutated(graph.to_edge_list(), COMMON_MUTATIONS + ["comment", "crlf", "no final newline"]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_RECORD_BLOCK_CHARS", block)
+        got = read_outcome(SimpleGraph.from_edge_list, text)
+    assert got == general_outcome(SimpleGraph.from_edge_list, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(multipartite_graphs(max_k=3, max_n=6), st.sampled_from(RECORD_BLOCKS), st.data())
+def test_mutated_multipartite_json_reads_as_the_general_reader_reads_it(graph, block, data):
+    """JSON one edit away from the bulk layout gives the general reader's graph, or its error word for word."""
+    text = data.draw(mutated(graph.to_json(), COMMON_MUTATIONS + ["indent"]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_RECORD_BLOCK_CHARS", block)
+        got = read_outcome(MultipartiteGraph.from_json, text)
+    assert got == general_outcome(MultipartiteGraph.from_json, text)
+
+
+K2_JSON = '{"pattern": {"k": 2, "edges": [[1, 2]]}, "part_size": 3, "pairs": {"1-2": [[0, 1], [2, 1]]}}'
+
+
+@pytest.mark.parametrize("read, text", [
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 0 1\nedge 1 2\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 0 1\nedge 1 ٢\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 0 1\nedge 1 2\r\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 01 2\n"),
+    (SimpleGraph.from_edge_list, "vertices 03\nedge 1 2\n"),
+    (SimpleGraph.from_edge_list, "vertices 0\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 1 1\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 1 3\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 1 2\nedge 0\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge 1 2\nvertices 3\n"),
+    # every separator in place but one gap a character short and the next one long
+    (SimpleGraph.from_edge_list, "vertices 9\nedge 1 2\nedge3 4 \nedge 5 6\n"),
+    (SimpleGraph.from_edge_list, "vertices 3\nedge  1\n2"),
+    (MultipartiteGraph.from_json, K2_JSON),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"part_size": 3', '"part_size": ٣')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"part_size": 3', '"part_size": 1٣')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"k": 2', '"k": ٢')),
+    (MultipartiteGraph.from_json, K2_JSON.replace("[2, 1]", "[02, 1]")),
+    (MultipartiteGraph.from_json, K2_JSON.replace("[2, 1]", "[2, 3]")),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2"', '"1-3"')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": ', '"1-2": [[0, 1]], "2-1": ')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"pairs": ', '"pairs": [[1, 2]], "x": ')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"pattern": {"k": 2, "edges": [[1, 2]]}', '"pattern": [[1, 2]]')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"part_size": 3', '"part_size": [[3, 3]]')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": [[0, 1], [2, 1]]', '"1-2": [[0, 1], [2, 1]]]]')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": [[0, 1], [2, 1]]', '"1-2": [[0, 1], "]]"]')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": [[0, 1], [2, 1]]', '"1-2": {}')),
+    (MultipartiteGraph.from_json, "[[1, 2]]"),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": [[0, 1], [2, 1]]', '"1-2": [[0, 1], 2[,1 ], [1, 1]]')),
+    (MultipartiteGraph.from_json, K2_JSON.replace('"1-2": [[0, 1], [2, 1]]', '"1-2": [[0,1 ], 2[, 1]]')),
+])
+def test_bulk_and_general_readers_agree_on_chosen_texts(read, text):
+    """Texts next to the bulk layout, non-ASCII digits included, which ``json``'s Python scanner alone would read."""
+    assert read_outcome(read, text) == general_outcome(read, text)
+
+
+def traced_peak(read, text: str) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``read(text)`` runs."""
+    tracemalloc.start()
+    try:
+        read(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bulk_readers_allocate_less_than_the_general_readers():
+    """No Python object per edge: multipartite JSON peaks at half of ``json.loads`` at most, and an edge list
+    at no more than the general line loop."""
+    gen = np.random.default_rng(5)
+    keys = [(1, 2), (1, 3), (2, 3)]
+    pairs = {f"{i}-{j}": np.argwhere(gen.random((700, 700)) < 0.1).tolist() for i, j in keys}
+    assert sum(map(len, pairs.values())) >= 100_000
+    text = json.dumps({"pattern": {"k": 3, "edges": [list(key) for key in keys]}, "part_size": 700, "pairs": pairs})
+    del pairs
+    assert traced_peak(MultipartiteGraph.from_json, text) <= traced_peak(json.loads, text) / 2
+
+    edge_list = gnp(200, 0.9, RngStream(3)).to_edge_list()
+    assert edge_list.count("\n") > 17_000
+
+    def general(text):
+        return general_outcome(SimpleGraph.from_edge_list, text)
+
+    assert traced_peak(SimpleGraph.from_edge_list, edge_list) <= traced_peak(general, edge_list)
