@@ -4,9 +4,10 @@ Subcommands: ``gen gnp``, ``gen class``, ``partition``, ``clean``,
 ``count``, ``m2``, ``schedule``, and ``experiment <name>``.  Identical
 argument vectors and seeds produce byte-identical outputs.  Exit codes:
 0 success; 2 parse or precondition error, including an out-of-range
-value, an unreadable input path and malformed input JSON; 3 budget error;
-4 theorem-check failure in an experiment report; 5 soundness error, an
-internal cross-check that failed (a bug, never a property of the input).
+value, an unreadable input path and malformed input JSON; 3 budget error,
+including an input whose size could not be allocated; 4 theorem-check
+failure in an experiment report; 5 soundness error, an internal
+cross-check that failed (a bug, never a property of the input).
 
 Checked ranges (``ranged``, with the ``Range`` values of ``experiments``):
 the ``gen class``, ``partition`` and ``clean`` ``--eps`` and the ``gen
@@ -241,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget error: the input's size could not be allocated", file=sys.stderr)
         return EXIT_BUDGET
     except SoundnessError as exc:
         print(f"soundness error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 A canonical copy of a k-vertex template H in a multipartite graph G is a
 tuple (v_1, ..., v_k), v_i in part i, realizing every template edge between
 the prescribed parts.  Copies are labelled tuples: no automorphism factor
-is divided out.  The instance gives each template edge ``(a, b)`` its own
-row table ``rows[(a, b)]`` over the local indices ``range(n)`` of part b,
-one bitset row per vertex of part a.
+is divided out.  The instance gives each template edge ``(a, b)``, a < b,
+one row table ``rows[(a, b)]`` over the local indices ``range(n)`` of part
+b, one bitset row per vertex of part a; a route that needs the rows of
+part b derives them with :func:`reglab.graphs.transposed_rows`.
 
 A :class:`SearchPlan` orders the template vertices by greedy maximum
 back-degree (pinned vertices first) and lists, per position, the earlier
@@ -53,8 +54,8 @@ The level route has three callers: :func:`canonical_count` and
 :func:`constrained_count` (through the component product) and
 :func:`reglab.embedding.count_kcliques`, which runs it on K_k with a simple
 graph's rows cut to the neighbours above each vertex on every template edge
-(a, b) with a < b, and to those below it on (b, a), so each clique is
-counted once.
+(a, b), a < b, so each clique is counted once.  The clique plans place
+their vertices in increasing order, so they never need a transpose.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetError, PreconditionError
-from .graphs import MultipartiteGraph, PatternGraph, rows_to_matrix, rows_to_words
+from .graphs import MultipartiteGraph, PatternGraph, rows_to_matrix, rows_to_words, transposed_rows
 
 GK_BUDGET = 7
 
@@ -180,8 +181,8 @@ def matrix_count(
 ) -> int | None:
     """Canonical copies by float64 matrix elimination; ``None`` where the route does not apply.
 
-    ``rows`` holds the row tables of every template edge, both orientations,
-    over parts of size ``n``; the module docstring states when the route
+    ``rows`` holds the row table of every template edge (a, b), a < b, over
+    parts of size ``n``; the module docstring states when the route
     applies and why it is exact.
     """
     steps = elimination_steps(pattern)
@@ -222,15 +223,17 @@ def level_count(pattern: PatternGraph, rows: dict[tuple[int, int], list[int]], n
 
     Takes the arguments of :func:`matrix_count` and returns the same count
     for every template.  A frontier of partial copies holds one numpy column
-    of host indices per placed position.
+    of host indices per placed position.  The table of back edge s -> t is
+    the stored table when the earlier vertex is the lower one, else its
+    transpose.
     """
     plan = search_plan(pattern, ())
     last = pattern.k - 1
-    tables = {
-        (s, t): rows_to_words(rows[(plan.order[s], v)], n)
-        for t, v in enumerate(plan.order)
-        for s in plan.back[t]
-    }
+
+    def table(u: int, v: int) -> np.ndarray:
+        return rows_to_words(rows[(u, v)] if u < v else transposed_rows(rows[(v, u)], n), n)
+
+    tables = {(s, t): table(plan.order[s], v) for t, v in enumerate(plan.order) for s in plan.back[t]}
     full = rows_to_words([(1 << n) - 1], n)
 
     def extend(t: int, frontier: list[np.ndarray], size: int) -> int:
@@ -311,10 +314,7 @@ def _effective_rows(
     for i, j in sub_pattern.sorted_edges():
         if (i, j) not in overlay.rows:
             raise PreconditionError(f"overlay missing pair {(i + 1, j + 1)}")
-        fwd = [a & b for a, b in zip(graph.rows[(i, j)], overlay.rows[(i, j)])]
-        rev = [a & b for a, b in zip(graph.rows[(j, i)], overlay.rows[(j, i)])]
-        rows[(i, j)] = fwd
-        rows[(j, i)] = rev
+        rows[(i, j)] = [a & b for a, b in zip(graph.rows[(i, j)], overlay.rows[(i, j)])]
     return rows
 
 

@@ -333,11 +333,10 @@ def count_kcliques(graph: SimpleGraph, k: int) -> int:
 
     From k = 3 on, the level route of :func:`reglab.counting.level_count`
     counts the labelled copies of K_k whose images increase with the
-    template vertex: template edge (a, b) with a < b gets the forward rows
-    (each vertex's neighbours above it) and (b, a) the backward rows (its
-    neighbours below it).  Every vertex pair of K_k is a template edge, so
-    each clique is counted once, in its increasing labelling, whatever order
-    the plan places the template vertices in.
+    template vertex: every template edge (a, b), a < b, gets the forward
+    rows (each vertex's neighbours above it).  Every vertex pair of K_k is
+    a template edge, so each clique is counted once, in its increasing
+    labelling, whatever order the plan places the template vertices in.
     """
     if k < 1:
         return 0
@@ -346,6 +345,5 @@ def count_kcliques(graph: SimpleGraph, k: int) -> int:
     if k == 2:
         return graph.edge_count
     forward = [row >> (v + 1) << (v + 1) for v, row in enumerate(graph.adj)]
-    backward = [row & ((1 << v) - 1) for v, row in enumerate(graph.adj)]
-    rows = {(a, b): forward if a < b else backward for a in range(k) for b in range(k) if a != b}
+    rows = {(a, b): forward for a in range(k) for b in range(a + 1, k)}
     return level_count(PatternGraph.complete(k), rows, graph.n)

@@ -16,10 +16,6 @@ class BudgetError(RuntimeError):
 class RejectionBudgetError(BudgetError):
     """Rejection sampling fell below the acceptance-rate floor."""
 
-    def __init__(self, message: str, acceptance_rate: float):
-        super().__init__(message)
-        self.acceptance_rate = acceptance_rate
-
 
 class SoundnessError(RuntimeError):
     """An internal cross-check that must never fail did fail."""

@@ -75,9 +75,9 @@ from .embedding import (
 )
 from .errors import BudgetError, PreconditionError, RejectionBudgetError, SoundnessError
 from .graphs import (
-    MultipartiteGraph,
     PatternGraph,
     SimpleGraph,
+    VertexSetPair,
     _peel_low_degree,
     bitmask_of,
     induced_multipartite,
@@ -98,7 +98,7 @@ from .partition import (
 )
 from .patterns import chromatic_number, two_density
 from .randgraph import RngStream, gnp, sample_class
-from .regularity import CERTIFIED, EXHAUSTIVE_PAIR_BUDGET, REFUTED, UNDECIDED, pair_verdict
+from .regularity import CERTIFIED, EXHAUSTIVE_PAIR_BUDGET, REFUTED, UNDECIDED, pair_verdict, pair_verdicts
 
 REGULARITY_CAVEAT = (
     "regular means: not refuted by the sampled checker at the configured trial budget"
@@ -357,18 +357,6 @@ def _regularize(graph: SimpleGraph, params: Params, stream: RngStream) -> tuple[
     return part, cleaned, stage
 
 
-def _pair_verdicts(
-    graph: MultipartiteGraph, epsilon: float, p: float, trials: int, rng: RngStream
-) -> dict[str, str]:
-    """Regularity status per pattern pair (exhaustive below budget, sampled above)."""
-    out = {}
-    for index, (i, j) in enumerate(graph.pattern.sorted_edges()):
-        pair_graph, sides = graph.pair_subgraph(i, j)
-        verdict = pair_verdict(pair_graph, sides, epsilon, p, rng.child(index), trials)
-        out[f"{i + 1}-{j + 1}"] = verdict.status
-    return out
-
-
 def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
     """Canonical-count concentration in random multipartite slices of a random host.
 
@@ -404,7 +392,11 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
         if thin:
             record.update(skipped=True, skip_reason=f"pairs below d p n^2: {thin}", in_band=None)
             return record
-        statuses = _pair_verdicts(slice_graph, params.epsilon, p, params.refuter_trials, stream.child(2))
+        # local index r of slice part i is the r-th smallest vertex of classes[i], so each host
+        # pair is judged as the slice's pair i-j would be, from the same stream
+        pairs = [VertexSetPair(classes[i], classes[j]) for i, j in pattern.sorted_edges()]
+        streams = [stream.child(2, index) for index in range(len(pairs))]
+        verdicts = pair_verdicts(host, pairs, params.epsilon, p, streams, params.refuter_trials)
         result = canonical_count(slice_graph)
         in_band = result.ratio is not None and abs(result.ratio - 1.0) <= delta
         record.update(
@@ -412,7 +404,7 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
             count=str(result.count),
             expected=str(result.expected),
             ratio=result.ratio,
-            refuted_pairs=sum(1 for s in statuses.values() if s == REFUTED),
+            refuted_pairs=sum(1 for verdict in verdicts if verdict.status == REFUTED),
             in_band=bool(in_band),
         )
         return record
@@ -422,8 +414,7 @@ def run_counting(params: CountingParams, rng: RngStream) -> ExperimentReport:
         if not effective:
             raise RejectionBudgetError(
                 f"none of the {params.trials} draws has every pair at or above the d p n^2 = "
-                f"{float(floor):.6g} edge floor",
-                acceptance_rate=0.0,
+                f"{float(floor):.6g} edge floor"
             )
         band = sum(1 for r in effective if r["in_band"])
         fraction = band / len(effective)
@@ -1042,7 +1033,7 @@ def probe_copy_free_class(params: ClassProbeParams, rng: RngStream) -> Experimen
         regular_records = [r for r in records if r["regular"]]
         if not regular_records:
             raise RejectionBudgetError(
-                f"no regular samples among {params.trials} draws at eps = {eps}", acceptance_rate=0.0
+                f"no regular samples among {params.trials} draws at eps = {eps}"
             )
         bad = sum(1 for r in regular_records if r["copy_free"])
         total = len(regular_records)

@@ -153,6 +153,11 @@ def matrix_to_rows(matrix: np.ndarray) -> list[int]:
     return packed_to_rows(np.packbits(matrix, axis=1, bitorder="little"))
 
 
+def transposed_rows(rows: Sequence[int], n: int) -> list[int]:
+    """The n x n bitset table ``rows`` read the other way: bit u of row v is bit v of ``rows[u]``."""
+    return matrix_to_rows(rows_to_matrix(rows, n, bool).T)
+
+
 #: Rows the edge codec unpacks or packs at once; bounds its working memory
 #: to one block of this many rows.
 _CODEC_BLOCK_ROWS = 128
@@ -293,6 +298,25 @@ def _read_records(text: str, start: int, stop: int, prefix: str, middle: str, ta
         blocks.append(block)
         start = end
     return np.concatenate(blocks)
+
+
+def _write_records(
+    rows: Sequence[int], width: int, prefix: str, middle: str, tail: str, last: str, upper: bool = False
+) -> str:
+    """The set bits of ``rows``, in :func:`rows_to_edges` order, as the span that :func:`_read_records` reads.
+
+    No bits give "".  Each row's records are one join of its column names,
+    so no Python object is built per bit.
+    """
+    names = np.array([str(v) for v in range(max(len(rows), width))], dtype=object)
+    chunks = []
+    for us, vs in rows_to_edges(rows, width, upper):
+        targets = names[vs].tolist()
+        starts = np.flatnonzero(np.diff(us, prepend=-1)).tolist()  # first bit of each row
+        for a, b in zip(starts, starts[1:] + [len(targets)]):
+            head = f"{prefix}{names[us[a]]}{middle}"
+            chunks.append(head + (tail + head).join(targets[a:b]))
+    return tail.join(chunks) + last if chunks else ""
 
 
 def _decode_records(text: str):
@@ -522,15 +546,7 @@ class SimpleGraph:
         line per edge, with u < v, in increasing (u, v) order, the order of
         :meth:`edges`.  Every line ends in a newline.
         """
-        names = np.array([str(v) for v in range(self.n)], dtype=object)
-        chunks = [f"vertices {self.n}"]
-        for us, vs in rows_to_edges(self.adj, self.n, upper=True):
-            targets = names[vs].tolist()
-            starts = np.flatnonzero(np.diff(us, prepend=-1)).tolist()  # first edge of each row
-            for a, b in zip(starts, starts[1:] + [len(targets)]):
-                head = f"edge {names[us[a]]} "
-                chunks.append(head + ("\n" + head).join(targets[a:b]))
-        return "\n".join(chunks) + "\n"
+        return f"vertices {self.n}\n" + _write_records(self.adj, self.n, "edge ", " ", "\n", "\n", upper=True)
 
     @staticmethod
     def from_edge_list(text: str) -> "SimpleGraph":
@@ -695,13 +711,13 @@ def min_monochromatic_partition(
     return best_assign, best_cost
 
 
-def standalone_pair(n: int, fwd: Sequence[int], rev: Sequence[int]) -> tuple[SimpleGraph, VertexSetPair]:
+def standalone_pair(n: int, fwd: Sequence[int]) -> tuple[SimpleGraph, VertexSetPair]:
     """A bipartite pair of two n-vertex sides as a 2n-vertex graph, with U = 0..n-1 and V = n..2n-1.
 
-    ``fwd[u]`` and ``rev[v]`` are the local n-bit rows of the two sides:
-    the V-neighbours of u and the U-neighbours of v.
+    ``fwd[u]`` is the local n-bit row of the V-neighbours of u; the rows of
+    V are its transpose.
     """
-    adj = [row << n for row in fwd] + list(rev)
+    adj = [row << n for row in fwd] + transposed_rows(fwd, n)
     return SimpleGraph(2 * n, adj), VertexSetPair(tuple(range(n)), tuple(range(n, 2 * n)))
 
 
@@ -709,16 +725,17 @@ class MultipartiteGraph:
     """k parts of equal size ``n`` with one bipartite graph per pattern edge.
 
     Edges exist only between parts ``i`` and ``j`` with ``ij`` an edge of the
-    pattern.  Adjacency per pair is stored as local bitset rows in both
-    directions; the rows are the only state, and pair edge counts are
-    recounted from them.
+    pattern.  Each pair is stored once, as the local bitset rows of its
+    lower part; a reader that needs the other side derives it with
+    :func:`transposed_rows`.  The rows are the only state, and pair edge
+    counts are recounted from them.
     """
 
     __slots__ = ("pattern", "part_size", "rows")
 
     def __init__(self, pattern: PatternGraph, part_size: int, rows: dict[tuple[int, int], list[int]]):
         # rows[(i, j)][u] = bitset over part-j local indices adjacent to local u of part i,
-        # present for both orientations of every pattern edge.
+        # present for every pattern edge (i, j), i < j, and for no other key.
         self.pattern = pattern
         self.part_size = part_size
         self.rows = rows
@@ -754,7 +771,6 @@ class MultipartiteGraph:
             if bad is not None:
                 raise PreconditionError(f"local edge ({int(u[bad])}, {int(v[bad])}) out of range for n={n}")
             rows[(i, j)] = edges_to_rows(n, n, u, v)
-            rows[(j, i)] = edges_to_rows(n, n, v, u)
         unknown = set(pair_edges) - set(pattern.sorted_edges())
         if unknown:
             raise PreconditionError(f"edges supplied for non-pattern pairs: {sorted(unknown)}")
@@ -765,7 +781,7 @@ class MultipartiteGraph:
         return self.pattern.k
 
     def pair_edges(self, i: int, j: int) -> Iterator[tuple[int, int]]:
-        """Local (u in part i, v in part j) edges of pair {i, j}, in increasing (u, v) order."""
+        """Local (u in part i, v in part j) edges of the pattern edge (i, j), i < j, in increasing (u, v) order."""
         for us, vs in rows_to_edges(self.rows[(i, j)], self.part_size):
             yield from zip(us.tolist(), vs.tolist())
 
@@ -775,20 +791,16 @@ class MultipartiteGraph:
 
     def pair_subgraph(self, i: int, j: int) -> tuple[SimpleGraph, VertexSetPair]:
         """The bipartite pair {i, j} as a standalone graph plus its sides (``standalone_pair``)."""
-        a, b = min(i, j), max(i, j)
-        return standalone_pair(self.part_size, self.rows[(a, b)], self.rows[(b, a)])
+        return standalone_pair(self.part_size, self.rows[(min(i, j), max(i, j))])
 
     def to_json(self) -> str:
-        pairs = {}
-        for i, j in self.pattern.sorted_edges():
-            pairs[f"{i + 1}-{j + 1}"] = [[u, v] for u, v in self.pair_edges(i, j)]
-        return json.dumps(
-            {
-                "pattern": {"k": self.k, "edges": [[a + 1, b + 1] for a, b in self.pattern.sorted_edges()]},
-                "part_size": self.part_size,
-                "pairs": pairs,
-            }
-        )
+        """The ``json.dumps`` text of the pattern, part size and local edges per "i-j" pair, written from the rows."""
+        pieces = ['{"pattern": ', self.pattern.to_json(), f', "part_size": {self.part_size}, "pairs": {{']
+        for index, (i, j) in enumerate(self.pattern.sorted_edges()):
+            records = _write_records(self.rows[(i, j)], self.part_size, "[", ", ", "], ", "]]")
+            pieces += [", " if index else "", f'"{i + 1}-{j + 1}": [', records or "]"]
+        pieces.append("}}")
+        return "".join(pieces)
 
     @staticmethod
     def from_json(text: str) -> "MultipartiteGraph":
@@ -860,5 +872,4 @@ def induced_multipartite(
     for i, j in pattern.sorted_edges():
         block = rows_to_matrix([graph.adj[u] for u in class_lists[i]], graph.n, np.uint8)[:, class_lists[j]]
         rows[(i, j)] = matrix_to_rows(block)
-        rows[(j, i)] = matrix_to_rows(block.T)
     return MultipartiteGraph(pattern, n, rows)

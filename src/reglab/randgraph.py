@@ -169,10 +169,10 @@ def gnp(n: int, p: float, rng: RngStream) -> SimpleGraph:
     return SimpleGraph(n, packed_to_rows(packed))
 
 
-def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> tuple[list[int], list[int]]:
-    """Uniform m-subset of the n*n bipartite slots, as bitset rows both ways."""
+def random_bipartite_rows(n: int, m: int, gen: np.random.Generator) -> list[int]:
+    """Uniform m-subset of the n*n bipartite slots, as the bitset rows of the first side."""
     u, v = np.divmod(gen.choice(n * n, size=m, replace=False), n)
-    return edges_to_rows(n, n, u, v), edges_to_rows(n, n, v, u)
+    return edges_to_rows(n, n, u, v)
 
 
 def sample_class(
@@ -205,10 +205,10 @@ def sample_class(
         attempt = 0
         while True:
             gen = pair_stream.child(attempt).np_rng()
-            fwd, rev = random_bipartite_rows(n, m, gen)
+            fwd = random_bipartite_rows(n, m, gen)
             if mode == "raw":
                 break
-            pair_graph, sides = standalone_pair(n, fwd, rev)
+            pair_graph, sides = standalone_pair(n, fwd)
             verdict = pair_verdict(
                 pair_graph, sides, epsilon, p, pair_stream.child(attempt, 1), trials=32, guided=True
             )
@@ -216,12 +216,9 @@ def sample_class(
                 break
             attempt += 1
             if attempt >= max_attempts:
-                rate = 0.0
                 raise RejectionBudgetError(
                     f"pair {(i + 1, j + 1)} rejected {attempt} consecutive draws "
-                    f"(acceptance rate < {1.0 / max_attempts:.0e})",
-                    acceptance_rate=rate,
+                    f"(acceptance rate < {1.0 / max_attempts:.0e})"
                 )
         rows[(i, j)] = fwd
-        rows[(j, i)] = rev
     return MultipartiteGraph(pattern, n, rows)

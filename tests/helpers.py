@@ -100,13 +100,12 @@ def reference_from_pair_edges(pattern: PatternGraph, n: int, pair_edges) -> Mult
     """``MultipartiteGraph.from_pair_edges`` one edge at a time, with its checks in input order."""
     rows = {}
     for i, j in pattern.sorted_edges():
-        fwd, rev = [0] * n, [0] * n
+        fwd = [0] * n
         for u, v in pair_edges.get((i, j), ()):
             if not (0 <= u < n and 0 <= v < n):
                 raise PreconditionError(f"local edge ({u}, {v}) out of range for n={n}")
             fwd[u] |= 1 << v
-            rev[v] |= 1 << u
-        rows[(i, j)], rows[(j, i)] = fwd, rev
+        rows[(i, j)] = fwd
     return MultipartiteGraph(pattern, n, rows)
 
 
@@ -134,8 +133,6 @@ def reference_induced_multipartite(graph: SimpleGraph, classes, pattern: Pattern
         block = matrix[np.ix_(class_lists[i], class_lists[j])]
         packed = np.packbits(block, axis=1, bitorder="little")
         rows[(i, j)] = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-        packed_t = np.packbits(block.T, axis=1, bitorder="little")
-        rows[(j, i)] = [int.from_bytes(packed_t[v].tobytes(), "little") for v in range(n)]
     return MultipartiteGraph(pattern, n, rows)
 
 

@@ -115,6 +115,9 @@ INPUT_FILES = {
     "extra_edge_field": "vertices 8\nedge 0 1\nedge 1 2 7\n",
     "second_vertices": "vertices 3\nedge 0 1\nvertices 4\n",
     "non_integer_field": "vertices 8\nedge 0 x\n",
+    # sizes whose rows fail to allocate at once (a size near 10^9 would try to fill memory instead)
+    "huge_vertices": "vertices 100000000000000000\n",
+    "huge_part_size": multipartite_k2("[]").replace('"part_size": 2', '"part_size": 100000000000000000'),
 }
 
 
@@ -557,6 +560,10 @@ EXIT_CODES = {
         EXIT_BUDGET,
     ),
     "no_seed": (["experiment", "turan", "--N", "30", "--trials", "1"], EXIT_USAGE),
+    "partition_unallocatable_vertex_count": (
+        ["partition", "--graph", "{huge_vertices}", "--eps", "0.3", "--p", "0.5"], EXIT_BUDGET,
+    ),
+    "count_unallocatable_part_size": (["count", "--graph", "{huge_part_size}"], EXIT_BUDGET),
 }
 
 #: EXIT_CODES cases run without ``--seed``; every case runs with ``REGLAB_SEED`` unset
@@ -585,6 +592,14 @@ def test_exit_code_table(case, tmp_path, monkeypatch):
     draws = record_draws(monkeypatch)
     assert run_cli(template, tmp_path, tmp_path / "out.txt", seed=None if case in UNSEEDED else 1) == expected
     assert expected != EXIT_USAGE or draws == []
+
+
+@pytest.mark.parametrize("case", ["partition_unallocatable_vertex_count", "count_unallocatable_part_size"])
+def test_an_unallocatable_input_size_is_a_budget_error_without_a_traceback(case, tmp_path, capsys):
+    template, expected = EXIT_CODES[case]
+    assert run_cli(template, tmp_path, tmp_path / "out.txt") == expected == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == "budget error: the input's size could not be allocated\n"
 
 
 def test_reglab_seed_stands_in_for_the_seed_flag(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import counting, embedding
@@ -272,14 +272,13 @@ LEVEL_TEMPLATES = {
     st.one_of(st.sampled_from(sorted(LEVEL_TEMPLATES)).map(LEVEL_TEMPLATES.get), treewidth_two_patterns(max_k=5)),
     st.integers(1, 19),
     st.integers(0, 10**9),
-    st.data(),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=10, max_size=10),  # K5 has the most edges, 10
 )
-def test_level_count_matches_backtracker(pattern, n, seed, data):
+@example(PatternGraph.path(4), 7, 3, [0.5] * 10)  # plan (1, 2, 0, 3) reads pair (0, 1) as its transpose
+def test_level_count_matches_backtracker(pattern, n, seed, densities):
     # part sizes off multiples of 8 leave padding bits in every packed row, and
     # a float limit of 1 sends treewidth-2 templates to the level route too
-    e = pattern.edge_count
-    densities = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=e, max_size=e))
-    graph = multipartite_at(pattern, n, densities, seed)
+    graph = multipartite_at(pattern, n, densities[: pattern.edge_count], seed)
     expected = blowup_embedding_count(graph)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(counting, "EXACT_FLOAT_LIMIT", 1)

@@ -30,10 +30,18 @@ from reglab.experiments import (
     clique_factor,
     packing_pipeline,
 )
-from reglab.graphs import PatternGraph, SimpleGraph, _peel_low_degree, bitmask_of, iter_bits
+from reglab.graphs import (
+    PatternGraph,
+    SimpleGraph,
+    VertexSetPair,
+    _peel_low_degree,
+    bitmask_of,
+    induced_multipartite,
+    iter_bits,
+)
 from reglab.partition import ClusterGraph, Partition, TrimResult, evaluate_partition, trim_min_degree
 from reglab.randgraph import RngStream, gnp
-from reglab.regularity import EXHAUSTIVE_PAIR_BUDGET
+from reglab.regularity import EXHAUSTIVE_PAIR_BUDGET, pair_verdict, pair_verdicts
 
 from helpers import (
     cluster_graphs,
@@ -505,6 +513,36 @@ def test_counting_skips_a_trial_below_the_density_floor_and_flags_p_below_the_th
     record = sparse.trials[0]
     assert record["skipped"] is False and record["in_band"] is False
     assert (record["count"], record["expected"], record["refuted_pairs"]) == ("1", "391/486", 3)
+
+
+@pytest.mark.parametrize("n", [5, EXHAUSTIVE_PAIR_BUDGET, EXHAUSTIVE_PAIR_BUDGET + 1, 30])
+@settings(max_examples=12, deadline=None)
+@given(
+    pattern=patterns(max_k=4),
+    spare=st.integers(0, 20),
+    p=st.sampled_from([0.1, 0.3, 0.7]),
+    epsilon=st.sampled_from([0.25, 0.5]),
+    seed=st.integers(0, 10**6),
+)
+def test_host_pairs_judge_as_the_slice_pairs_they_were_cut_from(n, pattern, spare, p, epsilon, seed):
+    """``run_counting`` judges slice pair i-j on the host as ``VertexSetPair(classes[i], classes[j])``: on either
+    side of the exhaustive budget, each verdict is that of ``slice.pair_subgraph(i, j)`` from the same stream,
+    its witness the slice's read through the rank of each vertex in its class."""
+    host = gnp(pattern.k * n + spare, p, RngStream(seed, (0,)))
+    perm = [int(v) for v in RngStream(seed, (1,)).np_rng().permutation(host.n)]
+    classes = [perm[i * n : (i + 1) * n] for i in range(pattern.k)]
+    slice_graph = induced_multipartite(host, classes, pattern)
+    pairs = pattern.sorted_edges()
+    streams = [RngStream(seed, (2, index)) for index in range(len(pairs))]
+    got = pair_verdicts(host, [VertexSetPair(classes[i], classes[j]) for i, j in pairs], epsilon, p, streams, 4)
+    for (i, j), stream, verdict in zip(pairs, streams, got):
+        want = pair_verdict(*slice_graph.pair_subgraph(i, j), epsilon, p, stream, 4)
+        assert (verdict.status, verdict.deviation) == (want.status, want.deviation)
+        rank_u, rank_v = ({v: r for r, v in enumerate(sorted(classes[c]))} for c in (i, j))
+        witness = verdict.witness and VertexSetPair(
+            tuple(rank_u[u] for u in verdict.witness.U), tuple(n + rank_v[v] for v in verdict.witness.V)
+        )
+        assert witness == want.witness
 
 
 def test_aes_perturbation_re_adds_interior_edges_that_close_no_copy(monkeypatch):

@@ -243,24 +243,55 @@ def test_edge_count_follows_in_place_row_edits(graph, data):
     assert graph.edge_count == brute == count_kcliques(graph, 2)
 
 
+def json_general_route(text: str) -> MultipartiteGraph:
+    """``MultipartiteGraph.from_json`` with the bulk route switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_decode_records", lambda text: None)
+        return MultipartiteGraph.from_json(text)
+
+
 @pytest.mark.parametrize("seed", range(4))
-def test_multipartite_edge_count_is_the_popcount_of_both_orientations(seed):
+def test_every_multipartite_builder_stores_one_table_per_pattern_edge(seed):
+    """Each builder keys its rows by exactly the pattern edges (i, j), i < j; edge counts are their popcounts."""
     pattern = PatternGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     n = 3 + 2 * seed
     gen = RngStream(60 + seed).np_rng()
     pair_edges = {e: gen.integers(0, n, (3 * n, 2)).tolist() for e in pattern.sorted_edges()}
     host = gnp(4 * n, 0.4, RngStream(70 + seed))
-    built = [
-        MultipartiteGraph.from_pair_edges(pattern, n, pair_edges),
-        induced_multipartite(host, [list(range(c * n, (c + 1) * n)) for c in range(4)], pattern),
-        sample_class(pattern, n, 2 * n, 0.5, 0.5, RngStream(80 + seed)),
-    ]
-    for graph in built:
+    classes = [list(range(c * n, (c + 1) * n)) for c in range(4)]
+    text = MultipartiteGraph.from_pair_edges(pattern, n, pair_edges).to_json()
+    built = {
+        "from_pair_edges": MultipartiteGraph.from_pair_edges(pattern, n, pair_edges),
+        "from_json bulk": MultipartiteGraph.from_json(text),
+        "from_json general": json_general_route(text),
+        "induced_multipartite": induced_multipartite(host, classes, pattern),
+        "sample_class raw": sample_class(pattern, n, 2 * n, 0.5, 0.5, RngStream(80 + seed)),
+        "sample_class rejection": sample_class(pattern, n, 2 * n, 2 / n, 0.75, RngStream(90 + seed), mode="rejection"),
+    }
+    for name, graph in built.items():
+        assert set(graph.rows) == set(pattern.sorted_edges()), name
         for i, j in pattern.sorted_edges():
-            fwd, rev = (sum(map(int.bit_count, graph.rows[key])) for key in ((i, j), (j, i)))
-            assert graph.edge_count(i, j) == graph.edge_count(j, i) == fwd == rev == len(list(graph.pair_edges(i, j)))
-    assert all(built[0].edge_count(i, j) == len(set(map(tuple, pair_edges[(i, j)]))) for i, j in pattern.sorted_edges())
-    assert all(built[2].edge_count(i, j) == 2 * n for i, j in pattern.sorted_edges())
+            popcount = sum(map(int.bit_count, graph.rows[(i, j)]))
+            assert graph.edge_count(i, j) == graph.edge_count(j, i) == popcount == len(list(graph.pair_edges(i, j)))
+    for name in ("from_pair_edges", "from_json bulk", "from_json general"):
+        assert [built[name].edge_count(*e) for e in pattern.sorted_edges()] == [
+            len(set(map(tuple, pair_edges[e]))) for e in pattern.sorted_edges()
+        ]
+    for name in ("sample_class raw", "sample_class rejection"):
+        assert all(built[name].edge_count(i, j) == 2 * n for i, j in pattern.sorted_edges())
+
+
+def test_multipartite_json_peaks_at_three_times_its_text():
+    """``to_json`` writes each pair's array from its rows, with no Python object per edge."""
+    gen = np.random.default_rng(6)
+    pattern = PatternGraph.complete(3)
+    pair_edges = {e: np.argwhere(gen.random((200, 200)) < 0.25).tolist() for e in pattern.sorted_edges()}
+    graph = MultipartiteGraph.from_pair_edges(pattern, 200, pair_edges)
+    del pair_edges
+    text = graph.to_json()
+    assert sum(graph.edge_count(i, j) for i, j in pattern.sorted_edges()) >= 25_000
+    assert text == json.dumps(json.loads(text))
+    assert traced_peak(MultipartiteGraph.to_json, graph) <= 3 * len(text)
 
 
 def test_multipartite_rejects_foreign_pairs():

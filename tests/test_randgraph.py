@@ -146,11 +146,10 @@ def test_sample_class_rejection_verifies_post_hoc():
 
 def test_sample_class_rejection_budget():
     k3 = PatternGraph.complete(3)
-    with pytest.raises(RejectionBudgetError) as info:
+    with pytest.raises(RejectionBudgetError, match="rejected 50 consecutive draws"):
         # eps = 1/2 at these sizes: acceptance is (near) zero, so the
-        # configured attempt budget trips and reports the rate
+        # configured attempt budget trips and says so
         sample_class(k3, 8, 16, 16 / 64, 0.5, RngStream(11), mode="rejection", max_attempts=50)
-    assert info.value.acceptance_rate == 0.0
 
 
 def test_exposure_schedule_single_round():
